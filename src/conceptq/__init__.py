@@ -10,7 +10,6 @@ orderings and constraints into one ranking by maximum likelihood.
 
 from .aggregate import (
     ObjectiveWeights,
-    OptimizerParams,
     ScoreVector,
     bt_pair_prob,
     gradient,
@@ -24,7 +23,6 @@ from .errors import (
     DataFormatError,
     EngineError,
     NoCandidateEntitiesError,
-    OptimizationError,
     QueryParseError,
     UnanswerableQueryError,
 )

@@ -1,4 +1,4 @@
-"""Rank aggregation by maximizing a weighted Bradley-Terry log-likelihood.
+"""Rank aggregation by maximum a posteriori Bradley-Terry scores.
 
 Each entity gets a real score s; a pairwise win is modeled as
 P(x beats y) = e^{s_x} / (e^{s_x} + e^{s_y}). A total ordering
@@ -10,14 +10,34 @@ and a set-level constraint X > Y has
 
     L(X, Y) = log( sum_{x in X} e^{s_x} / (sum_X e^{s_x} + sum_Y e^{s_y}) ).
 
-The aggregation objective combines the baseline ordering R_b, the expansion
+The aggregation likelihood combines the baseline ordering R_b, the expansion
 ordering R_c, and the constraint list R_p:
 
-    maximize  (1 - alpha - beta) L(R_b) + alpha L(R_c) + beta L(R_p)
+    objective(s) = (1 - alpha - beta) L(R_b) + alpha L(R_c) + beta L(R_p)
 
-which is climbed by (optionally stochastic) gradient ascent on the exact
-analytic gradient. The objective depends only on score differences, so the
-final scores are re-centered to mean zero before reporting.
+It depends only on score differences, and it has no finite maximizer
+whenever agreeing orderings push scores apart (Ford 1957; Hunter 2004). The
+optimizer therefore maximizes the posterior under a weak Gamma(a, b) prior
+on every strength e^{s} (Caron & Doucet 2012):
+
+    F(s) = objective(s) + sum_i (a s_i - b e^{s_i}),    a = b = 0.01
+
+The likelihood is at most 0 and every prior term tends to -inf as its score
+goes to +-inf, so F has a finite maximizer. Orderings and singleton
+constraints are concave, so without set-vs-set constraints F is strictly
+concave and the maximizer is unique.
+
+The solver is damped Newton. Each direction comes from conjugate gradients
+on exact Hessian-vector products, preconditioned by the Hessian's diagonal
+and stopped early on negative curvature (set-vs-set constraints are not
+log-concave). A product costs O(n): an ordering's curvature is a suffix sum
+and a prefix sum, a constraint's is a diagonal plus per-side rank-one terms,
+and the prior's is diagonal. No n x n array is ever formed. Armijo
+backtracking accepts only finite steps that raise F; a gain too small to
+survive rounding in F is measured by the trapezoid rule on the directional
+derivatives instead. The solve stops when max |grad F| < tol, and reports
+``converged=False`` when it hits MAX_NEWTON_STEPS or cannot raise F any
+further first. The reported scores are re-centered to mean zero.
 
 All log-sum-exp reductions are max-shifted; gradients are assembled from
 exponent differences that are bounded above by zero, so no intermediate can
@@ -32,14 +52,21 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import OptimizationError
 from .expansion import PairwiseConstraint
 
 DEFAULT_ALPHA = 1.0 / 3.0
 DEFAULT_BETA = 1.0 / 3.0
-DEFAULT_LEARNING_RATE = 0.05
-DEFAULT_MAX_EPOCHS = 1000
 DEFAULT_TOL = 1e-8
+PRIOR_SHAPE = 0.01  # a: the prior's pull towards larger scores
+PRIOR_RATE = 0.01  # b: the prior's pull towards smaller scores
+MAX_NEWTON_STEPS = 100
+_ARMIJO = 1e-4
+_MIN_STEP = 2.0**-30
+_RESOLUTION = 1e-10  # relative size of an F gain lost in rounding
+# Cap on the exponents of the curvature's coupling factors. It binds only
+# once an ordering's log-normalizers span more than 2 * 650, and it keeps
+# every product of the Hessian-vector product finite.
+_EXP_CAP = 650.0
 
 
 @dataclass(frozen=True)
@@ -60,29 +87,18 @@ class ObjectiveWeights:
         return 1.0 - self.alpha - self.beta
 
 
-@dataclass(frozen=True)
-class OptimizerParams:
-    learning_rate: float = DEFAULT_LEARNING_RATE
-    max_epochs: int = DEFAULT_MAX_EPOCHS
-    tol: float = DEFAULT_TOL
-    rng_seed: int = 0
-    stochastic: bool = False
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-
-
 @dataclass
 class ScoreVector:
-    """Optimized per-entity scores over the aggregation universe."""
+    """Optimized per-entity scores over the aggregation universe.
+
+    ``iterations`` counts Newton steps; ``converged`` is False when the solve
+    stopped before max |grad F| fell below the tolerance.
+    """
 
     scores: dict[str, float]
     universe: frozenset[str]
+    iterations: int
+    converged: bool
 
 
 def bt_pair_prob(s_x: float, s_y: float) -> float:
@@ -94,15 +110,155 @@ def bt_pair_prob(s_x: float, s_y: float) -> float:
     return e / (1.0 + e)
 
 
+# -- the likelihood as index arrays ------------------------------------------
+
+
+class _Terms:
+    """The weighted likelihood over entities ``0..n-1``.
+
+    Validates the orderings (no duplicates) and that every entity they and
+    the constraints mention is in ``index``.
+    """
+
+    def __init__(self, index: Mapping[str, int], r_b, r_c, r_p, weights: ObjectiveWeights):
+        self.n = len(index)
+        self.lists = []
+        for ordering, weight in ((r_b, weights.baseline), (r_c, weights.alpha)):
+            if len(set(ordering)) != len(ordering):
+                raise ValueError("ordering contains duplicate entities")
+            _check_members("ordering", ordering, index)
+            if len(ordering) >= 2 and weight > 0:
+                self.lists.append((_positions(index, ordering), weight))
+        for con in r_p:
+            _check_members("constraint", con.higher | con.lower, index)
+        self.beta = weights.beta
+        self.cons = [] if self.beta == 0 else [
+            (_positions(index, sorted(con.higher)), _positions(index, sorted(con.lower)))
+            for con in r_p
+        ]
+        # Gradient and curvature produce one value per (term, member) slot,
+        # in this order; _scatter sums them per entity.
+        groups = [idx for idx, _ in self.lists] + [side for con in self.cons for side in con]
+        self.slots = np.concatenate([np.empty(0, dtype=np.intp), *groups])
+
+    def _scatter(self, parts: list[np.ndarray]) -> np.ndarray:
+        return np.bincount(self.slots, np.concatenate([np.empty(0), *parts]), minlength=self.n)
+
+    def value(self, s: np.ndarray) -> float:
+        total = 0.0
+        for idx, weight in self.lists:
+            so = s[idx]
+            total += weight * float(np.sum(so[:-1] - _log_suffix_sums(so)[:-1]))
+        for hi, lo in self.cons:
+            lx = _lse(s[hi])
+            total += self.beta * float(lx - np.logaddexp(lx, _lse(s[lo])))
+        return total
+
+    def gradient(self, s: np.ndarray) -> np.ndarray:
+        parts = [weight * _listwise_grad(s[idx]) for idx, weight in self.lists]
+        for hi, lo in self.cons:
+            lx, ly = _lse(s[hi]), _lse(s[lo])
+            la = np.logaddexp(lx, ly)
+            parts += [self.beta * np.exp(s[hi] + ly - lx - la), -self.beta * np.exp(s[lo] - la)]
+        return self._scatter(parts)
+
+    def curvature(self, s: np.ndarray):
+        """Diagonal of -Hessian at ``s`` and a function applying -Hessian."""
+        parts, lists, cons = [], [], []
+        for idx, weight in self.lists:
+            so = s[idx]
+            logz = _log_suffix_sums(so)
+            c = np.exp(so + _stage_lse(-logz[:-1]))  # sum_k pi_k(j)
+            parts.append(weight * (c - np.exp(2.0 * so + _stage_lse(-2.0 * logz[:-1]))))
+            # pi_k(j) = e^{s_j - mid} e^{mid - log Z_k}, split at the middle of
+            # log Z's range so that both factors stay finite
+            mid = 0.5 * (logz[0] + logz[-1])
+            e = np.exp(np.minimum(so - mid, _EXP_CAP))
+            inv_z = np.zeros(so.size)  # no stage starts at the last position
+            inv_z[:-1] = np.exp(np.minimum(mid - logz[:-1], _EXP_CAP))
+            lists.append((idx, weight * c, weight * e, e, inv_z))
+        for hi, lo in self.cons:
+            lx, ly = _lse(s[hi]), _lse(s[lo])
+            la = np.logaddexp(lx, ly)
+            q = math.exp(lx - la)  # P(higher side wins)
+            p = math.exp(ly - la)  # 1 - q, without cancellation
+            pi_x, pi_y = np.exp(s[hi] - lx), np.exp(s[lo] - ly)
+            bx, by = self.beta * p * pi_x, self.beta * p * pi_y
+            parts += [bx * ((1.0 + q) * pi_x - 1.0), by * (1.0 - p * pi_y)]
+            cons.append((hi, lo, q, p, pi_x, pi_y, bx, by))
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            parts = []
+            for idx, wc, we, e, inv_z in lists:
+                vo = v[idx]
+                mu = (e * vo)[::-1].cumsum()[::-1] * inv_z  # pi_k . v per stage
+                parts.append(wc * vo - we * (mu * inv_z).cumsum())
+            for hi, lo, q, p, pi_x, pi_y, bx, by in cons:
+                vx, vy = v[hi], v[lo]
+                mx, my = _dot(pi_x, vx), _dot(pi_y, vy)
+                parts += [bx * ((1.0 + q) * mx - q * my - vx), by * (vy - q * mx - p * my)]
+            return self._scatter(parts)
+
+        return self._scatter(parts), apply
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b without BLAS, whose threaded dot stalls for milliseconds per
+    call once another process keeps the cores busy."""
+    return float(np.add.reduce(a * b))
+
+
 def _lse(values: np.ndarray) -> float:
     m = values.max()
     return float(m + np.log(np.exp(values - m).sum()))
 
 
-def _check_members(name: str, members, universe: Mapping[str, float]) -> None:
+def _positions(index: Mapping[str, int], entities) -> np.ndarray:
+    return np.array([index[e] for e in entities], dtype=np.intp)
+
+
+def _check_members(name: str, members, universe: Mapping[str, object]) -> None:
     missing = [e for e in members if e not in universe]
     if missing:
         raise ValueError(f"{name} mentions entities outside the score universe: {missing}")
+
+
+def _log_suffix_sums(so: np.ndarray) -> np.ndarray:
+    """log Z_k = log sum_{j >= k} e^{s_j} for every suffix of the ordered
+    scores ``so``, accumulated stably from the end."""
+    return np.logaddexp.accumulate(so[::-1])[::-1]
+
+
+def _stage_lse(terms: np.ndarray) -> np.ndarray:
+    """Running log-sum-exp of per-stage terms (stages 0..n-2), at every
+    position j over the stages k <= min(j, n-2) whose choice includes j."""
+    out = np.empty(terms.size + 1)
+    np.logaddexp.accumulate(terms, out=out[:-1])
+    out[-1] = out[-2]
+    return out
+
+
+def _listwise_grad(so: np.ndarray) -> np.ndarray:
+    """Gradient of the listwise log-likelihood of the ordered scores ``so``.
+
+    For the entity at position p (0-based) the derivative is
+    [p <= n-2] - sum_{k <= min(p, n-2)} softmax_k(p), where softmax_k is the
+    choice distribution of the k-th term over the suffix k..n-1. The inner
+    sum equals exp(s_p + M_p) with M_p the running log-sum-exp of -log Z_k,
+    which keeps every exponent bounded.
+    """
+    contrib = -np.exp(so + _stage_lse(-_log_suffix_sums(so)[:-1]))
+    contrib[:-1] += 1.0
+    return contrib
+
+
+def _terms_at(scores: Mapping[str, float], r_b, r_c, r_p, weights) -> tuple[_Terms, np.ndarray]:
+    index = {e: i for i, e in enumerate(scores)}
+    terms = _Terms(index, r_b, r_c, r_p, weights or ObjectiveWeights())
+    return terms, np.array([scores[e] for e in index], dtype=float)
+
+
+# -- the public likelihood ----------------------------------------------------
 
 
 def listwise_log_likelihood(
@@ -112,29 +268,14 @@ def listwise_log_likelihood(
 
     Orderings of length 0 or 1 have an empty product and contribute 0.
     """
-    if len(set(ordering)) != len(ordering):
-        raise ValueError("ordering contains duplicate entities")
-    _check_members("ordering", ordering, scores)
-    n = len(ordering)
-    if n < 2:
-        return 0.0
-    s = np.array([scores[e] for e in ordering])
-    # suffix[i] = log sum_{j >= i} e^{s_j}, accumulated stably from the end
-    suffix = np.logaddexp.accumulate(s[::-1])[::-1]
-    return float(np.sum(s[:-1] - suffix[:-1]))
+    return objective(scores, ordering, [], [], ObjectiveWeights(alpha=0.0, beta=0.0))
 
 
 def pairwise_log_likelihood(
     constraints: Sequence[PairwiseConstraint], scores: Mapping[str, float]
 ) -> float:
     """Sum of log P(higher set beats lower set) over all constraints."""
-    total = 0.0
-    for con in constraints:
-        _check_members("constraint", con.higher | con.lower, scores)
-        lx = _lse(np.array([scores[e] for e in con.higher]))
-        ly = _lse(np.array([scores[e] for e in con.lower]))
-        total += lx - np.logaddexp(lx, ly)
-    return float(total)
+    return objective(scores, [], [], constraints, ObjectiveWeights(alpha=0.0, beta=1.0))
 
 
 def objective(
@@ -145,56 +286,8 @@ def objective(
     weights: ObjectiveWeights | None = None,
 ) -> float:
     """Weighted combination of the three log-likelihood components."""
-    weights = weights or ObjectiveWeights()
-    total = 0.0
-    if r_b:
-        total += weights.baseline * listwise_log_likelihood(r_b, scores)
-    if r_c:
-        total += weights.alpha * listwise_log_likelihood(r_c, scores)
-    if r_p:
-        total += weights.beta * pairwise_log_likelihood(r_p, scores)
-    return total
-
-
-# -- analytic gradient ------------------------------------------------------
-
-
-def _listwise_grad(s: np.ndarray, idx: np.ndarray, weight: float, out: np.ndarray):
-    """Add the gradient of the listwise log-likelihood of ordering ``idx``.
-
-    For the entity at position p (0-based) the derivative is
-    [p <= n-2] - sum_{k <= min(p, n-2)} softmax_k(p), where softmax_k is the
-    choice distribution of the k-th term over the suffix k..n-1. The inner
-    sum equals exp(s_p + M_p) with M_p the running log-sum-exp of -suffix
-    log-normalizers, which keeps every exponent bounded.
-    """
-    n = idx.size
-    if n < 2 or weight == 0.0:
-        return
-    so = s[idx]
-    suffix = np.logaddexp.accumulate(so[::-1])[::-1]
-    m = np.logaddexp.accumulate(-suffix[: n - 1])
-    contrib = np.empty(n)
-    contrib[: n - 1] = 1.0 - np.exp(so[: n - 1] + m)
-    contrib[n - 1] = -np.exp(so[n - 1] + m[n - 2])
-    out[idx] += weight * contrib
-
-
-def _pairwise_grad(
-    s: np.ndarray,
-    higher: np.ndarray,
-    lower: np.ndarray,
-    weight: float,
-    out: np.ndarray,
-):
-    """Add the gradient of one set-level constraint's log-likelihood."""
-    if weight == 0.0:
-        return
-    lx = _lse(s[higher])
-    ly = _lse(s[lower])
-    la = np.logaddexp(lx, ly)
-    out[higher] += weight * np.exp(s[higher] + ly - lx - la)
-    out[lower] -= weight * np.exp(s[lower] - la)
+    terms, s = _terms_at(scores, r_b, r_c, r_p, weights)
+    return terms.value(s)
 
 
 def gradient(
@@ -205,30 +298,99 @@ def gradient(
     weights: ObjectiveWeights | None = None,
 ) -> dict[str, float]:
     """Exact gradient of :func:`objective` with respect to every score."""
-    weights = weights or ObjectiveWeights()
-    names = list(scores)
-    index = {e: i for i, e in enumerate(names)}
-    s = np.array([scores[e] for e in names])
-    out = np.zeros(len(names))
-    if r_b:
-        _check_members("ordering", r_b, scores)
-        _listwise_grad(s, np.array([index[e] for e in r_b], dtype=np.intp), weights.baseline, out)
-    if r_c:
-        _check_members("ordering", r_c, scores)
-        _listwise_grad(s, np.array([index[e] for e in r_c], dtype=np.intp), weights.alpha, out)
-    for con in r_p:
-        _check_members("constraint", con.higher | con.lower, scores)
-        _pairwise_grad(
-            s,
-            np.array([index[e] for e in sorted(con.higher)], dtype=np.intp),
-            np.array([index[e] for e in sorted(con.lower)], dtype=np.intp),
-            weights.beta,
-            out,
-        )
-    return {e: float(out[i]) for e, i in index.items()}
+    terms, s = _terms_at(scores, r_b, r_c, r_p, weights)
+    return dict(zip(scores, terms.gradient(s).tolist()))
 
 
-# -- optimization -----------------------------------------------------------
+# -- optimization -------------------------------------------------------------
+
+
+def _posterior(terms: _Terms, s: np.ndarray) -> float:
+    """F(s): the likelihood plus the Gamma(a, b) log-prior on every e^{s}."""
+    with np.errstate(over="ignore"):
+        prior = float(np.sum(PRIOR_SHAPE * s - PRIOR_RATE * np.exp(s)))
+    return terms.value(s) + prior
+
+
+def _posterior_gradient(terms: _Terms, s: np.ndarray) -> np.ndarray:
+    return terms.gradient(s) + PRIOR_SHAPE - PRIOR_RATE * np.exp(s)
+
+
+def _newton_direction(terms: _Terms, s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Approximately solve (-Hessian F) d = g by preconditioned CG.
+
+    CG stops once the residual's preconditioned norm has shrunk by
+    eta = min(0.5, sqrt |g|) (Eisenstat-Walker), which keeps early steps
+    cheap and the final ones superlinearly convergent. On negative curvature
+    it returns the direction built so far, or the preconditioned gradient if
+    it has none.
+    """
+    diag, apply_likelihood = terms.curvature(s)
+    prior = PRIOR_RATE * np.exp(s)
+    precond = 1.0 / np.maximum(diag + prior, prior)
+    d = np.zeros_like(g)
+    r = g.copy()
+    z = precond * r
+    p = z.copy()
+    rz = _dot(r, z)
+    target = min(0.25, math.sqrt(_dot(g, g))) * rz  # eta^2 times the initial r.z
+    for _ in range(s.size):
+        hp = apply_likelihood(p) + prior * p
+        curvature = _dot(p, hp)
+        if not curvature > 0:
+            return d if d.any() else z
+        step = rz / curvature
+        d += step * p
+        r -= step * hp
+        z = precond * r
+        rz, rz_prev = _dot(r, z), rz
+        if rz <= target:
+            break
+        p = z + (rz / rz_prev) * p
+    return d
+
+
+def _line_search(terms: _Terms, s, f, g, d):
+    """Armijo backtracking along ``d``; returns the accepted point and its F,
+    or None when no finite step of at least _MIN_STEP raises F.
+
+    A gain below F's rounding error cannot be read off two F values. For
+    such short steps, as long as F does not drop by more than that error,
+    the gain is taken from the trapezoid rule on the directional
+    derivatives, which is exact on the quadratic model that holds there.
+    """
+    slope = _dot(g, d)
+    noise = _RESOLUTION * (1.0 + abs(f))
+    t = 1.0
+    while t >= _MIN_STEP:
+        trial = s + t * d
+        f_trial = _posterior(terms, trial)
+        gain = f_trial - f
+        if t * slope <= noise and gain > -noise:
+            gain = 0.5 * t * (slope + _dot(_posterior_gradient(terms, trial), d))
+        # NaN fails the comparison
+        if gain > 0 and gain >= _ARMIJO * t * slope:
+            return trial, f_trial
+        t *= 0.5
+    return None
+
+
+def _maximize(terms: _Terms, tol: float) -> tuple[np.ndarray, int, bool]:
+    """Damped Newton ascent on F from s = 0; returns (s, steps, converged)."""
+    s = np.zeros(terms.n)
+    f = _posterior(terms, s)
+    g = _posterior_gradient(terms, s)
+    steps = 0
+    while not np.max(np.abs(g)) < tol:
+        if steps == MAX_NEWTON_STEPS:
+            return s, steps, False
+        accepted = _line_search(terms, s, f, g, _newton_direction(terms, s, g))
+        if accepted is None:
+            return s, steps, False
+        s, f = accepted
+        g = _posterior_gradient(terms, s)
+        steps += 1
+    return s, steps, True
 
 
 def optimize(
@@ -236,108 +398,34 @@ def optimize(
     r_c: Sequence[str],
     r_p: Sequence[PairwiseConstraint],
     weights: ObjectiveWeights | None = None,
-    params: OptimizerParams | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> tuple[ScoreVector, list[str]]:
     """Fit scores to the orderings and constraints; return them and the
     induced final ordering (descending score, ties lexicographic).
 
-    Scores start at zero -- the objective is shift-invariant, so any constant
-    start is equivalent -- and are re-centered to mean zero on return.
-    With ``params.stochastic`` the per-term updates of an epoch are applied
-    one at a time in an order shuffled by the seeded generator; otherwise
-    every epoch takes one full-gradient step.
+    Maximizes the posterior F of the module docstring until
+    max |grad F| < ``tol``; the scores are re-centered to mean zero.
     """
     weights = weights or ObjectiveWeights()
-    params = params or OptimizerParams()
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     if not r_b and not r_c:
         raise ValueError("need at least one non-empty ordering")
-    for name, ordering in (("r_b", r_b), ("r_c", r_c)):
-        if len(set(ordering)) != len(ordering):
-            raise ValueError(f"{name} contains duplicate entities")
 
     universe = sorted(
         set(r_b) | set(r_c) | {e for con in r_p for e in con.higher | con.lower}
     )
     index = {e: i for i, e in enumerate(universe)}
-    idx_b = np.array([index[e] for e in r_b], dtype=np.intp)
-    idx_c = np.array([index[e] for e in r_c], dtype=np.intp)
-    cons = [
-        (
-            np.array([index[e] for e in sorted(con.higher)], dtype=np.intp),
-            np.array([index[e] for e in sorted(con.lower)], dtype=np.intp),
-        )
-        for con in r_p
-    ]
-
-    def current_objective(s: np.ndarray) -> float:
-        total = 0.0
-        for idx, weight in ((idx_b, weights.baseline), (idx_c, weights.alpha)):
-            if idx.size >= 2:
-                so = s[idx]
-                suffix = np.logaddexp.accumulate(so[::-1])[::-1]
-                total += weight * float(np.sum(so[:-1] - suffix[:-1]))
-        for hi, lo in cons:
-            lx = _lse(s[hi])
-            ly = _lse(s[lo])
-            total += weights.beta * float(lx - np.logaddexp(lx, ly))
-        return total
-
-    s = np.zeros(len(universe))
-    rng = np.random.default_rng(params.rng_seed)
-    terms = _term_list(idx_b, idx_c, cons, weights) if params.stochastic else None
-
-    prev = current_objective(s)
-    for epoch in range(1, params.max_epochs + 1):
-        if params.stochastic:
-            _stochastic_epoch(s, terms, params.learning_rate, rng)
-        else:
-            grad = np.zeros_like(s)
-            _listwise_grad(s, idx_b, weights.baseline, grad)
-            _listwise_grad(s, idx_c, weights.alpha, grad)
-            for hi, lo in cons:
-                _pairwise_grad(s, hi, lo, weights.beta, grad)
-            s += params.learning_rate * grad
-        cur = current_objective(s)
-        if not math.isfinite(cur):
-            raise OptimizationError(
-                f"objective became non-finite ({cur}) at epoch {epoch}; "
-                f"reduce the learning rate ({params.learning_rate})"
-            )
-        if abs(cur - prev) < params.tol:
-            break
-        prev = cur
+    s, steps, converged = _maximize(_Terms(index, r_b, r_c, r_p, weights), tol)
 
     s -= s.mean()
     ordering = sorted(universe, key=lambda e: (-s[index[e]], e))
     return (
-        ScoreVector(scores={e: float(s[i]) for e, i in index.items()}, universe=frozenset(universe)),
+        ScoreVector(
+            scores={e: float(s[i]) for e, i in index.items()},
+            universe=frozenset(universe),
+            iterations=steps,
+            converged=converged,
+        ),
         ordering,
     )
-
-
-def _term_list(idx_b, idx_c, cons, weights):
-    """One likelihood term per list position / constraint, with its weight."""
-    terms = []
-    if weights.baseline > 0:
-        terms += [("list", idx_b, k, weights.baseline) for k in range(idx_b.size - 1)]
-    if weights.alpha > 0:
-        terms += [("list", idx_c, k, weights.alpha) for k in range(idx_c.size - 1)]
-    if weights.beta > 0:
-        terms += [("pair", hi, lo, weights.beta) for hi, lo in cons]
-    return terms
-
-
-def _stochastic_epoch(s, terms, lr, rng):
-    for t in rng.permutation(len(terms)):
-        kind, a, b, weight = terms[t]
-        if kind == "list":
-            tail = a[b:]
-            st = s[tail]
-            p = np.exp(st - st.max())
-            p /= p.sum()
-            s[tail] -= lr * weight * p
-            s[a[b]] += lr * weight
-        else:
-            grad = np.zeros_like(s)
-            _pairwise_grad(s, a, b, weight, grad)
-            s += lr * grad

@@ -27,7 +27,6 @@ import json
 import logging
 import sys
 
-from . import evaluation
 from .errors import (
     DataFormatError,
     EngineError,
@@ -35,7 +34,7 @@ from .errors import (
     QueryParseError,
     UnanswerableQueryError,
 )
-from .evaluation import GroundTruth, evaluate_queries, holdout_experiment
+from .evaluation import GroundTruth, average_metrics, evaluate_queries, holdout_experiment
 from .expansion import NAIVE_BAYES, NOISY_OR
 from .pipeline import PipelineConfig, run_query
 from .taxonomy import load, normalize
@@ -70,16 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="weight of the pairwise constraints")
     common.add_argument("--concepts-top-k", type=int, default=PipelineConfig.concepts_top_k,
                         help="expanded concepts kept per seed set")
-    common.add_argument("--lr", type=float, default=PipelineConfig.learning_rate,
-                        help="optimizer learning rate")
-    common.add_argument("--epochs", type=int, default=PipelineConfig.max_epochs,
-                        help="optimizer epoch limit")
     common.add_argument("--tol", type=float, default=PipelineConfig.opt_tol,
-                        help="optimizer convergence tolerance")
+                        help="gradient bound: aggregation stops once max |grad F| is below it")
     common.add_argument("--seed", type=int, default=PipelineConfig.seed,
-                        help="random seed for stochastic updates and hold-out")
-    common.add_argument("--stochastic", action="store_true",
-                        help="shuffle likelihood terms into per-term updates")
+                        help="random seed for hold-out removal")
     common.add_argument("--format", choices=["text", "json"], default="text",
                         help="output format")
 
@@ -118,42 +111,27 @@ def _config_from_args(args) -> PipelineConfig:
         alpha=args.alpha,
         beta=args.beta,
         concepts_top_k=args.concepts_top_k,
-        learning_rate=args.lr,
-        max_epochs=args.epochs,
         opt_tol=args.tol,
         seed=args.seed,
-        stochastic=args.stochastic,
         head=getattr(args, "head", None),
     )
     # force range validation before any file is touched
     config.expansion_model()
     config.weights()
-    config.optimizer_params()
     if config.concepts_top_k < 1:
         raise ValueError("--concepts-top-k must be >= 1")
+    if not config.opt_tol > 0:
+        raise ValueError("--tol must be positive")
     return config
 
 
 def _config_echo(args, config: PipelineConfig, **extra) -> dict[str, object]:
-    echo: dict[str, object] = {
+    # the header names the model by its flag, not by its internal kind
+    return {
         "command": args.command,
         "taxonomy": args.taxonomy,
-        "model": args.model,
-        "gamma": config.gamma,
-        "lambda": config.leak,
-        "delta": config.delta,
-        "alpha": config.alpha,
-        "beta": config.beta,
-        "concepts_top_k": config.concepts_top_k,
-        "lr": config.learning_rate,
-        "epochs": config.max_epochs,
-        "tol": config.opt_tol,
-        "seed": config.seed,
-        "stochastic": config.stochastic,
-        "format": args.format,
+        **config.echo(model=args.model, format=args.format, **extra),
     }
-    echo.update(extra)
-    return echo
 
 
 def _print_header(echo: dict[str, object]) -> None:
@@ -248,26 +226,19 @@ def cmd_eval(args) -> int:
         k=",".join(map(str, ks)), holdout=args.holdout,
     )
 
+    per_query = []
     if args.holdout is not None:
-        reports = []
         for query in queries:
             try:
                 report = holdout_experiment(
-                    taxonomy, query, args.holdout, rng_seed=config.seed, k=ks[0],
-                    config=config,
+                    taxonomy, query, args.holdout, config.seed, ks, config
                 )
             except EngineError as exc:
                 print(f"warning: {query!r} skipped: {exc}", file=sys.stderr)
                 continue
-            reports.append(report.per_query[0])
-        averages: dict[str, float] = {}
-        if reports:
-            for key in reports[0].metrics:
-                averages[key] = sum(r.metrics[key] for r in reports) / len(reports)
-        report = evaluation.EvalReport(per_query=reports, averages=averages, params=echo)
+            per_query.extend(report.per_query)
     else:
         truth_map = _read_truth(args.truth)
-        per_query = []
         for query in queries:
             answers = truth_map.get(normalize(query))
             if not answers:
@@ -275,32 +246,28 @@ def cmd_eval(args) -> int:
                 continue
             truth = GroundTruth(query=query, answers=frozenset(answers))
             try:
-                partial = evaluate_queries(taxonomy, [truth], ks, config)
+                report = evaluate_queries(taxonomy, [truth], ks, config)
             except (UnanswerableQueryError, QueryParseError) as exc:
                 print(f"warning: {query!r} skipped: {exc}", file=sys.stderr)
                 continue
-            per_query.extend(partial.per_query)
-        averages = {}
-        if per_query:
-            for key in per_query[0].metrics:
-                averages[key] = sum(qm.metrics[key] for qm in per_query) / len(per_query)
-        report = evaluation.EvalReport(per_query=per_query, averages=averages, params=echo)
+            per_query.extend(report.per_query)
+    averages = average_metrics(per_query)
 
     if args.format == "json":
         doc = {
             "config": echo,
             "per_query": [
-                {"query": qm.query, "metrics": qm.metrics} for qm in report.per_query
+                {"query": qm.query, "metrics": qm.metrics} for qm in per_query
             ],
-            "averages": report.averages,
+            "averages": averages,
         }
         print(json.dumps(doc, sort_keys=True))
         return EXIT_OK
 
     _print_header(echo)
-    for qm in report.per_query:
+    for qm in per_query:
         print(_metric_line(f"query={qm.query}", qm.metrics))
-    print(_metric_line("average", report.averages))
+    print(_metric_line("average", averages))
     return EXIT_OK
 
 

@@ -27,7 +27,3 @@ class UnanswerableQueryError(EngineError):
 
 class NoCandidateEntitiesError(EngineError):
     """The query concepts cover no entities at all."""
-
-
-class OptimizationError(EngineError):
-    """The score optimization produced a non-finite objective."""

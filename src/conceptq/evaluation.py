@@ -40,6 +40,7 @@ __all__ = [
     "intpro_baseline",
     "holdout_experiment",
     "evaluate_queries",
+    "average_metrics",
     "fixture_f1_records",
     "fixture_f1",
     "PlantedInstance",
@@ -103,6 +104,29 @@ def ratio_at_k(top_k: Sequence[str], intersection: Iterable[str]) -> float:
     return new / (len(intersection) + 1)
 
 
+def _metrics(
+    ranked: Sequence[str], truth: GroundTruth, intersection: Iterable[str], ks: Sequence[int]
+) -> dict[str, float]:
+    """precision, recall and ratio of one ranking at every cutoff."""
+    intersection = set(intersection)
+    metrics: dict[str, float] = {}
+    for k in ks:
+        metrics[f"precision@{k}"] = precision_at_k(ranked, truth, k)
+        metrics[f"recall@{k}"] = recall_at_k(ranked, truth, k)
+        metrics[f"ratio@{k}"] = ratio_at_k(ranked[:k], intersection)
+    return metrics
+
+
+def average_metrics(per_query: Sequence[QueryMetrics]) -> dict[str, float]:
+    """Macro average of every metric over the queries; empty for no queries."""
+    if not per_query:
+        return {}
+    return {
+        key: sum(qm.metrics[key] for qm in per_query) / len(per_query)
+        for key in per_query[0].metrics
+    }
+
+
 # -- intersection baseline ----------------------------------------------------
 
 
@@ -129,7 +153,7 @@ def holdout_experiment(
     raw_query: str,
     removal_fraction: float,
     rng_seed: int,
-    k: int,
+    k: int | Sequence[int],
     config: PipelineConfig | None = None,
 ) -> EvalReport:
     """Remove part of the intersection and test whether the pipeline recovers it.
@@ -137,11 +161,15 @@ def holdout_experiment(
     A seeded random selection of ceil(fraction * |intersection|) entities
     loses its edges to every query concept (edges to all other concepts are
     kept, so recovery through related concepts stays possible). The full
-    pipeline then runs on the reduced taxonomy; the removed entities are the
+    pipeline then runs once on the reduced taxonomy and is scored at every
+    cutoff in ``k`` (one int or a sequence); the removed entities are the
     ground truth. ratio@k is measured against the reduced intersection, the
     one the pipeline actually saw.
     """
     config = config or PipelineConfig()
+    ks = [k] if isinstance(k, int) else list(k)
+    if not ks:
+        raise ValueError("need at least one cutoff k")
     if not 0.0 < removal_fraction < 1.0:
         raise ValueError(
             "removal_fraction must be in (0, 1); nothing would be removed otherwise"
@@ -168,24 +196,19 @@ def holdout_experiment(
     ranked = result.entities()
     reduced_intersection = intersection - removed
     truth = GroundTruth(query=raw_query, answers=removed)
-    metrics = {
-        f"precision@{k}": precision_at_k(ranked, truth, k),
-        f"recall@{k}": recall_at_k(ranked, truth, k),
-        f"ratio@{k}": ratio_at_k(ranked[:k], reduced_intersection),
-    }
     per_query = QueryMetrics(
         query=raw_query,
-        metrics=metrics,
+        metrics=_metrics(ranked, truth, reduced_intersection, ks),
         extras={
             "removed": sorted(removed),
             "reduced_intersection": sorted(reduced_intersection),
-            "top_k": ranked[:k],
+            "top_k": ranked[: max(ks)],
         },
     )
     return EvalReport(
         per_query=[per_query],
-        averages=dict(metrics),
-        params=_param_echo(config, k=k, removal_fraction=removal_fraction, rng_seed=rng_seed),
+        averages=dict(per_query.metrics),
+        params=config.echo(k=k, removal_fraction=removal_fraction, rng_seed=rng_seed),
     )
 
 
@@ -203,45 +226,20 @@ def evaluate_queries(
     per_query: list[QueryMetrics] = []
     for truth in truths:
         result = run_query(taxonomy, truth.query, config)
-        ranked = result.entities()
         intersection = entity_intersection(
             taxonomy, result.decomposition.short_concepts
         )
-        metrics: dict[str, float] = {}
-        for k in ks:
-            metrics[f"precision@{k}"] = precision_at_k(ranked, truth, k)
-            metrics[f"recall@{k}"] = recall_at_k(ranked, truth, k)
-            metrics[f"ratio@{k}"] = ratio_at_k(ranked[:k], intersection)
-        per_query.append(QueryMetrics(query=truth.query, metrics=metrics))
-
-    averages: dict[str, float] = {}
-    if per_query:
-        for key in per_query[0].metrics:
-            averages[key] = sum(qm.metrics[key] for qm in per_query) / len(per_query)
+        per_query.append(
+            QueryMetrics(
+                query=truth.query,
+                metrics=_metrics(result.entities(), truth, intersection, ks),
+            )
+        )
     return EvalReport(
         per_query=per_query,
-        averages=averages,
-        params=_param_echo(config, k=list(ks)),
+        averages=average_metrics(per_query),
+        params=config.echo(k=list(ks)),
     )
-
-
-def _param_echo(config: PipelineConfig, **extra) -> dict[str, object]:
-    echo: dict[str, object] = {
-        "model": config.model_kind,
-        "gamma": config.gamma,
-        "lambda": config.leak,
-        "delta": config.delta,
-        "alpha": config.alpha,
-        "beta": config.beta,
-        "concepts_top_k": config.concepts_top_k,
-        "learning_rate": config.learning_rate,
-        "max_epochs": config.max_epochs,
-        "opt_tol": config.opt_tol,
-        "seed": config.seed,
-        "stochastic": config.stochastic,
-    }
-    echo.update(extra)
-    return echo
 
 
 # -- fixtures ------------------------------------------------------------------

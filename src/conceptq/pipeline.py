@@ -8,11 +8,8 @@ from typing import Optional
 from .aggregate import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
-    DEFAULT_LEARNING_RATE,
-    DEFAULT_MAX_EPOCHS,
     DEFAULT_TOL,
     ObjectiveWeights,
-    OptimizerParams,
     ScoreVector,
     optimize,
 )
@@ -46,13 +43,10 @@ class PipelineConfig:
     alpha: float = DEFAULT_ALPHA
     beta: float = DEFAULT_BETA
     concepts_top_k: int = DEFAULT_CONCEPTS_TOP_K
-    learning_rate: float = DEFAULT_LEARNING_RATE
-    max_epochs: int = DEFAULT_MAX_EPOCHS
     opt_tol: float = DEFAULT_TOL
     baseline_max_iter: int = DEFAULT_MAX_ITER
     baseline_tol: float = BASELINE_TOL
     seed: int = 0
-    stochastic: bool = False
     head: Optional[str] = None
 
     def expansion_model(self) -> ExpansionModel:
@@ -63,14 +57,21 @@ class PipelineConfig:
     def weights(self) -> ObjectiveWeights:
         return ObjectiveWeights(alpha=self.alpha, beta=self.beta)
 
-    def optimizer_params(self) -> OptimizerParams:
-        return OptimizerParams(
-            learning_rate=self.learning_rate,
-            max_epochs=self.max_epochs,
-            tol=self.opt_tol,
-            rng_seed=self.seed,
-            stochastic=self.stochastic,
-        )
+    def echo(self, **extra) -> dict[str, object]:
+        """The settings a report echoes, in header order, then ``extra``
+        (which may also override a setting's value in place)."""
+        return {
+            "model": self.model_kind,
+            "gamma": self.gamma,
+            "lambda": self.leak,
+            "delta": self.delta,
+            "alpha": self.alpha,
+            "beta": self.beta,
+            "concepts_top_k": self.concepts_top_k,
+            "tol": self.opt_tol,
+            "seed": self.seed,
+            **extra,
+        }
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ def run_query(
         expansion.r_c,
         expansion.r_p,
         config.weights(),
-        config.optimizer_params(),
+        tol=config.opt_tol,
     )
 
     e_union = entity_union(taxonomy, decomposition.short_concepts)

@@ -1,11 +1,20 @@
 import math
 import random
+import time
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conceptq.aggregate import (
+    DEFAULT_TOL,
     ObjectiveWeights,
-    OptimizerParams,
+    _maximize,
+    _posterior,
+    _posterior_gradient,
+    _Terms,
     bt_pair_prob,
     gradient,
     listwise_log_likelihood,
@@ -258,25 +267,127 @@ class TestOptimize:
             assert cur >= prev - 1e-12
             prev = cur
 
-    def test_stochastic_mode_is_seeded_and_deterministic(self):
-        r_b = ["a", "b", "c", "d"]
-        r_c = ["a", "c", "b", "d"]
-        r_p = [make_constraint({"a", "b"}, {"c", "d"})]
-        params = OptimizerParams(stochastic=True, rng_seed=11, max_epochs=300)
-        first = optimize(r_b, r_c, r_p, params=params)
-        second = optimize(r_b, r_c, r_p, params=params)
-        assert first == second
-
-    def test_stochastic_mode_agrees_on_consistent_instance(self):
-        consensus = ["a", "b", "c", "d"]
-        params = OptimizerParams(stochastic=True, rng_seed=0, max_epochs=500)
-        _, ordering = optimize(consensus, list(consensus), [], params=params)
-        assert ordering == consensus
-
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            OptimizerParams(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            OptimizerParams(max_epochs=0)
-        with pytest.raises(ValueError):
-            OptimizerParams(tol=0.0)
+            optimize(["a", "b"], [], [], tol=0.0)
+
+
+@st.composite
+def aggregation_instances(draw, max_n=20):
+    """Random orderings, constraints and weights over entities e0..e{n-1}."""
+    n = draw(st.integers(2, max_n))
+    names = [f"e{i}" for i in range(n)]
+    r_b = draw(st.permutations(names))[: draw(st.integers(2, n))]
+    r_c = draw(st.permutations(names))[: draw(st.integers(0, n))]
+    if len(r_c) == 1:
+        r_c = []
+    r_p = []
+    for _ in range(draw(st.integers(0, 3))):
+        members = draw(st.permutations(names))[: draw(st.integers(2, n))]
+        cut = draw(st.integers(1, len(members) - 1))
+        r_p.append(make_constraint(members[:cut], members[cut:]))
+    alpha = draw(st.floats(0.0, 0.6))
+    beta = draw(st.floats(0.0, 1.0 - alpha))
+    return r_b, r_c, r_p, ObjectiveWeights(alpha=alpha, beta=beta)
+
+
+def terms_of(r_b, r_c, r_p, weights):
+    names = sorted(set(r_b) | set(r_c) | {e for c in r_p for e in c.higher | c.lower})
+    return names, _Terms({e: i for i, e in enumerate(names)}, r_b, r_c, r_p, weights)
+
+
+class TestNewtonSolve:
+    @given(aggregation_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_converges_below_tol(self, instance):
+        r_b, r_c, r_p, weights = instance
+        sv, _ = optimize(r_b, r_c, r_p, weights)
+        assert sv.converged
+        # the reported scores are the MAP point re-centred to mean zero
+        names, terms = terms_of(r_b, r_c, r_p, weights)
+        s, steps, converged = _maximize(terms, DEFAULT_TOL)
+        assert converged and steps == sv.iterations
+        assert np.max(np.abs(_posterior_gradient(terms, s))) < DEFAULT_TOL
+        for e, value in zip(names, s - s.mean()):
+            assert sv.scores[e] == value
+
+    @given(aggregation_instances(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_renaming_entities_renames_scores(self, instance, rnd):
+        r_b, r_c, r_p, weights = instance
+        names, _ = terms_of(r_b, r_c, r_p, weights)
+        targets = [f"x{i}" for i in range(len(names))]
+        rnd.shuffle(targets)
+        rename = dict(zip(names, targets))
+        renamed = (
+            [rename[e] for e in r_b],
+            [rename[e] for e in r_c],
+            [
+                make_constraint({rename[e] for e in c.higher}, {rename[e] for e in c.lower})
+                for c in r_p
+            ],
+        )
+        sv, _ = optimize(r_b, r_c, r_p, weights)
+        sv_renamed, _ = optimize(*renamed, weights)
+        for e in names:
+            assert sv_renamed.scores[rename[e]] == pytest.approx(sv.scores[e], abs=1e-7)
+
+    @given(st.integers(2, 50).flatmap(lambda n: st.permutations([f"e{i}" for i in range(n)])))
+    @settings(max_examples=40, deadline=None)
+    def test_baseline_only_weights_reproduce_r_b(self, r_b):
+        sv, ordering = optimize(r_b, [], [], ObjectiveWeights(alpha=0.0, beta=0.0))
+        assert sv.converged
+        assert ordering == r_b
+
+    @given(
+        aggregation_instances(max_n=10),
+        st.lists(st.floats(-5.0, 5.0), min_size=10, max_size=10),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_posterior_gradient_matches_finite_differences(self, instance, values):
+        names, terms = terms_of(*instance)
+        s = np.array(values[: len(names)])
+        grad = _posterior_gradient(terms, s)
+        h = 1e-5
+        for i in range(len(names)):
+            step = np.zeros(len(names))
+            step[i] = h
+            fd = (_posterior(terms, s + step) - _posterior(terms, s - step)) / (2 * h)
+            assert abs(grad[i] - fd) / max(1e-6, abs(fd), abs(grad[i])) < 1e-4
+
+    def test_long_ordering_with_wide_score_span_converges(self):
+        # one long ordering pushes its tail far down, so the MAP scores span
+        # hundreds of units; no exponential in the curvature may overflow or
+        # underflow over that range
+        names = [f"e{i:04d}" for i in range(1000)]
+        sv, ordering = optimize(names, [], [], ObjectiveWeights(alpha=0.0, beta=0.0))
+        assert sv.converged
+        assert ordering == names
+        assert max(sv.scores.values()) - min(sv.scores.values()) > 300
+
+    def test_twelve_thousand_entities_fast_and_small(self):
+        rng = np.random.default_rng(12)
+        n = 12_000
+        names = [f"e{i:05d}" for i in range(n)]
+        # R_b is the truth order; R_c a noisy copy of most of it; constraints
+        # pit consecutive blocks of the truth order against each other
+        r_b = list(names)
+        noisy = np.arange(n) + rng.normal(0.0, 300.0, n)
+        r_c = [names[i] for i in np.argsort(noisy) if i % 4]
+        r_p = [
+            make_constraint(names[i : i + 40], names[i + 40 : i + 100])
+            for i in range(0, 3000, 100)
+        ]
+        started = time.perf_counter()
+        sv, _ = optimize(r_b, r_c, r_p)
+        elapsed = time.perf_counter() - started
+        assert sv.converged
+        assert elapsed < 2.0, f"{elapsed:.2f}s"
+
+        tracemalloc.start()
+        try:
+            optimize(r_b, r_c, r_p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"

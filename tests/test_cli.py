@@ -56,7 +56,7 @@ class TestQuery:
         lines = out.strip().splitlines()
         assert lines[0].startswith("# conceptq ")
         for key in ("model=", "gamma=", "lambda=", "delta=", "alpha=", "beta=",
-                    "seed=", "lr=", "epochs=", "tol="):
+                    "seed=", "tol="):
             assert key in lines[0]
         rows = [line.split("\t") for line in lines if not line.startswith("#")]
         assert [r[1] for r in rows] == ["a", "b", "c", "d"]
@@ -192,6 +192,21 @@ class TestEval:
         assert "recall@10=" in out
         assert "ratio@10=" in out
 
+    def test_holdout_scores_every_k(self, planted_path, tmp_path, capsys):
+        taxonomy_path, inst = planted_path
+        queries = tmp_path / "queries.txt"
+        queries.write_text(inst.query + "\n", encoding="utf-8")
+        code = main([
+            "eval", str(taxonomy_path), str(queries),
+            "--holdout", "0.5", "--seed", "7", "--k", "5,10",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "k='5,10'" in out
+        for k in (5, 10):
+            for name in ("precision", "recall", "ratio"):
+                assert f"{name}@{k}=" in out
+
     def test_holdout_seed_determinism(self, planted_path, tmp_path, capsys):
         taxonomy_path, inst = planted_path
         queries = tmp_path / "queries.txt"
@@ -241,8 +256,8 @@ class TestUsageValidation:
             ["--delta", "0.0"],
             ["--alpha", "0.8", "--beta", "0.5"],
             ["--concepts-top-k", "0"],
-            ["--epochs", "0"],
-            ["--lr", "0"],
+            ["--tol", "0"],
+            ["--tol", "nan"],
         ],
     )
     def test_out_of_range_values_are_usage_errors(self, f1_path, capsys, flags):

@@ -193,6 +193,15 @@ class TestHoldout:
         assert metrics["recall@10"] == 1.0
         assert metrics["ratio@10"] > 0.0
 
+    def test_list_of_cutoffs_matches_single_cutoffs(self):
+        inst = planted_instance(seed=2)
+        t = inst.build()
+        both = holdout_experiment(t, inst.query, 0.5, 7, [5, 10])
+        five = holdout_experiment(t, inst.query, 0.5, 7, 5)
+        ten = holdout_experiment(t, inst.query, 0.5, 7, 10)
+        assert both.averages == {**five.averages, **ten.averages}
+        assert both.per_query[0].extras == ten.per_query[0].extras
+
     def test_params_echoed(self):
         inst = planted_instance(seed=0)
         report = holdout_experiment(inst.build(), inst.query, 0.5, rng_seed=4, k=10)
