@@ -38,7 +38,8 @@ class BaselineRanking:
     ``entity_scores`` and ``concept_scores`` hold sigma = 1 - exp(-w) of the
     final normalized weights; ``entity_weights`` keeps w itself (max 1.0) for
     numeric comparisons. The ordering is descending sigma(e) with ties broken
-    lexicographically unless a tie seed was given.
+    lexicographically unless a tie seed was given. ``converged`` is False when
+    the iteration stopped at ``max_iter`` before meeting its tolerance.
     """
 
     entity_scores: dict[str, float]
@@ -46,6 +47,7 @@ class BaselineRanking:
     entity_weights: dict[str, float]
     ordering: list[str]
     iterations_run: int
+    converged: bool
 
 
 def baseline_rank(
@@ -91,6 +93,7 @@ def baseline_rank(
     w_concepts = np.full(len(concepts), initial_weight)
     w_entities = np.zeros(len(candidates))
     iterations = 0
+    converged = False
     for _ in range(max_iter):
         prev = w_entities
         w_entities = membership.T @ w_concepts
@@ -100,6 +103,7 @@ def baseline_rank(
         w_concepts = w_concepts / scale
         iterations += 1
         if iterations > 1 and np.max(np.abs(w_entities - prev)) < tol:
+            converged = True
             break
 
     sigma_e = 1.0 - np.exp(-w_entities)
@@ -117,4 +121,5 @@ def baseline_rank(
         entity_weights={e: float(w_entities[i]) for e, i in entity_index.items()},
         ordering=[candidates[i] for i in order],
         iterations_run=iterations,
+        converged=converged,
     )

@@ -176,7 +176,6 @@ def holdout_experiment(
         )
     query = parse(raw_query, config.head)
     decomposition = decompose(query, taxonomy)
-    concepts = set(decomposition.short_concepts)
     intersection = entity_intersection(taxonomy, decomposition.short_concepts)
     if len(intersection) < 2:
         raise EngineError(
@@ -187,11 +186,7 @@ def holdout_experiment(
     rng = random.Random(rng_seed)
     removed = frozenset(rng.sample(sorted(intersection), n_remove))
 
-    reduced = ingest(
-        rec
-        for rec in taxonomy.records()
-        if not (rec.concept in concepts and rec.entity in removed)
-    )
+    reduced = taxonomy.without_edges(decomposition.short_concepts, removed)
     result = run_query(reduced, raw_query, config)
     ranked = result.entities()
     reduced_intersection = intersection - removed

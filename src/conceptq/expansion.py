@@ -16,6 +16,22 @@ Entities are then reordered by how much relevant-concept mass covers them:
 
   rel(e) = sum_c P(e|c) * rel(c)
 
+Scores are computed over the taxonomy's id arrays (see
+:mod:`conceptq.taxonomy`). A query reads the rows of its short concepts and
+of the entities of E_u, which holds every seed, so its cost scales with the
+edges of seeds and E_u, never with the candidate concepts' own rows:
+
+* noisy-or multiplies the miss factors 1 - P(c|e) of each seed's row into a
+  vector over the candidates, seed by seed in name order;
+* naive bayes adds log((1-g_) P(e)) of every seed once, plus a correction
+  log(1 + g_ P(e|c) / ((1-g_) P(e))) for each pair with n(c, e) > 0; with
+  g_ = 1 a concept missing any seed scores exactly 0;
+* g(c) = (delta + T(c) - I(c)) / T(c), with T(c) = n(c) + deg(c) and
+  I(c) = sum_{e in E_u} (n(e,c)+1) summed over the rows of E_u;
+* rel(e) is one accumulation over the retained concepts' rows.
+
+Ties are broken by name, through the taxonomy's precomputed name ranks.
+
 Separately, the subset intersections yield tiers of seed entities (grouped
 by the largest subset supporting them) and pairwise ordering constraints
 "higher tier beats lower tier" that the rank aggregation consumes.
@@ -23,12 +39,13 @@ by the largest subset supporting them) and pairwise ordering constraints
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .query import SubsetIntersection
-from .taxonomy import Taxonomy, entity_union, normalize
+from .taxonomy import Taxonomy, normalize
 
 DEFAULT_GAMMA = 0.5
 DEFAULT_LEAK = 0.1
@@ -102,28 +119,111 @@ class ExpansionResult:
 
 
 # -- relevance scores ----------------------------------------------------
+#
+# Seeds are entity ids in name order, so every product and sum runs in the
+# same order however the taxonomy assigned its ids.
+
+
+def _known_concept(taxonomy: Taxonomy, concept: str) -> int:
+    cid = taxonomy.concept_id(concept)
+    if cid is None:
+        raise ValueError(f"concept {normalize(concept)!r} not in taxonomy")
+    return cid
+
+
+def _seed_ids(taxonomy: Taxonomy, seeds: Iterable[str]) -> np.ndarray:
+    """Entity ids of the seed set, in seed-name order."""
+    names = sorted(set(seeds))
+    if not names:
+        raise ValueError("seed set is empty")
+    ids = [taxonomy.entity_id(e) for e in names]
+    if None in ids:
+        raise ValueError(f"seed {names[ids.index(None)]!r} not in taxonomy")
+    return np.array(ids, dtype=np.int64)
+
+
+def _inside(taxonomy: Taxonomy, short_concepts: Iterable[str]) -> np.ndarray:
+    """I(c) = sum of n(c, e) + 1 over the entities e of E_u, for every concept."""
+    ids = [i for i in map(taxonomy.concept_id, short_concepts) if i is not None]
+    e_union = np.unique(taxonomy.by_concept.rows(np.array(ids, dtype=np.int64))[1])
+    _, concepts, counts = taxonomy.by_entity.rows(e_union)
+    inside = np.zeros(len(taxonomy.concept_names), dtype=np.int64)
+    np.add.at(inside, concepts, counts + 1)
+    return inside
+
+
+def _candidates(taxonomy: Taxonomy, seeds: np.ndarray) -> np.ndarray:
+    """Ascending ids of every concept covering at least one seed."""
+    return np.unique(taxonomy.by_entity.rows(seeds)[1])
+
+
+def _penalty(taxonomy: Taxonomy, targets: np.ndarray, inside: np.ndarray, delta: float) -> np.ndarray:
+    """g(c) = (delta + T(c) - I(c)) / T(c), with T(c) = n(c) + deg(c)."""
+    total = taxonomy.n_c[targets] + taxonomy.deg_c[targets]
+    return (delta + (total - inside[targets])) / total
+
+
+def _relevance(
+    taxonomy: Taxonomy,
+    seeds: np.ndarray,
+    targets: np.ndarray,
+    inside: np.ndarray,
+    model: ExpansionModel,
+) -> np.ndarray:
+    """rel(c) of the ascending concept ids ``targets`` against ``seeds``.
+
+    Only the seeds' own rows are read: pairs with n(c, e) = 0 contribute a
+    factor 1 to the noisy-or miss product and the constant (1 - gamma) P(e)
+    to the naive bayes product, which is added once for every target.
+    """
+    owner, concepts, counts = taxonomy.by_entity.rows(seeds)
+    slot = np.searchsorted(targets, concepts)
+    hit = targets[np.minimum(slot, len(targets) - 1)] == concepts
+    owner, slot, counts = owner[hit], slot[hit], counts[hit]
+    if model.kind == NOISY_OR:
+        miss = np.ones(len(targets))
+        np.multiply.at(miss, slot, 1.0 - counts / taxonomy.n_e[seeds][owner])
+        rel = 1.0 - (1.0 - model.leak) * miss
+    else:
+        n_c = taxonomy.n_c[targets]
+        p_e_given_c = counts / n_c[slot]
+        # Log domain: the per-seed factors are < 1 and long seed lists underflow.
+        log_rel = np.log(n_c / taxonomy.grand_total)
+        if model.gamma < 1.0:
+            absent = (1.0 - model.gamma) * (taxonomy.n_e[seeds] / taxonomy.grand_total)
+            log_rel += np.log(absent).sum()
+            np.add.at(log_rel, slot, np.log1p(model.gamma * p_e_given_c / absent[owner]))
+            rel = np.exp(log_rel)
+        else:  # an absent seed's factor is 0
+            np.add.at(log_rel, slot, np.log(p_e_given_c))
+            covers_all = np.bincount(slot, minlength=len(targets)) == len(seeds)
+            rel = np.where(covers_all, np.exp(log_rel), 0.0)
+    return rel / _penalty(taxonomy, targets, inside, model.delta)
+
+
+def _name_order(rank: np.ndarray, ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Positions of ``ids`` by descending score, ties by name ``rank``."""
+    return np.lexsort((rank[ids], -scores))
+
+
+def _one_concept(
+    taxonomy: Taxonomy,
+    concept: str,
+    seeds: Iterable[str],
+    short_concepts: Iterable[str],
+    model: ExpansionModel,
+) -> float:
+    target = np.array([_known_concept(taxonomy, concept)])
+    inside = _inside(taxonomy, short_concepts)
+    return float(_relevance(taxonomy, _seed_ids(taxonomy, seeds), target, inside, model)[0])
 
 
 def g_penalty(
     taxonomy: Taxonomy, concept: str, short_concepts: Iterable[str], delta: float
 ) -> float:
     """Over-generality penalty of ``concept`` against the query's entity union."""
-    return _g_penalty(taxonomy, concept, entity_union(taxonomy, short_concepts), delta)
-
-
-def _g_penalty(
-    taxonomy: Taxonomy, concept: str, e_union: frozenset[str], delta: float
-) -> float:
-    entities = taxonomy.entities_of(concept)
-    if not entities:
-        raise ValueError(f"concept {normalize(concept)!r} not in taxonomy")
-    outside = 0
-    total = 0
-    for entity, n in entities.items():
-        total += n + 1
-        if entity not in e_union:
-            outside += n + 1
-    return (delta + outside) / total
+    target = np.array([_known_concept(taxonomy, concept)])
+    return float(_penalty(taxonomy, target, _inside(taxonomy, short_concepts), delta)[0])
 
 
 def rel_naive_bayes(
@@ -134,27 +234,7 @@ def rel_naive_bayes(
     model: ExpansionModel,
 ) -> float:
     """Smoothed naive bayes relevance of ``concept`` to the seed entities."""
-    e_union = entity_union(taxonomy, short_concepts)
-    return _rel_naive_bayes(taxonomy, concept, seeds, e_union, model)
-
-
-def _rel_naive_bayes(taxonomy, concept, seeds, e_union, model) -> float:
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("seed set is empty")
-    prior = taxonomy.prior("concept", concept)
-    if prior == 0.0:
-        raise ValueError(f"concept {normalize(concept)!r} not in taxonomy")
-    # Log domain: the per-seed factors are < 1 and long seed lists underflow.
-    log_score = math.log(prior)
-    for entity in seeds:
-        factor = model.gamma * taxonomy.p_e_given_c(concept, entity) + (
-            1.0 - model.gamma
-        ) * taxonomy.prior("entity", entity)
-        if factor == 0.0:
-            return 0.0
-        log_score += math.log(factor)
-    return math.exp(log_score) / _g_penalty(taxonomy, concept, e_union, model.delta)
+    return _one_concept(taxonomy, concept, seeds, short_concepts, replace(model, kind=NAIVE_BAYES))
 
 
 def rel_noisy_or(
@@ -165,25 +245,7 @@ def rel_noisy_or(
     model: ExpansionModel,
 ) -> float:
     """Noisy-or relevance: captures any concept related to at least one seed."""
-    e_union = entity_union(taxonomy, short_concepts)
-    return _rel_noisy_or(taxonomy, concept, seeds, e_union, model)
-
-
-def _rel_noisy_or(taxonomy, concept, seeds, e_union, model) -> float:
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("seed set is empty")
-    miss = 1.0
-    for entity in seeds:
-        miss *= 1.0 - taxonomy.p_c_given_e(concept, entity)
-    numerator = 1.0 - (1.0 - model.leak) * miss
-    return numerator / _g_penalty(taxonomy, concept, e_union, model.delta)
-
-
-def _rel(taxonomy, concept, seeds, e_union, model) -> float:
-    if model.kind == NAIVE_BAYES:
-        return _rel_naive_bayes(taxonomy, concept, seeds, e_union, model)
-    return _rel_noisy_or(taxonomy, concept, seeds, e_union, model)
+    return _one_concept(taxonomy, concept, seeds, short_concepts, replace(model, kind=NOISY_OR))
 
 
 # -- expansion ------------------------------------------------------------
@@ -202,36 +264,42 @@ def expand_concepts(
     Ties are broken by concept name so the result never depends on candidate
     enumeration order.
     """
-    seeds = sorted(set(seeds))
-    if not seeds:
-        raise ValueError("seed set is empty")
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    e_union = entity_union(taxonomy, short_concepts)
-    scored = _score_candidates(taxonomy, seeds, e_union, model)
-    ranked = sorted(scored.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+    seed_ids = _seed_ids(taxonomy, seeds)
+    candidates = _candidates(taxonomy, seed_ids)
+    scores = _relevance(taxonomy, seed_ids, candidates, _inside(taxonomy, short_concepts), model)
+    ranked = _name_order(taxonomy.concept_rank, candidates, scores)[:top_k]
     return [
-        ConceptRelevance(concept=c, score=s, source_subset=source_subset)
-        for c, s in ranked
+        ConceptRelevance(
+            concept=taxonomy.concept_names[c], score=score, source_subset=source_subset
+        )
+        for c, score in zip(candidates[ranked].tolist(), scores[ranked].tolist())
     ]
-
-
-def _score_candidates(taxonomy, seeds, e_union, model) -> dict[str, float]:
-    candidates = sorted({c for e in seeds for c in taxonomy.concepts_of(e)})
-    return {c: _rel(taxonomy, c, seeds, e_union, model) for c in candidates}
 
 
 def entity_relevance(
     taxonomy: Taxonomy, concepts: Sequence[ConceptRelevance]
 ) -> dict[str, float]:
-    """rel(e) = sum over retained concepts of P(e|c) * rel(c)."""
-    scores: dict[str, float] = {}
+    """rel(e) = sum over retained concepts of P(e|c) * rel(c), in ranked order."""
+    ids, weights = [], []
     for cr in concepts:
-        for entity in taxonomy.entities_of(cr.concept):
-            scores[entity] = scores.get(entity, 0.0) + (
-                taxonomy.p_e_given_c(cr.concept, entity) * cr.score
-            )
-    return scores
+        cid = taxonomy.concept_id(cr.concept)
+        if cid is not None:  # an unknown concept covers no entity
+            ids.append(cid)
+            weights.append(cr.score)
+    ids = np.array(ids, dtype=np.int64)
+    owner, entities, counts = taxonomy.by_concept.rows(ids)
+    covered = np.unique(entities)
+    scores = np.zeros(len(covered))
+    np.add.at(
+        scores,
+        np.searchsorted(covered, entities),
+        counts / taxonomy.n_c[ids][owner] * np.array(weights)[owner],
+    )
+    order = _name_order(taxonomy.entity_rank, covered, scores)
+    names = [taxonomy.entity_names[e] for e in covered[order].tolist()]
+    return dict(zip(names, scores[order].tolist()))
 
 
 def rank_entities(
@@ -240,8 +308,7 @@ def rank_entities(
     """Linear ordering of every entity covered by the retained concepts."""
     if not concepts:
         raise ValueError("no concepts to rank entities from")
-    scores = entity_relevance(taxonomy, concepts)
-    return sorted(scores, key=lambda e: (-scores[e], e))
+    return list(entity_relevance(taxonomy, concepts))
 
 
 # -- seed tiers and constraints -------------------------------------------
@@ -302,7 +369,8 @@ def expand(
         raise ValueError("top_k must be >= 1")
     concepts_q = list(dict.fromkeys(short_concepts))
     n = len(concepts_q)
-    e_union = entity_union(taxonomy, concepts_q)
+    query_ids = np.array([_known_concept(taxonomy, c) for c in concepts_q], dtype=np.int64)
+    inside = _inside(taxonomy, concepts_q)
 
     full = [si for si in subsets if si.size == n]
     if full:
@@ -313,40 +381,45 @@ def expand(
         best = max(si.size for si in subsets)
         runs = [(si.subset, si.entities) for si in subsets if si.size == best]
 
-    pooled: dict[str, float] = {}
-    sources: dict[str, frozenset[str]] = {}
+    pooled: dict[int, float] = {}
+    sources: dict[int, frozenset[str]] = {}
+    run_seeds = []
     for source, seeds in runs:
-        seeds = sorted(seeds)
-        scored = _score_candidates(taxonomy, seeds, e_union, model)
-        retained = {
-            c
-            for c, _ in sorted(scored.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
-        }
-        retained.update(c for c in concepts_q if c in scored)
-        for c in retained:
-            pooled[c] = pooled.get(c, 0.0) + scored[c]
+        seed_ids = _seed_ids(taxonomy, seeds)
+        run_seeds.append(seed_ids)
+        candidates = _candidates(taxonomy, seed_ids)
+        scores = _relevance(taxonomy, seed_ids, candidates, inside, model)
+        retained = _name_order(taxonomy.concept_rank, candidates, scores)[:top_k].tolist()
+        retained += np.flatnonzero(np.isin(candidates, query_ids)).tolist()
+        for i in dict.fromkeys(retained):
+            c = int(candidates[i])
+            pooled[c] = pooled.get(c, 0.0) + float(scores[i])
             sources.setdefault(c, source)
     # Short concepts that were candidates in no run still get a model score
     # against each run's seeds (the noisy-or leak keeps it meaningful).
-    for c in concepts_q:
-        if c not in pooled:
-            pooled[c] = sum(
-                _rel(taxonomy, c, sorted(seeds), e_union, model) for _, seeds in runs
-            )
+    unseen = sorted(set(query_ids.tolist()) - pooled.keys())
+    if unseen:
+        targets = np.array(unseen, dtype=np.int64)
+        total = np.zeros(len(targets))
+        for seed_ids in run_seeds:
+            total += _relevance(taxonomy, seed_ids, targets, inside, model)
+        for c, score in zip(unseen, total.tolist()):
+            pooled[c] = score
             sources[c] = frozenset(concepts_q)
 
     concepts = [
-        ConceptRelevance(concept=c, score=pooled[c], source_subset=sources[c])
-        for c in sorted(pooled, key=lambda c: (-pooled[c], c))
+        ConceptRelevance(
+            concept=taxonomy.concept_names[c], score=pooled[c], source_subset=sources[c]
+        )
+        for c in sorted(pooled, key=lambda c: (-pooled[c], taxonomy.concept_rank[c]))
     ]
     entity_scores = entity_relevance(taxonomy, concepts)
-    r_c = sorted(entity_scores, key=lambda e: (-entity_scores[e], e))
     tiers = generate_seed_tiers(subsets)
     r_p = build_pairwise_constraints(tiers)
     seed_entities = frozenset().union(*(seeds for _, seeds in runs))
     return ExpansionResult(
         concepts=concepts,
-        r_c=r_c,
+        r_c=list(entity_scores),
         r_p=r_p,
         seed_entities=seed_entities,
         entity_scores=entity_scores,

@@ -35,13 +35,14 @@ def random_taxonomy(rng: random.Random, **kwargs) -> Taxonomy:
 
 
 def oracle_g(t: Taxonomy, concept: str, e_union: set[str], delta: float) -> float:
-    num = delta
-    den = 0.0
+    # Integer sums, so the only roundings are the formula's own two.
+    outside = 0
+    total = 0
     for e, n in t.entities_of(concept).items():
-        den += n + 1
+        total += n + 1
         if e not in e_union:
-            num += n + 1
-    return num / den
+            outside += n + 1
+    return (delta + outside) / total
 
 
 def oracle_e_union(t: Taxonomy, short_concepts) -> set[str]:

@@ -131,6 +131,13 @@ class TestProperties:
         rb = baseline_rank(f1, F1_PAIR, max_iter=100, tol=1e-300)
         assert rb.iterations_run == 2
 
+    def test_converged_flag(self, f1):
+        # F1 meets the tolerance on round 2; a single round cannot
+        assert baseline_rank(f1, F1_PAIR).converged
+        stopped = baseline_rank(f1, F1_PAIR, max_iter=1)
+        assert stopped.iterations_run == 1
+        assert not stopped.converged
+
 
 class TestEigenOracle:
     def test_f1_agrees_with_oracle(self, f1):

@@ -13,8 +13,8 @@ from conceptq.evaluation import (
     ratio_at_k,
     recall_at_k,
 )
-from conceptq.pipeline import PipelineConfig
-from conceptq.taxonomy import ingest
+from conceptq.pipeline import PipelineConfig, run_query
+from conceptq.taxonomy import entity_intersection, ingest
 
 from helpers import random_taxonomy
 
@@ -208,6 +208,31 @@ class TestHoldout:
         assert report.params["removal_fraction"] == 0.5
         assert report.params["rng_seed"] == 4
         assert report.params["model"] == "noisy_or"
+
+    def test_report_matches_reingested_reduction(self):
+        # The reduced taxonomy is cut from the parent's arrays; the pipeline
+        # on a re-ingest of the filtered records must give the same report.
+        for seed in range(6):
+            inst = planted_instance(seed=seed)
+            t = inst.build()
+            short = {f"{m} {inst.head}" for m in inst.modifiers}
+            for fraction in (0.3, 0.5, 0.95):
+                report = holdout_experiment(t, inst.query, fraction, rng_seed=seed, k=[5, 10])
+                extras = report.per_query[0].extras
+                removed = set(extras["removed"])
+                reduced = ingest(
+                    r for r in t.records() if not (r.concept in short and r.entity in removed)
+                )
+                ranked = run_query(reduced, inst.query).entities()
+                assert extras["top_k"] == ranked[:10]
+                assert extras["reduced_intersection"] == sorted(entity_intersection(reduced, short))
+                truth = GroundTruth(query=inst.query, answers=frozenset(removed))
+                for k in (5, 10):
+                    assert report.averages[f"precision@{k}"] == precision_at_k(ranked, truth, k)
+                    assert report.averages[f"recall@{k}"] == recall_at_k(ranked, truth, k)
+                    assert report.averages[f"ratio@{k}"] == ratio_at_k(
+                        ranked[:k], extras["reduced_intersection"]
+                    )
 
     def test_removal_may_empty_the_intersection(self):
         # ceil(0.95 * 10) = 10 removes every intersection entity; the reduced

@@ -21,6 +21,19 @@ from conceptq.taxonomy import ingest
 
 from helpers import oracle_rel_naive_bayes, oracle_rel_noisy_or, random_taxonomy
 
+
+def full_intersection_cases(rng, count):
+    """Random taxonomies with a query whose full intersection is non-empty."""
+    cases = []
+    while len(cases) < count:
+        t = random_taxonomy(rng, max_concepts=6, max_entities=8, max_edges=24)
+        concepts = sorted(t.concepts)
+        short = concepts[: rng.randint(1, min(3, len(concepts)))]
+        subsets = enumerate_subsets(t, short)
+        if subsets and subsets[0].size == len(short):
+            cases.append((t, short, subsets, sorted(subsets[0].entities)))
+    return cases
+
 F1_PAIR = ["top university", "american university"]
 
 
@@ -81,10 +94,11 @@ class TestRelevanceScores:
     def test_naive_bayes_gamma_to_zero_uses_priors_only(self, f1):
         model = ExpansionModel(kind="naive_bayes", gamma=1e-12, delta=0.5)
         rel = rel_naive_bayes(f1, "ivy league", ["a", "b"], F1_PAIR, model)
+        n = f1.grand_total
         prior_only = (
-            f1.prior("concept", "ivy league")
-            * f1.prior("entity", "a")
-            * f1.prior("entity", "b")
+            f1.concept_totals["ivy league"] / n
+            * (f1.entity_totals["a"] / n)
+            * (f1.entity_totals["b"] / n)
             / 0.0625
         )
         assert rel == pytest.approx(prior_only, rel=1e-9)
@@ -365,3 +379,42 @@ class TestExpandOrchestration:
         result = expand(f1, F1_PAIR, subsets, model)
         tier_entities = {e for tier in generate_seed_tiers(subsets) for e in tier.entities}
         assert tier_entities <= set(result.r_c)
+
+
+class TestSparseScoring:
+    def test_noisy_or_equals_oracle_exactly(self):
+        # The miss product runs over the seeds in name order and g(c) is an
+        # integer ratio, so the array path repeats the oracle's arithmetic.
+        rng = random.Random(11)
+        for t, short, subsets, seeds in full_intersection_cases(rng, 60):
+            model = ExpansionModel(
+                kind="noisy_or", leak=rng.uniform(0.0, 0.9), delta=rng.uniform(0.05, 0.95)
+            )
+            result = expand(t, short, subsets, model, top_k=100)
+            assert {c.concept for c in result.concepts} == {
+                c for e in seeds for c in t.concepts_of(e)
+            }
+            for cr in result.concepts:
+                want = oracle_rel_noisy_or(t, cr.concept, seeds, short, model.leak, model.delta)
+                assert cr.score == want
+                assert rel_noisy_or(t, cr.concept, seeds, short, model) == want
+
+    def test_unsmoothed_naive_bayes_is_zero_for_concepts_missing_a_seed(self):
+        rng = random.Random(12)
+        zeros = 0
+        for t, short, subsets, seeds in full_intersection_cases(rng, 60):
+            model = ExpansionModel(kind="naive_bayes", gamma=1.0, delta=0.5)
+            result = expand(t, short, subsets, model, top_k=100)
+            for cr in result.concepts:
+                if set(seeds) <= set(t.entities_of(cr.concept)):
+                    want = oracle_rel_naive_bayes(t, cr.concept, seeds, short, 1.0, 0.5)
+                    assert cr.score == pytest.approx(want, rel=1e-12)
+                    assert cr.score > 0.0
+                else:
+                    assert cr.score == 0.0
+                    zeros += 1
+        assert zeros > 0
+
+    def test_unknown_seed_rejected(self, f1):
+        with pytest.raises(ValueError):
+            rel_noisy_or(f1, "ivy league", ["a", "nobody"], F1_PAIR, ExpansionModel())

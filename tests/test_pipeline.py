@@ -1,6 +1,11 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conceptq.errors import UnanswerableQueryError
+from conceptq.evaluation import planted_instance
 from conceptq.pipeline import PipelineConfig, run_query
 from conceptq.taxonomy import ingest
 
@@ -89,3 +94,30 @@ class TestEmptyIntersectionQueries:
         result = run_query(f1, "top american university")
         assert result.subsets[0].entities == frozenset({"a", "b"})
         assert result.baseline.ordering == ["a", "b", "c", "d"]
+
+
+class TestRowOrderInvariance:
+    @given(
+        instance_seed=st.integers(0, 20),
+        shuffle_seed=st.integers(0, 2**16),
+        kind=st.sampled_from(["noisy_or", "naive_bayes"]),
+        extra=st.lists(
+            st.tuples(
+                st.sampled_from(["sleek gadget", "compact gadget", "collector favorite", "misc"]),
+                st.sampled_from(["item00", "item03", "noise000", "junk01", "loner"]),
+                st.integers(1, 5),
+            ),
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_permuting_rows_leaves_ranking_unchanged(self, instance_seed, shuffle_seed, kind, extra):
+        inst = planted_instance(n_modifiers=2, seed=instance_seed)
+        rows = list(inst.records) + extra
+        shuffled = list(rows)
+        random.Random(shuffle_seed).shuffle(shuffled)
+        config = PipelineConfig(model_kind=kind)
+        one = run_query(ingest(rows), inst.query, config)
+        two = run_query(ingest(shuffled), inst.query, config)
+        assert one.ranking == two.ranking
+        assert one.expansion.concepts == two.expansion.concepts

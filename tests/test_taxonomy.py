@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conceptq.errors import DataFormatError, EngineError
+from conceptq.evaluation import planted_instance
 from conceptq.taxonomy import (
     CooccurrenceRecord,
     entity_intersection,
@@ -56,6 +58,7 @@ class TestIngest:
             ([("c", "e")], 1),
             ([("c", "e", 1), ("c", "   ", 2)], 2),
             ([(None, "e", 1)], 1),
+            ([("c", "e", 1), ("c", "e", 2**63)], 2),
         ],
     )
     def test_malformed_rows_abort_with_row_number(self, rows, bad_row):
@@ -63,6 +66,12 @@ class TestIngest:
             ingest(rows)
         assert err.value.row == bad_row
         assert f"row {bad_row}" in str(err.value)
+
+
+    def test_counts_must_total_below_2_to_63(self):
+        ingest([("c", "e", 2**62), ("c", "x", 2**62 - 1)])
+        with pytest.raises(DataFormatError):
+            ingest([("c", "e", 2**62), ("c", "x", 2**62)])
 
 
 def t_stats(t):
@@ -103,39 +112,38 @@ class TestLookups:
 
 
 class TestProbabilities:
-    def test_cond_prob_values(self, f1):
-        assert f1.cond_prob("c_given_e", "ivy league", "a") == pytest.approx(3 / 7)
-        assert f1.cond_prob("c_given_e", "famous university", "x") == 1.0
-        assert f1.cond_prob("e_given_c", "ivy league", "a") == pytest.approx(3 / 6)
-        assert f1.cond_prob("c_given_e", "ivy league", "x") == 0.0
-        assert f1.cond_prob("c_given_e", "ivy league", "nobody") == 0.0
+    """Probabilities are ratios of count() and the read-only marginals."""
 
-    def test_cond_prob_direction_validated(self, f1):
-        with pytest.raises(ValueError):
-            f1.cond_prob("sideways", "ivy league", "a")
+    def test_cond_prob_values(self, f1):
+        assert f1.count("ivy league", "a") / f1.entity_totals["a"] == pytest.approx(3 / 7)
+        assert f1.count("famous university", "x") / f1.entity_totals["x"] == 1.0
+        assert f1.count("ivy league", "a") / f1.concept_totals["ivy league"] == pytest.approx(3 / 6)
+        assert f1.count("ivy league", "x") == 0
+        assert f1.count("ivy league", "nobody") == 0
 
     def test_priors(self, f1):
-        assert f1.prior("concept", "ivy league") == pytest.approx(6 / 21)
-        assert f1.prior("entity", "a") == pytest.approx(7 / 21)
-        assert f1.prior("concept", "no such") == 0.0
-        with pytest.raises(ValueError):
-            f1.prior("thing", "a")
+        assert f1.concept_totals["ivy league"] / f1.grand_total == pytest.approx(6 / 21)
+        assert f1.entity_totals["a"] / f1.grand_total == pytest.approx(7 / 21)
+        assert f1.concept_totals.get("no such", 0) == 0
+        assert "no such" not in f1.entity_totals
 
     def test_priors_sum_to_one(self, f1):
-        assert sum(f1.prior("concept", c) for c in f1.concepts) == pytest.approx(1.0)
-        assert sum(f1.prior("entity", e) for e in f1.entities) == pytest.approx(1.0)
+        n = f1.grand_total
+        assert sum(f1.concept_totals[c] / n for c in f1.concepts) == pytest.approx(1.0)
+        assert sum(f1.entity_totals[e] / n for e in f1.entities) == pytest.approx(1.0)
 
     def test_conditionals_sum_to_one(self, f1):
         for e in f1.entities:
-            total = sum(f1.p_c_given_e(c, e) for c in f1.concepts_of(e))
+            total = sum(f1.count(c, e) / f1.entity_totals[e] for c in f1.concepts_of(e))
             assert abs(total - 1.0) < 1e-12
         for c in f1.concepts:
-            total = sum(f1.p_e_given_c(c, e) for e in f1.entities_of(c))
+            total = sum(f1.count(c, e) / f1.concept_totals[c] for e in f1.entities_of(c))
             assert abs(total - 1.0) < 1e-12
 
     def test_empty_taxonomy_priors(self):
         t = ingest([])
-        assert t.prior("concept", "anything") == 0.0
+        assert t.concept_totals.get("anything", 0) == 0
+        assert len(t.concept_totals) == len(t.entity_totals) == 0
         assert t.grand_total == 0
 
 
@@ -171,7 +179,12 @@ class TestInvariants:
             assert t.grand_total == sum(t.entity_totals.values())
 
     def test_check_marginals_detects_corruption(self, f1):
-        f1.concept_totals["ivy league"] += 1
+        ivy = f1.concept_ids["ivy league"]
+        with pytest.raises(ValueError):  # the stored vectors are read-only
+            f1.n_c[ivy] += 1
+        corrupted = f1.n_c.copy()
+        corrupted[ivy] += 1
+        f1.n_c = corrupted
         with pytest.raises(EngineError):
             f1.check_marginals()
 
@@ -230,3 +243,110 @@ class TestLoad:
             load(path)
         assert err.value.row == 3
         assert "line 3" in str(err.value)
+
+    def test_load_peak_memory_is_bounded_by_retained_size(self, tmp_path):
+        # ~10^5 edges over 5,000 concepts and 20,000 entities. Streaming load
+        # peaks at 1.40x the retained taxonomy (a per-line record list made
+        # it 2.04x); the bound sits between the two.
+        rng = random.Random(3)
+        path = tmp_path / "big.tsv"
+        with open(path, "w", encoding="utf-8") as fh:
+            for _ in range(100_000):
+                fh.write(
+                    f"concept {rng.randrange(5000)}\tentity {rng.randrange(20000)}"
+                    f"\t{rng.randint(1, 9)}\n"
+                )
+        tracemalloc.start()
+        try:
+            t = load(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert t.n_edges == 99_947
+        assert peak < 1.7 * retained, (peak, retained)
+
+
+class TestArrays:
+    def test_arrays_are_read_only(self, f1):
+        arrays = [f1.n_c, f1.n_e, f1.deg_c, f1.concept_rank, f1.entity_rank]
+        for csr in (f1.by_concept, f1.by_entity):
+            arrays += [csr.ptr, csr.ids, csr.counts]
+        for values in arrays:
+            assert not values.flags.writeable
+
+    def test_orientations_hold_the_merged_pairs(self):
+        rng = random.Random(9)
+        for _ in range(50):
+            rows = random_rows(rng)
+            t = ingest(rows)
+            merged: dict = {}
+            for c, e, n in rows:
+                merged[c, e] = merged.get((c, e), 0) + n
+            by_concept = {
+                (t.concept_names[c], t.entity_names[e]): n
+                for c, e, n in zip(*t.by_concept.pairs(), t.by_concept.counts)
+            }
+            by_entity = {
+                (t.concept_names[c], t.entity_names[e]): n
+                for e, c, n in zip(*t.by_entity.pairs(), t.by_entity.counts)
+            }
+            assert by_concept == by_entity == merged
+            for csr in (t.by_concept, t.by_entity):
+                for i in range(len(csr.ptr) - 1):
+                    ids = list(csr.row(i)[0])
+                    assert ids and ids == sorted(set(ids))
+            assert list(t.deg_c) == [len(t.entities_of(c)) for c in t.concept_names]
+
+    def test_name_ranks_follow_name_order(self, f1):
+        assert [f1.entity_names[i] for i in f1.entity_rank.argsort()] == sorted(f1.entities)
+        assert [f1.concept_names[i] for i in f1.concept_rank.argsort()] == sorted(f1.concepts)
+
+
+class TestWithoutEdges:
+    @staticmethod
+    def check(t, concepts, entities):
+        concepts, entities = set(concepts), set(entities)
+        got = t.without_edges(concepts, entities)
+        want = ingest(
+            r for r in t.records() if not (r.concept in concepts and r.entity in entities)
+        )
+        assert got == want
+        assert got.concepts == want.concepts
+        assert got.entities == want.entities
+        got.check_marginals()
+        # name ranks are inherited from the parent and still sort by name
+        assert [got.entity_names[i] for i in got.entity_rank.argsort()] == sorted(got.entities)
+        assert [got.concept_names[i] for i in got.concept_rank.argsort()] == sorted(got.concepts)
+        assert not got.entity_rank.flags.writeable
+        return got
+
+    def test_random_fixtures_match_reingest(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            t = ingest(random_rows(rng))
+            concepts = rng.sample(sorted(t.concepts), rng.randint(0, len(t.concepts)))
+            entities = rng.sample(sorted(t.entities), rng.randint(0, len(t.entities)))
+            self.check(t, concepts, entities)
+
+    def test_planted_instances_match_reingest(self):
+        for seed in range(5):
+            inst = planted_instance(seed=seed)
+            t = inst.build()
+            short = [f"{m} {inst.head}" for m in inst.modifiers]
+            removed = sorted(inst.answers)[: 3 + seed]
+            got = self.check(t, short, removed)
+            for entity in removed:
+                assert got.count(inst.equivalent_concept, entity) == t.count(
+                    inst.equivalent_concept, entity
+                )
+
+    def test_emptied_concept_and_entity_are_dropped(self):
+        t = ingest([("short a", "x", 1), ("short a", "y", 2), ("other", "y", 1)])
+        got = self.check(t, ["short a"], ["x", "y"])
+        assert got.has_concept("short a") is False
+        assert got.has_entity("x") is False
+        assert set(got.concepts) == {"other"}
+        assert got.concept_totals["other"] == 1
+
+    def test_unknown_names_are_ignored(self, f1):
+        assert f1.without_edges(["no such"], ["nobody"]) == f1
