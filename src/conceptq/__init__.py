@@ -46,10 +46,8 @@ from .expansion import (
     SeedTier,
     build_pairwise_constraints,
     expand,
-    expand_concepts,
     g_penalty,
     generate_seed_tiers,
-    rank_entities,
     rel_naive_bayes,
     rel_noisy_or,
 )

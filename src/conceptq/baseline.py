@@ -7,119 +7,97 @@ query concept is informative when it contains promising entities:
     sigma(c) = 1 - prod_{e in e(c)} (1 - sigma(e))
 
 In log domain, with w = -log(1 - sigma), both products become sums over the
-bipartite membership graph between the query's short concepts and their
-entity union. The raw fixed point saturates every sigma at 1, so only the
-relative magnitudes of w carry information; we therefore rescale both weight
-vectors by max w(e) each round, which turns the recursion into power
-iteration on the membership operator (authority/hub style). The normalized
-entity weights converge to the principal eigenvector of A^T A, where A is
-the binary concept-by-entity membership matrix.
+bipartite membership graph between the query's k short concepts and their
+entity union: w_e = A^T w_c and w_c = A w_e, with A the binary k x |E_u|
+membership matrix. The raw fixed point saturates every sigma at 1, so only
+the relative magnitudes of w carry information: the scores are the limit of
+the hub/authority recursion rescaled by max w(e) each round, started from
+uniform concept weights.
+
+That limit is solved exactly rather than iterated. Started from the all-ones
+concept vector, the rescaled recursion converges to A^T v, where v is the
+projection of the all-ones vector onto the top eigenspace of the k x k
+matrix A A^T (k <= 20). When the concept graph is connected that eigenspace
+is one Perron vector and A^T v is the principal eigenvector of A^T A; when
+it is disconnected, components sharing the largest eigenvalue keep their
+share of the start and every other component decays to 0. Eigenvalues
+within a relative ``REPEATED_EIGENVALUE_RTOL`` of the largest count as
+repeated.
+
+Entity weights are max-normalized and rounded to ``WEIGHT_DECIMALS`` places,
+so entities that tie by symmetry tie exactly whatever the order of the short
+concepts; the ordering is descending weight with ties by entity name.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .errors import NoCandidateEntitiesError
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, name_order
 
-DEFAULT_MAX_ITER = 100
-DEFAULT_TOL = 1e-9
+REPEATED_EIGENVALUE_RTOL = 1e-9
+WEIGHT_DECIMALS = 12
 
 
 @dataclass
 class BaselineRanking:
-    """Converged scores and the induced ordering over candidate entities.
+    """Fixed-point scores and the induced ordering over candidate entities.
 
     ``entity_scores`` and ``concept_scores`` hold sigma = 1 - exp(-w) of the
-    final normalized weights; ``entity_weights`` keeps w itself (max 1.0) for
+    normalized weights; ``entity_weights`` keeps w itself (max 1.0) for
     numeric comparisons. The ordering is descending sigma(e) with ties broken
-    lexicographically unless a tie seed was given. ``converged`` is False when
-    the iteration stopped at ``max_iter`` before meeting its tolerance.
+    by entity name.
     """
 
     entity_scores: dict[str, float]
     concept_scores: dict[str, float]
     entity_weights: dict[str, float]
     ordering: list[str]
-    iterations_run: int
-    converged: bool
+    # The fixed point is one direct solve; kept because traces report it.
+    iterations_run: ClassVar[int] = 1
 
 
-def baseline_rank(
-    taxonomy: Taxonomy,
-    short_concepts: Sequence[str],
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-    tie_seed: int | None = None,
-    initial_weight: float = math.log(2.0),
-) -> BaselineRanking:
-    """Rank the entity union of the short concepts by the iterative scores.
+def baseline_rank(taxonomy: Taxonomy, short_concepts: Sequence[str]) -> BaselineRanking:
+    """Rank the entity union of the short concepts by their fixed-point scores.
 
     Candidates are exactly the entities related to at least one short
-    concept; anything else scores zero by construction and is omitted.
-    Iteration stops when the max absolute change of the normalized entity
-    weights drops below ``tol`` or after ``max_iter`` rounds.
-
-    ``initial_weight`` is the uniform starting weight of the query concepts
-    (log 2, i.e. sigma = 0.5, by default). The per-round rescaling makes the
-    converged ordering independent of this choice; the knob exists so tests
-    can assert exactly that.
+    concept; anything else scores zero by construction and is omitted. A
+    short concept missing from the taxonomy contains no entity.
     """
     if not short_concepts:
         raise ValueError("short concept set is empty")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if initial_weight <= 0:
-        raise ValueError("initial_weight must be positive")
 
     concepts = list(dict.fromkeys(short_concepts))
-    candidates = sorted({e for c in concepts for e in taxonomy.entities_of(c)})
-    if not candidates:
+    ids = [taxonomy.concept_id(c) for c in concepts]
+    known = [i for i, cid in enumerate(ids) if cid is not None]
+    owner, entities, _ = taxonomy.by_concept.rows(np.array([ids[i] for i in known], dtype=np.int64))
+    candidates = np.unique(entities)
+    if not len(candidates):
         raise NoCandidateEntitiesError("no candidate entities")
-    entity_index = {e: i for i, e in enumerate(candidates)}
 
     membership = np.zeros((len(concepts), len(candidates)))
-    for ci, c in enumerate(concepts):
-        for e in taxonomy.entities_of(c):
-            membership[ci, entity_index[e]] = 1.0
+    membership[np.array(known, dtype=np.int64)[owner], np.searchsorted(candidates, entities)] = 1.0
 
-    w_concepts = np.full(len(concepts), initial_weight)
-    w_entities = np.zeros(len(candidates))
-    iterations = 0
-    converged = False
-    for _ in range(max_iter):
-        prev = w_entities
-        w_entities = membership.T @ w_concepts
-        w_concepts = membership @ w_entities
-        scale = w_entities.max()
-        w_entities = w_entities / scale
-        w_concepts = w_concepts / scale
-        iterations += 1
-        if iterations > 1 and np.max(np.abs(w_entities - prev)) < tol:
-            converged = True
-            break
+    eigvals, eigvecs = np.linalg.eigh(membership @ membership.T)
+    top = eigvecs[:, eigvals >= eigvals[-1] * (1.0 - REPEATED_EIGENVALUE_RTOL)]
+    # A^T times the projection of the all-ones start onto the top eigenspace
+    w_entities = membership.T @ (top @ top.sum(axis=0))
+    # + 0.0 turns the -0.0 of a decayed component into 0.0
+    w_entities = np.round(w_entities / w_entities.max(), WEIGHT_DECIMALS) + 0.0
+    w_concepts = membership @ w_entities
 
-    sigma_e = 1.0 - np.exp(-w_entities)
-    sigma_c = 1.0 - np.exp(-w_concepts)
-
-    if tie_seed is None:
-        order = sorted(range(len(candidates)), key=lambda i: (-w_entities[i], candidates[i]))
-    else:
-        jitter = np.random.default_rng(tie_seed).permutation(len(candidates))
-        order = sorted(range(len(candidates)), key=lambda i: (-w_entities[i], jitter[i]))
-
+    sigma_e = (1.0 - np.exp(-w_entities)).tolist()
+    sigma_c = (1.0 - np.exp(-w_concepts)).tolist()
+    names = [taxonomy.entity_names[e] for e in candidates.tolist()]
+    by_name = np.argsort(taxonomy.entity_rank[candidates]).tolist()
+    order = name_order(taxonomy.entity_rank, candidates, w_entities).tolist()
     return BaselineRanking(
-        entity_scores={e: float(sigma_e[i]) for e, i in entity_index.items()},
-        concept_scores={c: float(sigma_c[i]) for i, c in enumerate(concepts)},
-        entity_weights={e: float(w_entities[i]) for e, i in entity_index.items()},
-        ordering=[candidates[i] for i in order],
-        iterations_run=iterations,
-        converged=converged,
+        entity_scores={names[i]: sigma_e[i] for i in by_name},
+        concept_scores=dict(zip(concepts, sigma_c)),
+        entity_weights={names[i]: float(w_entities[i]) for i in by_name},
+        ordering=[names[i] for i in order],
     )

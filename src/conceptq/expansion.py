@@ -45,7 +45,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .query import SubsetIntersection
-from .taxonomy import Taxonomy, normalize
+from .taxonomy import Taxonomy, name_order, normalize
 
 DEFAULT_GAMMA = 0.5
 DEFAULT_LEAK = 0.1
@@ -201,11 +201,6 @@ def _relevance(
     return rel / _penalty(taxonomy, targets, inside, model.delta)
 
 
-def _name_order(rank: np.ndarray, ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Positions of ``ids`` by descending score, ties by name ``rank``."""
-    return np.lexsort((rank[ids], -scores))
-
-
 def _one_concept(
     taxonomy: Taxonomy,
     concept: str,
@@ -251,33 +246,6 @@ def rel_noisy_or(
 # -- expansion ------------------------------------------------------------
 
 
-def expand_concepts(
-    taxonomy: Taxonomy,
-    seeds: Iterable[str],
-    short_concepts: Sequence[str],
-    model: ExpansionModel,
-    top_k: int = DEFAULT_CONCEPTS_TOP_K,
-    source_subset: frozenset[str] | None = None,
-) -> list[ConceptRelevance]:
-    """Score every concept of a seed entity; keep the ``top_k`` by relevance.
-
-    Ties are broken by concept name so the result never depends on candidate
-    enumeration order.
-    """
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
-    seed_ids = _seed_ids(taxonomy, seeds)
-    candidates = _candidates(taxonomy, seed_ids)
-    scores = _relevance(taxonomy, seed_ids, candidates, _inside(taxonomy, short_concepts), model)
-    ranked = _name_order(taxonomy.concept_rank, candidates, scores)[:top_k]
-    return [
-        ConceptRelevance(
-            concept=taxonomy.concept_names[c], score=score, source_subset=source_subset
-        )
-        for c, score in zip(candidates[ranked].tolist(), scores[ranked].tolist())
-    ]
-
-
 def entity_relevance(
     taxonomy: Taxonomy, concepts: Sequence[ConceptRelevance]
 ) -> dict[str, float]:
@@ -297,18 +265,9 @@ def entity_relevance(
         np.searchsorted(covered, entities),
         counts / taxonomy.n_c[ids][owner] * np.array(weights)[owner],
     )
-    order = _name_order(taxonomy.entity_rank, covered, scores)
+    order = name_order(taxonomy.entity_rank, covered, scores)
     names = [taxonomy.entity_names[e] for e in covered[order].tolist()]
     return dict(zip(names, scores[order].tolist()))
-
-
-def rank_entities(
-    taxonomy: Taxonomy, concepts: Sequence[ConceptRelevance]
-) -> list[str]:
-    """Linear ordering of every entity covered by the retained concepts."""
-    if not concepts:
-        raise ValueError("no concepts to rank entities from")
-    return list(entity_relevance(taxonomy, concepts))
 
 
 # -- seed tiers and constraints -------------------------------------------
@@ -389,7 +348,7 @@ def expand(
         run_seeds.append(seed_ids)
         candidates = _candidates(taxonomy, seed_ids)
         scores = _relevance(taxonomy, seed_ids, candidates, inside, model)
-        retained = _name_order(taxonomy.concept_rank, candidates, scores)[:top_k].tolist()
+        retained = name_order(taxonomy.concept_rank, candidates, scores)[:top_k].tolist()
         retained += np.flatnonzero(np.isin(candidates, query_ids)).tolist()
         for i in dict.fromkeys(retained):
             c = int(candidates[i])

@@ -13,7 +13,7 @@ from .aggregate import (
     ScoreVector,
     optimize,
 )
-from .baseline import DEFAULT_MAX_ITER, DEFAULT_TOL as BASELINE_TOL, BaselineRanking, baseline_rank
+from .baseline import BaselineRanking, baseline_rank
 from .expansion import (
     DEFAULT_CONCEPTS_TOP_K,
     DEFAULT_DELTA,
@@ -44,8 +44,6 @@ class PipelineConfig:
     beta: float = DEFAULT_BETA
     concepts_top_k: int = DEFAULT_CONCEPTS_TOP_K
     opt_tol: float = DEFAULT_TOL
-    baseline_max_iter: int = DEFAULT_MAX_ITER
-    baseline_tol: float = BASELINE_TOL
     seed: int = 0
     head: Optional[str] = None
 
@@ -116,12 +114,7 @@ def run_query(
     query = parse(raw_query, config.head)
     decomposition = decompose(query, taxonomy)
     subsets = enumerate_subsets(taxonomy, decomposition.short_concepts)
-    ranking_b = baseline_rank(
-        taxonomy,
-        decomposition.short_concepts,
-        max_iter=config.baseline_max_iter,
-        tol=config.baseline_tol,
-    )
+    ranking_b = baseline_rank(taxonomy, decomposition.short_concepts)
     expansion = expand(
         taxonomy,
         decomposition.short_concepts,

@@ -258,6 +258,12 @@ def _name_ranks(names: list[str]) -> np.ndarray:
     return _frozen(ranks)
 
 
+def name_order(rank: np.ndarray, ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Positions of ``ids`` by descending score, ties by name ``rank``
+    (``Taxonomy.concept_rank`` or ``Taxonomy.entity_rank``)."""
+    return np.lexsort((rank[ids], -scores))
+
+
 def _named_row(csr: Csr, i: int | None, names: list[str]) -> Mapping[str, int]:
     if i is None:
         return MappingProxyType({})

@@ -114,7 +114,7 @@ def test_criterion_2_baseline_matches_eigen_oracle():
         if np.any(gaps < 1e-7):
             continue
 
-        rb = baseline_rank(t, concepts, max_iter=500, tol=1e-12)
+        rb = baseline_rank(t, concepts)
         oracle_order = sorted(
             candidates, key=lambda e: (-principal[candidates.index(e)], e)
         )

@@ -3,20 +3,19 @@ import random
 import pytest
 
 from conceptq.expansion import (
+    ConceptRelevance,
     ExpansionModel,
     PairwiseConstraint,
     SeedTier,
     build_pairwise_constraints,
     entity_relevance,
     expand,
-    expand_concepts,
     g_penalty,
     generate_seed_tiers,
-    rank_entities,
     rel_naive_bayes,
     rel_noisy_or,
 )
-from conceptq.query import enumerate_subsets
+from conceptq.query import SubsetIntersection, enumerate_subsets
 from conceptq.taxonomy import ingest
 
 from helpers import oracle_rel_naive_bayes, oracle_rel_noisy_or, random_taxonomy
@@ -193,45 +192,43 @@ class TestRelevanceScores:
 class TestExpandConcepts:
     def test_penalized_concept_ranks_below(self, f1):
         model = ExpansionModel(kind="noisy_or", leak=0.0, delta=0.5)
-        top2 = expand_concepts(f1, ["a", "b"], F1_PAIR, model, top_k=2)
-        assert top2[0].concept == "ivy league"
-        assert "famous university" not in [c.concept for c in top2]
+        result = expand(f1, F1_PAIR, enumerate_subsets(f1, F1_PAIR), model, top_k=2)
+        names = [c.concept for c in result.concepts]
+        assert names[0] == "ivy league"
+        assert "famous university" not in names
 
     def test_single_shared_concept_is_rank_one(self, f1):
         model = ExpansionModel()
-        ranked = expand_concepts(f1, ["x"], F1_PAIR, model, top_k=5)
-        assert ranked[0].concept == "famous university"
+        seeded_by_x = [SubsetIntersection(frozenset(F1_PAIR), frozenset({"x"}), size=2)]
+        result = expand(f1, F1_PAIR, seeded_by_x, model, top_k=5)
+        assert result.concepts[0].concept == "famous university"
 
     def test_top_k_larger_than_candidates(self, f1):
         model = ExpansionModel()
-        ranked = expand_concepts(f1, ["a"], F1_PAIR, model, top_k=50)
-        assert len(ranked) == 4
+        seeded_by_a = [SubsetIntersection(frozenset(F1_PAIR), frozenset({"a"}), size=2)]
+        result = expand(f1, F1_PAIR, seeded_by_a, model, top_k=50)
+        assert len(result.concepts) == 4
 
     def test_scores_descending_with_lexicographic_ties(self, f1):
         model = ExpansionModel(kind="noisy_or", leak=0.0, delta=0.5)
-        ranked = expand_concepts(f1, ["a", "b"], F1_PAIR, model, top_k=10)
+        result = expand(f1, F1_PAIR, enumerate_subsets(f1, F1_PAIR), model, top_k=10)
         # the two query concepts tie exactly by symmetry of F1
-        keys = [(-c.score, c.concept) for c in ranked]
+        keys = [(-c.score, c.concept) for c in result.concepts]
+        assert keys[1][0] == keys[2][0]
         assert keys == sorted(keys)
 
 
 class TestRankEntities:
     def test_single_concept_tie_breaks_lexicographically(self, f1):
-        from conceptq.expansion import ConceptRelevance
-
         concepts = [ConceptRelevance(concept="ivy league", score=2.0)]
-        assert rank_entities(f1, concepts) == ["a", "b"]
+        assert list(entity_relevance(f1, concepts)) == ["a", "b"]
 
     def test_uncovered_entities_excluded(self, f1):
-        from conceptq.expansion import ConceptRelevance
-
         concepts = [ConceptRelevance(concept="ivy league", score=2.0)]
         scores = entity_relevance(f1, concepts)
         assert set(scores) == {"a", "b"}
 
     def test_scaling_scores_leaves_ordering_unchanged(self, f1):
-        from conceptq.expansion import ConceptRelevance
-
         base = [
             ConceptRelevance(concept="ivy league", score=1.5),
             ConceptRelevance(concept="top university", score=0.7),
@@ -239,11 +236,12 @@ class TestRankEntities:
         doubled = [
             ConceptRelevance(concept=c.concept, score=2 * c.score) for c in base
         ]
-        assert rank_entities(f1, base) == rank_entities(f1, doubled)
+        assert list(entity_relevance(f1, base)) == list(entity_relevance(f1, doubled))
 
     def test_empty_concepts_rejected(self, f1):
+        # no seed set to expand from
         with pytest.raises(ValueError):
-            rank_entities(f1, [])
+            expand(f1, F1_PAIR, [], ExpansionModel())
 
 
 class TestSeedTiers:

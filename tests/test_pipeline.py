@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conceptq.baseline import baseline_rank
 from conceptq.errors import UnanswerableQueryError
 from conceptq.evaluation import planted_instance
 from conceptq.pipeline import PipelineConfig, run_query
@@ -121,3 +123,46 @@ class TestRowOrderInvariance:
         two = run_query(ingest(shuffled), inst.query, config)
         assert one.ranking == two.ranking
         assert one.expansion.concepts == two.expansion.concepts
+
+
+def symmetric_taxonomy():
+    """Six short concepts "m<i> h", each holding the same six answers plus
+    two noise entities of its own: every answer ties every other answer, and
+    every noise entity every other noise entity, by symmetry."""
+    rows = [(f"m{i} h", f"answer{j}", 1) for i in range(6) for j in range(6)]
+    rows += [(f"m{i} h", f"noise{i}{j}", 1) for i in range(6) for j in range(2)]
+    return ingest(rows)
+
+
+class TestModifierOrderInvariance:
+    @given(
+        instance_seed=st.integers(0, 20),
+        n_modifiers=st.integers(2, 6),
+        kind=st.sampled_from(["noisy_or", "naive_bayes"]),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_permuting_modifiers_leaves_ranking_unchanged(
+        self, instance_seed, n_modifiers, kind, data
+    ):
+        inst = planted_instance(n_modifiers=n_modifiers, seed=instance_seed)
+        t = ingest(inst.records)
+        modifiers = data.draw(st.permutations(inst.modifiers))
+        config = PipelineConfig(model_kind=kind)
+        one = run_query(t, inst.query, config)
+        two = run_query(t, " ".join([*modifiers, inst.head]), config)
+        assert one.ranking == two.ranking
+
+    @given(modifiers=st.permutations([f"m{i}" for i in range(6)]))
+    @settings(max_examples=30, deadline=None)
+    def test_symmetric_fixture_ranking_ignores_modifier_order(self, modifiers):
+        t = symmetric_taxonomy()
+        reference = run_query(t, "m0 m1 m2 m3 m4 m5 h")
+        assert run_query(t, " ".join([*modifiers, "h"])).ranking == reference.ranking
+
+    def test_symmetric_fixture_baseline_ignores_concept_order(self):
+        t = symmetric_taxonomy()
+        concepts = [f"m{i} h" for i in range(6)]
+        answers_first = sorted(t.entities, key=lambda e: (not e.startswith("answer"), e))
+        for perm in itertools.permutations(concepts):
+            assert baseline_rank(t, perm).ordering == answers_first
