@@ -27,15 +27,26 @@ goes to +-inf, so F has a finite maximizer. Orderings and singleton
 constraints are concave, so without set-vs-set constraints F is strictly
 concave and the maximizer is unique.
 
-The solver is damped Newton. Each direction comes from conjugate gradients
-on exact Hessian-vector products, preconditioned by the Hessian's diagonal
-and stopped early on negative curvature (set-vs-set constraints are not
-log-concave). A product costs O(n): an ordering's curvature is a suffix sum
-and a prefix sum, a constraint's is a diagonal plus per-side rank-one terms,
-and the prior's is diagonal. No n x n array is ever formed. Armijo
-backtracking accepts only finite steps that raise F; a gain too small to
-survive rounding in F is measured by the trapezoid rule on the directional
-derivatives instead. The solve stops when max |grad F| < tol, and reports
+The solver is damped Newton, with two ways to get a direction:
+
+- Universes of at most DENSE_NEWTON_MAX_N entities assemble -Hessian F as
+  one n x n array (one bincount over cell indices fixed when the terms are
+  built) and take the exact Newton step from numpy.linalg once a Cholesky
+  factorization shows the matrix positive definite. There an O(n^3) solve
+  costs less than the ~20 numpy-bound CG products it replaces.
+- Larger universes, and small ones whose Hessian is indefinite, use
+  conjugate gradients on exact Hessian-vector products, preconditioned by
+  the Hessian's diagonal and stopped early on negative curvature. Only
+  set-vs-set constraints make F non-concave; on the generated benchmark
+  queries that shows only at the first step, s = 0. A product costs O(n): an ordering's curvature
+  is a suffix sum and a prefix sum, a constraint's is a diagonal plus
+  per-side rank-one terms, and the prior's is diagonal. No n x n array is
+  formed on this path, so a universe of 10^4 entities stays within a few
+  MB where its dense Hessian would take a GB.
+
+Armijo backtracking accepts only finite steps that raise F; a gain too
+small to survive rounding in F is measured by the trapezoid rule on the
+directional derivatives instead. The solve stops when max |grad F| < tol, and reports
 ``converged=False`` when it hits MAX_NEWTON_STEPS or cannot raise F any
 further first. The reported scores are re-centered to mean zero.
 
@@ -60,6 +71,13 @@ DEFAULT_TOL = 1e-8
 PRIOR_SHAPE = 0.01  # a: the prior's pull towards larger scores
 PRIOR_RATE = 0.01  # b: the prior's pull towards smaller scores
 MAX_NEWTON_STEPS = 100
+# Largest universe whose Newton directions come from one dense Cholesky
+# factorization instead of CG. Measured on synthetic queries (one ordering of
+# n/2 and one of 0.9 n entities, one or two 6-vs-12..30 constraints), one
+# BLAS thread on a 2-vCPU x86 VM, ms per optimize dense vs CG: n = 100
+# 5.7 vs 8.7, 110 7.2 vs 9.0, 120 9.7 vs 9.9, 128 9.8 vs 9.7, 140 11.5 vs
+# 9.2, 250 41 vs 13. The dense cost grows as n^3, CG's about as n.
+DENSE_NEWTON_MAX_N = 120
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-30
 _RESOLUTION = 1e-10  # relative size of an F gain lost in rounding
@@ -140,6 +158,22 @@ class _Terms:
         # in this order; _scatter sums them per entity.
         groups = [idx for idx, _ in self.lists] + [side for con in self.cons for side in con]
         self.slots = np.concatenate([np.empty(0, dtype=np.intp), *groups])
+        # hessian() produces one value per (term, cell) of the n x n matrix, in
+        # this order: per ordering its block and its diagonal, per constraint
+        # the blocks and diagonals of both sides together and of the higher
+        # side. Only universes small enough for the dense path keep them.
+        self.cells = self.stages = None
+        if self.n <= DENSE_NEWTON_MAX_N:
+            cells, self.stages = [], []
+            for idx, _ in self.lists:
+                cells += [_block(idx, self.n), idx * (self.n + 1)]
+                order = np.arange(idx.size)
+                self.stages.append(np.minimum.outer(order, order).ravel())
+            for hi, lo in self.cons:
+                both = np.concatenate((hi, lo))
+                cells += [_block(both, self.n), _block(hi, self.n)]
+                cells += [both * (self.n + 1), hi * (self.n + 1)]
+            self.cells = np.concatenate([np.empty(0, dtype=np.intp), *cells])
 
     def _scatter(self, parts: list[np.ndarray]) -> np.ndarray:
         return np.bincount(self.slots, np.concatenate([np.empty(0), *parts]), minlength=self.n)
@@ -200,6 +234,38 @@ class _Terms:
             return self._scatter(parts)
 
         return self._scatter(parts), apply
+
+    def hessian(self, s: np.ndarray) -> np.ndarray:
+        """-Hessian of the likelihood at ``s`` as one n x n array.
+
+        Only for universes of at most DENSE_NEWTON_MAX_N entities, the ones
+        whose cell indices ``__init__`` keeps.
+        """
+        parts = []
+        for (idx, weight), stage in zip(self.lists, self.stages):
+            so = s[idx]
+            logz = _log_suffix_sums(so)[:-1]
+            # sum_{k <= min(a, b)} pi_k(a) pi_k(b); every exponent is at most log n
+            shared = np.exp(np.add.outer(so, so).ravel() + _stage_lse(-2.0 * logz)[stage])
+            parts += [-weight * shared, weight * np.exp(so + _stage_lse(-logz))]
+        for hi, lo in self.cons:
+            sx = s[hi]
+            su = np.concatenate((sx, s[lo]))
+            rho, pi_x = np.exp(su - _lse(su)), np.exp(sx - _lse(sx))
+            # (diag rho - rho rho^T) over both sides minus (diag pi - pi pi^T) over X
+            parts += [
+                -self.beta * np.outer(rho, rho).ravel(),
+                self.beta * np.outer(pi_x, pi_x).ravel(),
+                self.beta * rho,
+                -self.beta * pi_x,
+            ]
+        values = np.concatenate([np.empty(0), *parts])
+        return np.bincount(self.cells, values, minlength=self.n * self.n).reshape(self.n, self.n)
+
+
+def _block(idx: np.ndarray, n: int) -> np.ndarray:
+    """Flat indices of the cells idx x idx of an n x n matrix, row-major."""
+    return np.add.outer(idx * n, idx).ravel()
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -317,7 +383,8 @@ def _posterior_gradient(terms: _Terms, s: np.ndarray) -> np.ndarray:
 
 
 def _newton_direction(terms: _Terms, s: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Approximately solve (-Hessian F) d = g by preconditioned CG.
+    """Solve (-Hessian F) d = g: exactly when the universe is small and the
+    matrix positive definite, else approximately by preconditioned CG.
 
     CG stops once the residual's preconditioned norm has shrunk by
     eta = min(0.5, sqrt |g|) (Eisenstat-Walker), which keeps early steps
@@ -325,8 +392,17 @@ def _newton_direction(terms: _Terms, s: np.ndarray, g: np.ndarray) -> np.ndarray
     it returns the direction built so far, or the preconditioned gradient if
     it has none.
     """
-    diag, apply_likelihood = terms.curvature(s)
     prior = PRIOR_RATE * np.exp(s)
+    if terms.n <= DENSE_NEWTON_MAX_N:
+        hessian = terms.hessian(s)
+        hessian.flat[:: terms.n + 1] += prior
+        try:
+            np.linalg.cholesky(hessian)
+        except np.linalg.LinAlgError:
+            pass  # indefinite: CG below stops on the negative curvature
+        else:
+            return np.linalg.solve(hessian, g)
+    diag, apply_likelihood = terms.curvature(s)
     precond = 1.0 / np.maximum(diag + prior, prior)
     d = np.zeros_like(g)
     r = g.copy()

@@ -2,12 +2,14 @@ import math
 import random
 import time
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conceptq import aggregate
 from conceptq.aggregate import (
     DEFAULT_TOL,
     ObjectiveWeights,
@@ -296,24 +298,65 @@ def terms_of(r_b, r_c, r_p, weights):
     return names, _Terms({e: i for i, e in enumerate(names)}, r_b, r_c, r_p, weights)
 
 
-class TestNewtonSolve:
-    @given(aggregation_instances())
+@contextmanager
+def direction_path(path):
+    """Newton directions from the dense solve where it applies ("dense", the
+    default) or from CG only ("cg")."""
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "cg":
+            mp.setattr(aggregate, "DENSE_NEWTON_MAX_N", 0)
+        yield
+
+
+both_direction_paths = pytest.mark.parametrize("path", ["dense", "cg"])
+
+
+class TestHessian:
+    @given(
+        aggregation_instances(max_n=10),
+        st.lists(st.floats(-5.0, 5.0), min_size=20, max_size=20),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_converges_below_tol(self, instance):
+    def test_dense_hessian_matches_curvature_and_finite_differences(self, instance, values):
+        names, terms = terms_of(*instance)
+        n = len(names)
+        s, v = np.array(values[:n]), np.array(values[10 : 10 + n])
+        hessian = terms.hessian(s)
+        assert hessian.shape == (n, n)
+        assert np.array_equal(hessian, hessian.T)
+        diag, apply = terms.curvature(s)
+        np.testing.assert_allclose(np.diag(hessian), diag, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(hessian @ v, apply(v), rtol=1e-9, atol=1e-11)
+        # hessian() is -(d/ds) gradient, column by column
+        h = 1e-5
+        for i in range(n):
+            step = np.zeros(n)
+            step[i] = h
+            fd = (terms.gradient(s + step) - terms.gradient(s - step)) / (2 * h)
+            np.testing.assert_allclose(hessian[:, i], -fd, rtol=1e-4, atol=1e-7)
+
+
+class TestNewtonSolve:
+    @both_direction_paths
+    @given(instance=aggregation_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_converges_below_tol(self, path, instance):
         r_b, r_c, r_p, weights = instance
-        sv, _ = optimize(r_b, r_c, r_p, weights)
+        with direction_path(path):
+            sv, _ = optimize(r_b, r_c, r_p, weights)
+            names, terms = terms_of(r_b, r_c, r_p, weights)
+            s, steps, converged = _maximize(terms, DEFAULT_TOL)
         assert sv.converged
         # the reported scores are the MAP point re-centred to mean zero
-        names, terms = terms_of(r_b, r_c, r_p, weights)
-        s, steps, converged = _maximize(terms, DEFAULT_TOL)
         assert converged and steps == sv.iterations
         assert np.max(np.abs(_posterior_gradient(terms, s))) < DEFAULT_TOL
         for e, value in zip(names, s - s.mean()):
             assert sv.scores[e] == value
 
-    @given(aggregation_instances(), st.randoms(use_true_random=False))
+    @both_direction_paths
+    @given(instance=aggregation_instances(), rnd=st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
-    def test_renaming_entities_renames_scores(self, instance, rnd):
+    def test_renaming_entities_renames_scores(self, path, instance, rnd):
         r_b, r_c, r_p, weights = instance
         names, _ = terms_of(r_b, r_c, r_p, weights)
         targets = [f"x{i}" for i in range(len(names))]
@@ -327,8 +370,9 @@ class TestNewtonSolve:
                 for c in r_p
             ],
         )
-        sv, _ = optimize(r_b, r_c, r_p, weights)
-        sv_renamed, _ = optimize(*renamed, weights)
+        with direction_path(path):
+            sv, _ = optimize(r_b, r_c, r_p, weights)
+            sv_renamed, _ = optimize(*renamed, weights)
         for e in names:
             assert sv_renamed.scores[rename[e]] == pytest.approx(sv.scores[e], abs=1e-7)
 
@@ -364,6 +408,15 @@ class TestNewtonSolve:
         assert sv.converged
         assert ordering == names
         assert max(sv.scores.values()) - min(sv.scores.values()) > 300
+
+    def test_dense_path_with_wide_score_span_reproduces_r_b(self):
+        # the largest universe that takes dense Newton steps; its MAP scores
+        # span over a hundred units, so its Hessian entries span ~e^300
+        names = [f"e{i:04d}" for i in range(aggregate.DENSE_NEWTON_MAX_N)]
+        sv, ordering = optimize(names, [], [], ObjectiveWeights(alpha=0.0, beta=0.0))
+        assert sv.converged
+        assert ordering == names
+        assert max(sv.scores.values()) - min(sv.scores.values()) > 100
 
     def test_twelve_thousand_entities_fast_and_small(self):
         rng = np.random.default_rng(12)
