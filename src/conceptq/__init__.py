@@ -55,9 +55,10 @@ from .pipeline import PipelineConfig, QueryResult, RankedEntity, run_query
 from .query import (
     Decomposition,
     LongConceptQuery,
-    SubsetIntersection,
+    Membership,
+    MembershipPattern,
     decompose,
-    enumerate_subsets,
+    membership,
     parse,
 )
 from .taxonomy import (

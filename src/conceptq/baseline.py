@@ -17,7 +17,8 @@ uniform concept weights.
 That limit is solved exactly rather than iterated. Started from the all-ones
 concept vector, the rescaled recursion converges to A^T v, where v is the
 projection of the all-ones vector onto the top eigenspace of the k x k
-matrix A A^T (k <= 20). When the concept graph is connected that eigenspace
+matrix A A^T. A is the query's :class:`~conceptq.query.Membership` matrix,
+read once per query and shared with expansion. When the concept graph is connected that eigenspace
 is one Perron vector and A^T v is the principal eigenvector of A^T A; when
 it is disconnected, components sharing the largest eigenvalue keep their
 share of the start and every other component decays to 0. Eigenvalues
@@ -32,11 +33,12 @@ concepts; the ordering is descending weight with ties by entity name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import NoCandidateEntitiesError
+from .query import Membership
 from .taxonomy import Taxonomy, name_order
 
 REPEATED_EIGENVALUE_RTOL = 1e-9
@@ -61,26 +63,18 @@ class BaselineRanking:
     iterations_run: ClassVar[int] = 1
 
 
-def baseline_rank(taxonomy: Taxonomy, short_concepts: Sequence[str]) -> BaselineRanking:
+def baseline_rank(taxonomy: Taxonomy, members: Membership) -> BaselineRanking:
     """Rank the entity union of the short concepts by their fixed-point scores.
 
     Candidates are exactly the entities related to at least one short
-    concept; anything else scores zero by construction and is omitted. A
-    short concept missing from the taxonomy contains no entity.
+    concept, the columns of ``members``; anything else scores zero by
+    construction and is omitted. A short concept missing from the taxonomy
+    contains no entity.
     """
-    if not short_concepts:
-        raise ValueError("short concept set is empty")
-
-    concepts = list(dict.fromkeys(short_concepts))
-    ids = [taxonomy.concept_id(c) for c in concepts]
-    known = [i for i, cid in enumerate(ids) if cid is not None]
-    owner, entities, _ = taxonomy.by_concept.rows(np.array([ids[i] for i in known], dtype=np.int64))
-    candidates = np.unique(entities)
+    candidates = members.ids
     if not len(candidates):
         raise NoCandidateEntitiesError("no candidate entities")
-
-    membership = np.zeros((len(concepts), len(candidates)))
-    membership[np.array(known, dtype=np.int64)[owner], np.searchsorted(candidates, entities)] = 1.0
+    membership = members.matrix
 
     eigvals, eigvecs = np.linalg.eigh(membership @ membership.T)
     top = eigvecs[:, eigvals >= eigvals[-1] * (1.0 - REPEATED_EIGENVALUE_RTOL)]
@@ -97,7 +91,7 @@ def baseline_rank(taxonomy: Taxonomy, short_concepts: Sequence[str]) -> Baseline
     order = name_order(taxonomy.entity_rank, candidates, w_entities).tolist()
     return BaselineRanking(
         entity_scores={names[i]: sigma_e[i] for i in by_name},
-        concept_scores=dict(zip(concepts, sigma_c)),
+        concept_scores=dict(zip(members.concepts, sigma_c)),
         entity_weights={names[i]: float(w_entities[i]) for i in by_name},
         ordering=[names[i] for i in order],
     )

@@ -71,8 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="expanded concepts kept per seed set")
     common.add_argument("--tol", type=float, default=PipelineConfig.opt_tol,
                         help="gradient bound: aggregation stops once max |grad F| is below it")
-    common.add_argument("--seed", type=int, default=PipelineConfig.seed,
-                        help="random seed for hold-out removal")
     common.add_argument("--format", choices=["text", "json"], default="text",
                         help="output format")
 
@@ -94,6 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated list of cutoffs (default: 10)")
     evalp.add_argument("--holdout", type=float, default=None, metavar="FRACTION",
                        help="run the hold-out experiment instead of truth scoring")
+    evalp.add_argument("--seed", type=int, default=0,
+                       help="random seed for hold-out removal")
 
     validate = sub.add_parser("validate", help="ingest a taxonomy and print statistics")
     validate.add_argument("taxonomy")
@@ -112,7 +112,6 @@ def _config_from_args(args) -> PipelineConfig:
         beta=args.beta,
         concepts_top_k=args.concepts_top_k,
         opt_tol=args.tol,
-        seed=args.seed,
         head=getattr(args, "head", None),
     )
     # force range validation before any file is touched
@@ -223,7 +222,7 @@ def cmd_eval(args) -> int:
     queries = _read_queries(args.queries)
     echo = _config_echo(
         args, config, queries=args.queries, truth=args.truth,
-        k=",".join(map(str, ks)), holdout=args.holdout,
+        k=",".join(map(str, ks)), holdout=args.holdout, seed=args.seed,
     )
 
     per_query = []
@@ -231,7 +230,7 @@ def cmd_eval(args) -> int:
         for query in queries:
             try:
                 report = holdout_experiment(
-                    taxonomy, query, args.holdout, config.seed, ks, config
+                    taxonomy, query, args.holdout, args.seed, ks, config
                 )
             except EngineError as exc:
                 print(f"warning: {query!r} skipped: {exc}", file=sys.stderr)

@@ -1,10 +1,11 @@
 """Instance-based concept expansion, entity reordering, and seed constraints.
 
-Given seed entities (an intersection of the query's short concepts), every
-concept covering at least one seed is scored for how likely it is to be a
-related concept of the whole query. Two relevance models are available, both
-divided by a penalty g(c) that punishes concepts reaching outside the
-query's entity union E_u = union of e(c) over the short concepts:
+Given seed entities (an intersection of the query's short concepts, read off
+their membership patterns; see :mod:`conceptq.query`), every concept covering
+at least one seed is scored for how likely it is to be a related concept of
+the whole query. Two relevance models are available, both divided by a
+penalty g(c) that punishes concepts reaching outside the query's entity
+union E_u = union of e(c) over the short concepts:
 
   naive bayes   rel(c) = P(c) * prod_{e in seeds} (g_ * P(e|c) + (1-g_) * P(e)) / g(c)
   noisy-or      rel(c) = (1 - (1-leak) * prod_{e in seeds} (1 - P(c|e))) / g(c)
@@ -32,9 +33,10 @@ edges of seeds and E_u, never with the candidate concepts' own rows:
 
 Ties are broken by name, through the taxonomy's precomputed name ranks.
 
-Separately, the subset intersections yield tiers of seed entities (grouped
-by the largest subset supporting them) and pairwise ordering constraints
-"higher tier beats lower tier" that the rank aggregation consumes.
+Separately, the membership patterns yield tiers of seed entities (grouped
+by pattern size, which is the size of the largest subset supporting them)
+and pairwise ordering constraints "higher tier beats lower tier" that the
+rank aggregation consumes.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .query import SubsetIntersection
+from .query import Membership, MembershipPattern, membership
 from .taxonomy import Taxonomy, name_order, normalize
 
 DEFAULT_GAMMA = 0.5
@@ -78,11 +80,10 @@ class ExpansionModel:
 
 @dataclass(frozen=True)
 class ConceptRelevance:
-    """A scored expanded concept and the seed subset that produced it."""
+    """A scored expanded concept."""
 
     concept: str
     score: float
-    source_subset: frozenset[str] | None = None
 
 
 @dataclass(frozen=True)
@@ -142,10 +143,8 @@ def _seed_ids(taxonomy: Taxonomy, seeds: Iterable[str]) -> np.ndarray:
     return np.array(ids, dtype=np.int64)
 
 
-def _inside(taxonomy: Taxonomy, short_concepts: Iterable[str]) -> np.ndarray:
-    """I(c) = sum of n(c, e) + 1 over the entities e of E_u, for every concept."""
-    ids = [i for i in map(taxonomy.concept_id, short_concepts) if i is not None]
-    e_union = np.unique(taxonomy.by_concept.rows(np.array(ids, dtype=np.int64))[1])
+def _inside(taxonomy: Taxonomy, e_union: np.ndarray) -> np.ndarray:
+    """I(c) = sum of n(c, e) + 1 over the entity ids e of E_u, for every concept."""
     _, concepts, counts = taxonomy.by_entity.rows(e_union)
     inside = np.zeros(len(taxonomy.concept_names), dtype=np.int64)
     np.add.at(inside, concepts, counts + 1)
@@ -209,7 +208,7 @@ def _one_concept(
     model: ExpansionModel,
 ) -> float:
     target = np.array([_known_concept(taxonomy, concept)])
-    inside = _inside(taxonomy, short_concepts)
+    inside = _inside(taxonomy, membership(taxonomy, short_concepts).ids)
     return float(_relevance(taxonomy, _seed_ids(taxonomy, seeds), target, inside, model)[0])
 
 
@@ -218,7 +217,8 @@ def g_penalty(
 ) -> float:
     """Over-generality penalty of ``concept`` against the query's entity union."""
     target = np.array([_known_concept(taxonomy, concept)])
-    return float(_penalty(taxonomy, target, _inside(taxonomy, short_concepts), delta)[0])
+    inside = _inside(taxonomy, membership(taxonomy, short_concepts).ids)
+    return float(_penalty(taxonomy, target, inside, delta)[0])
 
 
 def rel_naive_bayes(
@@ -273,20 +273,15 @@ def entity_relevance(
 # -- seed tiers and constraints -------------------------------------------
 
 
-def generate_seed_tiers(subsets: Sequence[SubsetIntersection]) -> list[SeedTier]:
-    """Group seed entities by the largest subset size in which they appear.
+def generate_seed_tiers(patterns: Sequence[MembershipPattern]) -> list[SeedTier]:
+    """Group seed entities by the size of their membership pattern.
 
-    Assigning each entity only to its maximum tier keeps the tiers disjoint,
-    so the induced constraints can never demand an entity outrank itself.
+    An entity has one pattern, so the tiers are disjoint and the induced
+    constraints can never demand an entity outrank itself.
     """
-    best_size: dict[str, int] = {}
-    for si in subsets:
-        for entity in si.entities:
-            if si.size > best_size.get(entity, 0):
-                best_size[entity] = si.size
     tiers: dict[int, set[str]] = {}
-    for entity, size in best_size.items():
-        tiers.setdefault(size, set()).add(entity)
+    for pattern in patterns:
+        tiers.setdefault(pattern.size, set()).update(pattern.entities)
     return [
         SeedTier(size=size, entities=frozenset(tiers[size]))
         for size in sorted(tiers, reverse=True)
@@ -308,16 +303,15 @@ def build_pairwise_constraints(
 
 def expand(
     taxonomy: Taxonomy,
-    short_concepts: Sequence[str],
-    subsets: Sequence[SubsetIntersection],
+    members: Membership,
     model: ExpansionModel,
     top_k: int = DEFAULT_CONCEPTS_TOP_K,
 ) -> ExpansionResult:
     """Run the whole expansion stage for one query.
 
-    When the full intersection is non-empty it is the single seed set.
-    Otherwise every maximal-cardinality subset with a non-empty intersection
-    is expanded independently and the retained concepts are pooled, summing
+    The seed runs are ``members.seed_runs()``: the full intersection when it
+    is non-empty, else the intersection of every largest subset whose
+    intersection is non-empty, each expanded independently. The retained concepts are pooled, summing
     the scores of concepts found by several runs.
 
     The query's own short concepts are always added to the retained pool
@@ -326,24 +320,13 @@ def expand(
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    concepts_q = list(dict.fromkeys(short_concepts))
-    n = len(concepts_q)
-    query_ids = np.array([_known_concept(taxonomy, c) for c in concepts_q], dtype=np.int64)
-    inside = _inside(taxonomy, concepts_q)
-
-    full = [si for si in subsets if si.size == n]
-    if full:
-        runs = [(frozenset(concepts_q), full[0].entities)]
-    else:
-        if not subsets:
-            raise ValueError("no non-empty subset intersections to seed from")
-        best = max(si.size for si in subsets)
-        runs = [(si.subset, si.entities) for si in subsets if si.size == best]
+    query_ids = np.array([_known_concept(taxonomy, c) for c in members.concepts], dtype=np.int64)
+    inside = _inside(taxonomy, members.ids)
+    runs = [pattern.entities for pattern in members.seed_runs()]
 
     pooled: dict[int, float] = {}
-    sources: dict[int, frozenset[str]] = {}
     run_seeds = []
-    for source, seeds in runs:
+    for seeds in runs:
         seed_ids = _seed_ids(taxonomy, seeds)
         run_seeds.append(seed_ids)
         candidates = _candidates(taxonomy, seed_ids)
@@ -353,7 +336,6 @@ def expand(
         for i in dict.fromkeys(retained):
             c = int(candidates[i])
             pooled[c] = pooled.get(c, 0.0) + float(scores[i])
-            sources.setdefault(c, source)
     # Short concepts that were candidates in no run still get a model score
     # against each run's seeds (the noisy-or leak keeps it meaningful).
     unseen = sorted(set(query_ids.tolist()) - pooled.keys())
@@ -362,24 +344,18 @@ def expand(
         total = np.zeros(len(targets))
         for seed_ids in run_seeds:
             total += _relevance(taxonomy, seed_ids, targets, inside, model)
-        for c, score in zip(unseen, total.tolist()):
-            pooled[c] = score
-            sources[c] = frozenset(concepts_q)
+        pooled.update(zip(unseen, total.tolist()))
 
     concepts = [
-        ConceptRelevance(
-            concept=taxonomy.concept_names[c], score=pooled[c], source_subset=sources[c]
-        )
+        ConceptRelevance(concept=taxonomy.concept_names[c], score=pooled[c])
         for c in sorted(pooled, key=lambda c: (-pooled[c], taxonomy.concept_rank[c]))
     ]
     entity_scores = entity_relevance(taxonomy, concepts)
-    tiers = generate_seed_tiers(subsets)
-    r_p = build_pairwise_constraints(tiers)
-    seed_entities = frozenset().union(*(seeds for _, seeds in runs))
+    r_p = build_pairwise_constraints(generate_seed_tiers(members.patterns))
     return ExpansionResult(
         concepts=concepts,
         r_c=list(entity_scores),
         r_p=r_p,
-        seed_entities=seed_entities,
+        seed_entities=frozenset().union(*runs),
         entity_scores=entity_scores,
     )

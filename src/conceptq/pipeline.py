@@ -24,8 +24,8 @@ from .expansion import (
     ExpansionResult,
     expand,
 )
-from .query import Decomposition, LongConceptQuery, SubsetIntersection, decompose, enumerate_subsets, parse
-from .taxonomy import Taxonomy, entity_union
+from .query import Decomposition, LongConceptQuery, MembershipPattern, decompose, membership, parse
+from .taxonomy import Taxonomy
 
 PROVENANCE_SEED = "seed"
 PROVENANCE_EXPANDED = "expanded"
@@ -44,7 +44,6 @@ class PipelineConfig:
     beta: float = DEFAULT_BETA
     concepts_top_k: int = DEFAULT_CONCEPTS_TOP_K
     opt_tol: float = DEFAULT_TOL
-    seed: int = 0
     head: Optional[str] = None
 
     def expansion_model(self) -> ExpansionModel:
@@ -67,7 +66,6 @@ class PipelineConfig:
             "beta": self.beta,
             "concepts_top_k": self.concepts_top_k,
             "tol": self.opt_tol,
-            "seed": self.seed,
             **extra,
         }
 
@@ -85,7 +83,7 @@ class QueryResult:
 
     query: LongConceptQuery
     decomposition: Decomposition
-    subsets: list[SubsetIntersection]
+    subsets: list[MembershipPattern]
     baseline: BaselineRanking
     expansion: ExpansionResult
     scores: ScoreVector
@@ -113,14 +111,10 @@ def run_query(
     config = config or PipelineConfig()
     query = parse(raw_query, config.head)
     decomposition = decompose(query, taxonomy)
-    subsets = enumerate_subsets(taxonomy, decomposition.short_concepts)
-    ranking_b = baseline_rank(taxonomy, decomposition.short_concepts)
+    members = membership(taxonomy, decomposition.short_concepts)
+    ranking_b = baseline_rank(taxonomy, members)
     expansion = expand(
-        taxonomy,
-        decomposition.short_concepts,
-        subsets,
-        config.expansion_model(),
-        top_k=config.concepts_top_k,
+        taxonomy, members, config.expansion_model(), top_k=config.concepts_top_k
     )
     scores, ordering = optimize(
         ranking_b.ordering,
@@ -130,7 +124,7 @@ def run_query(
         tol=config.opt_tol,
     )
 
-    e_union = entity_union(taxonomy, decomposition.short_concepts)
+    e_union = members.entity_union
     ranking = []
     for entity in ordering:
         if entity in expansion.seed_entities:
@@ -146,7 +140,7 @@ def run_query(
     return QueryResult(
         query=query,
         decomposition=decomposition,
-        subsets=subsets,
+        subsets=members.patterns,
         baseline=ranking_b,
         expansion=expansion,
         scores=scores,

@@ -1,26 +1,33 @@
-"""Query parsing, decomposition into short concepts, and subset enumeration.
+"""Query parsing, decomposition into short concepts, and membership patterns.
 
 A long concept query names one head noun qualified by several modifiers
 ("top american private university"). The engine rewrites it into short
 concepts, one per modifier ("top university", "american university",
-"private university"), and works with the entity sets of those concepts and
-of every non-empty intersection among them.
+"private university"), and reads which of them contain each entity of their
+union E_u: one k x |E_u| membership matrix per query.
+
+The distinct columns of that matrix are the entities' membership patterns.
+An entity's pattern is the largest subset of the short concepts whose
+intersection holds it, so the patterns of largest size are the largest
+subsets with a non-empty intersection (the full set when its intersection
+is not empty), and the entities with exactly such a pattern are that
+subset's intersection.
+These are the closed itemsets of formal concept analysis; finding them needs
+one pass over E_u instead of all 2^k subsets.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Sequence
+from typing import Iterable
+
+import numpy as np
 
 from .errors import QueryParseError, UnanswerableQueryError
 from .taxonomy import Taxonomy, normalize
 
 logger = logging.getLogger(__name__)
-
-# 2^n subset enumeration; queries past this size are malformed anyway.
-MAX_SHORT_CONCEPTS = 20
 
 
 @dataclass(frozen=True)
@@ -39,12 +46,41 @@ class Decomposition:
 
 
 @dataclass(frozen=True)
-class SubsetIntersection:
-    """A subset of the query's short concepts and its shared entities."""
+class MembershipPattern:
+    """A subset of the query's short concepts and the entities of E_u whose
+    membership pattern is exactly that subset; ``size`` is its popcount."""
 
     subset: frozenset[str]
     entities: frozenset[str]
     size: int
+
+
+@dataclass(frozen=True, eq=False)
+class Membership:
+    """The k x |E_u| membership matrix of a query's short concepts.
+
+    ``matrix[i, j]`` is 1.0 when ``concepts[i]`` contains the entity with id
+    ``ids[j]``; the columns are E_u in ascending id order, and a concept
+    missing from the taxonomy has a zero row. ``patterns`` lists each
+    distinct column once, by size descending and then by sorted member
+    names, which is the order of the subset lattice.
+    """
+
+    concepts: tuple[str, ...]
+    ids: np.ndarray
+    matrix: np.ndarray
+    patterns: list[MembershipPattern]
+
+    @property
+    def entity_union(self) -> frozenset[str]:
+        """E_u by name."""
+        return frozenset().union(*(p.entities for p in self.patterns))
+
+    def seed_runs(self) -> list[MembershipPattern]:
+        """The patterns of largest size: the full intersection when it is not
+        empty, else the intersections of the largest subsets whose
+        intersection is not empty."""
+        return [p for p in self.patterns if p.size == self.patterns[0].size]
 
 
 def parse(raw: str, head_override: str | None = None) -> LongConceptQuery:
@@ -104,47 +140,32 @@ def decompose(query: LongConceptQuery, taxonomy: Taxonomy) -> Decomposition:
     )
 
 
-def enumerate_subsets(
-    taxonomy: Taxonomy, short_concepts: Sequence[str]
-) -> list[SubsetIntersection]:
-    """All non-empty entity intersections over subsets of the short concepts.
-
-    The full set is evaluated first; then every proper non-empty subset.
-    Only subsets whose intersection is non-empty are returned, ordered by
-    subset size descending with ties in lexicographic member order.
-    """
-    concepts = list(dict.fromkeys(short_concepts))
-    n = len(concepts)
-    if n < 1:
+def membership(taxonomy: Taxonomy, short_concepts: Iterable[str]) -> Membership:
+    """Read the short concepts' rows once into their membership matrix and
+    group E_u by membership pattern."""
+    concepts = tuple(dict.fromkeys(short_concepts))
+    if not concepts:
         raise ValueError("short concept set is empty")
-    if n > MAX_SHORT_CONCEPTS:
-        raise QueryParseError(
-            f"{n} short concepts exceed the enumeration limit of {MAX_SHORT_CONCEPTS}"
-        )
+    cids = [taxonomy.concept_id(c) for c in concepts]
+    known = np.array([i for i, cid in enumerate(cids) if cid is not None], dtype=np.int64)
+    owner, entities, _ = taxonomy.by_concept.rows(np.array([cids[i] for i in known], dtype=np.int64))
+    ids, column = np.unique(entities, return_inverse=True)
+    matrix = np.zeros((len(concepts), len(ids)))
+    matrix[known[owner], column] = 1.0
 
-    entity_sets = {c: frozenset(taxonomy.entities_of(c)) for c in concepts}
-
-    def intersect(members: tuple[str, ...]) -> frozenset[str]:
-        out = entity_sets[members[0]]
-        for c in members[1:]:
-            out = out & entity_sets[c]
-            if not out:
-                break
-        return out
-
-    results: list[SubsetIntersection] = []
-    full = intersect(tuple(concepts))
-    if full:
-        results.append(
-            SubsetIntersection(subset=frozenset(concepts), entities=full, size=n)
-        )
-    for size in range(n - 1, 0, -1):
-        for members in sorted(combinations(sorted(concepts), size)):
-            shared = intersect(members)
-            if shared:
-                results.append(
-                    SubsetIntersection(
-                        subset=frozenset(members), entities=shared, size=size
-                    )
-                )
-    return results
+    # Sorting the columns makes equal patterns adjacent; each run of equal
+    # columns is one pattern.
+    bits = matrix.astype(bool)
+    order = np.lexsort(bits)
+    bits = bits[:, order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(first).tolist()
+    names = [taxonomy.entity_names[e] for e in ids[order].tolist()]
+    runs = []
+    for lo, hi in zip(starts, starts[1:] + [len(order)]):
+        members = tuple(sorted(concepts[i] for i in np.flatnonzero(bits[:, lo]).tolist()))
+        runs.append((members, frozenset(names[lo:hi])))
+    runs.sort(key=lambda run: (-len(run[0]), run[0]))
+    patterns = [MembershipPattern(frozenset(m), entities, len(m)) for m, entities in runs]
+    return Membership(concepts, ids, matrix, patterns)

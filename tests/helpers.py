@@ -7,7 +7,11 @@ Python arithmetic, deliberately avoiding the library's code paths.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from itertools import combinations
+from typing import Sequence
 
+from conceptq.errors import QueryParseError
 from conceptq.taxonomy import Taxonomy, ingest
 
 
@@ -73,3 +77,87 @@ def oracle_rel_naive_bayes(t: Taxonomy, concept, seeds, short_concepts, gamma, d
         n_e = sum(t.concepts_of(e).values())
         score *= gamma * (n_ce / n_c) + (1.0 - gamma) * (n_e / grand)
     return score / oracle_g(t, concept, e_union, delta)
+
+
+# -- subset lattice oracle ------------------------------------------------------
+
+# 2^n subset enumeration; the oracle is only run on small queries.
+MAX_SHORT_CONCEPTS = 20
+
+
+@dataclass(frozen=True)
+class SubsetIntersection:
+    """A subset of the query's short concepts and its shared entities."""
+
+    subset: frozenset[str]
+    entities: frozenset[str]
+    size: int
+
+
+def enumerate_subsets(
+    taxonomy: Taxonomy, short_concepts: Sequence[str]
+) -> list[SubsetIntersection]:
+    """All non-empty entity intersections over subsets of the short concepts.
+
+    The full set is evaluated first; then every proper non-empty subset.
+    Only subsets whose intersection is non-empty are returned, ordered by
+    subset size descending with ties in lexicographic member order.
+    """
+    concepts = list(dict.fromkeys(short_concepts))
+    n = len(concepts)
+    if n < 1:
+        raise ValueError("short concept set is empty")
+    if n > MAX_SHORT_CONCEPTS:
+        raise QueryParseError(
+            f"{n} short concepts exceed the enumeration limit of {MAX_SHORT_CONCEPTS}"
+        )
+
+    entity_sets = {c: frozenset(taxonomy.entities_of(c)) for c in concepts}
+
+    def intersect(members: tuple[str, ...]) -> frozenset[str]:
+        out = entity_sets[members[0]]
+        for c in members[1:]:
+            out = out & entity_sets[c]
+            if not out:
+                break
+        return out
+
+    results: list[SubsetIntersection] = []
+    full = intersect(tuple(concepts))
+    if full:
+        results.append(
+            SubsetIntersection(subset=frozenset(concepts), entities=full, size=n)
+        )
+    for size in range(n - 1, 0, -1):
+        for members in sorted(combinations(sorted(concepts), size)):
+            shared = intersect(members)
+            if shared:
+                results.append(
+                    SubsetIntersection(
+                        subset=frozenset(members), entities=shared, size=size
+                    )
+                )
+    return results
+
+
+def oracle_seed_runs(subsets: Sequence[SubsetIntersection], n: int) -> list[frozenset[str]]:
+    """Seed sets of the lattice: the full intersection alone when it is
+    non-empty, else every maximal-size non-empty intersection in lattice order."""
+    full = [si for si in subsets if si.size == n]
+    if full:
+        return [full[0].entities]
+    best = max(si.size for si in subsets)
+    return [si.entities for si in subsets if si.size == best]
+
+
+def oracle_tiers(subsets: Sequence[SubsetIntersection]) -> list[tuple[int, frozenset[str]]]:
+    """(size, entities) tiers: each entity in the tier of the largest subset
+    whose intersection holds it, largest first."""
+    best_size: dict[str, int] = {}
+    for si in subsets:
+        for entity in si.entities:
+            best_size[entity] = max(best_size.get(entity, 0), si.size)
+    sizes = sorted(set(best_size.values()), reverse=True)
+    return [
+        (size, frozenset(e for e, s in best_size.items() if s == size)) for size in sizes
+    ]

@@ -30,6 +30,7 @@ from conceptq.expansion import (
     rel_noisy_or,
 )
 from conceptq.pipeline import PipelineConfig
+from conceptq.query import membership as query_membership
 from conceptq.taxonomy import ingest
 
 from helpers import (
@@ -114,7 +115,7 @@ def test_criterion_2_baseline_matches_eigen_oracle():
         if np.any(gaps < 1e-7):
             continue
 
-        rb = baseline_rank(t, concepts)
+        rb = baseline_rank(t, query_membership(t, concepts))
         oracle_order = sorted(
             candidates, key=lambda e: (-principal[candidates.index(e)], e)
         )

@@ -5,6 +5,7 @@ import pytest
 
 from conceptq.baseline import baseline_rank
 from conceptq.errors import NoCandidateEntitiesError
+from conceptq.query import membership
 from conceptq.taxonomy import ingest
 
 from helpers import random_taxonomy
@@ -29,36 +30,36 @@ def eigen_oracle(taxonomy, concepts):
 
 class TestFixtureF1:
     def test_ordering(self, f1):
-        rb = baseline_rank(f1, F1_PAIR)
+        rb = baseline_rank(f1, membership(f1, F1_PAIR))
         assert rb.ordering == ["a", "b", "c", "d"]
 
     def test_two_concept_members_beat_one_concept_members(self, f1):
-        rb = baseline_rank(f1, F1_PAIR)
+        rb = baseline_rank(f1, membership(f1, F1_PAIR))
         assert rb.entity_scores["a"] > rb.entity_scores["c"]
         assert rb.entity_scores["b"] > rb.entity_scores["d"]
 
     def test_weights_match_hand_derived_eigenvector(self, f1):
         # A^T A = [[2,2,1,1],[2,2,1,1],[1,1,1,0],[1,1,0,1]] over [a,b,c,d]
         # has principal eigenvector (2, 2, 1, 1) with eigenvalue 5.
-        rb = baseline_rank(f1, F1_PAIR)
+        rb = baseline_rank(f1, membership(f1, F1_PAIR))
         assert rb.entity_weights == pytest.approx(
             {"a": 1.0, "b": 1.0, "c": 0.5, "d": 0.5}, abs=1e-9
         )
 
     def test_unrelated_entity_never_a_candidate(self, f1):
-        rb = baseline_rank(f1, F1_PAIR)
+        rb = baseline_rank(f1, membership(f1, F1_PAIR))
         assert "x" not in rb.entity_scores
         assert "x" not in rb.ordering
 
     def test_concept_scores_reported(self, f1):
-        rb = baseline_rank(f1, F1_PAIR)
+        rb = baseline_rank(f1, membership(f1, F1_PAIR))
         assert set(rb.concept_scores) == set(F1_PAIR)
         assert all(0.0 <= s < 1.0 for s in rb.concept_scores.values())
 
 
 class TestDegenerateInputs:
     def test_single_concept_uniform_after_one_iteration(self, f1):
-        rb = baseline_rank(f1, ["top university"])
+        rb = baseline_rank(f1, membership(f1, ["top university"]))
         assert rb.iterations_run == 1
         assert rb.ordering == ["a", "b", "d"]
         weights = set(rb.entity_weights.values())
@@ -66,16 +67,16 @@ class TestDegenerateInputs:
 
     def test_unknown_concept_has_no_candidates(self, f1):
         with pytest.raises(NoCandidateEntitiesError):
-            baseline_rank(f1, ["no such concept"])
+            baseline_rank(f1, membership(f1, ["no such concept"]))
 
     def test_parameter_validation(self, f1):
         with pytest.raises(ValueError):
-            baseline_rank(f1, [])
+            baseline_rank(f1, membership(f1, []))
 
 
 class TestProperties:
     def test_sigma_in_unit_interval(self, f1):
-        rb = baseline_rank(f1, F1_PAIR)
+        rb = baseline_rank(f1, membership(f1, F1_PAIR))
         for sigma in list(rb.entity_scores.values()) + list(rb.concept_scores.values()):
             assert 0.0 <= sigma < 1.0
 
@@ -102,8 +103,9 @@ class TestProperties:
     def test_monotone_in_added_membership(self, rows, new_edge):
         # adding e' to another query concept must not worsen its position
         concepts = sorted({c for c, _, _ in rows})
-        before = baseline_rank(ingest(rows), concepts)
-        after = baseline_rank(ingest(rows + [new_edge]), concepts)
+        t, grown = ingest(rows), ingest(rows + [new_edge])
+        before = baseline_rank(t, membership(t, concepts))
+        after = baseline_rank(grown, membership(grown, concepts))
         entity = new_edge[1]
         assert after.ordering.index(entity) <= before.ordering.index(entity)
 
@@ -121,7 +123,7 @@ class TestDisconnectedConcepts:
     def test_equal_components_tie_exactly_in_name_order(self):
         t, concepts = self.disjoint([5, 5])
         for order in (concepts, concepts[::-1]):
-            rb = baseline_rank(t, order)
+            rb = baseline_rank(t, membership(t, order))
             assert set(rb.entity_weights.values()) == {1.0}
             assert rb.ordering == sorted(rb.ordering)
             assert len(rb.ordering) == 10
@@ -129,7 +131,7 @@ class TestDisconnectedConcepts:
     def test_smaller_component_decays_to_zero(self):
         t, concepts = self.disjoint([5, 6])
         for order in (concepts, concepts[::-1]):
-            rb = baseline_rank(t, order)
+            rb = baseline_rank(t, membership(t, order))
             assert rb.ordering == [f"e1{j}" for j in range(6)] + [f"e0{j}" for j in range(5)]
             assert [rb.entity_weights[e] for e in rb.ordering] == [1.0] * 6 + [0.0] * 5
             assert rb.concept_scores["c0"] == 0.0
@@ -138,7 +140,7 @@ class TestDisconnectedConcepts:
 class TestEigenOracle:
     def test_f1_agrees_with_oracle(self, f1):
         candidates, oracle, _ = eigen_oracle(f1, F1_PAIR)
-        rb = baseline_rank(f1, F1_PAIR)
+        rb = baseline_rank(f1, membership(f1, F1_PAIR))
         for e, expected in zip(candidates, oracle):
             assert rb.entity_weights[e] == pytest.approx(expected, abs=1e-6)
 
@@ -158,7 +160,7 @@ class TestEigenOracle:
                 continue
             if np.any(np.diff(np.sort(oracle)) < 1e-7):
                 continue
-            rb = baseline_rank(t, concepts)
+            rb = baseline_rank(t, membership(t, concepts))
             expected_order = sorted(candidates, key=lambda e: -oracle[candidates.index(e)])
             assert rb.ordering == expected_order
             for e in candidates:

@@ -55,9 +55,10 @@ class TestQuery:
         out = capsys.readouterr().out
         lines = out.strip().splitlines()
         assert lines[0].startswith("# conceptq ")
-        for key in ("model=", "gamma=", "lambda=", "delta=", "alpha=", "beta=",
-                    "seed=", "tol="):
+        for key in ("model=", "gamma=", "lambda=", "delta=", "alpha=", "beta=", "tol="):
             assert key in lines[0]
+        # nothing in a query is random, so its header echoes no seed
+        assert "seed=" not in lines[0]
         rows = [line.split("\t") for line in lines if not line.startswith("#")]
         assert [r[1] for r in rows] == ["a", "b", "c", "d"]
         assert [r[0] for r in rows] == ["1", "2", "3", "4"]
@@ -76,7 +77,7 @@ class TestQuery:
         ])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["config"]["seed"] == 0
+        assert "seed" not in doc["config"]
         assert doc["short_concepts"] == ["top university", "american university"]
         assert [r["entity"] for r in doc["results"]] == ["a", "b", "c"]
         assert doc["results"][0]["provenance"] == "seed"
@@ -131,6 +132,9 @@ class TestQuery:
     def test_usage_error_from_argparse(self, f1_path):
         with pytest.raises(SystemExit) as err:
             main(["query", str(f1_path), "top american university", "--no-such-flag"])
+        assert err.value.code == 2
+        with pytest.raises(SystemExit) as err:
+            main(["query", str(f1_path), "top american university", "--seed", "1"])
         assert err.value.code == 2
 
 
@@ -203,6 +207,7 @@ class TestEval:
         assert code == 0
         out = capsys.readouterr().out
         assert "k='5,10'" in out
+        assert "seed=7" in out
         for k in (5, 10):
             for name in ("precision", "recall", "ratio"):
                 assert f"{name}@{k}=" in out

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,7 @@ from conceptq.expansion import (
     rel_naive_bayes,
     rel_noisy_or,
 )
-from conceptq.query import SubsetIntersection, enumerate_subsets
+from conceptq.query import MembershipPattern, membership
 from conceptq.taxonomy import ingest
 
 from helpers import oracle_rel_naive_bayes, oracle_rel_noisy_or, random_taxonomy
@@ -28,9 +29,9 @@ def full_intersection_cases(rng, count):
         t = random_taxonomy(rng, max_concepts=6, max_entities=8, max_edges=24)
         concepts = sorted(t.concepts)
         short = concepts[: rng.randint(1, min(3, len(concepts)))]
-        subsets = enumerate_subsets(t, short)
-        if subsets and subsets[0].size == len(short):
-            cases.append((t, short, subsets, sorted(subsets[0].entities)))
+        members = membership(t, short)
+        if members.patterns[0].size == len(short):
+            cases.append((t, short, members, sorted(members.patterns[0].entities)))
     return cases
 
 F1_PAIR = ["top university", "american university"]
@@ -192,26 +193,28 @@ class TestRelevanceScores:
 class TestExpandConcepts:
     def test_penalized_concept_ranks_below(self, f1):
         model = ExpansionModel(kind="noisy_or", leak=0.0, delta=0.5)
-        result = expand(f1, F1_PAIR, enumerate_subsets(f1, F1_PAIR), model, top_k=2)
+        result = expand(f1, membership(f1, F1_PAIR), model, top_k=2)
         names = [c.concept for c in result.concepts]
         assert names[0] == "ivy league"
         assert "famous university" not in names
 
     def test_single_shared_concept_is_rank_one(self, f1):
         model = ExpansionModel()
-        seeded_by_x = [SubsetIntersection(frozenset(F1_PAIR), frozenset({"x"}), size=2)]
-        result = expand(f1, F1_PAIR, seeded_by_x, model, top_k=5)
+        seeded_by_x = [MembershipPattern(frozenset(F1_PAIR), frozenset({"x"}), size=2)]
+        members = replace(membership(f1, F1_PAIR), patterns=seeded_by_x)
+        result = expand(f1, members, model, top_k=5)
         assert result.concepts[0].concept == "famous university"
 
     def test_top_k_larger_than_candidates(self, f1):
         model = ExpansionModel()
-        seeded_by_a = [SubsetIntersection(frozenset(F1_PAIR), frozenset({"a"}), size=2)]
-        result = expand(f1, F1_PAIR, seeded_by_a, model, top_k=50)
+        seeded_by_a = [MembershipPattern(frozenset(F1_PAIR), frozenset({"a"}), size=2)]
+        members = replace(membership(f1, F1_PAIR), patterns=seeded_by_a)
+        result = expand(f1, members, model, top_k=50)
         assert len(result.concepts) == 4
 
     def test_scores_descending_with_lexicographic_ties(self, f1):
         model = ExpansionModel(kind="noisy_or", leak=0.0, delta=0.5)
-        result = expand(f1, F1_PAIR, enumerate_subsets(f1, F1_PAIR), model, top_k=10)
+        result = expand(f1, membership(f1, F1_PAIR), model, top_k=10)
         # the two query concepts tie exactly by symmetry of F1
         keys = [(-c.score, c.concept) for c in result.concepts]
         assert keys[1][0] == keys[2][0]
@@ -241,13 +244,12 @@ class TestRankEntities:
     def test_empty_concepts_rejected(self, f1):
         # no seed set to expand from
         with pytest.raises(ValueError):
-            expand(f1, F1_PAIR, [], ExpansionModel())
+            expand(f1, membership(f1, ["no such concept"]), ExpansionModel())
 
 
 class TestSeedTiers:
     def test_f1_tiers(self, f1):
-        subsets = enumerate_subsets(f1, F1_PAIR)
-        tiers = generate_seed_tiers(subsets)
+        tiers = generate_seed_tiers(membership(f1, F1_PAIR).patterns)
         assert [(t.size, set(t.entities)) for t in tiers] == [
             (2, {"a", "b"}),
             (1, {"c", "d"}),
@@ -263,7 +265,7 @@ class TestSeedTiers:
                 ("c3", "harvard", 1), ("c3", "solo", 1),
             ]
         )
-        tiers = generate_seed_tiers(enumerate_subsets(t, ["c1", "c2", "c3"]))
+        tiers = generate_seed_tiers(membership(t, ["c1", "c2", "c3"]).patterns)
         assert [(tier.size, set(tier.entities)) for tier in tiers] == [
             (3, {"harvard"}),
             (2, {"berkley"}),
@@ -272,18 +274,18 @@ class TestSeedTiers:
 
     def test_identical_concepts_give_single_tier(self):
         t = ingest([("c1", "a", 1), ("c1", "b", 1), ("c2", "a", 1), ("c2", "b", 1)])
-        tiers = generate_seed_tiers(enumerate_subsets(t, ["c1", "c2"]))
+        tiers = generate_seed_tiers(membership(t, ["c1", "c2"]).patterns)
         assert len(tiers) == 1
         assert tiers[0].entities == frozenset({"a", "b"})
 
     def test_tiers_partition_seed_universe(self, f1):
-        subsets = enumerate_subsets(f1, F1_PAIR)
-        tiers = generate_seed_tiers(subsets)
+        members = membership(f1, F1_PAIR)
+        tiers = generate_seed_tiers(members.patterns)
         seen: set[str] = set()
         for tier in tiers:
             assert not (tier.entities & seen)
             seen |= tier.entities
-        assert seen == {e for s in subsets for e in s.entities}
+        assert seen == members.entity_union
 
 
 class TestPairwiseConstraints:
@@ -313,8 +315,7 @@ class TestPairwiseConstraints:
 class TestExpandOrchestration:
     def test_f1_full_intersection_run(self, f1):
         model = ExpansionModel(kind="noisy_or", leak=0.1, delta=0.5)
-        subsets = enumerate_subsets(f1, F1_PAIR)
-        result = expand(f1, F1_PAIR, subsets, model, top_k=10)
+        result = expand(f1, membership(f1, F1_PAIR), model, top_k=10)
         assert result.seed_entities == frozenset({"a", "b"})
         names = [c.concept for c in result.concepts]
         assert names[0] == "ivy league"
@@ -327,8 +328,7 @@ class TestExpandOrchestration:
 
     def test_query_concepts_always_retained(self, f1):
         model = ExpansionModel(kind="noisy_or", leak=0.0, delta=0.5)
-        subsets = enumerate_subsets(f1, F1_PAIR)
-        result = expand(f1, F1_PAIR, subsets, model, top_k=1)
+        result = expand(f1, membership(f1, F1_PAIR), model, top_k=1)
         names = {c.concept for c in result.concepts}
         assert set(F1_PAIR) <= names
 
@@ -344,9 +344,9 @@ class TestExpandOrchestration:
         )
         short = ["c1", "c2"]
         model = ExpansionModel(kind="noisy_or", leak=0.1, delta=0.5)
-        subsets = enumerate_subsets(t, short)
-        assert all(s.size == 1 for s in subsets)
-        result = expand(t, short, subsets, model, top_k=10)
+        members = membership(t, short)
+        assert all(p.size == 1 for p in members.patterns)
+        result = expand(t, members, model, top_k=10)
         run1 = rel_noisy_or(t, "c3", ["a", "b"], short, model)
         run2 = rel_noisy_or(t, "c3", ["c", "d"], short, model)
         by_name = {c.concept: c.score for c in result.concepts}
@@ -365,17 +365,16 @@ class TestExpandOrchestration:
         )
         short = ["c1", "c2", "c3"]
         model = ExpansionModel(kind="noisy_or", leak=0.1, delta=0.5)
-        subsets = enumerate_subsets(t, short)
-        result = expand(t, short, subsets, model, top_k=10)
+        result = expand(t, membership(t, short), model, top_k=10)
         names = {c.concept for c in result.concepts}
         assert "c3" in names
         assert "z" in result.r_c
 
     def test_r_c_covers_all_tier_entities(self, f1):
         model = ExpansionModel()
-        subsets = enumerate_subsets(f1, F1_PAIR)
-        result = expand(f1, F1_PAIR, subsets, model)
-        tier_entities = {e for tier in generate_seed_tiers(subsets) for e in tier.entities}
+        members = membership(f1, F1_PAIR)
+        result = expand(f1, members, model)
+        tier_entities = {e for tier in generate_seed_tiers(members.patterns) for e in tier.entities}
         assert tier_entities <= set(result.r_c)
 
 
@@ -384,11 +383,11 @@ class TestSparseScoring:
         # The miss product runs over the seeds in name order and g(c) is an
         # integer ratio, so the array path repeats the oracle's arithmetic.
         rng = random.Random(11)
-        for t, short, subsets, seeds in full_intersection_cases(rng, 60):
+        for t, short, members, seeds in full_intersection_cases(rng, 60):
             model = ExpansionModel(
                 kind="noisy_or", leak=rng.uniform(0.0, 0.9), delta=rng.uniform(0.05, 0.95)
             )
-            result = expand(t, short, subsets, model, top_k=100)
+            result = expand(t, members, model, top_k=100)
             assert {c.concept for c in result.concepts} == {
                 c for e in seeds for c in t.concepts_of(e)
             }
@@ -400,9 +399,9 @@ class TestSparseScoring:
     def test_unsmoothed_naive_bayes_is_zero_for_concepts_missing_a_seed(self):
         rng = random.Random(12)
         zeros = 0
-        for t, short, subsets, seeds in full_intersection_cases(rng, 60):
+        for t, short, members, seeds in full_intersection_cases(rng, 60):
             model = ExpansionModel(kind="naive_bayes", gamma=1.0, delta=0.5)
-            result = expand(t, short, subsets, model, top_k=100)
+            result = expand(t, members, model, top_k=100)
             for cr in result.concepts:
                 if set(seeds) <= set(t.entities_of(cr.concept)):
                     want = oracle_rel_naive_bayes(t, cr.concept, seeds, short, 1.0, 0.5)
