@@ -2,10 +2,11 @@
 
 A long concept query names a head noun with several modifiers ("top american
 private university"). The engine decomposes it into short concepts over an
-isA co-occurrence taxonomy, ranks the candidate entities with a mutually
-recursive relevance iteration, expands the concept set probabilistically to
-recover entities the raw intersection misses, and aggregates the resulting
-orderings and constraints into one ranking by maximum likelihood.
+isA co-occurrence taxonomy, ranks the candidate entities by one exact
+eigen-solve of their mutually recursive relevance, expands the concept set
+probabilistically to recover entities the raw intersection misses, and
+aggregates the resulting orderings and constraints into one ranking by
+maximum a posteriori Bradley-Terry scores under a weak Gamma prior.
 """
 
 from .aggregate import (

@@ -27,28 +27,31 @@ goes to +-inf, so F has a finite maximizer. Orderings and singleton
 constraints are concave, so without set-vs-set constraints F is strictly
 concave and the maximizer is unique.
 
-The solver is damped Newton, with two ways to get a direction:
+The solver is damped Newton, with one way to get a direction per size:
 
 - Universes of at most DENSE_NEWTON_MAX_N entities assemble -Hessian F as
   one n x n array (one bincount over cell indices fixed when the terms are
   built) and take the exact Newton step from numpy.linalg once a Cholesky
-  factorization shows the matrix positive definite. There an O(n^3) solve
-  costs less than the ~20 numpy-bound CG products it replaces.
-- Larger universes, and small ones whose Hessian is indefinite, use
-  conjugate gradients on exact Hessian-vector products, preconditioned by
-  the Hessian's diagonal and stopped early on negative curvature. Only
-  set-vs-set constraints make F non-concave; on the generated benchmark
-  queries that shows only at the first step, s = 0. A product costs O(n): an ordering's curvature
-  is a suffix sum and a prefix sum, a constraint's is a diagonal plus
-  per-side rank-one terms, and the prior's is diagonal. No n x n array is
-  formed on this path, so a universe of 10^4 entities stays within a few
-  MB where its dense Hessian would take a GB.
+  factorization shows the matrix positive definite; there an O(n^3) solve
+  costs less than the ~20 numpy-bound CG products it replaces. Only
+  set-vs-set constraints make F non-concave (on the generated benchmark
+  queries, only at the first step, s = 0); an indefinite matrix gives the
+  gradient over its diagonal floored at the prior's curvature, which is
+  CG's first iterate.
+- Larger universes use conjugate gradients on exact Hessian-vector
+  products, preconditioned by the Hessian's diagonal and stopped early on
+  negative curvature. A product costs O(n): an ordering's curvature is a
+  suffix sum and a prefix sum, a constraint's is a diagonal plus per-side
+  rank-one terms, and the prior's is diagonal. No n x n array is formed on
+  this path, so a universe of 10^4 entities stays within a few MB where
+  its dense Hessian would take a GB.
 
 Armijo backtracking accepts only finite steps that raise F; a gain too
 small to survive rounding in F is measured by the trapezoid rule on the
-directional derivatives instead. The solve stops when max |grad F| < tol, and reports
-``converged=False`` when it hits MAX_NEWTON_STEPS or cannot raise F any
-further first. The reported scores are re-centered to mean zero.
+directional derivatives instead. The solve stops when max |grad F| <
+GRAD_TOL, and reports ``converged=False`` when it hits MAX_NEWTON_STEPS or
+cannot raise F any further first. The reported scores are re-centered to
+mean zero.
 
 All log-sum-exp reductions are max-shifted; gradients are assembled from
 exponent differences that are bounded above by zero, so no intermediate can
@@ -67,7 +70,7 @@ from .expansion import PairwiseConstraint
 
 DEFAULT_ALPHA = 1.0 / 3.0
 DEFAULT_BETA = 1.0 / 3.0
-DEFAULT_TOL = 1e-8
+GRAD_TOL = 1e-8  # the solve stops once max |grad F| is below it
 PRIOR_SHAPE = 0.01  # a: the prior's pull towards larger scores
 PRIOR_RATE = 0.01  # b: the prior's pull towards smaller scores
 MAX_NEWTON_STEPS = 100
@@ -110,7 +113,7 @@ class ScoreVector:
     """Optimized per-entity scores over the aggregation universe.
 
     ``iterations`` counts Newton steps; ``converged`` is False when the solve
-    stopped before max |grad F| fell below the tolerance.
+    stopped before max |grad F| fell below GRAD_TOL.
     """
 
     scores: dict[str, float]
@@ -383,10 +386,12 @@ def _posterior_gradient(terms: _Terms, s: np.ndarray) -> np.ndarray:
 
 
 def _newton_direction(terms: _Terms, s: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Solve (-Hessian F) d = g: exactly when the universe is small and the
-    matrix positive definite, else approximately by preconditioned CG.
+    """An ascent direction from (-Hessian F) d = g, by the universe's size.
 
-    CG stops once the residual's preconditioned norm has shrunk by
+    Up to DENSE_NEWTON_MAX_N entities: the exact solution when the matrix is
+    positive definite, else g over its diagonal floored at the prior's
+    curvature (CG's first iterate). Above: preconditioned CG, stopped once
+    the residual's preconditioned norm has shrunk by
     eta = min(0.5, sqrt |g|) (Eisenstat-Walker), which keeps early steps
     cheap and the final ones superlinearly convergent. On negative curvature
     it returns the direction built so far, or the preconditioned gradient if
@@ -399,9 +404,8 @@ def _newton_direction(terms: _Terms, s: np.ndarray, g: np.ndarray) -> np.ndarray
         try:
             np.linalg.cholesky(hessian)
         except np.linalg.LinAlgError:
-            pass  # indefinite: CG below stops on the negative curvature
-        else:
-            return np.linalg.solve(hessian, g)
+            return g / np.maximum(hessian.diagonal(), prior)
+        return np.linalg.solve(hessian, g)
     diag, apply_likelihood = terms.curvature(s)
     precond = 1.0 / np.maximum(diag + prior, prior)
     d = np.zeros_like(g)
@@ -451,13 +455,13 @@ def _line_search(terms: _Terms, s, f, g, d):
     return None
 
 
-def _maximize(terms: _Terms, tol: float) -> tuple[np.ndarray, int, bool]:
+def _maximize(terms: _Terms) -> tuple[np.ndarray, int, bool]:
     """Damped Newton ascent on F from s = 0; returns (s, steps, converged)."""
     s = np.zeros(terms.n)
     f = _posterior(terms, s)
     g = _posterior_gradient(terms, s)
     steps = 0
-    while not np.max(np.abs(g)) < tol:
+    while not np.max(np.abs(g)) < GRAD_TOL:
         if steps == MAX_NEWTON_STEPS:
             return s, steps, False
         accepted = _line_search(terms, s, f, g, _newton_direction(terms, s, g))
@@ -474,17 +478,14 @@ def optimize(
     r_c: Sequence[str],
     r_p: Sequence[PairwiseConstraint],
     weights: ObjectiveWeights | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[ScoreVector, list[str]]:
     """Fit scores to the orderings and constraints; return them and the
     induced final ordering (descending score, ties lexicographic).
 
     Maximizes the posterior F of the module docstring until
-    max |grad F| < ``tol``; the scores are re-centered to mean zero.
+    max |grad F| < GRAD_TOL; the scores are re-centered to mean zero.
     """
     weights = weights or ObjectiveWeights()
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     if not r_b and not r_c:
         raise ValueError("need at least one non-empty ordering")
 
@@ -492,7 +493,7 @@ def optimize(
         set(r_b) | set(r_c) | {e for con in r_p for e in con.higher | con.lower}
     )
     index = {e: i for i, e in enumerate(universe)}
-    s, steps, converged = _maximize(_Terms(index, r_b, r_c, r_p, weights), tol)
+    s, steps, converged = _maximize(_Terms(index, r_b, r_c, r_p, weights))
 
     s -= s.mean()
     ordering = sorted(universe, key=lambda e: (-s[index[e]], e))

@@ -8,7 +8,6 @@ from typing import Optional
 from .aggregate import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
-    DEFAULT_TOL,
     ObjectiveWeights,
     ScoreVector,
     optimize,
@@ -43,8 +42,14 @@ class PipelineConfig:
     alpha: float = DEFAULT_ALPHA
     beta: float = DEFAULT_BETA
     concepts_top_k: int = DEFAULT_CONCEPTS_TOP_K
-    opt_tol: float = DEFAULT_TOL
     head: Optional[str] = None
+
+    def __post_init__(self):
+        # raise on an out-of-range value here, not midway through a run
+        self.expansion_model()
+        self.weights()
+        if self.concepts_top_k < 1:
+            raise ValueError("concepts_top_k must be >= 1")
 
     def expansion_model(self) -> ExpansionModel:
         return ExpansionModel(
@@ -65,7 +70,6 @@ class PipelineConfig:
             "alpha": self.alpha,
             "beta": self.beta,
             "concepts_top_k": self.concepts_top_k,
-            "tol": self.opt_tol,
             **extra,
         }
 
@@ -121,7 +125,6 @@ def run_query(
         expansion.r_c,
         expansion.r_p,
         config.weights(),
-        tol=config.opt_tol,
     )
 
     e_union = members.entity_union

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conceptq import aggregate
 from conceptq.aggregate import (
-    DEFAULT_TOL,
+    GRAD_TOL,
     ObjectiveWeights,
     _maximize,
     _posterior,
@@ -269,10 +269,6 @@ class TestOptimize:
             assert cur >= prev - 1e-12
             prev = cur
 
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            optimize(["a", "b"], [], [], tol=0.0)
-
 
 @st.composite
 def aggregation_instances(draw, max_n=20):
@@ -345,13 +341,30 @@ class TestNewtonSolve:
         with direction_path(path):
             sv, _ = optimize(r_b, r_c, r_p, weights)
             names, terms = terms_of(r_b, r_c, r_p, weights)
-            s, steps, converged = _maximize(terms, DEFAULT_TOL)
+            s, steps, converged = _maximize(terms)
         assert sv.converged
         # the reported scores are the MAP point re-centred to mean zero
         assert converged and steps == sv.iterations
-        assert np.max(np.abs(_posterior_gradient(terms, s))) < DEFAULT_TOL
+        assert np.max(np.abs(_posterior_gradient(terms, s))) < GRAD_TOL
         for e, value in zip(names, s - s.mean()):
             assert sv.scores[e] == value
+
+    @given(instance=aggregation_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_small_universes_never_take_the_cg_path(self, instance):
+        # an indefinite dense Hessian must not fall back to the matrix-free
+        # operator: each universe size has one direction method
+        original = _Terms.curvature
+
+        def curvature(self, s):
+            if self.n <= aggregate.DENSE_NEWTON_MAX_N:
+                raise AssertionError("curvature() called on a dense-path universe")
+            return original(self, s)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Terms, "curvature", curvature)
+            sv, _ = optimize(*instance)
+        assert sv.converged
 
     @both_direction_paths
     @given(instance=aggregation_instances(), rnd=st.randoms(use_true_random=False))

@@ -1,9 +1,16 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conceptq.cli import main
 from conceptq.evaluation import planted_instance
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_taxonomy(path, records):
@@ -55,8 +62,10 @@ class TestQuery:
         out = capsys.readouterr().out
         lines = out.strip().splitlines()
         assert lines[0].startswith("# conceptq ")
-        for key in ("model=", "gamma=", "lambda=", "delta=", "alpha=", "beta=", "tol="):
+        for key in ("model=", "gamma=", "lambda=", "delta=", "alpha=", "beta="):
             assert key in lines[0]
+        # the aggregation's stopping bound is a constant, not a setting
+        assert "tol=" not in lines[0]
         # nothing in a query is random, so its header echoes no seed
         assert "seed=" not in lines[0]
         rows = [line.split("\t") for line in lines if not line.startswith("#")]
@@ -136,6 +145,66 @@ class TestQuery:
         with pytest.raises(SystemExit) as err:
             main(["query", str(f1_path), "top american university", "--seed", "1"])
         assert err.value.code == 2
+        with pytest.raises(SystemExit) as err:
+            main(["query", str(f1_path), "top american university", "--tol", "1e-6"])
+        assert err.value.code == 2
+
+    def test_readme_example_rows(self, f1_path, capsys):
+        # the rows README.md shows for this query on the f1 fixture
+        expected = [
+            "1\ta\t6.330140\tseed",
+            "2\tb\t3.440394\tseed",
+            "3\tc\t0.269682\tbaseline-only",
+            "4\td\t-3.266628\tbaseline-only",
+        ]
+        assert main(["query", str(f1_path), "top american university", "--k", "4"]) == 0
+        rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        assert rows == expected
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        assert "\n".join(expected) in readme
+
+    @pytest.mark.parametrize("n_modifiers, seed", [(1, 0), (2, 1), (3, 2), (4, 3), (6, 4)])
+    def test_json_and_text_reports_agree(self, tmp_path, capsys, n_modifiers, seed):
+        inst = planted_instance(n_modifiers=n_modifiers, seed=seed)
+        path = write_taxonomy(tmp_path / "planted.tsv", inst.records)
+        argv = ["query", str(path), inst.query, "--k", "25"]
+        assert main(argv) == 0
+        text = capsys.readouterr().out.splitlines()
+        assert main([*argv, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+
+        short, unresolved = text[1].removeprefix("# short-concepts=").split(" unresolved=")
+        assert ast.literal_eval(short) == doc["short_concepts"]
+        assert ast.literal_eval(unresolved) == doc["unresolved_modifiers"]
+        rows = [line.split("\t") for line in text[2:]]
+        assert rows == [
+            [str(r["rank"]), r["entity"], f"{r['score']:.6f}", r["provenance"]]
+            for r in doc["results"]
+        ]
+        assert len(rows) > 10
+
+    def test_json_reports_ignore_the_hash_seed(self, tmp_path):
+        inst = planted_instance(n_modifiers=4, seed=0)
+        path = write_taxonomy(tmp_path / "planted.tsv", inst.records)
+        queries = tmp_path / "queries.txt"
+        queries.write_text(inst.query + "\n", encoding="utf-8")
+        runs = [
+            ["query", str(path), inst.query, "--format", "json"],
+            ["eval", str(path), str(queries), "--holdout", "0.5", "--seed", "3",
+             "--format", "json"],
+        ]
+        for argv in runs:
+            outputs = []
+            for hash_seed in ("0", "1"):
+                env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                       "PYTHONPATH": str(REPO / "src")}
+                proc = subprocess.run(
+                    [sys.executable, "-m", "conceptq", *argv],
+                    env=env, capture_output=True, check=True, timeout=120,
+                )
+                outputs.append(proc.stdout)
+            assert outputs[0] == outputs[1]
+            assert json.loads(outputs[0])["config"]["command"] == argv[0]
 
 
 class TestEval:
@@ -227,6 +296,30 @@ class TestEval:
         queries.write_text("top american university\n", encoding="utf-8")
         assert main(["eval", str(f1_path), str(queries)]) == 2
 
+    def test_truth_and_holdout_is_usage_error(self, f1_path, tmp_path, capsys):
+        # hold-out never reads the truth file, so the pair is refused
+        queries = tmp_path / "queries.txt"
+        queries.write_text("top american university\n", encoding="utf-8")
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("top american university\ta\n", encoding="utf-8")
+        assert main(["eval", str(f1_path), str(queries), str(truth), "--holdout", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
+
+    def test_truth_scoring_echoes_no_seed(self, f1_path, tmp_path, capsys):
+        # only hold-out reads --seed, so truth scoring does not echo it
+        queries = tmp_path / "queries.txt"
+        queries.write_text("top american university\n", encoding="utf-8")
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("top american university\ta\n", encoding="utf-8")
+        assert main(["eval", str(f1_path), str(queries), str(truth), "--seed", "3"]) == 0
+        assert "seed=" not in capsys.readouterr().out.splitlines()[0]
+        assert main([
+            "eval", str(f1_path), str(queries), str(truth), "--seed", "3", "--format", "json",
+        ]) == 0
+        assert "seed" not in json.loads(capsys.readouterr().out)["config"]
+
     def test_bad_k_list(self, f1_path, tmp_path):
         queries = tmp_path / "queries.txt"
         queries.write_text("top american university\n", encoding="utf-8")
@@ -261,8 +354,6 @@ class TestUsageValidation:
             ["--delta", "0.0"],
             ["--alpha", "0.8", "--beta", "0.5"],
             ["--concepts-top-k", "0"],
-            ["--tol", "0"],
-            ["--tol", "nan"],
         ],
     )
     def test_out_of_range_values_are_usage_errors(self, f1_path, capsys, flags):

@@ -13,6 +13,21 @@ from conceptq.query import membership
 from conceptq.taxonomy import ingest
 
 
+class TestPipelineConfig:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"gamma": 2.0},
+            {"concepts_top_k": 0},
+            {"alpha": 0.8, "beta": 0.5},
+            {"model_kind": "bogus"},
+        ],
+    )
+    def test_out_of_range_settings_raise_on_construction(self, fields):
+        with pytest.raises(ValueError):
+            PipelineConfig(**fields)
+
+
 class TestRunQueryOnF1:
     def test_full_ranking(self, f1):
         result = run_query(f1, "top american university")
