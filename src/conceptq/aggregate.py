@@ -27,15 +27,16 @@ goes to +-inf, so F has a finite maximizer. Orderings and singleton
 constraints are concave, so without set-vs-set constraints F is strictly
 concave and the maximizer is unique.
 
-The solver is damped Newton, with one way to get a direction per size:
+The solver is damped Newton from MM_STEPS of Hunter's (2004) closed-form
+O(n) minorization-maximization update for the orderings' MAP, which leaves
+out the constraints. It has one way to get a direction per size:
 
 - Universes of at most DENSE_NEWTON_MAX_N entities assemble -Hessian F as
   one n x n array (one bincount over cell indices fixed when the terms are
   built) and take the exact Newton step from numpy.linalg once a Cholesky
   factorization shows the matrix positive definite; there an O(n^3) solve
   costs less than the ~20 numpy-bound CG products it replaces. Only
-  set-vs-set constraints make F non-concave (on the generated benchmark
-  queries, only at the first step, s = 0); an indefinite matrix gives the
+  set-vs-set constraints make F non-concave; an indefinite matrix gives the
   gradient over its diagonal floored at the prior's curvature, which is
   CG's first iterate.
 - Larger universes use conjugate gradients on exact Hessian-vector
@@ -46,6 +47,7 @@ The solver is damped Newton, with one way to get a direction per size:
   this path, so a universe of 10^4 entities stays within a few MB where
   its dense Hessian would take a GB.
 
+F and its gradient come from one pass over the terms (_Terms.evaluate).
 Armijo backtracking accepts only finite steps that raise F; a gain too
 small to survive rounding in F is measured by the trapezoid rule on the
 directional derivatives instead. The solve stops when max |grad F| <
@@ -74,12 +76,16 @@ GRAD_TOL = 1e-8  # the solve stops once max |grad F| is below it
 PRIOR_SHAPE = 0.01  # a: the prior's pull towards larger scores
 PRIOR_RATE = 0.01  # b: the prior's pull towards smaller scores
 MAX_NEWTON_STEPS = 100
-# Largest universe whose Newton directions come from one dense Cholesky
-# factorization instead of CG. Measured on synthetic queries (one ordering of
-# n/2 and one of 0.9 n entities, one or two 6-vs-12..30 constraints), one
-# BLAS thread on a 2-vCPU x86 VM, ms per optimize dense vs CG: n = 100
-# 5.7 vs 8.7, 110 7.2 vs 9.0, 120 9.7 vs 9.9, 128 9.8 vs 9.7, 140 11.5 vs
-# 9.2, 250 41 vs 13. The dense cost grows as n^3, CG's about as n.
+# MM updates of the Newton start. On the first 600 interactive seed-1 queries
+# 0, 3, 5, 8, 12 and 20 updates took 5,984, 4,576, 4,449, 4,069, 4,036 and
+# 3,855 Newton steps; the time per solve was lowest at 5 to 8.
+MM_STEPS = 8
+# Largest universe whose Newton directions come from the dense Hessian, not
+# CG. Measured on synthetic queries (orderings of n/2 and 0.9 n entities, one
+# or two 6-vs-12..30 constraints), one BLAS thread on a 2-vCPU x86 VM, ms per
+# optimize dense vs CG: n = 100 2.7 vs 3.3, 110 3.2 vs 3.9, 120 5.0 vs 5.4,
+# 124 5.5 vs 5.8, 128 4.6 vs 3.7, 140 5.4 vs 4.1, 160 6.8 vs 4.0, 250 16 vs
+# 5.8. The dense cost grows as n^3, CG's about as n.
 DENSE_NEWTON_MAX_N = 120
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-30
@@ -181,23 +187,36 @@ class _Terms:
     def _scatter(self, parts: list[np.ndarray]) -> np.ndarray:
         return np.bincount(self.slots, np.concatenate([np.empty(0), *parts]), minlength=self.n)
 
-    def value(self, s: np.ndarray) -> float:
-        total = 0.0
+    def evaluate(self, s: np.ndarray) -> tuple[float, np.ndarray]:
+        """The likelihood and its gradient at ``s``, from one pass over the terms.
+
+        An ordering's entity at position p has the derivative [p <= n-2] minus
+        sum_{k <= min(p, n-2)} pi_k(p) = exp(s_p + M_p), pi_k being the k-th
+        choice over the suffix k..n-1 and M_p the running log-sum-exp of
+        -log Z_k, so every exponent stays bounded.
+        """
+        total, parts = 0.0, []
         for idx, weight in self.lists:
             so = s[idx]
-            total += weight * float(np.sum(so[:-1] - _log_suffix_sums(so)[:-1]))
-        for hi, lo in self.cons:
-            lx = _lse(s[hi])
-            total += self.beta * float(lx - np.logaddexp(lx, _lse(s[lo])))
-        return total
-
-    def gradient(self, s: np.ndarray) -> np.ndarray:
-        parts = [weight * _listwise_grad(s[idx]) for idx, weight in self.lists]
+            logz = _log_suffix_sums(so)[:-1]
+            total += weight * float(np.sum(so[:-1] - logz))
+            part = -weight * np.exp(so + _stage_lse(-logz))
+            part[:-1] += weight
+            parts.append(part)
         for hi, lo in self.cons:
             lx, ly = _lse(s[hi]), _lse(s[lo])
             la = np.logaddexp(lx, ly)
+            total += self.beta * float(lx - la)
             parts += [self.beta * np.exp(s[hi] + ly - lx - la), -self.beta * np.exp(s[lo] - la)]
-        return self._scatter(parts)
+        return total, self._scatter(parts)
+
+    def posterior(self, s: np.ndarray) -> tuple[float, np.ndarray]:
+        """F(s) and its gradient: the likelihood plus the Gamma(a, b) log-prior
+        on every e^{s}."""
+        value, grad = self.evaluate(s)
+        with np.errstate(over="ignore"):
+            strength = PRIOR_RATE * np.exp(s)
+        return value + float(np.sum(PRIOR_SHAPE * s - strength)), grad + PRIOR_SHAPE - strength
 
     def curvature(self, s: np.ndarray):
         """Diagonal of -Hessian at ``s`` and a function applying -Hessian."""
@@ -307,20 +326,6 @@ def _stage_lse(terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _listwise_grad(so: np.ndarray) -> np.ndarray:
-    """Gradient of the listwise log-likelihood of the ordered scores ``so``.
-
-    For the entity at position p (0-based) the derivative is
-    [p <= n-2] - sum_{k <= min(p, n-2)} softmax_k(p), where softmax_k is the
-    choice distribution of the k-th term over the suffix k..n-1. The inner
-    sum equals exp(s_p + M_p) with M_p the running log-sum-exp of -log Z_k,
-    which keeps every exponent bounded.
-    """
-    contrib = -np.exp(so + _stage_lse(-_log_suffix_sums(so)[:-1]))
-    contrib[:-1] += 1.0
-    return contrib
-
-
 def _terms_at(scores: Mapping[str, float], r_b, r_c, r_p, weights) -> tuple[_Terms, np.ndarray]:
     index = {e: i for i, e in enumerate(scores)}
     terms = _Terms(index, r_b, r_c, r_p, weights or ObjectiveWeights())
@@ -356,7 +361,7 @@ def objective(
 ) -> float:
     """Weighted combination of the three log-likelihood components."""
     terms, s = _terms_at(scores, r_b, r_c, r_p, weights)
-    return terms.value(s)
+    return terms.evaluate(s)[0]
 
 
 def gradient(
@@ -368,34 +373,45 @@ def gradient(
 ) -> dict[str, float]:
     """Exact gradient of :func:`objective` with respect to every score."""
     terms, s = _terms_at(scores, r_b, r_c, r_p, weights)
-    return dict(zip(scores, terms.gradient(s).tolist()))
+    return dict(zip(scores, terms.evaluate(s)[1].tolist()))
 
 
 # -- optimization -------------------------------------------------------------
 
 
-def _posterior(terms: _Terms, s: np.ndarray) -> float:
-    """F(s): the likelihood plus the Gamma(a, b) log-prior on every e^{s}."""
-    with np.errstate(over="ignore"):
-        prior = float(np.sum(PRIOR_SHAPE * s - PRIOR_RATE * np.exp(s)))
-    return terms.value(s) + prior
+def _start(terms: _Terms) -> np.ndarray:
+    """MM_STEPS of Hunter's MM update for the orderings' MAP, from s = 0.
 
-
-def _posterior_gradient(terms: _Terms, s: np.ndarray) -> np.ndarray:
-    return terms.gradient(s) + PRIOR_SHAPE - PRIOR_RATE * np.exp(s)
+    Each sets e^{s_e} = (a + sum_i w_i [e not last in ordering i]) /
+    (b + sum_i w_i H_i(e)), H_i(e) the sum of 1/Z_k over the stages of ordering
+    i that include e, summed in log space. Entities in no ordering stay at 0.
+    """
+    wins = np.full(terms.n, PRIOR_SHAPE)
+    for idx, weight in terms.lists:
+        wins[idx[:-1]] += weight
+    s, log_wins = np.zeros(terms.n), np.log(wins)
+    for _ in range(MM_STEPS):
+        log_rate = np.full(terms.n, math.log(PRIOR_RATE))
+        for idx, weight in terms.lists:  # an ordering has no repeated index
+            stages = _stage_lse(-_log_suffix_sums(s[idx])[:-1])
+            log_rate[idx] = np.logaddexp(log_rate[idx], math.log(weight) + stages)
+        s = log_wins - log_rate
+    return s
 
 
 def _newton_direction(terms: _Terms, s: np.ndarray, g: np.ndarray) -> np.ndarray:
     """An ascent direction from (-Hessian F) d = g, by the universe's size.
 
-    Up to DENSE_NEWTON_MAX_N entities: the exact solution when the matrix is
-    positive definite, else g over its diagonal floored at the prior's
-    curvature (CG's first iterate). Above: preconditioned CG, stopped once
-    the residual's preconditioned norm has shrunk by
-    eta = min(0.5, sqrt |g|) (Eisenstat-Walker), which keeps early steps
-    cheap and the final ones superlinearly convergent. On negative curvature
-    it returns the direction built so far, or the preconditioned gradient if
-    it has none.
+    Up to DENSE_NEWTON_MAX_N entities: the exact solution when a Cholesky
+    factorization shows the matrix positive definite, else g over its
+    diagonal floored at the prior's curvature (CG's first iterate). An
+    indefinite matrix's step, even with g . d > 0, can send a score into the
+    prior's linear tail, where no step of at least _MIN_STEP raises F. Above:
+    preconditioned CG, stopped once the residual's preconditioned norm has
+    shrunk by eta = min(0.5, sqrt |g|) (Eisenstat-Walker), which keeps early
+    steps cheap and the final ones superlinearly convergent. On negative
+    curvature it returns the direction built so far, or the preconditioned
+    gradient if it has none.
     """
     prior = PRIOR_RATE * np.exp(s)
     if terms.n <= DENSE_NEWTON_MAX_N:
@@ -431,8 +447,8 @@ def _newton_direction(terms: _Terms, s: np.ndarray, g: np.ndarray) -> np.ndarray
 
 
 def _line_search(terms: _Terms, s, f, g, d):
-    """Armijo backtracking along ``d``; returns the accepted point and its F,
-    or None when no finite step of at least _MIN_STEP raises F.
+    """Armijo backtracking along ``d``; returns the accepted point with its F
+    and gradient, or None when no finite step of at least _MIN_STEP raises F.
 
     A gain below F's rounding error cannot be read off two F values. For
     such short steps, as long as F does not drop by more than that error,
@@ -444,22 +460,21 @@ def _line_search(terms: _Terms, s, f, g, d):
     t = 1.0
     while t >= _MIN_STEP:
         trial = s + t * d
-        f_trial = _posterior(terms, trial)
+        f_trial, g_trial = terms.posterior(trial)
         gain = f_trial - f
         if t * slope <= noise and gain > -noise:
-            gain = 0.5 * t * (slope + _dot(_posterior_gradient(terms, trial), d))
+            gain = 0.5 * t * (slope + _dot(g_trial, d))
         # NaN fails the comparison
         if gain > 0 and gain >= _ARMIJO * t * slope:
-            return trial, f_trial
+            return trial, f_trial, g_trial
         t *= 0.5
     return None
 
 
 def _maximize(terms: _Terms) -> tuple[np.ndarray, int, bool]:
-    """Damped Newton ascent on F from s = 0; returns (s, steps, converged)."""
-    s = np.zeros(terms.n)
-    f = _posterior(terms, s)
-    g = _posterior_gradient(terms, s)
+    """Damped Newton ascent on F from _start; returns (s, steps, converged)."""
+    s = _start(terms)
+    f, g = terms.posterior(s)
     steps = 0
     while not np.max(np.abs(g)) < GRAD_TOL:
         if steps == MAX_NEWTON_STEPS:
@@ -467,8 +482,7 @@ def _maximize(terms: _Terms) -> tuple[np.ndarray, int, bool]:
         accepted = _line_search(terms, s, f, g, _newton_direction(terms, s, g))
         if accepted is None:
             return s, steps, False
-        s, f = accepted
-        g = _posterior_gradient(terms, s)
+        s, f, g = accepted
         steps += 1
     return s, steps, True
 
@@ -480,7 +494,10 @@ def optimize(
     weights: ObjectiveWeights | None = None,
 ) -> tuple[ScoreVector, list[str]]:
     """Fit scores to the orderings and constraints; return them and the
-    induced final ordering (descending score, ties lexicographic).
+    induced final ordering by descending score.
+
+    Only bit-equal scores are ordered by name: entities that tie at the MAP
+    point get scores apart by the solve's round-off (up to ~1e-6), in any order.
 
     Maximizes the posterior F of the module docstring until
     max |grad F| < GRAD_TOL; the scores are re-centered to mean zero.

@@ -14,8 +14,6 @@ from conceptq.aggregate import (
     GRAD_TOL,
     ObjectiveWeights,
     _maximize,
-    _posterior,
-    _posterior_gradient,
     _Terms,
     bt_pair_prob,
     gradient,
@@ -307,6 +305,26 @@ def direction_path(path):
 both_direction_paths = pytest.mark.parametrize("path", ["dense", "cg"])
 
 
+class TestEvaluate:
+    @given(
+        aggregation_instances(),
+        st.lists(st.floats(-5.0, 5.0), min_size=20, max_size=20),
+        st.floats(-50.0, 50.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shifting_every_score_changes_neither_value_nor_gradient(self, instance, values, c):
+        r_b, r_c, r_p, weights = instance
+        names, _ = terms_of(*instance)
+        scores = dict(zip(names, values))
+        shifted = {e: v + c for e, v in scores.items()}
+        assert abs(objective(shifted, r_b, r_c, r_p, weights)
+                   - objective(scores, r_b, r_c, r_p, weights)) < 1e-9
+        grad = gradient(scores, r_b, r_c, r_p, weights)
+        grad_shifted = gradient(shifted, r_b, r_c, r_p, weights)
+        for e in names:
+            assert abs(grad_shifted[e] - grad[e]) < 1e-9
+
+
 class TestHessian:
     @given(
         aggregation_instances(max_n=10),
@@ -328,8 +346,30 @@ class TestHessian:
         for i in range(n):
             step = np.zeros(n)
             step[i] = h
-            fd = (terms.gradient(s + step) - terms.gradient(s - step)) / (2 * h)
+            fd = (terms.evaluate(s + step)[1] - terms.evaluate(s - step)[1]) / (2 * h)
             np.testing.assert_allclose(hessian[:, i], -fd, rtol=1e-4, atol=1e-7)
+
+    def test_cg_curvature_matches_finite_differences_at_a_thousand_entities(self):
+        # the matrix-free operator of the CG path, at a size where no dense
+        # Hessian is built: two orderings and a few set-vs-set constraints
+        rng = np.random.default_rng(7)
+        n = 1000
+        names = [f"e{i:04d}" for i in range(n)]
+        r_b = [names[i] for i in rng.permutation(n)]
+        r_c = [names[i] for i in rng.permutation(n)[:700]]
+        r_p = []
+        for size_x, size_y in ((5, 12), (20, 30), (8, 8), (3, 25)):
+            members = [names[i] for i in rng.permutation(n)[: size_x + size_y]]
+            r_p.append(make_constraint(members[:size_x], members[size_x:]))
+        _, terms = terms_of(r_b, r_c, r_p, ObjectiveWeights())
+        assert terms.cells is None
+        s = rng.normal(0.0, 2.0, n)
+        _, apply = terms.curvature(s)
+        h = 1e-4
+        for _ in range(3):
+            v = rng.normal(0.0, 1.0, n)
+            fd = (terms.evaluate(s + h * v)[1] - terms.evaluate(s - h * v)[1]) / (2 * h)
+            np.testing.assert_allclose(apply(v), -fd, rtol=1e-4, atol=1e-9)
 
 
 class TestNewtonSolve:
@@ -345,7 +385,7 @@ class TestNewtonSolve:
         assert sv.converged
         # the reported scores are the MAP point re-centred to mean zero
         assert converged and steps == sv.iterations
-        assert np.max(np.abs(_posterior_gradient(terms, s))) < GRAD_TOL
+        assert np.max(np.abs(terms.posterior(s)[1])) < GRAD_TOL
         for e, value in zip(names, s - s.mean()):
             assert sv.scores[e] == value
 
@@ -396,6 +436,51 @@ class TestNewtonSolve:
         assert sv.converged
         assert ordering == r_b
 
+    @both_direction_paths
+    @given(instance=aggregation_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_warm_and_cold_starts_reach_the_same_maximum(self, path, instance):
+        r_b, r_c, r_p, weights = instance
+        # without set-vs-set constraints F is strictly concave: one maximum
+        r_p = [c for c in r_p if len(c.higher) == 1]
+        with direction_path(path):
+            warm, warm_order = optimize(r_b, r_c, r_p, weights)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(aggregate, "_start", lambda terms: np.zeros(terms.n))
+                cold, cold_order = optimize(r_b, r_c, r_p, weights)
+        assert warm.converged and cold.converged
+        # at |grad F| < GRAD_TOL a score is fixed only to about GRAD_TOL over
+        # its curvature, which is the prior's b = 0.01 near s = 0: 22,000
+        # seeded pairs differed by up to 2.4e-6
+        tol = 10 * GRAD_TOL / aggregate.PRIOR_RATE
+        for e, score in warm.scores.items():
+            assert abs(cold.scores[e] - score) < tol
+        # the orderings agree except between scores closer than that
+        rank = {e: i for i, e in enumerate(cold_order)}
+        for i, x in enumerate(warm_order):
+            for y in warm_order[i + 1 :]:
+                if rank[x] > rank[y]:
+                    assert abs(warm.scores[x] - warm.scores[y]) < tol
+
+    @both_direction_paths
+    def test_set_constraints_with_two_maxima_reach_the_higher_one(self, path):
+        # F has two strict local maxima here: one with e7 first
+        # (likelihood -1.6507) and a higher one with e7 last
+        r_b = ["e6", "e4", "e2", "e3", "e5", "e7"]
+        r_c = ["e3", "e4", "e1", "e2", "e5"]
+        r_p = [
+            make_constraint({"e4", "e7"}, {"e0", "e1", "e2", "e3", "e6"}),
+            make_constraint({"e0", "e2", "e4", "e5", "e6"}, {"e1", "e3"}),
+        ]
+        weights = ObjectiveWeights(alpha=0.5629318450042192, beta=0.39561097969326425)
+        with direction_path(path):
+            sv, ordering = optimize(r_b, r_c, r_p, weights)
+        assert sv.converged
+        assert ordering[-1] == "e7"
+        assert objective(sv.scores, r_b, r_c, r_p, weights) == pytest.approx(
+            -1.4187701085794333, abs=1e-6
+        )
+
     @given(
         aggregation_instances(max_n=10),
         st.lists(st.floats(-5.0, 5.0), min_size=10, max_size=10),
@@ -404,12 +489,12 @@ class TestNewtonSolve:
     def test_posterior_gradient_matches_finite_differences(self, instance, values):
         names, terms = terms_of(*instance)
         s = np.array(values[: len(names)])
-        grad = _posterior_gradient(terms, s)
+        grad = terms.posterior(s)[1]
         h = 1e-5
         for i in range(len(names)):
             step = np.zeros(len(names))
             step[i] = h
-            fd = (_posterior(terms, s + step) - _posterior(terms, s - step)) / (2 * h)
+            fd = (terms.posterior(s + step)[0] - terms.posterior(s - step)[0]) / (2 * h)
             assert abs(grad[i] - fd) / max(1e-6, abs(fd), abs(grad[i])) < 1e-4
 
     def test_long_ordering_with_wide_score_span_converges(self):
