@@ -31,14 +31,23 @@ The solver is damped Newton from MM_STEPS of Hunter's (2004) closed-form
 O(n) minorization-maximization update for the orderings' MAP, which leaves
 out the constraints. It has one way to get a direction per size:
 
-- Universes of at most DENSE_NEWTON_MAX_N entities assemble -Hessian F as
-  one n x n array (one bincount over cell indices fixed when the terms are
-  built) and take the exact Newton step from numpy.linalg once a Cholesky
-  factorization shows the matrix positive definite; there an O(n^3) solve
-  costs less than the ~20 numpy-bound CG products it replaces. Only
-  set-vs-set constraints make F non-concave; an indefinite matrix gives the
-  gradient over its diagonal floored at the prior's curvature, which is
-  CG's first iterate.
+- Universes of at most DENSE_NEWTON_MAX_N entities write the likelihood
+  as lin . s + sum_r sigma_r L_r, L_r the log-sum-exp of s over a row r of
+  entities: an ordering of weight w has a row per stage k, its members at
+  positions >= k (sigma = -w, and w s_{z_k} in lin); a constraint has X
+  (+beta) and X u Y (-beta). With p_r the softmax of s over row r, one pass
+  gives F, grad F = lin + p^T sigma + prior' and -Hessian F =
+  (p * sigma)^T p - diag(p^T sigma) + diag(b e^s), and numpy.linalg.solve
+  the exact Newton step; there an O(n^3) solve costs less than the ~20
+  numpy-bound CG products it replaces. Only set-vs-set constraints make F
+  non-concave. For one, X > Y with P(Y wins) = q, rho the softmax over
+  X u Y and pi over X, Var_rho(v) >= (1 - q) Var_pi(v) by the law of total
+  variance, so v^T (-Hessian L_c) v / beta = Var_rho(v) - Var_pi(v) >=
+  -q v^T diag(pi) v (the softmax curvature of Bohning 1992). -Hessian F is
+  thus positive definite where d = b e^s - beta sum_c q_c pi_c > 0
+  everywhere; otherwise a Cholesky factorization decides, and an indefinite
+  matrix gives the gradient over its diagonal floored at the prior's
+  curvature, which is CG's first iterate.
 - Larger universes use conjugate gradients on exact Hessian-vector
   products, preconditioned by the Hessian's diagonal and stopped early on
   negative curvature. A product costs O(n): an ordering's curvature is a
@@ -47,13 +56,13 @@ out the constraints. It has one way to get a direction per size:
   this path, so a universe of 10^4 entities stays within a few MB where
   its dense Hessian would take a GB.
 
-F and its gradient come from one pass over the terms (_Terms.evaluate).
-Armijo backtracking accepts only finite steps that raise F; a gain too
-small to survive rounding in F is measured by the trapezoid rule on the
-directional derivatives instead. The solve stops when max |grad F| <
-GRAD_TOL, and reports ``converged=False`` when it hits MAX_NEWTON_STEPS or
-cannot raise F any further first. The reported scores are re-centered to
-mean zero.
+Elsewhere F and its gradient come from one O(n) pass over the terms
+(_Terms.evaluate). Armijo backtracking accepts only finite steps that raise
+F; a gain too small to survive rounding in F is measured by the trapezoid
+rule on the directional derivatives instead. The solve stops when max
+|grad F| < GRAD_TOL, and reports ``converged=False`` when it hits
+MAX_NEWTON_STEPS or cannot raise F any further first. The reported scores
+are re-centered to mean zero.
 
 All log-sum-exp reductions are max-shifted; gradients are assembled from
 exponent differences that are bounded above by zero, so no intermediate can
@@ -167,22 +176,26 @@ class _Terms:
         # in this order; _scatter sums them per entity.
         groups = [idx for idx, _ in self.lists] + [side for con in self.cons for side in con]
         self.slots = np.concatenate([np.empty(0, dtype=np.intp), *groups])
-        # hessian() produces one value per (term, cell) of the n x n matrix, in
-        # this order: per ordering its block and its diagonal, per constraint
-        # the blocks and diagonals of both sides together and of the higher
-        # side. Only universes small enough for the dense path keep them.
-        self.cells = self.stages = None
+        # Dense-path universes keep the module docstring's rows as a 0/-inf
+        # mask, their weights sigma (signed) and lin; set_rows: X rows, |X| >= 2.
+        self.mask = None
         if self.n <= DENSE_NEWTON_MAX_N:
-            cells, self.stages = [], []
-            for idx, _ in self.lists:
-                cells += [_block(idx, self.n), idx * (self.n + 1)]
-                order = np.arange(idx.size)
-                self.stages.append(np.minimum.outer(order, order).ravel())
+            rows, signed, self.lin = [], [], np.zeros(self.n)
+            for idx, weight in self.lists:
+                stage = np.arange(idx.size - 1)[:, None] <= np.arange(idx.size)
+                rows.append(np.full((idx.size - 1, self.n), -np.inf))
+                rows[-1][:, idx] = np.where(stage, 0.0, -np.inf)
+                signed += [-weight] * (idx.size - 1)
+                self.lin[idx[:-1]] += weight
+            set_rows = []
             for hi, lo in self.cons:
-                both = np.concatenate((hi, lo))
-                cells += [_block(both, self.n), _block(hi, self.n)]
-                cells += [both * (self.n + 1), hi * (self.n + 1)]
-            self.cells = np.concatenate([np.empty(0, dtype=np.intp), *cells])
+                if hi.size >= 2:
+                    set_rows.append(len(signed))
+                rows.append(np.full((2, self.n), -np.inf))
+                rows[-1][:, hi] = rows[-1][1, lo] = 0.0
+                signed += [self.beta, -self.beta]
+            self.mask = np.concatenate([np.empty((0, self.n)), *rows])
+            self.signed, self.set_rows = np.array(signed), np.array(set_rows, dtype=np.intp)
 
     def _scatter(self, parts: list[np.ndarray]) -> np.ndarray:
         return np.bincount(self.slots, np.concatenate([np.empty(0), *parts]), minlength=self.n)
@@ -210,13 +223,31 @@ class _Terms:
             parts += [self.beta * np.exp(s[hi] + ly - lx - la), -self.beta * np.exp(s[lo] - la)]
         return total, self._scatter(parts)
 
-    def posterior(self, s: np.ndarray) -> tuple[float, np.ndarray]:
-        """F(s) and its gradient: the likelihood plus the Gamma(a, b) log-prior
-        on every e^{s}."""
-        value, grad = self.evaluate(s)
+    def posterior(self, s: np.ndarray):
+        """F(s), its gradient and, up to DENSE_NEWTON_MAX_N entities, the pair
+        (-Hessian F, whether the bound d > 0 certifies it positive definite),
+        all from one softmax over the rows of ``mask``; else None."""
         with np.errstate(over="ignore"):
             strength = PRIOR_RATE * np.exp(s)
-        return value + float(np.sum(PRIOR_SHAPE * s - strength)), grad + PRIOR_SHAPE - strength
+        prior = float(np.sum(PRIOR_SHAPE * s - strength))
+        if self.mask is None:
+            value, grad = self.evaluate(s)
+            return value + prior, grad + PRIOR_SHAPE - strength, None
+        z = s + self.mask
+        top = z.max(axis=1)
+        p = np.exp(z - top[:, None])
+        total = p.sum(axis=1)
+        p /= total[:, None]
+        lse = top + np.log(total)
+        weighted = p * self.signed[:, None]
+        pull = weighted.sum(axis=0)
+        value = _dot(self.lin, s) + _dot(self.signed, lse) + prior
+        hessian = weighted.T @ p
+        hessian.flat[:: self.n + 1] += strength - pull
+        rows = self.set_rows
+        p_lower = -np.expm1(lse[rows] - lse[rows + 1])  # P(Y wins) per set-vs-set constraint
+        certified = bool(np.all(strength > self.beta * (p_lower @ p[rows])))
+        return value, self.lin + pull + PRIOR_SHAPE - strength, (hessian, certified)
 
     def curvature(self, s: np.ndarray):
         """Diagonal of -Hessian at ``s`` and a function applying -Hessian."""
@@ -256,38 +287,6 @@ class _Terms:
             return self._scatter(parts)
 
         return self._scatter(parts), apply
-
-    def hessian(self, s: np.ndarray) -> np.ndarray:
-        """-Hessian of the likelihood at ``s`` as one n x n array.
-
-        Only for universes of at most DENSE_NEWTON_MAX_N entities, the ones
-        whose cell indices ``__init__`` keeps.
-        """
-        parts = []
-        for (idx, weight), stage in zip(self.lists, self.stages):
-            so = s[idx]
-            logz = _log_suffix_sums(so)[:-1]
-            # sum_{k <= min(a, b)} pi_k(a) pi_k(b); every exponent is at most log n
-            shared = np.exp(np.add.outer(so, so).ravel() + _stage_lse(-2.0 * logz)[stage])
-            parts += [-weight * shared, weight * np.exp(so + _stage_lse(-logz))]
-        for hi, lo in self.cons:
-            sx = s[hi]
-            su = np.concatenate((sx, s[lo]))
-            rho, pi_x = np.exp(su - _lse(su)), np.exp(sx - _lse(sx))
-            # (diag rho - rho rho^T) over both sides minus (diag pi - pi pi^T) over X
-            parts += [
-                -self.beta * np.outer(rho, rho).ravel(),
-                self.beta * np.outer(pi_x, pi_x).ravel(),
-                self.beta * rho,
-                -self.beta * pi_x,
-            ]
-        values = np.concatenate([np.empty(0), *parts])
-        return np.bincount(self.cells, values, minlength=self.n * self.n).reshape(self.n, self.n)
-
-
-def _block(idx: np.ndarray, n: int) -> np.ndarray:
-    """Flat indices of the cells idx x idx of an n x n matrix, row-major."""
-    return np.add.outer(idx * n, idx).ravel()
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -399,28 +398,28 @@ def _start(terms: _Terms) -> np.ndarray:
     return s
 
 
-def _newton_direction(terms: _Terms, s: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _newton_direction(terms: _Terms, s: np.ndarray, g: np.ndarray, dense) -> np.ndarray:
     """An ascent direction from (-Hessian F) d = g, by the universe's size.
 
-    Up to DENSE_NEWTON_MAX_N entities: the exact solution when a Cholesky
-    factorization shows the matrix positive definite, else g over its
-    diagonal floored at the prior's curvature (CG's first iterate). An
-    indefinite matrix's step, even with g . d > 0, can send a score into the
-    prior's linear tail, where no step of at least _MIN_STEP raises F. Above:
-    preconditioned CG, stopped once the residual's preconditioned norm has
-    shrunk by eta = min(0.5, sqrt |g|) (Eisenstat-Walker), which keeps early
-    steps cheap and the final ones superlinearly convergent. On negative
-    curvature it returns the direction built so far, or the preconditioned
-    gradient if it has none.
+    Up to DENSE_NEWTON_MAX_N entities, ``dense`` is posterior's pair at s: the
+    exact solution when the bound, or else a Cholesky factorization, shows
+    the matrix positive definite; else g over its diagonal floored at the
+    prior's curvature. An indefinite matrix's step, even with g . d > 0, can
+    send a score into the prior's linear tail, where no step of at least
+    _MIN_STEP raises F. Above: preconditioned CG, stopped once the residual's
+    preconditioned norm has shrunk by eta = min(0.5, sqrt |g|)
+    (Eisenstat-Walker), which keeps early steps cheap and the final ones
+    superlinearly convergent. On negative curvature it returns the direction
+    built so far, or the preconditioned gradient if it has none.
     """
     prior = PRIOR_RATE * np.exp(s)
-    if terms.n <= DENSE_NEWTON_MAX_N:
-        hessian = terms.hessian(s)
-        hessian.flat[:: terms.n + 1] += prior
-        try:
-            np.linalg.cholesky(hessian)
-        except np.linalg.LinAlgError:
-            return g / np.maximum(hessian.diagonal(), prior)
+    if dense is not None:
+        hessian, certified = dense
+        if not certified:
+            try:
+                np.linalg.cholesky(hessian)
+            except np.linalg.LinAlgError:
+                return g / np.maximum(hessian.diagonal(), prior)
         return np.linalg.solve(hessian, g)
     diag, apply_likelihood = terms.curvature(s)
     precond = 1.0 / np.maximum(diag + prior, prior)
@@ -447,8 +446,9 @@ def _newton_direction(terms: _Terms, s: np.ndarray, g: np.ndarray) -> np.ndarray
 
 
 def _line_search(terms: _Terms, s, f, g, d):
-    """Armijo backtracking along ``d``; returns the accepted point with its F
-    and gradient, or None when no finite step of at least _MIN_STEP raises F.
+    """Armijo backtracking along ``d``; returns the accepted point with its
+    posterior (F, gradient and dense curvature), or None when no finite step
+    of at least _MIN_STEP raises F.
 
     A gain below F's rounding error cannot be read off two F values. For
     such short steps, as long as F does not drop by more than that error,
@@ -460,13 +460,13 @@ def _line_search(terms: _Terms, s, f, g, d):
     t = 1.0
     while t >= _MIN_STEP:
         trial = s + t * d
-        f_trial, g_trial = terms.posterior(trial)
+        f_trial, g_trial, dense = terms.posterior(trial)
         gain = f_trial - f
         if t * slope <= noise and gain > -noise:
             gain = 0.5 * t * (slope + _dot(g_trial, d))
         # NaN fails the comparison
         if gain > 0 and gain >= _ARMIJO * t * slope:
-            return trial, f_trial, g_trial
+            return trial, f_trial, g_trial, dense
         t *= 0.5
     return None
 
@@ -474,15 +474,15 @@ def _line_search(terms: _Terms, s, f, g, d):
 def _maximize(terms: _Terms) -> tuple[np.ndarray, int, bool]:
     """Damped Newton ascent on F from _start; returns (s, steps, converged)."""
     s = _start(terms)
-    f, g = terms.posterior(s)
+    f, g, dense = terms.posterior(s)
     steps = 0
     while not np.max(np.abs(g)) < GRAD_TOL:
         if steps == MAX_NEWTON_STEPS:
             return s, steps, False
-        accepted = _line_search(terms, s, f, g, _newton_direction(terms, s, g))
+        accepted = _line_search(terms, s, f, g, _newton_direction(terms, s, g, dense))
         if accepted is None:
             return s, steps, False
-        s, f, g = accepted
+        s, f, g, dense = accepted
         steps += 1
     return s, steps, True
 

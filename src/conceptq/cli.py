@@ -216,7 +216,12 @@ def cmd_eval(args) -> int:
         **({} if args.holdout is None else {"seed": args.seed}),
     )
 
-    per_query = []
+    per_query, skipped = [], []
+
+    def skip(query: str, reason) -> None:
+        print(f"warning: {query!r} skipped: {reason}", file=sys.stderr)
+        skipped.append({"query": query, "reason": str(reason)})
+
     if args.holdout is not None:
         for query in queries:
             try:
@@ -224,7 +229,7 @@ def cmd_eval(args) -> int:
                     taxonomy, query, args.holdout, args.seed, ks, config
                 )
             except EngineError as exc:
-                print(f"warning: {query!r} skipped: {exc}", file=sys.stderr)
+                skip(query, exc)
                 continue
             per_query.extend(report.per_query)
     else:
@@ -232,13 +237,13 @@ def cmd_eval(args) -> int:
         for query in queries:
             answers = truth_map.get(normalize(query))
             if not answers:
-                print(f"warning: no ground truth for {query!r}; skipped", file=sys.stderr)
+                skip(query, "no ground truth")
                 continue
             truth = GroundTruth(query=query, answers=frozenset(answers))
             try:
                 report = evaluate_queries(taxonomy, [truth], ks, config)
             except (UnanswerableQueryError, QueryParseError) as exc:
-                print(f"warning: {query!r} skipped: {exc}", file=sys.stderr)
+                skip(query, exc)
                 continue
             per_query.extend(report.per_query)
     averages = average_metrics(per_query)
@@ -249,6 +254,7 @@ def cmd_eval(args) -> int:
             "per_query": [
                 {"query": qm.query, "metrics": qm.metrics} for qm in per_query
             ],
+            "skipped": skipped,
             "averages": averages,
         }
         print(json.dumps(doc, sort_keys=True))
@@ -257,6 +263,8 @@ def cmd_eval(args) -> int:
     _print_header(echo)
     for qm in per_query:
         print(_metric_line(f"query={qm.query}", qm.metrics))
+    for item in skipped:
+        print(f"skipped query={item['query']!r} reason={item['reason']!r}")
     print(_metric_line("average", averages))
     return EXIT_OK
 

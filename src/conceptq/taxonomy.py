@@ -122,9 +122,11 @@ class Taxonomy:
     """
 
     def __init__(self, concept_ids: dict[str, int], entity_ids: dict[str, int],
-                 rows: np.ndarray, cols: np.ndarray, counts: np.ndarray):
+                 rows: np.ndarray, cols: np.ndarray, counts: np.ndarray,
+                 by_entity: Csr | None = None):
         """Index merged pairs sorted by (concept id, entity id). The id maps
         list every name once, in id order, and every name must have a pair.
+        ``by_entity``, if given, is the same pairs' entity orientation.
         Use :func:`ingest` or :func:`load`."""
         self.concept_names = list(concept_ids)
         self.entity_names = list(entity_ids)
@@ -134,8 +136,10 @@ class Taxonomy:
         self.entity_ids = MappingProxyType(entity_ids)
         counts = counts.astype(np.int64, copy=False)
         self.by_concept = Csr.from_pairs(len(concept_ids), rows, cols, counts)
-        by_col = np.argsort(cols, kind="stable")
-        self.by_entity = Csr.from_pairs(len(entity_ids), cols[by_col], rows[by_col], counts[by_col])
+        if by_entity is None:
+            by_col = np.argsort(cols, kind="stable")
+            by_entity = Csr.from_pairs(len(entity_ids), cols[by_col], rows[by_col], counts[by_col])
+        self.by_entity = by_entity
         self.n_c = _frozen(self.by_concept.row_sums())
         self.n_e = _frozen(self.by_entity.row_sums())
         self.deg_c = _frozen(np.diff(self.by_concept.ptr))
@@ -214,9 +218,15 @@ class Taxonomy:
         rows, cols = self.by_concept.pairs()
         keep = ~(drop_c[rows] & drop_e[cols])
         rows, cols, counts = rows[keep], cols[keep], self.by_concept.counts[keep]
-        concept_ids, rows, kept_c = _compact(self.concept_names, self._concept_ids, rows)
-        entity_ids, cols, kept_e = _compact(self.entity_names, self._entity_ids, cols)
-        reduced = Taxonomy(concept_ids, entity_ids, rows, cols, counts)
+        concept_ids, new_c, kept_c = _compact(self.concept_names, self._concept_ids, rows)
+        entity_ids, new_e, kept_e = _compact(self.entity_names, self._entity_ids, cols)
+        # The renumbering keeps id order, so the entity orientation's kept
+        # pairs are still sorted and need no argsort.
+        e_rows, e_cols = self.by_entity.pairs()
+        keep = ~(drop_e[e_rows] & drop_c[e_cols])
+        by_entity = Csr.from_pairs(len(entity_ids), new_e[e_rows[keep]], new_c[e_cols[keep]],
+                                   self.by_entity.counts[keep])
+        reduced = Taxonomy(concept_ids, entity_ids, new_c[rows], new_e[cols], counts, by_entity)
         # A subset of the name ranks still sorts by name.
         reduced.concept_rank = _frozen(self.concept_rank[kept_c])
         reduced.entity_rank = _frozen(self.entity_rank[kept_e])
@@ -275,14 +285,14 @@ def _compact(
     names: list[str], ids: dict[str, int], refs: np.ndarray
 ) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
     """Drop the names no id in ``refs`` refers to and renumber in the same
-    order: the new ``name -> id`` map, the renumbered ``refs`` and the old
-    ids kept. When every name is kept the map is shared, not copied."""
+    order: the new ``name -> id`` map, each old id's new id and the old ids
+    kept. When every name is kept the map is shared, not copied."""
     used = np.zeros(len(names), dtype=bool)
     used[refs] = True
     kept = np.flatnonzero(used)
-    if len(kept) == len(names):
-        return ids, refs, kept
-    return {names[old]: new for new, old in enumerate(kept.tolist())}, (np.cumsum(used) - 1)[refs], kept
+    if len(kept) < len(names):
+        ids = {names[old]: new for new, old in enumerate(kept.tolist())}
+    return ids, np.cumsum(used) - 1, kept
 
 
 def entity_union(taxonomy: Taxonomy, concepts: Iterable[str]) -> frozenset[str]:

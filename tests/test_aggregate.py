@@ -335,18 +335,19 @@ class TestHessian:
         names, terms = terms_of(*instance)
         n = len(names)
         s, v = np.array(values[:n]), np.array(values[10 : 10 + n])
-        hessian = terms.hessian(s)
+        hessian, _ = terms.posterior(s)[2]
         assert hessian.shape == (n, n)
-        assert np.array_equal(hessian, hessian.T)
+        np.testing.assert_allclose(hessian, hessian.T, rtol=0, atol=1e-13)
         diag, apply = terms.curvature(s)
-        np.testing.assert_allclose(np.diag(hessian), diag, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(hessian @ v, apply(v), rtol=1e-9, atol=1e-11)
-        # hessian() is -(d/ds) gradient, column by column
+        prior = aggregate.PRIOR_RATE * np.exp(s)
+        np.testing.assert_allclose(np.diag(hessian), diag + prior, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(hessian @ v, apply(v) + prior * v, rtol=1e-9, atol=1e-11)
+        # the matrix is -(d/ds) grad F, column by column
         h = 1e-5
         for i in range(n):
             step = np.zeros(n)
             step[i] = h
-            fd = (terms.evaluate(s + step)[1] - terms.evaluate(s - step)[1]) / (2 * h)
+            fd = (terms.posterior(s + step)[1] - terms.posterior(s - step)[1]) / (2 * h)
             np.testing.assert_allclose(hessian[:, i], -fd, rtol=1e-4, atol=1e-7)
 
     def test_cg_curvature_matches_finite_differences_at_a_thousand_entities(self):
@@ -362,14 +363,59 @@ class TestHessian:
             members = [names[i] for i in rng.permutation(n)[: size_x + size_y]]
             r_p.append(make_constraint(members[:size_x], members[size_x:]))
         _, terms = terms_of(r_b, r_c, r_p, ObjectiveWeights())
-        assert terms.cells is None
         s = rng.normal(0.0, 2.0, n)
+        assert terms.posterior(s)[2] is None
         _, apply = terms.curvature(s)
         h = 1e-4
         for _ in range(3):
             v = rng.normal(0.0, 1.0, n)
             fd = (terms.evaluate(s + h * v)[1] - terms.evaluate(s - h * v)[1]) / (2 * h)
             np.testing.assert_allclose(apply(v), -fd, rtol=1e-4, atol=1e-9)
+
+
+class TestDenseKernel:
+    @given(
+        aggregation_instances(),
+        st.lists(st.floats(-5.0, 5.0), min_size=20, max_size=20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_softmax_rows_give_the_likelihood_plus_the_prior(self, instance, values):
+        names, terms = terms_of(*instance)
+        s = np.array(values[: len(names)])
+        value, grad = terms.evaluate(s)
+        strength = aggregate.PRIOR_RATE * np.exp(s)
+        value += float(np.sum(aggregate.PRIOR_SHAPE * s - strength))
+        grad += aggregate.PRIOR_SHAPE - strength
+        f, g, _ = terms.posterior(s)
+        assert abs(f - value) <= 1e-12 * (1.0 + abs(value))
+        np.testing.assert_allclose(g, grad, rtol=0, atol=1e-12)
+
+    @given(
+        aggregation_instances(),
+        st.lists(st.floats(-5.0, 5.0), min_size=20, max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_certified_matrix_is_positive_definite(self, instance, values):
+        names, terms = terms_of(*instance)
+        hessian, certified = terms.posterior(np.array(values[: len(names)]))[2]
+        if certified:
+            np.linalg.cholesky(hessian)
+
+    @given(instance=aggregation_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_without_set_constraints_no_cholesky_runs(self, instance):
+        # orderings and singleton constraints are concave, so the prior's
+        # curvature alone certifies every matrix
+        r_b, r_c, r_p, weights = instance
+        r_p = [c for c in r_p if len(c.higher) == 1]
+
+        def cholesky(a):
+            raise AssertionError("cholesky() called without a set-vs-set constraint")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "cholesky", cholesky)
+            sv, _ = optimize(r_b, r_c, r_p, weights)
+        assert sv.converged
 
 
 class TestNewtonSolve:
@@ -487,15 +533,18 @@ class TestNewtonSolve:
     )
     @settings(max_examples=40, deadline=None)
     def test_posterior_gradient_matches_finite_differences(self, instance, values):
-        names, terms = terms_of(*instance)
-        s = np.array(values[: len(names)])
-        grad = terms.posterior(s)[1]
-        h = 1e-5
-        for i in range(len(names)):
-            step = np.zeros(len(names))
-            step[i] = h
-            fd = (terms.posterior(s + step)[0] - terms.posterior(s - step)[0]) / (2 * h)
-            assert abs(grad[i] - fd) / max(1e-6, abs(fd), abs(grad[i])) < 1e-4
+        # the softmax rows of the dense path and the O(n) pass of the CG path
+        for path in ("dense", "cg"):
+            with direction_path(path):
+                names, terms = terms_of(*instance)
+            s = np.array(values[: len(names)])
+            grad = terms.posterior(s)[1]
+            h = 1e-5
+            for i in range(len(names)):
+                step = np.zeros(len(names))
+                step[i] = h
+                fd = (terms.posterior(s + step)[0] - terms.posterior(s - step)[0]) / (2 * h)
+                assert abs(grad[i] - fd) / max(1e-6, abs(fd), abs(grad[i])) < 1e-4
 
     def test_long_ordering_with_wide_score_span_converges(self):
         # one long ordering pushes its tail far down, so the MAP scores span

@@ -233,7 +233,43 @@ class TestEval:
         assert code == 0
         captured = capsys.readouterr()
         assert "skipped" in captured.err
-        assert "top famous university" not in captured.out
+        assert not any(l.startswith("query=top famous") for l in captured.out.splitlines())
+        assert "skipped query='top famous university' reason='no ground truth'" in (
+            captured.out.splitlines()
+        )
+        assert main(["eval", str(f1_path), str(queries), str(truth), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["skipped"] == [{"query": "top famous university", "reason": "no ground truth"}]
+        assert [q["query"] for q in doc["per_query"]] == ["top american university"]
+
+    def test_json_and_text_reports_agree(self, f1_path, tmp_path, capsys):
+        # one scored query and two skips: no truth, and no known short concept
+        queries = tmp_path / "queries.txt"
+        queries.write_text(
+            "top american university\ntop famous university\nunheard-of gadget\n",
+            encoding="utf-8",
+        )
+        truth = tmp_path / "truth.tsv"
+        truth.write_text(
+            "top american university\ta\nunheard-of gadget\ta\n", encoding="utf-8"
+        )
+        argv = ["eval", str(f1_path), str(queries), str(truth), "--k", "2,4"]
+        assert main(argv) == 0
+        text = capsys.readouterr().out.splitlines()
+        assert main([*argv, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+
+        def metric_line(label, metrics):
+            return "\t".join([label] + [f"{k}={metrics[k]:.6f}" for k in sorted(metrics)])
+
+        assert text[1:] == [
+            *(metric_line(f"query={q['query']}", q["metrics"]) for q in doc["per_query"]),
+            *(f"skipped query={s['query']!r} reason={s['reason']!r}" for s in doc["skipped"]),
+            metric_line("average", doc["averages"]),
+        ]
+        skipped = [s["query"] for s in doc["skipped"]]
+        assert skipped == ["top famous university", "unheard-of gadget"]
+        assert len(doc["per_query"]) == 1
 
     def test_malformed_truth_aborts_with_line(self, f1_path, tmp_path, capsys):
         queries = tmp_path / "queries.txt"

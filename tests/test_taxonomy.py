@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from conceptq.errors import DataFormatError, EngineError
 from conceptq.evaluation import planted_instance
 from conceptq.taxonomy import (
     CooccurrenceRecord,
+    Taxonomy,
     entity_intersection,
     entity_union,
     ingest,
@@ -314,6 +316,15 @@ class TestWithoutEdges:
         assert got.concepts == want.concepts
         assert got.entities == want.entities
         got.check_marginals()
+        # the entity orientation and the marginals are those of a rebuild
+        # that sorts the kept pairs by entity
+        rebuilt = Taxonomy(dict(got.concept_ids), dict(got.entity_ids),
+                           *got.by_concept.pairs(), got.by_concept.counts)
+        for a, b in ((got.by_entity.ptr, rebuilt.by_entity.ptr),
+                     (got.by_entity.ids, rebuilt.by_entity.ids),
+                     (got.by_entity.counts, rebuilt.by_entity.counts),
+                     (got.n_c, rebuilt.n_c), (got.n_e, rebuilt.n_e), (got.deg_c, rebuilt.deg_c)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
         # name ranks are inherited from the parent and still sort by name
         assert [got.entity_names[i] for i in got.entity_rank.argsort()] == sorted(got.entities)
         assert [got.concept_names[i] for i in got.concept_rank.argsort()] == sorted(got.concepts)
@@ -327,6 +338,17 @@ class TestWithoutEdges:
             concepts = rng.sample(sorted(t.concepts), rng.randint(0, len(t.concepts)))
             entities = rng.sample(sorted(t.entities), rng.randint(0, len(t.entities)))
             self.check(t, concepts, entities)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 7), st.integers(1, 5)),
+                 min_size=1, max_size=30),
+        st.sets(st.integers(0, 5)),
+        st.sets(st.integers(0, 7)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cut_matches_reingest_of_the_kept_records(self, rows, concepts, entities):
+        t = ingest([(f"c{c}", f"e{e}", n) for c, e, n in rows])
+        self.check(t, [f"c{c}" for c in concepts], [f"e{e}" for e in entities])
 
     def test_planted_instances_match_reingest(self):
         for seed in range(5):
