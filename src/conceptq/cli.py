@@ -15,6 +15,7 @@ sorted) instead of the text report:
                           "provenance": "seed"|"expanded"|"baseline-only"}]}
   eval      {"config": {<flag echo>},
              "per_query": [{"query": str, "metrics": {"<name>@<k>": float}}],
+             "skipped": [{"query": str, "reason": str}],
              "averages": {"<name>@<k>": float}}
   validate  {"taxonomy": str, "stats": {"concepts": int, "entities": int,
              "edges": int, "grand_total": int, "marginals": "ok"}}

@@ -17,10 +17,12 @@ Entities are then reordered by how much relevant-concept mass covers them:
 
   rel(e) = sum_c P(e|c) * rel(c)
 
-Scores are computed over the taxonomy's id arrays (see
-:mod:`conceptq.taxonomy`). A query reads the rows of its short concepts and
-of the entities of E_u, which holds every seed, so its cost scales with the
-edges of seeds and E_u, never with the candidate concepts' own rows:
+Scores are computed over the taxonomy's id arrays (see :mod:`conceptq.taxonomy`).
+A run reads the rows of its seeds once, and one sort of the concept ids of
+those pairs gives the ascending candidates and every pair's slot among them.
+E_u holds every seed, so a query's cost scales with the edges of seeds and
+E_u, never with the candidate concepts' own rows, and no vector over all
+concepts is built:
 
 * noisy-or multiplies the miss factors 1 - P(c|e) of each seed's row into a
   vector over the candidates, seed by seed in name order;
@@ -28,10 +30,14 @@ edges of seeds and E_u, never with the candidate concepts' own rows:
   log(1 + g_ P(e|c) / ((1-g_) P(e))) for each pair with n(c, e) > 0; with
   g_ = 1 a concept missing any seed scores exactly 0;
 * g(c) = (delta + T(c) - I(c)) / T(c), with T(c) = n(c) + deg(c) and
-  I(c) = sum_{e in E_u} (n(e,c)+1) summed over the rows of E_u;
+  I(c) = sum_{e in E_u} (n(e,c)+1), which adds the seeds' pairs through their
+  slots and the rest of E_u's pairs by binary search;
+* the top_k candidates are the ones scoring at least the k-th best score,
+  which a partition finds in O(candidates); only those are sorted;
 * rel(e) is one accumulation over the retained concepts' rows.
 
-Ties are broken by name, through the taxonomy's precomputed name ranks.
+Ties are broken by name, through the taxonomy's precomputed name ranks, so
+a tie across the top_k boundary keeps the first names.
 
 Separately, the membership patterns yield tiers of seed entities (grouped
 by pattern size, which is the size of the largest subset supporting them)
@@ -143,42 +149,48 @@ def _seed_ids(taxonomy: Taxonomy, seeds: Iterable[str]) -> np.ndarray:
     return np.array(ids, dtype=np.int64)
 
 
-def _inside(taxonomy: Taxonomy, e_union: np.ndarray) -> np.ndarray:
-    """I(c) = sum of n(c, e) + 1 over the entity ids e of E_u, for every concept."""
-    _, concepts, counts = taxonomy.by_entity.rows(e_union)
-    inside = np.zeros(len(taxonomy.concept_names), dtype=np.int64)
-    np.add.at(inside, concepts, counts + 1)
+def _find(targets: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which of ``ids`` are among the ascending ``targets``, and the slots
+    there of those that are."""
+    slot = np.searchsorted(targets, ids)
+    hit = targets[np.minimum(slot, len(targets) - 1)] == ids
+    return hit, slot[hit]
+
+
+def _inside(taxonomy: Taxonomy, entities: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Sum of n(c, e) + 1 over the entity ids ``entities``, for each of the
+    ascending concept ids ``targets``: I(c) when ``entities`` is E_u."""
+    _, concepts, counts = taxonomy.by_entity.rows(entities)
+    hit, slot = _find(targets, concepts)
+    inside = np.zeros(len(targets), dtype=np.int64)
+    np.add.at(inside, slot, counts[hit] + 1)
     return inside
 
 
-def _candidates(taxonomy: Taxonomy, seeds: np.ndarray) -> np.ndarray:
-    """Ascending ids of every concept covering at least one seed."""
-    return np.unique(taxonomy.by_entity.rows(seeds)[1])
-
-
 def _penalty(taxonomy: Taxonomy, targets: np.ndarray, inside: np.ndarray, delta: float) -> np.ndarray:
-    """g(c) = (delta + T(c) - I(c)) / T(c), with T(c) = n(c) + deg(c)."""
+    """g(c) = (delta + T(c) - I(c)) / T(c), with T(c) = n(c) + deg(c) and
+    ``inside`` the I(c) of each target."""
     total = taxonomy.n_c[targets] + taxonomy.deg_c[targets]
-    return (delta + (total - inside[targets])) / total
+    return (delta + (total - inside)) / total
 
 
 def _relevance(
     taxonomy: Taxonomy,
     seeds: np.ndarray,
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
     targets: np.ndarray,
     inside: np.ndarray,
     model: ExpansionModel,
 ) -> np.ndarray:
     """rel(c) of the ascending concept ids ``targets`` against ``seeds``.
 
-    Only the seeds' own rows are read: pairs with n(c, e) = 0 contribute a
+    ``pairs`` are the seeds' pairs with a target, as (position in ``seeds``,
+    slot in ``targets``, count) in the order the seeds' rows are read, and
+    ``inside`` is each target's I(c). Pairs with n(c, e) = 0 contribute a
     factor 1 to the noisy-or miss product and the constant (1 - gamma) P(e)
     to the naive bayes product, which is added once for every target.
     """
-    owner, concepts, counts = taxonomy.by_entity.rows(seeds)
-    slot = np.searchsorted(targets, concepts)
-    hit = targets[np.minimum(slot, len(targets) - 1)] == concepts
-    owner, slot, counts = owner[hit], slot[hit], counts[hit]
+    owner, slot, counts = pairs
     if model.kind == NOISY_OR:
         miss = np.ones(len(targets))
         np.multiply.at(miss, slot, 1.0 - counts / taxonomy.n_e[seeds][owner])
@@ -200,6 +212,52 @@ def _relevance(
     return rel / _penalty(taxonomy, targets, inside, model.delta)
 
 
+def _target_relevance(
+    taxonomy: Taxonomy,
+    seeds: np.ndarray,
+    targets: np.ndarray,
+    e_union: np.ndarray,
+    model: ExpansionModel,
+) -> np.ndarray:
+    """rel(c) of the ascending concept ids ``targets``, which need not cover a seed."""
+    owner, concepts, counts = taxonomy.by_entity.rows(seeds)
+    hit, slot = _find(targets, concepts)
+    pairs = owner[hit], slot, counts[hit]
+    return _relevance(taxonomy, seeds, pairs, targets, _inside(taxonomy, e_union, targets), model)
+
+
+def _candidates(
+    taxonomy: Taxonomy, seeds: np.ndarray, e_union: np.ndarray, model: ExpansionModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending ids of every concept covering at least one of ``seeds``,
+    and their rel(c).
+
+    One sort of the seeds' pairs gives the candidates and each pair's slot
+    among them. I(c) sums the pairs of the seeds in E_u through those slots,
+    and the pairs of the rest of E_u by search.
+    """
+    owner, concepts, counts = taxonomy.by_entity.rows(seeds)
+    candidates, slot = np.unique(concepts, return_inverse=True)
+    in_union, at = _find(e_union, seeds)
+    rest = np.ones(len(e_union), dtype=bool)
+    rest[at] = False
+    inside = _inside(taxonomy, e_union[rest], candidates)
+    mine = in_union[owner]
+    np.add.at(inside, slot[mine], counts[mine] + 1)
+    return candidates, _relevance(taxonomy, seeds, (owner, slot, counts), candidates, inside, model)
+
+
+def _top(rank: np.ndarray, ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` best of ``ids`` by descending score, ties by
+    name ``rank``. A partition finds the k-th best score, and only the ids
+    scoring at least that are sorted, so ties across it are kept by name."""
+    if len(scores) > k:
+        kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+        keep = np.flatnonzero(scores >= kth)
+        return keep[name_order(rank, ids[keep], scores[keep])[:k]]
+    return name_order(rank, ids, scores)
+
+
 def _one_concept(
     taxonomy: Taxonomy,
     concept: str,
@@ -208,8 +266,8 @@ def _one_concept(
     model: ExpansionModel,
 ) -> float:
     target = np.array([_known_concept(taxonomy, concept)])
-    inside = _inside(taxonomy, membership(taxonomy, short_concepts).ids)
-    return float(_relevance(taxonomy, _seed_ids(taxonomy, seeds), target, inside, model)[0])
+    e_union = membership(taxonomy, short_concepts).ids
+    return float(_target_relevance(taxonomy, _seed_ids(taxonomy, seeds), target, e_union, model)[0])
 
 
 def g_penalty(
@@ -217,7 +275,7 @@ def g_penalty(
 ) -> float:
     """Over-generality penalty of ``concept`` against the query's entity union."""
     target = np.array([_known_concept(taxonomy, concept)])
-    inside = _inside(taxonomy, membership(taxonomy, short_concepts).ids)
+    inside = _inside(taxonomy, membership(taxonomy, short_concepts).ids, target)
     return float(_penalty(taxonomy, target, inside, delta)[0])
 
 
@@ -258,11 +316,11 @@ def entity_relevance(
             weights.append(cr.score)
     ids = np.array(ids, dtype=np.int64)
     owner, entities, counts = taxonomy.by_concept.rows(ids)
-    covered = np.unique(entities)
+    covered, slot = np.unique(entities, return_inverse=True)
     scores = np.zeros(len(covered))
     np.add.at(
         scores,
-        np.searchsorted(covered, entities),
+        slot,
         counts / taxonomy.n_c[ids][owner] * np.array(weights)[owner],
     )
     order = name_order(taxonomy.entity_rank, covered, scores)
@@ -311,8 +369,8 @@ def expand(
 
     The seed runs are ``members.seed_runs()``: the full intersection when it
     is non-empty, else the intersection of every largest subset whose
-    intersection is non-empty, each expanded independently. The retained concepts are pooled, summing
-    the scores of concepts found by several runs.
+    intersection is non-empty, each expanded independently. The retained
+    concepts are pooled, summing the scores of concepts found by several runs.
 
     The query's own short concepts are always added to the retained pool
     (they carry the minimal penalty by construction), so the expansion
@@ -321,7 +379,6 @@ def expand(
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     query_ids = np.array([_known_concept(taxonomy, c) for c in members.concepts], dtype=np.int64)
-    inside = _inside(taxonomy, members.ids)
     runs = [pattern.entities for pattern in members.seed_runs()]
 
     pooled: dict[int, float] = {}
@@ -329,10 +386,9 @@ def expand(
     for seeds in runs:
         seed_ids = _seed_ids(taxonomy, seeds)
         run_seeds.append(seed_ids)
-        candidates = _candidates(taxonomy, seed_ids)
-        scores = _relevance(taxonomy, seed_ids, candidates, inside, model)
-        retained = name_order(taxonomy.concept_rank, candidates, scores)[:top_k].tolist()
-        retained += np.flatnonzero(np.isin(candidates, query_ids)).tolist()
+        candidates, scores = _candidates(taxonomy, seed_ids, members.ids, model)
+        retained = _top(taxonomy.concept_rank, candidates, scores, top_k).tolist()
+        retained += _find(candidates, query_ids)[1].tolist()
         for i in dict.fromkeys(retained):
             c = int(candidates[i])
             pooled[c] = pooled.get(c, 0.0) + float(scores[i])
@@ -343,7 +399,7 @@ def expand(
         targets = np.array(unseen, dtype=np.int64)
         total = np.zeros(len(targets))
         for seed_ids in run_seeds:
-            total += _relevance(taxonomy, seed_ids, targets, inside, model)
+            total += _target_relevance(taxonomy, seed_ids, targets, members.ids, model)
         pooled.update(zip(unseen, total.tolist()))
 
     concepts = [

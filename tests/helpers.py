@@ -12,6 +12,8 @@ from itertools import combinations
 from typing import Sequence
 
 from conceptq.errors import QueryParseError
+from conceptq.expansion import NOISY_OR, ExpansionModel, rel_naive_bayes, rel_noisy_or
+from conceptq.query import Membership
 from conceptq.taxonomy import Taxonomy, ingest
 
 
@@ -77,6 +79,55 @@ def oracle_rel_naive_bayes(t: Taxonomy, concept, seeds, short_concepts, gamma, d
         n_e = sum(t.concepts_of(e).values())
         score *= gamma * (n_ce / n_c) + (1.0 - gamma) * (n_e / grand)
     return score / oracle_g(t, concept, e_union, delta)
+
+
+# -- expansion selection oracle -----------------------------------------------
+
+
+def oracle_expand(
+    t: Taxonomy, members: Membership, model: ExpansionModel, top_k: int
+) -> tuple[list[tuple[str, float]], dict[str, float], list[tuple[frozenset, frozenset]]]:
+    """``expand``'s retained (concept, score) pairs, entity scores and
+    (higher, lower) constraints, by full sorts.
+
+    Each run's candidates are every concept of its seeds, scored one at a
+    time by ``rel_noisy_or`` or ``rel_naive_bayes``; all of them are sorted
+    by (-score, name), the first ``top_k`` and the query's own concepts are
+    kept, and the runs are pooled by summing. Entity scores add
+    n(c, e) / n(c) * rel(c) over the ranked concepts in plain floats, and the
+    constraints come from the subset lattice's tiers.
+    """
+    rel = rel_noisy_or if model.kind == NOISY_OR else rel_naive_bayes
+    short = list(members.concepts)
+    runs = [p.entities for p in members.seed_runs()]
+    pooled: dict[str, float] = {}
+    for seeds in runs:
+        scores = {c: rel(t, c, seeds, short, model) for e in seeds for c in t.concepts_of(e)}
+        ranked = sorted(scores, key=lambda c: (-scores[c], c))
+        for c in dict.fromkeys(ranked[:top_k] + [c for c in short if c in scores]):
+            pooled[c] = pooled.get(c, 0.0) + scores[c]
+    for c in short:
+        if c not in pooled:
+            total = 0.0
+            for seeds in runs:
+                total += rel(t, c, seeds, short, model)
+            pooled[c] = total
+    concepts = sorted(pooled.items(), key=lambda item: (-item[1], item[0]))
+
+    entity_scores: dict[str, float] = {}
+    for c, score in concepts:
+        row = t.entities_of(c)
+        n_c = sum(row.values())
+        for e, n in row.items():
+            entity_scores[e] = entity_scores.get(e, 0.0) + n / n_c * score
+    ranked_entities = sorted(entity_scores, key=lambda e: (-entity_scores[e], e))
+
+    tiers = [entities for _, entities in oracle_tiers(enumerate_subsets(t, short))]
+    return (
+        concepts,
+        {e: entity_scores[e] for e in ranked_entities},
+        list(zip(tiers, tiers[1:])),
+    )
 
 
 # -- subset lattice oracle ------------------------------------------------------

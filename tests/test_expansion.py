@@ -2,6 +2,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conceptq.expansion import (
     ConceptRelevance,
@@ -19,7 +21,7 @@ from conceptq.expansion import (
 from conceptq.query import MembershipPattern, membership
 from conceptq.taxonomy import ingest
 
-from helpers import oracle_rel_naive_bayes, oracle_rel_noisy_or, random_taxonomy
+from helpers import oracle_expand, oracle_rel_naive_bayes, oracle_rel_noisy_or, random_taxonomy
 
 
 def full_intersection_cases(rng, count):
@@ -35,6 +37,13 @@ def full_intersection_cases(rng, count):
     return cases
 
 F1_PAIR = ["top university", "american university"]
+
+# gamma = 1 scores every concept missing a seed exactly 0, so many
+# candidates tie at the top_k boundary.
+SELECTION_MODELS = [
+    ExpansionModel(kind="noisy_or", leak=0.1, delta=0.5),
+    ExpansionModel(kind="naive_bayes", gamma=1.0, delta=0.5),
+]
 
 
 class TestModelValidation:
@@ -415,3 +424,53 @@ class TestSparseScoring:
     def test_unknown_seed_rejected(self, f1):
         with pytest.raises(ValueError):
             rel_noisy_or(f1, "ivy league", ["a", "nobody"], F1_PAIR, ExpansionModel())
+
+
+class TestTopKSelection:
+    """The top_k candidates are chosen by a partition threshold; the oracle
+    sorts every candidate by (-score, name)."""
+
+    @pytest.mark.parametrize("model", SELECTION_MODELS, ids=["noisy_or", "naive_bayes_gamma1"])
+    @given(seed=st.integers(0, 2**32 - 1), top_k=st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_selection_matches_full_sort_oracle(self, model, seed, top_k):
+        rng = random.Random(seed)
+        t = random_taxonomy(rng, max_concepts=10, max_entities=8, max_edges=30, max_count=3)
+        concepts = sorted(t.concepts)
+        members = membership(t, rng.sample(concepts, rng.randint(1, min(3, len(concepts)))))
+        runs = members.seed_runs()
+        assume(top_k < max(len({c for e in p.entities for c in t.concepts_of(e)}) for p in runs))
+        result = expand(t, members, model, top_k=top_k)
+        want, _, _ = oracle_expand(t, members, model, top_k)
+        assert [(c.concept, c.score) for c in result.concepts] == want
+
+    @pytest.mark.parametrize("model", SELECTION_MODELS, ids=["noisy_or", "naive_bayes_gamma1"])
+    @pytest.mark.parametrize("top_k", [1, 10])
+    def test_many_candidates_with_ties_match_full_sort_oracle(self, model, top_k):
+        # 300 concepts over the seeds s1 and s2 (200 each); a concept's
+        # counts depend only on i % 12, so every score is shared by 25
+        # concepts, and a third of them miss one seed (0 under gamma = 1).
+        rows = [
+            ("q1 x", "s1", 1), ("q1 x", "s2", 1), ("q1 x", "u1", 1),
+            ("q2 x", "s1", 1), ("q2 x", "s2", 1), ("q2 x", "u2", 2),
+        ]
+        for i in range(300):
+            concept = f"k{i:03d}"
+            if i % 3 != 2:
+                rows.append((concept, "s1", 1 + i % 4))
+            if i % 3 != 1:
+                rows.append((concept, "s2", 1 + i % 2))
+            if i % 6 == 0:
+                rows.append((concept, "outside", 2))
+        t = ingest(rows)
+        assert all(len(t.concepts_of(s)) >= 200 for s in ("s1", "s2"))
+        members = membership(t, ["q1 x", "q2 x"])
+        result = expand(t, members, model, top_k=top_k)
+        concepts, entity_scores, r_p = oracle_expand(t, members, model, top_k)
+        # the kept k-concepts come from one profile that 25 concepts share
+        kept = [score for name, score in concepts if name.startswith("k")]
+        assert len(kept) == top_k and len(set(kept)) == 1
+        assert [(c.concept, c.score) for c in result.concepts] == concepts
+        assert result.entity_scores == entity_scores
+        assert result.r_c == list(entity_scores)
+        assert [(c.higher, c.lower) for c in result.r_p] == r_p
