@@ -448,8 +448,8 @@ class TestTopKSelection:
     @pytest.mark.parametrize("top_k", [1, 10])
     def test_many_candidates_with_ties_match_full_sort_oracle(self, model, top_k):
         # 300 concepts over the seeds s1 and s2 (200 each); a concept's
-        # counts depend only on i % 12, so every score is shared by 25
-        # concepts, and a third of them miss one seed (0 under gamma = 1).
+        # counts depend only on i % 12, so every score is shared by at least 25
+        # concepts, and two thirds of them miss one seed (0 under gamma = 1).
         rows = [
             ("q1 x", "s1", 1), ("q1 x", "s2", 1), ("q1 x", "u1", 1),
             ("q2 x", "s1", 1), ("q2 x", "s2", 1), ("q2 x", "u2", 2),
