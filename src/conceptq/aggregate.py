@@ -56,11 +56,13 @@ out the constraints. It has one way to get a direction per size:
   this path, so a universe of 10^4 entities stays within a few MB where
   its dense Hessian would take a GB.
 
-Elsewhere F and its gradient come from one O(n) pass over the terms
-(_Terms.evaluate). Armijo backtracking accepts only finite steps that raise
-F; a gain too small to survive rounding in F is measured by the trapezoid
-rule on the directional derivatives instead. The solve stops when max
-|grad F| < GRAD_TOL, and reports ``converged=False`` when it hits
+Both paths read each point once: above, one O(n) pass over the terms
+(_Terms.evaluate) gives F, its gradient, the Hessian's diagonal and the
+product. A direction that moves a score by more than _MAX_MOVE is scaled
+down to that move, and Armijo backtracking accepts only finite steps that
+raise F; a gain too small to survive rounding in F is measured by the
+trapezoid rule on the directional derivatives instead. The solve stops when
+max |grad F| < GRAD_TOL, and reports ``converged=False`` when it hits
 MAX_NEWTON_STEPS or cannot raise F any further first. The reported scores
 are re-centered to mean zero.
 
@@ -99,6 +101,10 @@ DENSE_NEWTON_MAX_N = 120
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-30
 _RESOLUTION = 1e-10  # relative size of an F gain lost in rounding
+# Largest move of any score in one step (seed-1 steps move one by <= 165); a
+# longer direction, e.g. one into the prior's linear tail (4e70 long on a
+# 9-entity input), is scaled down to it so a step of >= _MIN_STEP can raise F.
+_MAX_MOVE = 700.0
 # Cap on the exponents of the curvature's coupling factors. It binds only
 # once an ordering's log-normalizers span more than 2 * 650, and it keeps
 # every product of the Hessian-vector product finite.
@@ -200,39 +206,69 @@ class _Terms:
     def _scatter(self, parts: list[np.ndarray]) -> np.ndarray:
         return np.bincount(self.slots, np.concatenate([np.empty(0), *parts]), minlength=self.n)
 
-    def evaluate(self, s: np.ndarray) -> tuple[float, np.ndarray]:
-        """The likelihood and its gradient at ``s``, from one pass over the terms.
+    def evaluate(self, s: np.ndarray):
+        """The likelihood, its gradient and its curvature (the diagonal of
+        -Hessian, a function applying -Hessian) at ``s``, from one pass.
 
         An ordering's entity at position p has the derivative [p <= n-2] minus
         sum_{k <= min(p, n-2)} pi_k(p) = exp(s_p + M_p), pi_k being the k-th
         choice over the suffix k..n-1 and M_p the running log-sum-exp of
         -log Z_k, so every exponent stays bounded.
         """
-        total, parts = 0.0, []
+        total, parts, diag, lists, cons = 0.0, [], [], [], []
         for idx, weight in self.lists:
             so = s[idx]
-            logz = _log_suffix_sums(so)[:-1]
-            total += weight * float(np.sum(so[:-1] - logz))
-            part = -weight * np.exp(so + _stage_lse(-logz))
+            logz = _log_suffix_sums(so)
+            total += weight * float(np.sum(so[:-1] - logz[:-1]))
+            c = np.exp(so + _stage_lse(-logz[:-1]))  # sum_k pi_k(j)
+            part = -weight * c
             part[:-1] += weight
             parts.append(part)
+            diag.append(weight * (c - np.exp(2.0 * so + _stage_lse(-2.0 * logz[:-1]))))
+            # pi_k(j) = e^{s_j - mid} e^{mid - log Z_k}, split at the middle of
+            # log Z's range so that both factors stay finite
+            mid = 0.5 * (logz[0] + logz[-1])
+            e = np.exp(np.minimum(so - mid, _EXP_CAP))
+            inv_z = np.zeros(so.size)  # no stage starts at the last position
+            inv_z[:-1] = np.exp(np.minimum(mid - logz[:-1], _EXP_CAP))
+            lists.append((idx, weight * c, weight * e, e, inv_z))
         for hi, lo in self.cons:
             lx, ly = _lse(s[hi]), _lse(s[lo])
             la = np.logaddexp(lx, ly)
             total += self.beta * float(lx - la)
-            parts += [self.beta * np.exp(s[hi] + ly - lx - la), -self.beta * np.exp(s[lo] - la)]
-        return total, self._scatter(parts)
+            # beta P(lower side wins) times the softmax over each side
+            bx, by = self.beta * np.exp(s[hi] + ly - lx - la), self.beta * np.exp(s[lo] - la)
+            parts += [bx, -by]
+            q = math.exp(lx - la)  # P(higher side wins)
+            p = math.exp(ly - la)  # 1 - q, without cancellation
+            pi_x, pi_y = np.exp(s[hi] - lx), np.exp(s[lo] - ly)
+            diag += [bx * ((1.0 + q) * pi_x - 1.0), by * (1.0 - p * pi_y)]
+            cons.append((hi, lo, q, p, pi_x, pi_y, bx, by))
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            parts = []
+            for idx, wc, we, e, inv_z in lists:
+                vo = v[idx]
+                mu = (e * vo)[::-1].cumsum()[::-1] * inv_z  # pi_k . v per stage
+                parts.append(wc * vo - we * (mu * inv_z).cumsum())
+            for hi, lo, q, p, pi_x, pi_y, bx, by in cons:
+                vx, vy = v[hi], v[lo]
+                mx, my = _dot(pi_x, vx), _dot(pi_y, vy)
+                parts += [bx * ((1.0 + q) * mx - q * my - vx), by * (vy - q * mx - p * my)]
+            return self._scatter(parts)
+
+        return total, self._scatter(parts), (self._scatter(diag), apply)
 
     def posterior(self, s: np.ndarray):
-        """F(s), its gradient and, up to DENSE_NEWTON_MAX_N entities, the pair
-        (-Hessian F, whether the bound d > 0 certifies it positive definite),
-        all from one softmax over the rows of ``mask``; else None."""
+        """F(s), its gradient and its curvature, from one pass: up to DENSE_NEWTON_MAX_N
+        entities (-Hessian F, whether the bound d > 0 certifies it positive definite)
+        from one softmax over the rows of ``mask``; above, evaluate's."""
         with np.errstate(over="ignore"):
             strength = PRIOR_RATE * np.exp(s)
         prior = float(np.sum(PRIOR_SHAPE * s - strength))
         if self.mask is None:
-            value, grad = self.evaluate(s)
-            return value + prior, grad + PRIOR_SHAPE - strength, None
+            value, grad, curvature = self.evaluate(s)
+            return value + prior, grad + PRIOR_SHAPE - strength, curvature
         z = s + self.mask
         top = z.max(axis=1)
         p = np.exp(z - top[:, None])
@@ -248,45 +284,6 @@ class _Terms:
         p_lower = -np.expm1(lse[rows] - lse[rows + 1])  # P(Y wins) per set-vs-set constraint
         certified = bool(np.all(strength > self.beta * (p_lower @ p[rows])))
         return value, self.lin + pull + PRIOR_SHAPE - strength, (hessian, certified)
-
-    def curvature(self, s: np.ndarray):
-        """Diagonal of -Hessian at ``s`` and a function applying -Hessian."""
-        parts, lists, cons = [], [], []
-        for idx, weight in self.lists:
-            so = s[idx]
-            logz = _log_suffix_sums(so)
-            c = np.exp(so + _stage_lse(-logz[:-1]))  # sum_k pi_k(j)
-            parts.append(weight * (c - np.exp(2.0 * so + _stage_lse(-2.0 * logz[:-1]))))
-            # pi_k(j) = e^{s_j - mid} e^{mid - log Z_k}, split at the middle of
-            # log Z's range so that both factors stay finite
-            mid = 0.5 * (logz[0] + logz[-1])
-            e = np.exp(np.minimum(so - mid, _EXP_CAP))
-            inv_z = np.zeros(so.size)  # no stage starts at the last position
-            inv_z[:-1] = np.exp(np.minimum(mid - logz[:-1], _EXP_CAP))
-            lists.append((idx, weight * c, weight * e, e, inv_z))
-        for hi, lo in self.cons:
-            lx, ly = _lse(s[hi]), _lse(s[lo])
-            la = np.logaddexp(lx, ly)
-            q = math.exp(lx - la)  # P(higher side wins)
-            p = math.exp(ly - la)  # 1 - q, without cancellation
-            pi_x, pi_y = np.exp(s[hi] - lx), np.exp(s[lo] - ly)
-            bx, by = self.beta * p * pi_x, self.beta * p * pi_y
-            parts += [bx * ((1.0 + q) * pi_x - 1.0), by * (1.0 - p * pi_y)]
-            cons.append((hi, lo, q, p, pi_x, pi_y, bx, by))
-
-        def apply(v: np.ndarray) -> np.ndarray:
-            parts = []
-            for idx, wc, we, e, inv_z in lists:
-                vo = v[idx]
-                mu = (e * vo)[::-1].cumsum()[::-1] * inv_z  # pi_k . v per stage
-                parts.append(wc * vo - we * (mu * inv_z).cumsum())
-            for hi, lo, q, p, pi_x, pi_y, bx, by in cons:
-                vx, vy = v[hi], v[lo]
-                mx, my = _dot(pi_x, vx), _dot(pi_y, vy)
-                parts += [bx * ((1.0 + q) * mx - q * my - vx), by * (vy - q * mx - p * my)]
-            return self._scatter(parts)
-
-        return self._scatter(parts), apply
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -325,10 +322,10 @@ def _stage_lse(terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _terms_at(scores: Mapping[str, float], r_b, r_c, r_p, weights) -> tuple[_Terms, np.ndarray]:
+def _evaluate_at(scores: Mapping[str, float], r_b, r_c, r_p, weights):
     index = {e: i for i, e in enumerate(scores)}
     terms = _Terms(index, r_b, r_c, r_p, weights or ObjectiveWeights())
-    return terms, np.array([scores[e] for e in index], dtype=float)
+    return terms.evaluate(np.array([scores[e] for e in index], dtype=float))
 
 
 # -- the public likelihood ----------------------------------------------------
@@ -359,8 +356,7 @@ def objective(
     weights: ObjectiveWeights | None = None,
 ) -> float:
     """Weighted combination of the three log-likelihood components."""
-    terms, s = _terms_at(scores, r_b, r_c, r_p, weights)
-    return terms.evaluate(s)[0]
+    return _evaluate_at(scores, r_b, r_c, r_p, weights)[0]
 
 
 def gradient(
@@ -371,8 +367,7 @@ def gradient(
     weights: ObjectiveWeights | None = None,
 ) -> dict[str, float]:
     """Exact gradient of :func:`objective` with respect to every score."""
-    terms, s = _terms_at(scores, r_b, r_c, r_p, weights)
-    return dict(zip(scores, terms.evaluate(s)[1].tolist()))
+    return dict(zip(scores, _evaluate_at(scores, r_b, r_c, r_p, weights)[1].tolist()))
 
 
 # -- optimization -------------------------------------------------------------
@@ -398,12 +393,12 @@ def _start(terms: _Terms) -> np.ndarray:
     return s
 
 
-def _newton_direction(terms: _Terms, s: np.ndarray, g: np.ndarray, dense) -> np.ndarray:
-    """An ascent direction from (-Hessian F) d = g, by the universe's size.
+def _newton_direction(s: np.ndarray, g: np.ndarray, curvature) -> np.ndarray:
+    """An ascent direction from (-Hessian F) d = g, by posterior's curvature at s.
 
-    Up to DENSE_NEWTON_MAX_N entities, ``dense`` is posterior's pair at s: the
-    exact solution when the bound, or else a Cholesky factorization, shows
-    the matrix positive definite; else g over its diagonal floored at the
+    Up to DENSE_NEWTON_MAX_N entities it is the dense pair: the exact
+    solution when the bound, or else a Cholesky factorization, shows the
+    matrix positive definite; else g over its diagonal floored at the
     prior's curvature. An indefinite matrix's step, even with g . d > 0, can
     send a score into the prior's linear tail, where no step of at least
     _MIN_STEP raises F. Above: preconditioned CG, stopped once the residual's
@@ -413,15 +408,15 @@ def _newton_direction(terms: _Terms, s: np.ndarray, g: np.ndarray, dense) -> np.
     built so far, or the preconditioned gradient if it has none.
     """
     prior = PRIOR_RATE * np.exp(s)
-    if dense is not None:
-        hessian, certified = dense
+    if curvature[0].ndim == 2:
+        hessian, certified = curvature
         if not certified:
             try:
                 np.linalg.cholesky(hessian)
             except np.linalg.LinAlgError:
                 return g / np.maximum(hessian.diagonal(), prior)
         return np.linalg.solve(hessian, g)
-    diag, apply_likelihood = terms.curvature(s)
+    diag, apply_likelihood = curvature
     precond = 1.0 / np.maximum(diag + prior, prior)
     d = np.zeros_like(g)
     r = g.copy()
@@ -447,26 +442,27 @@ def _newton_direction(terms: _Terms, s: np.ndarray, g: np.ndarray, dense) -> np.
 
 def _line_search(terms: _Terms, s, f, g, d):
     """Armijo backtracking along ``d``; returns the accepted point with its
-    posterior (F, gradient and dense curvature), or None when no finite step
-    of at least _MIN_STEP raises F.
+    posterior (F, gradient and curvature), or None when no finite step of at
+    least _MIN_STEP raises F.
 
     A gain below F's rounding error cannot be read off two F values. For
     such short steps, as long as F does not drop by more than that error,
     the gain is taken from the trapezoid rule on the directional
     derivatives, which is exact on the quadratic model that holds there.
     """
+    d = d * min(1.0, _MAX_MOVE / np.max(np.abs(d)))
     slope = _dot(g, d)
     noise = _RESOLUTION * (1.0 + abs(f))
     t = 1.0
     while t >= _MIN_STEP:
         trial = s + t * d
-        f_trial, g_trial, dense = terms.posterior(trial)
+        f_trial, g_trial, curvature = terms.posterior(trial)
         gain = f_trial - f
         if t * slope <= noise and gain > -noise:
             gain = 0.5 * t * (slope + _dot(g_trial, d))
         # NaN fails the comparison
         if gain > 0 and gain >= _ARMIJO * t * slope:
-            return trial, f_trial, g_trial, dense
+            return trial, f_trial, g_trial, curvature
         t *= 0.5
     return None
 
@@ -474,15 +470,15 @@ def _line_search(terms: _Terms, s, f, g, d):
 def _maximize(terms: _Terms) -> tuple[np.ndarray, int, bool]:
     """Damped Newton ascent on F from _start; returns (s, steps, converged)."""
     s = _start(terms)
-    f, g, dense = terms.posterior(s)
+    f, g, curvature = terms.posterior(s)
     steps = 0
     while not np.max(np.abs(g)) < GRAD_TOL:
         if steps == MAX_NEWTON_STEPS:
             return s, steps, False
-        accepted = _line_search(terms, s, f, g, _newton_direction(terms, s, g, dense))
+        accepted = _line_search(terms, s, f, g, _newton_direction(s, g, curvature))
         if accepted is None:
             return s, steps, False
-        s, f, g, dense = accepted
+        s, f, g, curvature = accepted
         steps += 1
     return s, steps, True
 

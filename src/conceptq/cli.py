@@ -38,7 +38,7 @@ from .errors import (
 from .evaluation import GroundTruth, average_metrics, evaluate_queries, holdout_experiment
 from .expansion import NAIVE_BAYES, NOISY_OR
 from .pipeline import PipelineConfig, run_query
-from .taxonomy import load, normalize
+from .taxonomy import data_lines, load, normalize
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -163,29 +163,15 @@ def cmd_query(args) -> int:
     return EXIT_OK
 
 
-def _read_queries(path) -> list[str]:
-    queries: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
-                queries.append(stripped)
-    return queries
-
-
 def _read_truth(path) -> dict[str, set[str]]:
     truth: dict[str, set[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_num, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 2 or not fields[0].strip() or not fields[1].strip():
-                raise DataFormatError(
-                    f"line {line_num}: expected query<TAB>entity", row=line_num
-                )
-            truth.setdefault(normalize(fields[0]), set()).add(normalize(fields[1]))
+    for line_num, line in data_lines(path):
+        fields = line.split("\t")
+        if len(fields) != 2 or not fields[0].strip() or not fields[1].strip():
+            raise DataFormatError(
+                f"line {line_num}: expected query<TAB>entity", row=line_num
+            )
+        truth.setdefault(normalize(fields[0]), set()).add(normalize(fields[1]))
     return truth
 
 
@@ -199,8 +185,7 @@ def cmd_eval(args) -> int:
     try:
         ks = [int(part) for part in str(args.k).split(",") if part.strip()]
     except ValueError:
-        print(f"error: bad --k list {args.k!r}", file=sys.stderr)
-        return EXIT_USAGE
+        ks = []
     if not ks or any(k < 1 for k in ks):
         print(f"error: bad --k list {args.k!r}", file=sys.stderr)
         return EXIT_USAGE
@@ -209,7 +194,7 @@ def cmd_eval(args) -> int:
         return EXIT_USAGE
 
     taxonomy = load(args.taxonomy)
-    queries = _read_queries(args.queries)
+    queries = [line.strip() for _, line in data_lines(args.queries)]
     echo = _config_echo(
         args, config, queries=args.queries, truth=args.truth,
         k=",".join(map(str, ks)), holdout=args.holdout,
@@ -302,14 +287,11 @@ def main(argv=None) -> int:
     except (UnanswerableQueryError, QueryParseError, NoCandidateEntitiesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNANSWERABLE
-    except (DataFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except ValueError as exc:
         # out-of-range parameter values are usage errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except EngineError as exc:
+    except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -420,6 +420,17 @@ def ingest(records: Iterable) -> Taxonomy:
     return builder.build()
 
 
+def data_lines(path) -> Iterator[tuple[int, str]]:
+    """Each line of a UTF-8 text file that is neither blank nor a ``#``
+    comment, without its newline and with its 1-based line number. A leading
+    byte-order mark is not part of the first line."""
+    with open(path, encoding="utf-8-sig") as fh:
+        for line_num, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                yield line_num, line.rstrip("\n")
+
+
 def load(path) -> Taxonomy:
     """Read a taxonomy file: ``concept<TAB>entity<TAB>count`` per line.
 
@@ -429,24 +440,20 @@ def load(path) -> Taxonomy:
     file is streamed: no per-line record objects are kept.
     """
     builder = _Builder("line")
-    with open(path, encoding="utf-8") as fh:
-        for line_num, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 3:
-                raise DataFormatError(
-                    f"line {line_num}: expected 3 tab-separated fields, got {len(fields)}",
-                    row=line_num,
-                )
-            concept, entity, raw_count = fields
-            try:
-                count = int(raw_count.strip())
-            except ValueError:
-                raise DataFormatError(
-                    f"line {line_num}: count must be an integer, got {raw_count!r}",
-                    row=line_num,
-                ) from None
-            builder.add(line_num, concept, entity, count)
+    for line_num, line in data_lines(path):
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise DataFormatError(
+                f"line {line_num}: expected 3 tab-separated fields, got {len(fields)}",
+                row=line_num,
+            )
+        concept, entity, raw_count = fields
+        try:
+            count = int(raw_count.strip())
+        except ValueError:
+            raise DataFormatError(
+                f"line {line_num}: count must be an integer, got {raw_count!r}",
+                row=line_num,
+            ) from None
+        builder.add(line_num, concept, entity, count)
     return builder.build()

@@ -338,7 +338,7 @@ class TestHessian:
         hessian, _ = terms.posterior(s)[2]
         assert hessian.shape == (n, n)
         np.testing.assert_allclose(hessian, hessian.T, rtol=0, atol=1e-13)
-        diag, apply = terms.curvature(s)
+        diag, apply = terms.evaluate(s)[2]
         prior = aggregate.PRIOR_RATE * np.exp(s)
         np.testing.assert_allclose(np.diag(hessian), diag + prior, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(hessian @ v, apply(v) + prior * v, rtol=1e-9, atol=1e-11)
@@ -364,8 +364,8 @@ class TestHessian:
             r_p.append(make_constraint(members[:size_x], members[size_x:]))
         _, terms = terms_of(r_b, r_c, r_p, ObjectiveWeights())
         s = rng.normal(0.0, 2.0, n)
-        assert terms.posterior(s)[2] is None
-        _, apply = terms.curvature(s)
+        diag, apply = terms.posterior(s)[2]
+        assert diag.shape == (n,)
         h = 1e-4
         for _ in range(3):
             v = rng.normal(0.0, 1.0, n)
@@ -382,7 +382,7 @@ class TestDenseKernel:
     def test_softmax_rows_give_the_likelihood_plus_the_prior(self, instance, values):
         names, terms = terms_of(*instance)
         s = np.array(values[: len(names)])
-        value, grad = terms.evaluate(s)
+        value, grad, _ = terms.evaluate(s)
         strength = aggregate.PRIOR_RATE * np.exp(s)
         value += float(np.sum(aggregate.PRIOR_SHAPE * s - strength))
         grad += aggregate.PRIOR_SHAPE - strength
@@ -439,18 +439,60 @@ class TestNewtonSolve:
     @settings(max_examples=100, deadline=None)
     def test_small_universes_never_take_the_cg_path(self, instance):
         # an indefinite dense Hessian must not fall back to the matrix-free
-        # operator: each universe size has one direction method
-        original = _Terms.curvature
+        # pass: each universe size has one direction method
+        original = _Terms.evaluate
 
-        def curvature(self, s):
+        def evaluate(self, s):
             if self.n <= aggregate.DENSE_NEWTON_MAX_N:
-                raise AssertionError("curvature() called on a dense-path universe")
+                raise AssertionError("evaluate() called on a dense-path universe")
             return original(self, s)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_Terms, "curvature", curvature)
+            mp.setattr(_Terms, "evaluate", evaluate)
             sv, _ = optimize(*instance)
         assert sv.converged
+
+    def test_the_matrix_free_pass_reads_each_point_once(self):
+        # one pass per line-search trial plus one at the start: the accepted
+        # point's curvature comes with its F and gradient, and no ordering's
+        # suffix sums are taken a second time at that point
+        rng = np.random.default_rng(3)
+        names = [f"e{i:04d}" for i in range(1000)]
+        r_b = [names[i] for i in rng.permutation(1000)]
+        r_c = [names[i] for i in rng.permutation(1000)[:600]]
+        r_p = [
+            make_constraint(names[:6], names[6:20]), make_constraint(names[20:30], names[30:45])
+        ]
+        _, terms = terms_of(r_b, r_c, r_p, ObjectiveWeights())
+        points, trials, suffix_sums = [], [], []
+        original_evaluate, original_search = _Terms.evaluate, aggregate._line_search
+        original_sums = aggregate._log_suffix_sums
+
+        def log_suffix_sums(so):
+            suffix_sums.append(so.size)
+            return original_sums(so)
+
+        def evaluate(self, s):
+            points.append(s.tobytes())
+            return original_evaluate(self, s)
+
+        def line_search(terms, s, f, g, d):
+            before = len(points)
+            accepted = original_search(terms, s, f, g, d)
+            trials.append(len(points) - before)
+            return accepted
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Terms, "evaluate", evaluate)
+            mp.setattr(aggregate, "_line_search", line_search)
+            mp.setattr(aggregate, "_log_suffix_sums", log_suffix_sums)
+            s, steps, converged = _maximize(terms)
+        assert converged and steps == len(trials) > 0
+        assert all(n >= 1 for n in trials)
+        assert len(points) == 1 + sum(trials)
+        assert len(set(points)) == len(points)
+        # the MM start's updates, then one per ordering per pass
+        assert len(suffix_sums) == len(terms.lists) * (aggregate.MM_STEPS + len(points))
 
     @both_direction_paths
     @given(instance=aggregation_instances(), rnd=st.randoms(use_true_random=False))
@@ -545,6 +587,37 @@ class TestNewtonSolve:
                 step[i] = h
                 fd = (terms.posterior(s + step)[0] - terms.posterior(s - step)[0]) / (2 * h)
                 assert abs(grad[i] - fd) / max(1e-6, abs(fd), abs(grad[i])) < 1e-4
+
+    @both_direction_paths
+    def test_a_step_into_the_prior_tail_is_capped_and_the_solve_converges(self, path):
+        # at the MM start -Hessian F is indefinite and g over its diagonal
+        # moves e8 by -670; uncapped, the line search left e8 at -170, where
+        # the next direction was ~4e70 long and no step of at least 2^-30
+        # raised F, so the solve gave up after one step
+        r_b = ["e5", "e6", "e1", "e4", "e0", "e7", "e8"]
+        r_c = ["e2", "e1", "e6", "e3", "e5", "e7", "e0", "e4"]
+        r_p = [
+            make_constraint({"e7"}, {"e0", "e1", "e2", "e3", "e4", "e5", "e6", "e8"}),
+            make_constraint({"e4"}, {"e8"}),
+            make_constraint({"e7", "e8"}, {"e0", "e2", "e3", "e5"}),
+        ]
+        weights = ObjectiveWeights(alpha=0.5245652076202623, beta=0.45517481005068505)
+        with direction_path(path):
+            sv, ordering = optimize(r_b, r_c, r_p, weights)
+        assert sv.converged
+        assert ordering[-1] == "e8"
+        assert sv.scores["e8"] == pytest.approx(-7.705, abs=1e-3)
+        assert objective(sv.scores, r_b, r_c, r_p, weights) == pytest.approx(
+            -4.8323962807, abs=1e-8
+        )
+
+    def test_ten_thousand_entity_ordering_converges(self):
+        # uncapped, the direction after five steps was ~2e17 long and no step
+        # of at least 2^-30 raised F, so the solve gave up
+        names = [f"e{i:05d}" for i in range(10_000)]
+        sv, ordering = optimize(names, [], [], ObjectiveWeights(alpha=0.0, beta=0.0))
+        assert sv.converged
+        assert ordering == names
 
     def test_long_ordering_with_wide_score_span_converges(self):
         # one long ordering pushes its tail far down, so the MAP scores span

@@ -271,6 +271,41 @@ class TestEval:
         assert skipped == ["top famous university", "unheard-of gadget"]
         assert len(doc["per_query"]) == 1
 
+    def test_byte_order_marks_change_nothing(self, f1_path, tmp_path, capsys):
+        # taxonomy, query and truth files saved with a UTF-8 byte-order mark
+        # give the same statistics and scores as plain ones
+        texts = {
+            "f1.tsv": f1_path.read_text(encoding="utf-8"),
+            "queries.txt": "top american university\ntop famous university\n",
+            "truth.tsv": "top american university\ta\ntop american university\tc\n",
+        }
+        docs = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            paths = []
+            for name, text in texts.items():
+                path = tmp_path / encoding / name
+                path.parent.mkdir(exist_ok=True)
+                path.write_text(text, encoding=encoding)
+                paths.append(str(path))
+            assert main(["validate", paths[0], "--format", "json"]) == 0
+            stats = json.loads(capsys.readouterr().out)["stats"]
+            assert main(["eval", *paths, "--k", "2,4", "--format", "json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            docs.append((stats, doc["per_query"], doc["skipped"], doc["averages"]))
+        assert docs[0] == docs[1]
+        assert docs[0][0]["concepts"] == 4
+        assert [q["query"] for q in docs[0][1]] == ["top american university"]
+
+    def test_malformed_truth_after_a_byte_order_mark_keeps_its_line(
+        self, f1_path, tmp_path, capsys
+    ):
+        queries = tmp_path / "queries.txt"
+        queries.write_text("top american university\n", encoding="utf-8-sig")
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("top american university\ta\nbroken-line\n", encoding="utf-8-sig")
+        assert main(["eval", str(f1_path), str(queries), str(truth)]) == 3
+        assert "line 2" in capsys.readouterr().err
+
     def test_malformed_truth_aborts_with_line(self, f1_path, tmp_path, capsys):
         queries = tmp_path / "queries.txt"
         queries.write_text("top american university\n", encoding="utf-8")

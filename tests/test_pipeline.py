@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,23 @@ from conceptq.evaluation import planted_instance
 from conceptq.pipeline import PipelineConfig, run_query
 from conceptq.query import membership
 from conceptq.taxonomy import ingest
+
+
+def test_a_query_and_a_holdout_run_import_no_scipy():
+    # numpy is the package's only dependency
+    code = (
+        "import sys\n"
+        "from conceptq import fixture_f1, holdout_experiment, run_query\n"
+        "run_query(fixture_f1(), 'top american university')\n"
+        "holdout_experiment(fixture_f1(), 'top american university', 0.5, 0, 10)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 class TestPipelineConfig:

@@ -246,6 +246,25 @@ class TestLoad:
         assert err.value.row == 3
         assert "line 3" in str(err.value)
 
+    def test_a_byte_order_mark_is_not_part_of_a_name(self, tmp_path):
+        body = "top university\ta\t2\ntop university\tb\t1\n"
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_text(body, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+        t = load(marked)
+        assert t == load(plain)
+        assert list(t.concepts) == ["top university"]
+        assert dict(t.entities_of("top university")) == {"a": 2, "b": 1}
+
+    @pytest.mark.parametrize("first_line", ["c\te\t1", "# header"])
+    def test_a_byte_order_mark_keeps_line_numbers(self, tmp_path, first_line):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"{first_line}\nc\te\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        with pytest.raises(DataFormatError) as err:
+            load(path)
+        assert err.value.row == 2
+
     def test_load_peak_memory_is_bounded_by_retained_size(self, tmp_path):
         # ~10^5 edges over 5,000 concepts and 20,000 entities. Streaming load
         # peaks at 1.40x the retained taxonomy (a per-line record list made
