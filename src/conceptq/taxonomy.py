@@ -427,7 +427,7 @@ def data_lines(path) -> Iterator[tuple[int, str]]:
     with open(path, encoding="utf-8-sig") as fh:
         for line_num, line in enumerate(fh, start=1):
             stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
+            if stripped and stripped[0] != "#":
                 yield line_num, line.rstrip("\n")
 
 
