@@ -183,7 +183,8 @@ class _Terms:
         groups = [idx for idx, _ in self.lists] + [side for con in self.cons for side in con]
         self.slots = np.concatenate([np.empty(0, dtype=np.intp), *groups])
         # Dense-path universes keep the module docstring's rows as a 0/-inf
-        # mask, their weights sigma (signed) and lin; set_rows: X rows, |X| >= 2.
+        # mask and a 1/0 member array, their weights sigma (signed) and lin;
+        # set_rows: X rows, |X| >= 2.
         self.mask = None
         if self.n <= DENSE_NEWTON_MAX_N:
             rows, signed, self.lin = [], [], np.zeros(self.n)
@@ -201,6 +202,7 @@ class _Terms:
                 rows[-1][:, hi] = rows[-1][1, lo] = 0.0
                 signed += [self.beta, -self.beta]
             self.mask = np.concatenate([np.empty((0, self.n)), *rows])
+            self.member = (self.mask == 0.0).astype(float)
             self.signed, self.set_rows = np.array(signed), np.array(set_rows, dtype=np.intp)
 
     def _scatter(self, parts: list[np.ndarray]) -> np.ndarray:
@@ -260,18 +262,25 @@ class _Terms:
         return total, self._scatter(parts), (self._scatter(diag), apply)
 
     def posterior(self, s: np.ndarray):
-        """F(s), its gradient and its curvature, from one pass: up to DENSE_NEWTON_MAX_N
-        entities (-Hessian F, whether the bound d > 0 certifies it positive definite)
-        from one softmax over the rows of ``mask``; above, evaluate's."""
+        """F(s), its gradient and its curvature, from one pass. The curvature
+        is a triple whose last item is the prior's b e^s: up to
+        DENSE_NEWTON_MAX_N entities -Hessian F and whether the bound d > 0
+        certifies it positive definite, from one softmax over the rows of
+        ``mask``; above, evaluate's diagonal and product."""
         with np.errstate(over="ignore"):
             strength = PRIOR_RATE * np.exp(s)
         prior = float(np.sum(PRIOR_SHAPE * s - strength))
         if self.mask is None:
-            value, grad, curvature = self.evaluate(s)
-            return value + prior, grad + PRIOR_SHAPE - strength, curvature
+            value, grad, (diag, apply) = self.evaluate(s)
+            return value + prior, grad + PRIOR_SHAPE - strength, (diag, apply, strength)
         z = s + self.mask
         top = z.max(axis=1)
-        p = np.exp(z - top[:, None])
+        z -= top[:, None]
+        # exp is slow on -inf and near its denormal range (below -708), so the
+        # non-members are clipped to -700 and then zeroed
+        np.maximum(z, -700.0, out=z)
+        p = np.exp(z, out=z)
+        p *= self.member
         total = p.sum(axis=1)
         p /= total[:, None]
         lse = top + np.log(total)
@@ -283,7 +292,7 @@ class _Terms:
         rows = self.set_rows
         p_lower = -np.expm1(lse[rows] - lse[rows + 1])  # P(Y wins) per set-vs-set constraint
         certified = bool(np.all(strength > self.beta * (p_lower @ p[rows])))
-        return value, self.lin + pull + PRIOR_SHAPE - strength, (hessian, certified)
+        return value, self.lin + pull + PRIOR_SHAPE - strength, (hessian, certified, strength)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -393,10 +402,11 @@ def _start(terms: _Terms) -> np.ndarray:
     return s
 
 
-def _newton_direction(s: np.ndarray, g: np.ndarray, curvature) -> np.ndarray:
-    """An ascent direction from (-Hessian F) d = g, by posterior's curvature at s.
+def _newton_direction(g: np.ndarray, curvature) -> np.ndarray:
+    """An ascent direction from (-Hessian F) d = g, by posterior's curvature
+    at the point of g.
 
-    Up to DENSE_NEWTON_MAX_N entities it is the dense pair: the exact
+    Up to DENSE_NEWTON_MAX_N entities it is the dense matrix: the exact
     solution when the bound, or else a Cholesky factorization, shows the
     matrix positive definite; else g over its diagonal floored at the
     prior's curvature. An indefinite matrix's step, even with g . d > 0, can
@@ -407,16 +417,15 @@ def _newton_direction(s: np.ndarray, g: np.ndarray, curvature) -> np.ndarray:
     superlinearly convergent. On negative curvature it returns the direction
     built so far, or the preconditioned gradient if it has none.
     """
-    prior = PRIOR_RATE * np.exp(s)
     if curvature[0].ndim == 2:
-        hessian, certified = curvature
+        hessian, certified, prior = curvature
         if not certified:
             try:
                 np.linalg.cholesky(hessian)
             except np.linalg.LinAlgError:
                 return g / np.maximum(hessian.diagonal(), prior)
         return np.linalg.solve(hessian, g)
-    diag, apply_likelihood = curvature
+    diag, apply_likelihood, prior = curvature
     precond = 1.0 / np.maximum(diag + prior, prior)
     d = np.zeros_like(g)
     r = g.copy()
@@ -424,7 +433,7 @@ def _newton_direction(s: np.ndarray, g: np.ndarray, curvature) -> np.ndarray:
     p = z.copy()
     rz = _dot(r, z)
     target = min(0.25, math.sqrt(_dot(g, g))) * rz  # eta^2 times the initial r.z
-    for _ in range(s.size):
+    for _ in range(g.size):
         hp = apply_likelihood(p) + prior * p
         curvature = _dot(p, hp)
         if not curvature > 0:
@@ -475,7 +484,7 @@ def _maximize(terms: _Terms) -> tuple[np.ndarray, int, bool]:
     while not np.max(np.abs(g)) < GRAD_TOL:
         if steps == MAX_NEWTON_STEPS:
             return s, steps, False
-        accepted = _line_search(terms, s, f, g, _newton_direction(s, g, curvature))
+        accepted = _line_search(terms, s, f, g, _newton_direction(g, curvature))
         if accepted is None:
             return s, steps, False
         s, f, g, curvature = accepted

@@ -18,6 +18,10 @@ plain ratios, ``P(c|e) = n(c,e) / n(e)`` and ``P(e|c) = n(c,e) / n(c)``;
 priors are ``P(c) = n(c) / N`` and ``P(e) = n(e) / N``. Hot paths work on the
 ids and arrays directly; the name-keyed lookups below normalize their
 arguments and return zero counts or empty mappings for unknown names.
+
+A taxonomy is never mutated, so the hold-out cut (``without_edges``) reads
+only the cut rows and shares with its parent every read-only array, name
+list, id map and name rank that the cut leaves as it was.
 """
 
 from __future__ import annotations
@@ -75,14 +79,41 @@ class Csr:
         lo, hi = self.ptr[i], self.ptr[i + 1]
         return self.ids[lo:hi], self.counts[lo:hi]
 
-    def rows(self, which: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows ``which``, concatenated in that order, as
-        (position in ``which`` of each pair, column ids, counts)."""
+    def _spans(self, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(position in ``which``, storage position) of every pair of the
+        rows ``which``, concatenated in that order."""
         starts = self.ptr[which]
         lengths = self.ptr[which + 1] - starts
         owner = np.repeat(np.arange(len(which)), lengths)
         pos = np.arange(int(lengths.sum())) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        return owner, pos
+
+    def rows(self, which: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows ``which``, concatenated in that order, as
+        (position in ``which`` of each pair, column ids, counts)."""
+        owner, pos = self._spans(which)
         return owner, self.ids[pos], self.counts[pos]
+
+    def find(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Storage positions of the pairs joining one of ``rows`` to one of
+        ``cols``, ascending, and the row of each. Both id arrays must be
+        ascending and ``cols`` non-empty; only the ``rows`` are read."""
+        owner, pos = self._spans(rows)
+        found = self.ids[pos]
+        hit = cols[np.minimum(np.searchsorted(cols, found), len(cols) - 1)] == found
+        return pos[hit], rows[owner[hit]]
+
+    def without(self, positions: np.ndarray) -> Csr:
+        """These rows without the pairs at the ascending storage ``positions``."""
+        return Csr(_frozen(self.ptr - np.searchsorted(positions, self.ptr)),
+                   _frozen(np.delete(self.ids, positions)),
+                   _frozen(np.delete(self.counts, positions)))
+
+    def drop(self, rows: np.ndarray, cols: np.ndarray) -> Csr:
+        """Without the empty ``rows`` and with the ids after each dropped
+        column in ``cols`` moved down to close the gap (both ascending)."""
+        ids = (self.ids - np.searchsorted(cols, self.ids)).astype(np.int32)
+        return Csr(_frozen(np.delete(self.ptr, rows)), _frozen(ids), self.counts)
 
     def row_sums(self) -> np.ndarray:
         sums = np.zeros(len(self.counts) + 1, dtype=np.int64)
@@ -116,36 +147,47 @@ class Taxonomy:
 
     Instances are built by :func:`ingest`, :func:`load` or
     :meth:`without_edges` and never mutated afterwards, so all lookups are
-    safe for unrestricted concurrent use. Dense ids follow first-seen stream
-    order; they are an indexing convenience -- equality between taxonomies
-    compares counts by name only.
+    safe for unrestricted concurrent use. That is also why a cut shares its
+    parent's read-only arrays, name lists and id maps wherever they did not
+    change. Dense ids follow first-seen stream order; they are an indexing
+    convenience -- equality between taxonomies compares counts by name only.
     """
 
-    def __init__(self, concept_ids: dict[str, int], entity_ids: dict[str, int],
-                 rows: np.ndarray, cols: np.ndarray, counts: np.ndarray,
-                 by_entity: Csr | None = None):
-        """Index merged pairs sorted by (concept id, entity id). The id maps
-        list every name once, in id order, and every name must have a pair.
-        ``by_entity``, if given, is the same pairs' entity orientation.
-        Use :func:`ingest` or :func:`load`."""
-        self.concept_names = list(concept_ids)
-        self.entity_names = list(entity_ids)
+    def __init__(self, concept_names: list[str], entity_names: list[str],
+                 concept_ids: dict[str, int], entity_ids: dict[str, int],
+                 by_concept: Csr, by_entity: Csr,
+                 n_c: np.ndarray, n_e: np.ndarray, grand_total: int):
+        """Wrap prebuilt parts without copying them: the names in id order,
+        their id maps, both orientations of the same pairs and the read-only
+        marginals. Every name must have a pair, and no part may be mutated
+        afterwards. Use :func:`ingest`, :func:`load` or :meth:`without_edges`."""
+        self.concept_names = concept_names
+        self.entity_names = entity_names
         self._concept_ids = concept_ids
         self._entity_ids = entity_ids
         self.concept_ids = MappingProxyType(concept_ids)
         self.entity_ids = MappingProxyType(entity_ids)
-        counts = counts.astype(np.int64, copy=False)
-        self.by_concept = Csr.from_pairs(len(concept_ids), rows, cols, counts)
-        if by_entity is None:
-            by_col = np.argsort(cols, kind="stable")
-            by_entity = Csr.from_pairs(len(entity_ids), cols[by_col], rows[by_col], counts[by_col])
+        self.by_concept = by_concept
         self.by_entity = by_entity
-        self.n_c = _frozen(self.by_concept.row_sums())
-        self.n_e = _frozen(self.by_entity.row_sums())
-        self.deg_c = _frozen(np.diff(self.by_concept.ptr))
-        self.grand_total = int(self.n_c.sum())
-        self.concept_totals = _NameVector(self.concept_ids, self.n_c)
-        self.entity_totals = _NameVector(self.entity_ids, self.n_e)
+        self.n_c = n_c
+        self.n_e = n_e
+        self.deg_c = _frozen(np.diff(by_concept.ptr))
+        self.grand_total = grand_total
+        self.concept_totals = _NameVector(self.concept_ids, n_c)
+        self.entity_totals = _NameVector(self.entity_ids, n_e)
+
+    @classmethod
+    def from_pairs(cls, concept_ids: dict[str, int], entity_ids: dict[str, int],
+                   rows: np.ndarray, cols: np.ndarray, counts: np.ndarray) -> Taxonomy:
+        """Index merged pairs sorted by (concept id, entity id). The id maps
+        list every name once, in id order, and every name must have a pair."""
+        counts = counts.astype(np.int64, copy=False)
+        by_concept = Csr.from_pairs(len(concept_ids), rows, cols, counts)
+        by_col = np.argsort(cols, kind="stable")
+        by_entity = Csr.from_pairs(len(entity_ids), cols[by_col], rows[by_col], counts[by_col])
+        n_c = _frozen(by_concept.row_sums())
+        return cls(list(concept_ids), list(entity_ids), concept_ids, entity_ids,
+                   by_concept, by_entity, n_c, _frozen(by_entity.row_sums()), int(n_c.sum()))
 
     # -- ids and name order ----------------------------------------------
 
@@ -209,27 +251,38 @@ class Taxonomy:
             yield CooccurrenceRecord(self.concept_names[c], self.entity_names[e], n)
 
     def without_edges(self, concepts: Iterable[str], entities: Iterable[str]) -> Taxonomy:
-        """A copy without the pairs joining any of ``concepts`` to any of
-        ``entities``; concepts and entities left with no pair are dropped."""
-        drop_c = np.zeros(len(self.concept_names), dtype=bool)
-        drop_e = np.zeros(len(self.entity_names), dtype=bool)
-        drop_c[[i for i in map(self.concept_id, concepts) if i is not None]] = True
-        drop_e[[i for i in map(self.entity_id, entities) if i is not None]] = True
-        rows, cols = self.by_concept.pairs()
-        keep = ~(drop_c[rows] & drop_e[cols])
-        rows, cols, counts = rows[keep], cols[keep], self.by_concept.counts[keep]
-        concept_ids, new_c, kept_c = _compact(self.concept_names, self._concept_ids, rows)
-        entity_ids, new_e, kept_e = _compact(self.entity_names, self._entity_ids, cols)
-        # The renumbering keeps id order, so the entity orientation's kept
-        # pairs are still sorted and need no argsort.
-        e_rows, e_cols = self.by_entity.pairs()
-        keep = ~(drop_e[e_rows] & drop_c[e_cols])
-        by_entity = Csr.from_pairs(len(entity_ids), new_e[e_rows[keep]], new_c[e_cols[keep]],
-                                   self.by_entity.counts[keep])
-        reduced = Taxonomy(concept_ids, entity_ids, new_c[rows], new_e[cols], counts, by_entity)
-        # A subset of the name ranks still sorts by name.
-        reduced.concept_rank = _frozen(self.concept_rank[kept_c])
-        reduced.entity_rank = _frozen(self.entity_rank[kept_e])
+        """A taxonomy without the pairs joining any of ``concepts`` to any of
+        ``entities``; concepts and entities left with no pair are dropped.
+
+        Only the cut rows are read: the cut pairs are deleted from both
+        orientations and subtracted from the marginals. The name lists, id
+        maps and name ranks are shared with this taxonomy unless a name loses
+        its last pair; a cut that removes nothing returns this taxonomy."""
+        cut_c = _known_ids(map(self.concept_id, concepts))
+        cut_e = _known_ids(map(self.entity_id, entities))
+        if not (len(cut_c) and len(cut_e)):
+            return self
+        at_c, of_c = self.by_concept.find(cut_c, cut_e)
+        if not len(at_c):
+            return self
+        at_e, of_e = self.by_entity.find(cut_e, cut_c)
+        removed = self.by_concept.counts[at_c]
+        n_c, n_e = self.n_c.copy(), self.n_e.copy()
+        np.subtract.at(n_c, of_c, removed)
+        np.subtract.at(n_e, of_e, self.by_entity.counts[at_e])
+        by_concept, by_entity = self.by_concept.without(at_c), self.by_entity.without(at_e)
+        c_names, c_ids, c_rank = self.concept_names, self._concept_ids, self.concept_rank
+        e_names, e_ids, e_rank = self.entity_names, self._entity_ids, self.entity_rank
+        # Counts are positive, so a zero total is an emptied row.
+        gone_c, gone_e = cut_c[n_c[cut_c] == 0], cut_e[n_e[cut_e] == 0]
+        if len(gone_c) or len(gone_e):
+            by_concept, by_entity = by_concept.drop(gone_c, gone_e), by_entity.drop(gone_e, gone_c)
+            n_c, n_e = np.delete(n_c, gone_c), np.delete(n_e, gone_e)
+            c_names, c_ids, c_rank = _compact(c_names, c_ids, c_rank, gone_c)
+            e_names, e_ids, e_rank = _compact(e_names, e_ids, e_rank, gone_e)
+        reduced = Taxonomy(c_names, e_names, c_ids, e_ids, by_concept, by_entity,
+                           _frozen(n_c), _frozen(n_e), self.grand_total - int(removed.sum()))
+        reduced.concept_rank, reduced.entity_rank = c_rank, e_rank
         return reduced
 
     # -- integrity ---------------------------------------------------------
@@ -281,18 +334,23 @@ def _named_row(csr: Csr, i: int | None, names: list[str]) -> Mapping[str, int]:
     return MappingProxyType(dict(zip([names[j] for j in ids.tolist()], counts.tolist())))
 
 
+def _known_ids(ids: Iterable[int | None]) -> np.ndarray:
+    """The distinct ids that are not None, ascending."""
+    return np.unique(np.array([i for i in ids if i is not None], dtype=np.int64))
+
+
 def _compact(
-    names: list[str], ids: dict[str, int], refs: np.ndarray
-) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
-    """Drop the names no id in ``refs`` refers to and renumber in the same
-    order: the new ``name -> id`` map, each old id's new id and the old ids
-    kept. When every name is kept the map is shared, not copied."""
-    used = np.zeros(len(names), dtype=bool)
-    used[refs] = True
-    kept = np.flatnonzero(used)
-    if len(kept) < len(names):
-        ids = {names[old]: new for new, old in enumerate(kept.tolist())}
-    return ids, np.cumsum(used) - 1, kept
+    names: list[str], ids: dict[str, int], rank: np.ndarray, dropped: np.ndarray
+) -> tuple[list[str], dict[str, int], np.ndarray]:
+    """The names, ``name -> id`` map and name ranks without the ascending
+    ids ``dropped``, renumbered in the same order. When nothing is dropped
+    all three are shared, not copied."""
+    if not len(dropped):
+        return names, ids, rank
+    kept = np.delete(np.arange(len(names)), dropped)
+    names = [names[i] for i in kept.tolist()]
+    # A subset of the name ranks still sorts by name.
+    return names, {name: i for i, name in enumerate(names)}, _frozen(rank[kept])
 
 
 def entity_union(taxonomy: Taxonomy, concepts: Iterable[str]) -> frozenset[str]:
@@ -377,7 +435,7 @@ class _Builder:
         rows = (keys // n_e).astype(np.int32)
         cols = (keys % n_e).astype(np.int32)
         keys = first = None
-        return Taxonomy(self.concepts, self.entities, rows, cols, counts)
+        return Taxonomy.from_pairs(self.concepts, self.entities, rows, cols, counts)
 
 
 def _intern(raw: str, ids: dict[str, int], raw_ids: dict[str, int]) -> int:

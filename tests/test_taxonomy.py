@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conceptq import taxonomy
 from conceptq.errors import DataFormatError, EngineError
 from conceptq.evaluation import planted_instance
 from conceptq.taxonomy import (
     CooccurrenceRecord,
+    Csr,
     Taxonomy,
     entity_intersection,
     entity_union,
@@ -337,8 +339,8 @@ class TestWithoutEdges:
         got.check_marginals()
         # the entity orientation and the marginals are those of a rebuild
         # that sorts the kept pairs by entity
-        rebuilt = Taxonomy(dict(got.concept_ids), dict(got.entity_ids),
-                           *got.by_concept.pairs(), got.by_concept.counts)
+        rebuilt = Taxonomy.from_pairs(dict(got.concept_ids), dict(got.entity_ids),
+                                      *got.by_concept.pairs(), got.by_concept.counts)
         for a, b in ((got.by_entity.ptr, rebuilt.by_entity.ptr),
                      (got.by_entity.ids, rebuilt.by_entity.ids),
                      (got.by_entity.counts, rebuilt.by_entity.counts),
@@ -391,3 +393,76 @@ class TestWithoutEdges:
 
     def test_unknown_names_are_ignored(self, f1):
         assert f1.without_edges(["no such"], ["nobody"]) == f1
+
+    def test_a_cut_that_empties_no_name_shares_names_maps_and_ranks(self, monkeypatch):
+        t = ingest([("a", "x", 1), ("a", "y", 2), ("b", "x", 3), ("b", "z", 1), ("c", "x", 4)])
+        ranks = t.concept_rank, t.entity_rank
+
+        def forbidden(*args):
+            raise AssertionError("a cut that empties no name read every pair or renumbered")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(Csr, "pairs", forbidden)
+            mp.setattr(taxonomy, "_compact", forbidden)
+            got = t.without_edges(["a", "b"], ["x"])
+        assert got.concept_names is t.concept_names
+        assert got.entity_names is t.entity_names
+        assert got._concept_ids is t._concept_ids
+        assert got._entity_ids is t._entity_ids
+        assert got.concept_rank is ranks[0] and got.entity_rank is ranks[1]
+        self.check(t, ["a", "b"], ["x"])
+
+    def test_a_cut_of_a_cut_equals_one_combined_cut(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            t = ingest(random_rows(rng))
+            concepts = rng.sample(sorted(t.concepts), rng.randint(0, len(t.concepts)))
+            first = rng.sample(sorted(t.entities), rng.randint(0, len(t.entities)))
+            second = rng.sample(sorted(t.entities), rng.randint(0, len(t.entities)))
+            # the child, which shares arrays with t, is itself a valid parent
+            child = self.check(t, concepts, first)
+            got = self.check(child, concepts, second)
+            want = self.check(t, concepts, set(first) | set(second))
+            assert got == want
+            assert got.concept_names == want.concept_names
+            assert got.entity_names == want.entity_names
+            for a, b in zip(arrays(got), arrays(want)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_the_parent_is_unchanged_and_read_only_after_any_cut(self):
+        rng = random.Random(31)
+        for _ in range(100):
+            t = ingest(random_rows(rng))
+            records = list(t.records())
+            before = [a.copy() for a in arrays(t)]
+            names = list(t.concept_names), list(t.entity_names), dict(t.concept_ids), dict(t.entity_ids)
+            concepts = rng.sample(sorted(t.concepts), rng.randint(0, len(t.concepts)))
+            entities = rng.sample(sorted(t.entities), rng.randint(0, len(t.entities)))
+            got = t.without_edges(concepts, entities)
+            assert list(t.records()) == records
+            assert (t.concept_names, t.entity_names, dict(t.concept_ids), dict(t.entity_ids)) == names
+            for a, b in zip(arrays(t), before):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            for a in arrays(t) + arrays(got):
+                assert not a.flags.writeable
+
+    def test_a_cut_that_hits_no_pair_returns_the_parent(self):
+        t = ingest([("a", "x", 1), ("a", "y", 2), ("b", "z", 3)])
+        for concepts, entities in (
+            (["a"], ["z"]),  # known names that share no pair
+            (["b"], ["x", "y"]),
+            (["no such"], ["x"]),
+            (["a"], ["nobody"]),
+            ([], ["x"]),
+            (["a"], []),
+        ):
+            got = t.without_edges(concepts, entities)
+            assert got == t
+            assert got is t
+
+
+def arrays(t):
+    """Every array a taxonomy holds: both orientations, the marginals and the name ranks."""
+    return [t.by_concept.ptr, t.by_concept.ids, t.by_concept.counts,
+            t.by_entity.ptr, t.by_entity.ids, t.by_entity.counts,
+            t.n_c, t.n_e, t.deg_c, t.concept_rank, t.entity_rank]
