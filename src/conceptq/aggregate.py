@@ -62,7 +62,11 @@ product. A direction that moves a score by more than _MAX_MOVE is scaled
 down to that move, and Armijo backtracking accepts only finite steps that
 raise F; a gain too small to survive rounding in F is measured by the
 trapezoid rule on the directional derivatives instead. The solve stops when
-max |grad F| < GRAD_TOL, and reports ``converged=False`` when it hits
+max |grad F| < GRAD_TOL and every |d F / d s_e| over e's curvature (the
+Hessian's diagonal, floored at the prior's b e^{s_e}) is below
+GRAD_TOL / PRIOR_RATE: a score whose curvature is under b, one far below
+zero with few terms, is otherwise still short of its maximum by up to
+GRAD_TOL over that curvature. It reports ``converged=False`` when it hits
 MAX_NEWTON_STEPS or cannot raise F any further first. The reported scores
 are re-centered to mean zero.
 
@@ -83,7 +87,7 @@ from .expansion import PairwiseConstraint
 
 DEFAULT_ALPHA = 1.0 / 3.0
 DEFAULT_BETA = 1.0 / 3.0
-GRAD_TOL = 1e-8  # the solve stops once max |grad F| is below it
+GRAD_TOL = 1e-8  # the solve stops once max |grad F| is below it (see _converged)
 PRIOR_SHAPE = 0.01  # a: the prior's pull towards larger scores
 PRIOR_RATE = 0.01  # b: the prior's pull towards smaller scores
 MAX_NEWTON_STEPS = 100
@@ -476,12 +480,22 @@ def _line_search(terms: _Terms, s, f, g, d):
     return None
 
 
+def _converged(g: np.ndarray, curvature) -> bool:
+    """Whether max |g| < GRAD_TOL and each |g_e| over e's curvature, by
+    posterior's curvature at the point of g, is below GRAD_TOL / PRIOR_RATE."""
+    if not np.max(np.abs(g)) < GRAD_TOL:
+        return False
+    first, _, prior = curvature
+    diag = first.diagonal() if first.ndim == 2 else first + prior
+    return bool(np.all(np.abs(g) * PRIOR_RATE < GRAD_TOL * np.maximum(diag, prior)))
+
+
 def _maximize(terms: _Terms) -> tuple[np.ndarray, int, bool]:
     """Damped Newton ascent on F from _start; returns (s, steps, converged)."""
     s = _start(terms)
     f, g, curvature = terms.posterior(s)
     steps = 0
-    while not np.max(np.abs(g)) < GRAD_TOL:
+    while not _converged(g, curvature):
         if steps == MAX_NEWTON_STEPS:
             return s, steps, False
         accepted = _line_search(terms, s, f, g, _newton_direction(g, curvature))
