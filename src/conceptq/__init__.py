@@ -12,7 +12,6 @@ maximum a posteriori Bradley-Terry scores under a weak Gamma prior.
 from .aggregate import (
     ObjectiveWeights,
     ScoreVector,
-    bt_pair_prob,
     gradient,
     listwise_log_likelihood,
     objective,
@@ -49,8 +48,7 @@ from .expansion import (
     expand,
     g_penalty,
     generate_seed_tiers,
-    rel_naive_bayes,
-    rel_noisy_or,
+    relevance,
 )
 from .pipeline import PipelineConfig, QueryResult, RankedEntity, run_query
 from .query import (

@@ -138,22 +138,15 @@ class ScoreVector:
     """Optimized per-entity scores over the aggregation universe.
 
     ``iterations`` counts Newton steps; ``converged`` is False when the solve
-    stopped before max |grad F| fell below GRAD_TOL.
+    stopped before _converged's rule held: max |grad F| < GRAD_TOL, and for
+    every entity |d F / d s_e| * PRIOR_RATE < GRAD_TOL * max(d_e, b e^{s_e}),
+    d_e the diagonal of -Hessian F at e.
     """
 
     scores: dict[str, float]
     universe: frozenset[str]
     iterations: int
     converged: bool
-
-
-def bt_pair_prob(s_x: float, s_y: float) -> float:
-    """P(x beats y) = e^{s_x} / (e^{s_x} + e^{s_y}), overflow-safe."""
-    d = s_x - s_y
-    if d >= 0:
-        return 1.0 / (1.0 + math.exp(-d))
-    e = math.exp(d)
-    return e / (1.0 + e)
 
 
 # -- the likelihood as index arrays ------------------------------------------
@@ -519,7 +512,9 @@ def optimize(
     point get scores apart by the solve's round-off (up to ~1e-6), in any order.
 
     Maximizes the posterior F of the module docstring until
-    max |grad F| < GRAD_TOL; the scores are re-centered to mean zero.
+    max |grad F| < GRAD_TOL and, for every entity, |d F / d s_e| * PRIOR_RATE
+    < GRAD_TOL * max(d_e, b e^{s_e}), d_e the diagonal of -Hessian F at e
+    (_converged); the scores are re-centered to mean zero.
     """
     weights = weights or ObjectiveWeights()
     if not r_b and not r_c:

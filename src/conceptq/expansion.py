@@ -47,13 +47,13 @@ rank aggregation consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .query import Membership, MembershipPattern, membership
-from .taxonomy import Taxonomy, name_order, normalize
+from .taxonomy import Taxonomy, find_sorted, name_order, normalize
 
 DEFAULT_GAMMA = 0.5
 DEFAULT_LEAK = 0.1
@@ -149,19 +149,11 @@ def _seed_ids(taxonomy: Taxonomy, seeds: Iterable[str]) -> np.ndarray:
     return np.array(ids, dtype=np.int64)
 
 
-def _find(targets: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which of ``ids`` are among the ascending ``targets``, and the slots
-    there of those that are."""
-    slot = np.searchsorted(targets, ids)
-    hit = targets[np.minimum(slot, len(targets) - 1)] == ids
-    return hit, slot[hit]
-
-
 def _inside(taxonomy: Taxonomy, entities: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Sum of n(c, e) + 1 over the entity ids ``entities``, for each of the
     ascending concept ids ``targets``: I(c) when ``entities`` is E_u."""
     _, concepts, counts = taxonomy.by_entity.rows(entities)
-    hit, slot = _find(targets, concepts)
+    hit, slot = find_sorted(targets, concepts)
     inside = np.zeros(len(targets), dtype=np.int64)
     np.add.at(inside, slot, counts[hit] + 1)
     return inside
@@ -221,7 +213,7 @@ def _target_relevance(
 ) -> np.ndarray:
     """rel(c) of the ascending concept ids ``targets``, which need not cover a seed."""
     owner, concepts, counts = taxonomy.by_entity.rows(seeds)
-    hit, slot = _find(targets, concepts)
+    hit, slot = find_sorted(targets, concepts)
     pairs = owner[hit], slot, counts[hit]
     return _relevance(taxonomy, seeds, pairs, targets, _inside(taxonomy, e_union, targets), model)
 
@@ -238,7 +230,7 @@ def _candidates(
     """
     owner, concepts, counts = taxonomy.by_entity.rows(seeds)
     candidates, slot = np.unique(concepts, return_inverse=True)
-    in_union, at = _find(e_union, seeds)
+    in_union, at = find_sorted(e_union, seeds)
     rest = np.ones(len(e_union), dtype=bool)
     rest[at] = False
     inside = _inside(taxonomy, e_union[rest], candidates)
@@ -258,18 +250,6 @@ def _top(rank: np.ndarray, ids: np.ndarray, scores: np.ndarray, k: int) -> np.nd
     return name_order(rank, ids, scores)
 
 
-def _one_concept(
-    taxonomy: Taxonomy,
-    concept: str,
-    seeds: Iterable[str],
-    short_concepts: Iterable[str],
-    model: ExpansionModel,
-) -> float:
-    target = np.array([_known_concept(taxonomy, concept)])
-    e_union = membership(taxonomy, short_concepts).ids
-    return float(_target_relevance(taxonomy, _seed_ids(taxonomy, seeds), target, e_union, model)[0])
-
-
 def g_penalty(
     taxonomy: Taxonomy, concept: str, short_concepts: Iterable[str], delta: float
 ) -> float:
@@ -279,26 +259,18 @@ def g_penalty(
     return float(_penalty(taxonomy, target, inside, delta)[0])
 
 
-def rel_naive_bayes(
+def relevance(
     taxonomy: Taxonomy,
     concept: str,
     seeds: Iterable[str],
     short_concepts: Iterable[str],
     model: ExpansionModel,
 ) -> float:
-    """Smoothed naive bayes relevance of ``concept`` to the seed entities."""
-    return _one_concept(taxonomy, concept, seeds, short_concepts, replace(model, kind=NAIVE_BAYES))
-
-
-def rel_noisy_or(
-    taxonomy: Taxonomy,
-    concept: str,
-    seeds: Iterable[str],
-    short_concepts: Iterable[str],
-    model: ExpansionModel,
-) -> float:
-    """Noisy-or relevance: captures any concept related to at least one seed."""
-    return _one_concept(taxonomy, concept, seeds, short_concepts, replace(model, kind=NOISY_OR))
+    """rel(c) of ``concept`` to the seed entities under ``model.kind``,
+    penalized against the entity union of ``short_concepts``."""
+    target = np.array([_known_concept(taxonomy, concept)])
+    e_union = membership(taxonomy, short_concepts).ids
+    return float(_target_relevance(taxonomy, _seed_ids(taxonomy, seeds), target, e_union, model)[0])
 
 
 # -- expansion ------------------------------------------------------------
@@ -388,7 +360,7 @@ def expand(
         run_seeds.append(seed_ids)
         candidates, scores = _candidates(taxonomy, seed_ids, members.ids, model)
         retained = _top(taxonomy.concept_rank, candidates, scores, top_k).tolist()
-        retained += _find(candidates, query_ids)[1].tolist()
+        retained += find_sorted(candidates, query_ids)[1].tolist()
         for i in dict.fromkeys(retained):
             c = int(candidates[i])
             pooled[c] = pooled.get(c, 0.0) + float(scores[i])

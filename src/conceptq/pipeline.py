@@ -31,7 +31,7 @@ PROVENANCE_EXPANDED = "expanded"
 PROVENANCE_BASELINE = "baseline-only"
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """Every tunable of a query run, with the engine defaults."""
 

@@ -16,8 +16,9 @@ dense ids in first-seen order, merges duplicate pairs, and keeps:
 The per-id vectors are int64 and read-only. Conditional probabilities are
 plain ratios, ``P(c|e) = n(c,e) / n(e)`` and ``P(e|c) = n(c,e) / n(c)``;
 priors are ``P(c) = n(c) / N`` and ``P(e) = n(e) / N``. Hot paths work on the
-ids and arrays directly; the name-keyed lookups below normalize their
-arguments and return zero counts or empty mappings for unknown names.
+ids and arrays directly, and a marginal is read by id, as
+``n_c[concept_id(c)]``. The name-keyed lookups below normalize their
+arguments and return None, zero counts or empty mappings for unknown names.
 
 A taxonomy is never mutated, so the hold-out cut (``without_edges``) reads
 only the cut rows and shares with its parent every read-only array, name
@@ -99,8 +100,7 @@ class Csr:
         ``cols``, ascending, and the row of each. Both id arrays must be
         ascending and ``cols`` non-empty; only the ``rows`` are read."""
         owner, pos = self._spans(rows)
-        found = self.ids[pos]
-        hit = cols[np.minimum(np.searchsorted(cols, found), len(cols) - 1)] == found
+        hit, _ = find_sorted(cols, self.ids[pos])
         return pos[hit], rows[owner[hit]]
 
     def without(self, positions: np.ndarray) -> Csr:
@@ -123,23 +123,6 @@ class Csr:
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(row id, column id) of every stored pair, in storage order."""
         return np.repeat(np.arange(len(self.ptr) - 1), np.diff(self.ptr)), self.ids
-
-
-class _NameVector(Mapping):
-    """Read-only ``name -> int`` view of an id-indexed vector."""
-
-    def __init__(self, ids: Mapping[str, int], values: np.ndarray):
-        self._ids = ids
-        self._values = values
-
-    def __getitem__(self, name: str) -> int:
-        return int(self._values[self._ids[name]])
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._ids)
-
-    def __len__(self) -> int:
-        return len(self._ids)
 
 
 class Taxonomy:
@@ -173,8 +156,6 @@ class Taxonomy:
         self.n_e = n_e
         self.deg_c = _frozen(np.diff(by_concept.ptr))
         self.grand_total = grand_total
-        self.concept_totals = _NameVector(self.concept_ids, n_c)
-        self.entity_totals = _NameVector(self.entity_ids, n_e)
 
     @classmethod
     def from_pairs(cls, concept_ids: dict[str, int], entity_ids: dict[str, int],
@@ -325,6 +306,14 @@ def name_order(rank: np.ndarray, ids: np.ndarray, scores: np.ndarray) -> np.ndar
     """Positions of ``ids`` by descending score, ties by name ``rank``
     (``Taxonomy.concept_rank`` or ``Taxonomy.entity_rank``)."""
     return np.lexsort((rank[ids], -scores))
+
+
+def find_sorted(targets: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which of ``ids`` are among the ascending, non-empty ``targets``, and
+    the slots there of those that are."""
+    slot = np.searchsorted(targets, ids)
+    hit = targets[np.minimum(slot, len(targets) - 1)] == ids
+    return hit, slot[hit]
 
 
 def _named_row(csr: Csr, i: int | None, names: list[str]) -> Mapping[str, int]:

@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Sequence
 
 from conceptq.errors import QueryParseError
-from conceptq.expansion import NOISY_OR, ExpansionModel, rel_naive_bayes, rel_noisy_or
+from conceptq.expansion import ExpansionModel, relevance
 from conceptq.query import Membership
 from conceptq.taxonomy import Taxonomy, ingest
 
@@ -91,18 +91,17 @@ def oracle_expand(
     (higher, lower) constraints, by full sorts.
 
     Each run's candidates are every concept of its seeds, scored one at a
-    time by ``rel_noisy_or`` or ``rel_naive_bayes``; all of them are sorted
-    by (-score, name), the first ``top_k`` and the query's own concepts are
-    kept, and the runs are pooled by summing. Entity scores add
+    time by ``relevance``; all of them are sorted by (-score, name), the
+    first ``top_k`` and the query's own concepts are kept, and the runs are
+    pooled by summing. Entity scores add
     n(c, e) / n(c) * rel(c) over the ranked concepts in plain floats, and the
     constraints come from the subset lattice's tiers.
     """
-    rel = rel_noisy_or if model.kind == NOISY_OR else rel_naive_bayes
     short = list(members.concepts)
     runs = [p.entities for p in members.seed_runs()]
     pooled: dict[str, float] = {}
     for seeds in runs:
-        scores = {c: rel(t, c, seeds, short, model) for e in seeds for c in t.concepts_of(e)}
+        scores = {c: relevance(t, c, seeds, short, model) for e in seeds for c in t.concepts_of(e)}
         ranked = sorted(scores, key=lambda c: (-scores[c], c))
         for c in dict.fromkeys(ranked[:top_k] + [c for c in short if c in scores]):
             pooled[c] = pooled.get(c, 0.0) + scores[c]
@@ -110,7 +109,7 @@ def oracle_expand(
         if c not in pooled:
             total = 0.0
             for seeds in runs:
-                total += rel(t, c, seeds, short, model)
+                total += relevance(t, c, seeds, short, model)
             pooled[c] = total
     concepts = sorted(pooled.items(), key=lambda item: (-item[1], item[0]))
 

@@ -26,8 +26,7 @@ from conceptq.evaluation import (
 from conceptq.expansion import (
     ExpansionModel,
     PairwiseConstraint,
-    rel_naive_bayes,
-    rel_noisy_or,
+    relevance,
 )
 from conceptq.pipeline import PipelineConfig
 from conceptq.query import membership as query_membership
@@ -138,12 +137,12 @@ def test_criterion_3_expansion_formula_oracle():
 
     assert g_penalty(f1, "ivy league", F1_PAIR, 0.5) == pytest.approx(0.0625, rel=1e-12)
     assert g_penalty(f1, "famous university", F1_PAIR, 0.5) == pytest.approx(0.65, rel=1e-12)
-    got_no = rel_noisy_or(
+    got_no = relevance(
         f1, "ivy league", ["a", "b"], F1_PAIR,
         ExpansionModel(kind="noisy_or", leak=0.0, delta=0.5),
     )
     assert got_no == pytest.approx(528 / 49, rel=1e-12)  # ~10.776
-    got_nb = rel_naive_bayes(
+    got_nb = relevance(
         f1, "ivy league", ["a", "b"], F1_PAIR,
         ExpansionModel(kind="naive_bayes", gamma=0.5, delta=0.5),
     )
@@ -164,12 +163,12 @@ def test_criterion_3_expansion_formula_oracle():
         gamma = rng.uniform(0.05, 1.0)
         leak = rng.uniform(0.0, 0.9)
         delta = rng.uniform(0.05, 0.95)
-        got = rel_noisy_or(
+        got = relevance(
             t, target, seeds, short, ExpansionModel(kind="noisy_or", leak=leak, delta=delta)
         )
         want = oracle_rel_noisy_or(t, target, seeds, short, leak, delta)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
-        got = rel_naive_bayes(
+        got = relevance(
             t, target, seeds, short,
             ExpansionModel(kind="naive_bayes", gamma=gamma, delta=delta),
         )

@@ -15,7 +15,6 @@ from conceptq.aggregate import (
     ObjectiveWeights,
     _maximize,
     _Terms,
-    bt_pair_prob,
     gradient,
     listwise_log_likelihood,
     objective,
@@ -29,16 +28,22 @@ def make_constraint(higher, lower):
     return PairwiseConstraint(higher=frozenset(higher), lower=frozenset(lower))
 
 
-class TestBtPairProb:
+def pair_prob(s_x, s_y):
+    """P(x beats y), as exp of the two-entity ordering's log-likelihood."""
+    return math.exp(listwise_log_likelihood(["x", "y"], {"x": s_x, "y": s_y}))
+
+
+class TestTwoEntityOrdering:
     def test_equal_scores(self):
-        assert bt_pair_prob(0.3, 0.3) == pytest.approx(0.5)
+        assert pair_prob(0.3, 0.3) == pytest.approx(0.5)
 
     def test_three_to_one(self):
-        assert bt_pair_prob(math.log(3), 0.0) == pytest.approx(0.75)
+        assert pair_prob(math.log(3), 0.0) == pytest.approx(0.75)
 
     def test_extreme_gap_is_stable(self):
-        assert bt_pair_prob(0.0, 1000.0) == pytest.approx(0.0, abs=1e-300)
-        assert bt_pair_prob(1000.0, 0.0) == pytest.approx(1.0)
+        assert pair_prob(0.0, 1000.0) == pytest.approx(0.0, abs=1e-300)
+        assert pair_prob(1000.0, 0.0) == pytest.approx(1.0)
+        assert listwise_log_likelihood(["x", "y"], {"x": 0.0, "y": 1000.0}) == -1000.0
 
 
 class TestListwiseLogLikelihood:

@@ -15,8 +15,7 @@ from conceptq.expansion import (
     expand,
     g_penalty,
     generate_seed_tiers,
-    rel_naive_bayes,
-    rel_noisy_or,
+    relevance,
 )
 from conceptq.query import MembershipPattern, membership
 from conceptq.taxonomy import ingest
@@ -91,41 +90,41 @@ class TestGPenalty:
 class TestRelevanceScores:
     def test_naive_bayes_f1_value(self, f1):
         model = ExpansionModel(kind="naive_bayes", gamma=0.5, delta=0.5)
-        rel = rel_naive_bayes(f1, "ivy league", ["a", "b"], F1_PAIR, model)
+        rel = relevance(f1, "ivy league", ["a", "b"], F1_PAIR, model)
         # (6/21) * (0.5*0.5 + 0.5*7/21)^2 / 0.0625 = 50/63
         assert rel == pytest.approx(50 / 63, rel=1e-12)
 
     def test_naive_bayes_unsmoothed_zero(self, f1):
         model = ExpansionModel(kind="naive_bayes", gamma=1.0, delta=0.5)
         # d is not an entity of ivy league, so gamma=1 kills the product
-        assert rel_naive_bayes(f1, "ivy league", ["a", "d"], F1_PAIR, model) == 0.0
+        assert relevance(f1, "ivy league", ["a", "d"], F1_PAIR, model) == 0.0
 
     def test_naive_bayes_gamma_to_zero_uses_priors_only(self, f1):
         model = ExpansionModel(kind="naive_bayes", gamma=1e-12, delta=0.5)
-        rel = rel_naive_bayes(f1, "ivy league", ["a", "b"], F1_PAIR, model)
+        rel = relevance(f1, "ivy league", ["a", "b"], F1_PAIR, model)
         n = f1.grand_total
         prior_only = (
-            f1.concept_totals["ivy league"] / n
-            * (f1.entity_totals["a"] / n)
-            * (f1.entity_totals["b"] / n)
+            f1.n_c[f1.concept_id("ivy league")] / n
+            * (f1.n_e[f1.entity_id("a")] / n)
+            * (f1.n_e[f1.entity_id("b")] / n)
             / 0.0625
         )
         assert rel == pytest.approx(prior_only, rel=1e-9)
 
     def test_noisy_or_f1_value(self, f1):
         model = ExpansionModel(kind="noisy_or", leak=0.0, delta=0.5)
-        rel = rel_noisy_or(f1, "ivy league", ["a", "b"], F1_PAIR, model)
+        rel = relevance(f1, "ivy league", ["a", "b"], F1_PAIR, model)
         # (1 - (4/7)^2) / 0.0625 = 528/49
         assert rel == pytest.approx(528 / 49, rel=1e-12)
 
     def test_noisy_or_unrelated_concept_scores_zero_without_leak(self, f1):
         model = ExpansionModel(kind="noisy_or", leak=0.0, delta=0.5)
-        assert rel_noisy_or(f1, "ivy league", ["d"], F1_PAIR, model) == 0.0
+        assert relevance(f1, "ivy league", ["d"], F1_PAIR, model) == 0.0
 
     def test_noisy_or_single_relation_is_positive(self, f1):
         model = ExpansionModel(kind="noisy_or", leak=0.0, delta=0.5)
         for concept in f1.concepts:
-            rel = rel_noisy_or(f1, concept, ["a"], F1_PAIR, model)
+            rel = relevance(f1, concept, ["a"], F1_PAIR, model)
             assert rel > 0.0
 
     def test_out_reaching_concept_loses_with_equal_evidence(self):
@@ -145,17 +144,11 @@ class TestRelevanceScores:
             ExpansionModel(kind="noisy_or", leak=0.1, delta=0.5),
             ExpansionModel(kind="naive_bayes", gamma=0.5, delta=0.5),
         ):
-            if model.kind == "noisy_or":
-                rel_in = rel_noisy_or(t, "c in", seeds, short, model)
-                rel_out = rel_noisy_or(t, "c out", seeds, short, model)
-            else:
-                rel_in = rel_naive_bayes(t, "c in", seeds, short, model)
-                rel_out = rel_naive_bayes(t, "c out", seeds, short, model)
-            assert rel_in > rel_out
+            assert relevance(t, "c in", seeds, short, model) > relevance(t, "c out", seeds, short, model)
 
     def test_noisy_or_monotone_in_leak(self, f1):
         rels = [
-            rel_noisy_or(
+            relevance(
                 f1,
                 "ivy league",
                 ["a"],
@@ -169,7 +162,7 @@ class TestRelevanceScores:
     def test_empty_seed_set_rejected(self, f1):
         model = ExpansionModel()
         with pytest.raises(ValueError):
-            rel_noisy_or(f1, "ivy league", [], F1_PAIR, model)
+            relevance(f1, "ivy league", [], F1_PAIR, model)
 
     def test_oracle_agreement_on_random_fixtures(self):
         rng = random.Random(5)
@@ -186,12 +179,12 @@ class TestRelevanceScores:
             gamma = rng.uniform(0.05, 1.0)
             leak = rng.uniform(0.0, 0.9)
             delta = rng.uniform(0.05, 0.95)
-            got_no = rel_noisy_or(
+            got_no = relevance(
                 t, target, seeds, short, ExpansionModel(kind="noisy_or", leak=leak, delta=delta)
             )
             want_no = oracle_rel_noisy_or(t, target, seeds, short, leak, delta)
             assert got_no == pytest.approx(want_no, rel=1e-12, abs=1e-300)
-            got_nb = rel_naive_bayes(
+            got_nb = relevance(
                 t, target, seeds, short, ExpansionModel(kind="naive_bayes", gamma=gamma, delta=delta)
             )
             want_nb = oracle_rel_naive_bayes(t, target, seeds, short, gamma, delta)
@@ -356,8 +349,8 @@ class TestExpandOrchestration:
         members = membership(t, short)
         assert all(p.size == 1 for p in members.patterns)
         result = expand(t, members, model, top_k=10)
-        run1 = rel_noisy_or(t, "c3", ["a", "b"], short, model)
-        run2 = rel_noisy_or(t, "c3", ["c", "d"], short, model)
+        run1 = relevance(t, "c3", ["a", "b"], short, model)
+        run2 = relevance(t, "c3", ["c", "d"], short, model)
         by_name = {c.concept: c.score for c in result.concepts}
         assert by_name["c3"] == pytest.approx(run1 + run2, rel=1e-12)
         assert result.seed_entities == frozenset({"a", "b", "c", "d"})
@@ -403,7 +396,7 @@ class TestSparseScoring:
             for cr in result.concepts:
                 want = oracle_rel_noisy_or(t, cr.concept, seeds, short, model.leak, model.delta)
                 assert cr.score == want
-                assert rel_noisy_or(t, cr.concept, seeds, short, model) == want
+                assert relevance(t, cr.concept, seeds, short, model) == want
 
     def test_unsmoothed_naive_bayes_is_zero_for_concepts_missing_a_seed(self):
         rng = random.Random(12)
@@ -423,7 +416,7 @@ class TestSparseScoring:
 
     def test_unknown_seed_rejected(self, f1):
         with pytest.raises(ValueError):
-            rel_noisy_or(f1, "ivy league", ["a", "nobody"], F1_PAIR, ExpansionModel())
+            relevance(f1, "ivy league", ["a", "nobody"], F1_PAIR, ExpansionModel())
 
 
 class TestTopKSelection:

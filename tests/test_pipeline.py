@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,12 @@ class TestPipelineConfig:
     def test_out_of_range_settings_raise_on_construction(self, fields):
         with pytest.raises(ValueError):
             PipelineConfig(**fields)
+
+    def test_fields_cannot_be_assigned_after_validation(self):
+        config = PipelineConfig()
+        with pytest.raises(FrozenInstanceError):
+            config.concepts_top_k = 0
+        assert config.concepts_top_k == PipelineConfig.concepts_top_k
 
 
 class TestRunQueryOnF1:

@@ -26,8 +26,8 @@ from helpers import random_rows
 class TestIngest:
     def test_single_row_sums(self):
         t = ingest([("ivy league", "harvard", 3)])
-        assert t.concept_totals["ivy league"] == 3
-        assert t.entity_totals["harvard"] == 3
+        assert t.n_c[t.concept_id("ivy league")] == 3
+        assert t.n_e[t.entity_id("harvard")] == 3
         assert t.grand_total == 3
 
     def test_duplicate_rows_merge(self):
@@ -119,35 +119,35 @@ class TestProbabilities:
     """Probabilities are ratios of count() and the read-only marginals."""
 
     def test_cond_prob_values(self, f1):
-        assert f1.count("ivy league", "a") / f1.entity_totals["a"] == pytest.approx(3 / 7)
-        assert f1.count("famous university", "x") / f1.entity_totals["x"] == 1.0
-        assert f1.count("ivy league", "a") / f1.concept_totals["ivy league"] == pytest.approx(3 / 6)
+        assert f1.count("ivy league", "a") / f1.n_e[f1.entity_id("a")] == pytest.approx(3 / 7)
+        assert f1.count("famous university", "x") / f1.n_e[f1.entity_id("x")] == 1.0
+        assert f1.count("ivy league", "a") / f1.n_c[f1.concept_id("ivy league")] == pytest.approx(3 / 6)
         assert f1.count("ivy league", "x") == 0
         assert f1.count("ivy league", "nobody") == 0
 
     def test_priors(self, f1):
-        assert f1.concept_totals["ivy league"] / f1.grand_total == pytest.approx(6 / 21)
-        assert f1.entity_totals["a"] / f1.grand_total == pytest.approx(7 / 21)
-        assert f1.concept_totals.get("no such", 0) == 0
-        assert "no such" not in f1.entity_totals
+        assert f1.n_c[f1.concept_id("ivy league")] / f1.grand_total == pytest.approx(6 / 21)
+        assert f1.n_e[f1.entity_id("a")] / f1.grand_total == pytest.approx(7 / 21)
+        assert f1.concept_id("no such") is None
+        assert f1.entity_id("no such") is None
 
     def test_priors_sum_to_one(self, f1):
         n = f1.grand_total
-        assert sum(f1.concept_totals[c] / n for c in f1.concepts) == pytest.approx(1.0)
-        assert sum(f1.entity_totals[e] / n for e in f1.entities) == pytest.approx(1.0)
+        assert sum(f1.n_c[f1.concept_id(c)] / n for c in f1.concepts) == pytest.approx(1.0)
+        assert sum(f1.n_e[f1.entity_id(e)] / n for e in f1.entities) == pytest.approx(1.0)
 
     def test_conditionals_sum_to_one(self, f1):
         for e in f1.entities:
-            total = sum(f1.count(c, e) / f1.entity_totals[e] for c in f1.concepts_of(e))
+            total = sum(f1.count(c, e) / f1.n_e[f1.entity_id(e)] for c in f1.concepts_of(e))
             assert abs(total - 1.0) < 1e-12
         for c in f1.concepts:
-            total = sum(f1.count(c, e) / f1.concept_totals[c] for e in f1.entities_of(c))
+            total = sum(f1.count(c, e) / f1.n_c[f1.concept_id(c)] for e in f1.entities_of(c))
             assert abs(total - 1.0) < 1e-12
 
     def test_empty_taxonomy_priors(self):
         t = ingest([])
-        assert t.concept_totals.get("anything", 0) == 0
-        assert len(t.concept_totals) == len(t.entity_totals) == 0
+        assert t.concept_id("anything") is None
+        assert len(t.n_c) == len(t.n_e) == 0
         assert t.grand_total == 0
 
 
@@ -157,6 +157,37 @@ rows_strategy = st.lists(
     min_size=1,
     max_size=25,
 )
+
+
+def respellings(name):
+    """``name`` with each letter in either case, each space widened to a run
+    of whitespace, and whitespace padding at both ends."""
+    pad = st.sampled_from(["", " ", "\t", "  \n"])
+    space = st.sampled_from([" ", "  ", "\t", " \t "])
+    chars = [space if ch == " " else st.sampled_from([ch.lower(), ch.upper()]) for ch in name]
+    return st.tuples(pad, *chars, pad).map("".join)
+
+
+class TestNameKeyedReads:
+    @given(seed=st.integers(0, 2**16), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_respelled_name_reads_as_its_normalized_form(self, seed, data):
+        # two-word names, so that inner whitespace can be doubled too
+        t = ingest([(f"{c} kind", f"{e} one", n) for c, e, n in random_rows(random.Random(seed))])
+        concepts = [*t.concepts, "no such kind"]
+        entities = [*t.entities, "no such one"]
+        for c in concepts:
+            spelled = data.draw(respellings(c))
+            assert t.concept_id(spelled) == t.concept_id(c)
+            assert t.has_concept(spelled) == t.has_concept(c)
+            assert dict(t.entities_of(spelled)) == dict(t.entities_of(c))
+            e = data.draw(st.sampled_from(entities))
+            assert t.count(spelled, data.draw(respellings(e))) == t.count(c, e)
+        for e in entities:
+            spelled = data.draw(respellings(e))
+            assert t.entity_id(spelled) == t.entity_id(e)
+            assert t.has_entity(spelled) == t.has_entity(e)
+            assert dict(t.concepts_of(spelled)) == dict(t.concepts_of(e))
 
 
 class TestInvariants:
@@ -180,7 +211,7 @@ class TestInvariants:
         for _ in range(50):
             t = ingest(random_rows(rng))
             t.check_marginals()
-            assert t.grand_total == sum(t.entity_totals.values())
+            assert t.grand_total == sum(t.n_e.tolist())
 
     def test_check_marginals_detects_corruption(self, f1):
         ivy = f1.concept_ids["ivy league"]
@@ -389,7 +420,7 @@ class TestWithoutEdges:
         assert got.has_concept("short a") is False
         assert got.has_entity("x") is False
         assert set(got.concepts) == {"other"}
-        assert got.concept_totals["other"] == 1
+        assert got.n_c[got.concept_id("other")] == 1
 
     def test_unknown_names_are_ignored(self, f1):
         assert f1.without_edges(["no such"], ["nobody"]) == f1
