@@ -203,7 +203,10 @@ class _Terms:
             self.signed, self.set_rows = np.array(signed), np.array(set_rows, dtype=np.intp)
 
     def _scatter(self, parts: list[np.ndarray]) -> np.ndarray:
-        return np.bincount(self.slots, np.concatenate([np.empty(0), *parts]), minlength=self.n)
+        # bincount returns integers when there are no slots at all (every
+        # weight zero), so the result is cast to float
+        weights = np.concatenate([np.empty(0), *parts])
+        return np.bincount(self.slots, weights, minlength=self.n).astype(float, copy=False)
 
     def evaluate(self, s: np.ndarray):
         """The likelihood, its gradient and its curvature (the diagonal of

@@ -383,6 +383,8 @@ class TestDenseKernel:
         aggregation_instances(),
         st.lists(st.floats(-5.0, 5.0), min_size=20, max_size=20),
     )
+    # a zero baseline weight and nothing else leaves no term at all
+    @example((["e0", "e1"], [], [], ObjectiveWeights(alpha=0.5, beta=0.5)), [0.0] * 20)
     @settings(max_examples=100, deadline=None)
     def test_softmax_rows_give_the_likelihood_plus_the_prior(self, instance, values):
         names, terms = terms_of(*instance)
