@@ -43,11 +43,8 @@ from .expansion import (
     ExpansionModel,
     ExpansionResult,
     PairwiseConstraint,
-    SeedTier,
-    build_pairwise_constraints,
     expand,
     g_penalty,
-    generate_seed_tiers,
     relevance,
 )
 from .pipeline import PipelineConfig, QueryResult, RankedEntity, run_query

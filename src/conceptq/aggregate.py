@@ -153,28 +153,16 @@ class ScoreVector:
 
 
 class _Terms:
-    """The weighted likelihood over entities ``0..n-1``.
+    """The weighted likelihood over entities ``0..n-1``: the orderings
+    ``r_b`` and ``r_c`` as position arrays that repeat no entity, and each
+    constraint of ``r_p`` as a (higher, lower) pair of position arrays."""
 
-    Validates the orderings (no duplicates) and that every entity they and
-    the constraints mention is in ``index``.
-    """
-
-    def __init__(self, index: Mapping[str, int], r_b, r_c, r_p, weights: ObjectiveWeights):
-        self.n = len(index)
-        self.lists = []
-        for ordering, weight in ((r_b, weights.baseline), (r_c, weights.alpha)):
-            if len(set(ordering)) != len(ordering):
-                raise ValueError("ordering contains duplicate entities")
-            _check_members("ordering", ordering, index)
-            if len(ordering) >= 2 and weight > 0:
-                self.lists.append((_positions(index, ordering), weight))
-        for con in r_p:
-            _check_members("constraint", con.higher | con.lower, index)
+    def __init__(self, n: int, r_b: np.ndarray, r_c: np.ndarray, r_p, weights: ObjectiveWeights):
+        self.n = n
+        orderings = ((r_b, weights.baseline), (r_c, weights.alpha))
+        self.lists = [(idx, weight) for idx, weight in orderings if len(idx) >= 2 and weight > 0]
         self.beta = weights.beta
-        self.cons = [] if self.beta == 0 else [
-            (_positions(index, sorted(con.higher)), _positions(index, sorted(con.lower)))
-            for con in r_p
-        ]
+        self.cons = [] if self.beta == 0 else list(r_p)
         # Gradient and curvature produce one value per (term, member) slot,
         # in this order; _scatter sums them per entity.
         groups = [idx for idx, _ in self.lists] + [side for con in self.cons for side in con]
@@ -306,14 +294,22 @@ def _lse(values: np.ndarray) -> float:
     return float(m + np.log(np.exp(values - m).sum()))
 
 
-def _positions(index: Mapping[str, int], entities) -> np.ndarray:
-    return np.array([index[e] for e in entities], dtype=np.intp)
-
-
-def _check_members(name: str, members, universe: Mapping[str, object]) -> None:
-    missing = [e for e in members if e not in universe]
+def _positions(universe: Sequence[str], r_b, r_c, r_p):
+    """Name-keyed orderings and constraints as _Terms' position arrays in
+    ``universe``; raises ValueError when an ordering repeats an entity or an
+    entity is outside ``universe``."""
+    if len(set(r_b)) != len(r_b) or len(set(r_c)) != len(r_c):
+        raise ValueError("ordering contains duplicate entities")
+    index = {e: i for i, e in enumerate(universe)}
+    mentioned = [*r_b, *r_c, *(e for con in r_p for e in con.higher | con.lower)]
+    missing = [e for e in mentioned if e not in index]
     if missing:
-        raise ValueError(f"{name} mentions entities outside the score universe: {missing}")
+        raise ValueError(f"entities outside the score universe: {missing}")
+
+    def at(entities) -> np.ndarray:
+        return np.array([index[e] for e in entities], dtype=np.intp)
+
+    return at(r_b), at(r_c), [(at(sorted(con.higher)), at(sorted(con.lower))) for con in r_p]
 
 
 def _log_suffix_sums(so: np.ndarray) -> np.ndarray:
@@ -332,9 +328,10 @@ def _stage_lse(terms: np.ndarray) -> np.ndarray:
 
 
 def _evaluate_at(scores: Mapping[str, float], r_b, r_c, r_p, weights):
-    index = {e: i for i, e in enumerate(scores)}
-    terms = _Terms(index, r_b, r_c, r_p, weights or ObjectiveWeights())
-    return terms.evaluate(np.array([scores[e] for e in index], dtype=float))
+    universe = list(scores)
+    positions = _positions(universe, r_b, r_c, r_p)
+    terms = _Terms(len(universe), *positions, weights or ObjectiveWeights())
+    return terms.evaluate(np.array([scores[e] for e in universe], dtype=float))
 
 
 # -- the public likelihood ----------------------------------------------------
@@ -502,6 +499,18 @@ def _maximize(terms: _Terms) -> tuple[np.ndarray, int, bool]:
     return s, steps, True
 
 
+def solve(universe: Sequence[str], r_b: np.ndarray, r_c: np.ndarray, r_p,
+          weights: ObjectiveWeights) -> tuple[ScoreVector, np.ndarray]:
+    """:func:`optimize` over positions: the entities are ``universe``, in name
+    order, and the orderings and constraints are position arrays into it, as
+    _Terms takes them (nothing is checked). Returns the scores and the
+    positions by descending score, ties by name."""
+    s, steps, converged = _maximize(_Terms(len(universe), r_b, r_c, r_p, weights))
+    s -= s.mean()
+    scores = ScoreVector(dict(zip(universe, s.tolist())), frozenset(universe), steps, converged)
+    return scores, np.argsort(-s, kind="stable")
+
+
 def optimize(
     r_b: Sequence[str],
     r_c: Sequence[str],
@@ -511,32 +520,21 @@ def optimize(
     """Fit scores to the orderings and constraints; return them and the
     induced final ordering by descending score.
 
-    Only bit-equal scores are ordered by name: entities that tie at the MAP
-    point get scores apart by the solve's round-off (up to ~1e-6), in any order.
+    Checks the names and solves over their positions (:func:`solve`, which
+    the pipeline calls with the positions it already holds). Only bit-equal
+    scores are ordered by name: entities that tie at the MAP point get
+    scores apart by the solve's round-off (up to ~1e-6), in any order.
 
     Maximizes the posterior F of the module docstring until
     max |grad F| < GRAD_TOL and, for every entity, |d F / d s_e| * PRIOR_RATE
     < GRAD_TOL * max(d_e, b e^{s_e}), d_e the diagonal of -Hessian F at e
     (_converged); the scores are re-centered to mean zero.
     """
-    weights = weights or ObjectiveWeights()
     if not r_b and not r_c:
         raise ValueError("need at least one non-empty ordering")
-
     universe = sorted(
         set(r_b) | set(r_c) | {e for con in r_p for e in con.higher | con.lower}
     )
-    index = {e: i for i, e in enumerate(universe)}
-    s, steps, converged = _maximize(_Terms(index, r_b, r_c, r_p, weights))
-
-    s -= s.mean()
-    ordering = sorted(universe, key=lambda e: (-s[index[e]], e))
-    return (
-        ScoreVector(
-            scores={e: float(s[i]) for e, i in index.items()},
-            universe=frozenset(universe),
-            iterations=steps,
-            converged=converged,
-        ),
-        ordering,
-    )
+    positions = _positions(universe, r_b, r_c, r_p)
+    scores, order = solve(universe, *positions, weights or ObjectiveWeights())
+    return scores, [universe[i] for i in order.tolist()]

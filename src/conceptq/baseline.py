@@ -33,6 +33,7 @@ concepts; the ordering is descending weight with ties by entity name.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -45,22 +46,35 @@ REPEATED_EIGENVALUE_RTOL = 1e-9
 WEIGHT_DECIMALS = 12
 
 
-@dataclass
+@dataclass(eq=False)
 class BaselineRanking:
-    """Fixed-point scores and the induced ordering over candidate entities.
+    """Fixed-point scores over the candidate entities E_u, held as arrays.
 
-    ``entity_scores`` and ``concept_scores`` hold sigma = 1 - exp(-w) of the
-    normalized weights; ``entity_weights`` keeps w itself (max 1.0) for
-    numeric comparisons. The ordering is descending sigma(e) with ties broken
-    by entity name.
+    ``ids`` holds E_u by descending weight w (max 1.0), ties by entity name,
+    and ``weights`` each one's w. The name views follow that order and are
+    built on first read: ``ordering``, and ``entity_weights`` and
+    ``entity_scores``, which map each name to its w and to sigma = 1 - exp(-w).
+    ``concept_scores`` holds each short concept's sigma.
     """
 
-    entity_scores: dict[str, float]
+    taxonomy: Taxonomy
+    ids: np.ndarray
+    weights: np.ndarray
     concept_scores: dict[str, float]
-    entity_weights: dict[str, float]
-    ordering: list[str]
     # The fixed point is one direct solve; kept because traces report it.
     iterations_run: ClassVar[int] = 1
+
+    @cached_property
+    def ordering(self) -> list[str]:
+        return [self.taxonomy.entity_names[e] for e in self.ids.tolist()]
+
+    @cached_property
+    def entity_weights(self) -> dict[str, float]:
+        return dict(zip(self.ordering, self.weights.tolist()))
+
+    @cached_property
+    def entity_scores(self) -> dict[str, float]:
+        return dict(zip(self.ordering, (1.0 - np.exp(-self.weights)).tolist()))
 
 
 def baseline_rank(taxonomy: Taxonomy, members: Membership) -> BaselineRanking:
@@ -82,16 +96,11 @@ def baseline_rank(taxonomy: Taxonomy, members: Membership) -> BaselineRanking:
     w_entities = membership.T @ (top @ top.sum(axis=0))
     # + 0.0 turns the -0.0 of a decayed component into 0.0
     w_entities = np.round(w_entities / w_entities.max(), WEIGHT_DECIMALS) + 0.0
-    w_concepts = membership @ w_entities
-
-    sigma_e = (1.0 - np.exp(-w_entities)).tolist()
-    sigma_c = (1.0 - np.exp(-w_concepts)).tolist()
-    names = [taxonomy.entity_names[e] for e in candidates.tolist()]
-    by_name = np.argsort(taxonomy.entity_rank[candidates]).tolist()
-    order = name_order(taxonomy.entity_rank, candidates, w_entities).tolist()
+    sigma_c = 1.0 - np.exp(-(membership @ w_entities))
+    order = name_order(taxonomy.entity_rank, candidates, w_entities)
     return BaselineRanking(
-        entity_scores={names[i]: sigma_e[i] for i in by_name},
-        concept_scores=dict(zip(members.concepts, sigma_c)),
-        entity_weights={names[i]: float(w_entities[i]) for i in by_name},
-        ordering=[names[i] for i in order],
+        taxonomy=taxonomy,
+        ids=candidates[order],
+        weights=w_entities[order],
+        concept_scores=dict(zip(members.concepts, sigma_c.tolist())),
     )

@@ -259,8 +259,8 @@ def cmd_validate(args) -> int:
     taxonomy = load(args.taxonomy)
     taxonomy.check_marginals()
     stats = {
-        "concepts": len(taxonomy.concepts),
-        "entities": len(taxonomy.entities),
+        "concepts": len(taxonomy.concept_names),
+        "entities": len(taxonomy.entity_names),
         "edges": taxonomy.n_edges,
         "grand_total": taxonomy.grand_total,
         "marginals": "ok",

@@ -1,4 +1,4 @@
-"""Instance-based concept expansion, entity reordering, and seed constraints.
+"""Instance-based concept expansion, entity reordering, and seed tiers.
 
 Given seed entities (an intersection of the query's short concepts, read off
 their membership patterns; see :mod:`conceptq.query`), every concept covering
@@ -39,20 +39,21 @@ concepts is built:
 Ties are broken by name, through the taxonomy's precomputed name ranks, so
 a tie across the top_k boundary keeps the first names.
 
-Separately, the membership patterns yield tiers of seed entities (grouped
-by pattern size, which is the size of the largest subset supporting them)
-and pairwise ordering constraints "higher tier beats lower tier" that the
-rank aggregation consumes.
+Separately, E_u is grouped into tiers by membership pattern size (the size
+of the largest subset supporting an entity); each tier should outrank the
+next, a constraint "higher tier beats lower tier" that the rank aggregation
+consumes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .query import Membership, MembershipPattern, membership
+from .query import Membership, membership
 from .taxonomy import Taxonomy, find_sorted, name_order, normalize
 
 DEFAULT_GAMMA = 0.5
@@ -93,14 +94,6 @@ class ConceptRelevance:
 
 
 @dataclass(frozen=True)
-class SeedTier:
-    """Seed entities whose largest supporting subset has the given size."""
-
-    size: int
-    entities: frozenset[str]
-
-
-@dataclass(frozen=True)
 class PairwiseConstraint:
     """Every entity of ``higher`` should outrank every entity of ``lower``."""
 
@@ -114,15 +107,43 @@ class PairwiseConstraint:
             raise ValueError("constraint sides must be disjoint")
 
 
-@dataclass
+@dataclass(eq=False)
 class ExpansionResult:
-    """Retained concepts, the expansion ordering R_c, and constraints R_p."""
+    """Retained concepts by descending pooled score, and R_c and the tiers
+    behind R_p as id arrays.
 
+    ``ids`` and ``scores`` hold R_c, the entities of the retained concepts by
+    descending rel(e), ties by name. ``tiers`` groups E_u's ids, in name
+    order, by pattern size, largest first; ``tiers[0]`` is the seed set. The
+    name views ``r_c``, ``entity_scores``, ``r_p`` (one constraint per
+    consecutive pair of tiers) and ``seed_entities`` are built on first read.
+    """
+
+    taxonomy: Taxonomy
     concepts: list[ConceptRelevance]
-    r_c: list[str]
-    r_p: list[PairwiseConstraint]
-    seed_entities: frozenset[str] = frozenset()
-    entity_scores: dict[str, float] = field(default_factory=dict)
+    ids: np.ndarray
+    scores: np.ndarray
+    tiers: list[np.ndarray]
+
+    def _names(self, ids: np.ndarray) -> list[str]:
+        return [self.taxonomy.entity_names[e] for e in ids.tolist()]
+
+    @cached_property
+    def r_c(self) -> list[str]:
+        return self._names(self.ids)
+
+    @cached_property
+    def entity_scores(self) -> dict[str, float]:
+        return dict(zip(self.r_c, self.scores.tolist()))
+
+    @cached_property
+    def r_p(self) -> list[PairwiseConstraint]:
+        sides = [frozenset(self._names(tier)) for tier in self.tiers]
+        return [PairwiseConstraint(higher=hi, lower=lo) for hi, lo in zip(sides, sides[1:])]
+
+    @cached_property
+    def seed_entities(self) -> frozenset[str]:
+        return frozenset(self._names(self.tiers[0]))
 
 
 # -- relevance scores ----------------------------------------------------
@@ -276,56 +297,29 @@ def relevance(
 # -- expansion ------------------------------------------------------------
 
 
+def _entity_relevance(
+    taxonomy: Taxonomy, concepts: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """rel(e) = sum of P(e|c) * rel(c) over the concept ids ``concepts``, in
+    that order, with rel(c) in ``weights``: the covered entity ids by
+    descending rel(e), ties by name, and their rel(e)."""
+    owner, entities, counts = taxonomy.by_concept.rows(concepts)
+    covered, slot = np.unique(entities, return_inverse=True)
+    scores = np.zeros(len(covered))
+    np.add.at(scores, slot, counts / taxonomy.n_c[concepts][owner] * weights[owner])
+    order = name_order(taxonomy.entity_rank, covered, scores)
+    return covered[order], scores[order]
+
+
 def entity_relevance(
     taxonomy: Taxonomy, concepts: Sequence[ConceptRelevance]
 ) -> dict[str, float]:
     """rel(e) = sum over retained concepts of P(e|c) * rel(c), in ranked order."""
-    ids, weights = [], []
-    for cr in concepts:
-        cid = taxonomy.concept_id(cr.concept)
-        if cid is not None:  # an unknown concept covers no entity
-            ids.append(cid)
-            weights.append(cr.score)
-    ids = np.array(ids, dtype=np.int64)
-    owner, entities, counts = taxonomy.by_concept.rows(ids)
-    covered, slot = np.unique(entities, return_inverse=True)
-    scores = np.zeros(len(covered))
-    np.add.at(
-        scores,
-        slot,
-        counts / taxonomy.n_c[ids][owner] * np.array(weights)[owner],
-    )
-    order = name_order(taxonomy.entity_rank, covered, scores)
-    names = [taxonomy.entity_names[e] for e in covered[order].tolist()]
-    return dict(zip(names, scores[order].tolist()))
-
-
-# -- seed tiers and constraints -------------------------------------------
-
-
-def generate_seed_tiers(patterns: Sequence[MembershipPattern]) -> list[SeedTier]:
-    """Group seed entities by the size of their membership pattern.
-
-    An entity has one pattern, so the tiers are disjoint and the induced
-    constraints can never demand an entity outrank itself.
-    """
-    tiers: dict[int, set[str]] = {}
-    for pattern in patterns:
-        tiers.setdefault(pattern.size, set()).update(pattern.entities)
-    return [
-        SeedTier(size=size, entities=frozenset(tiers[size]))
-        for size in sorted(tiers, reverse=True)
-    ]
-
-
-def build_pairwise_constraints(
-    tiers: Sequence[SeedTier],
-) -> list[PairwiseConstraint]:
-    """One constraint per consecutive tier pair; no transitive closure."""
-    return [
-        PairwiseConstraint(higher=hi.entities, lower=lo.entities)
-        for hi, lo in zip(tiers, tiers[1:])
-    ]
+    known = [(taxonomy.concept_id(cr.concept), cr.score) for cr in concepts]
+    known = [(c, w) for c, w in known if c is not None]  # an unknown concept covers no entity
+    ids = np.array([c for c, _ in known], dtype=np.int64)
+    ids, scores = _entity_relevance(taxonomy, ids, np.array([w for _, w in known]))
+    return dict(zip([taxonomy.entity_names[e] for e in ids.tolist()], scores.tolist()))
 
 
 # -- orchestration ----------------------------------------------------------
@@ -346,18 +340,15 @@ def expand(
 
     The query's own short concepts are always added to the retained pool
     (they carry the minimal penalty by construction), so the expansion
-    ordering covers every seed-tier entity.
+    ordering covers E_u. The result holds R_c and the tiers as id arrays.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     query_ids = np.array([_known_concept(taxonomy, c) for c in members.concepts], dtype=np.int64)
-    runs = [pattern.entities for pattern in members.seed_runs()]
+    run_seeds = [_seed_ids(taxonomy, pattern.entities) for pattern in members.seed_runs()]
 
     pooled: dict[int, float] = {}
-    run_seeds = []
-    for seeds in runs:
-        seed_ids = _seed_ids(taxonomy, seeds)
-        run_seeds.append(seed_ids)
+    for seed_ids in run_seeds:
         candidates, scores = _candidates(taxonomy, seed_ids, members.ids, model)
         retained = _top(taxonomy.concept_rank, candidates, scores, top_k).tolist()
         retained += find_sorted(candidates, query_ids)[1].tolist()
@@ -374,16 +365,18 @@ def expand(
             total += _target_relevance(taxonomy, seed_ids, targets, members.ids, model)
         pooled.update(zip(unseen, total.tolist()))
 
-    concepts = [
-        ConceptRelevance(concept=taxonomy.concept_names[c], score=pooled[c])
-        for c in sorted(pooled, key=lambda c: (-pooled[c], taxonomy.concept_rank[c]))
-    ]
-    entity_scores = entity_relevance(taxonomy, concepts)
-    r_p = build_pairwise_constraints(generate_seed_tiers(members.patterns))
+    ranked = sorted(pooled, key=lambda c: (-pooled[c], taxonomy.concept_rank[c]))
+    ids, scores = _entity_relevance(
+        taxonomy, np.array(ranked, dtype=np.int64), np.array([pooled[c] for c in ranked])
+    )
+    # E_u by pattern size (a column popcount), largest first, then by name
+    sizes = members.matrix.sum(axis=0)
+    order = name_order(taxonomy.entity_rank, members.ids, sizes)
+    sizes = sizes[order]
     return ExpansionResult(
-        concepts=concepts,
-        r_c=list(entity_scores),
-        r_p=r_p,
-        seed_entities=frozenset().union(*runs),
-        entity_scores=entity_scores,
+        taxonomy=taxonomy,
+        concepts=[ConceptRelevance(taxonomy.concept_names[c], pooled[c]) for c in ranked],
+        ids=ids,
+        scores=scores,
+        tiers=np.split(members.ids[order], np.flatnonzero(sizes[1:] != sizes[:-1]) + 1),
     )

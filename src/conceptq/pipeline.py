@@ -5,13 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .aggregate import (
-    DEFAULT_ALPHA,
-    DEFAULT_BETA,
-    ObjectiveWeights,
-    ScoreVector,
-    optimize,
-)
+import numpy as np
+
+from .aggregate import DEFAULT_ALPHA, DEFAULT_BETA, ObjectiveWeights, ScoreVector
+# The position-level solve is called through this module's name ``optimize``:
+# perfbench times the aggregation stage by wrapping ``pipeline.optimize`` at
+# call time, like ``baseline_rank`` and ``expand``.
+from .aggregate import solve as optimize
 from .baseline import BaselineRanking, baseline_rank
 from .expansion import (
     DEFAULT_CONCEPTS_TOP_K,
@@ -110,7 +110,8 @@ def run_query(
     belonged to an intersection used to seed the expansion, ``expanded``
     entities are new ones surfaced only through expanded concepts, and
     ``baseline-only`` entities sit in the query concepts' entity union
-    without being seeds.
+    without being seeds. The stages exchange id arrays; names are looked up
+    once, for the universe, and the stages' name views only when read.
     """
     config = config or PipelineConfig()
     query = parse(raw_query, config.head)
@@ -120,25 +121,22 @@ def run_query(
     expansion = expand(
         taxonomy, members, config.expansion_model(), top_k=config.concepts_top_k
     )
-    scores, ordering = optimize(
-        ranking_b.ordering,
-        expansion.r_c,
-        expansion.r_p,
-        config.weights(),
-    )
 
-    e_union = members.entity_union
-    ranking = []
-    for entity in ordering:
-        if entity in expansion.seed_entities:
-            provenance = PROVENANCE_SEED
-        elif entity not in e_union:
-            provenance = PROVENANCE_EXPANDED
-        else:
-            provenance = PROVENANCE_BASELINE
-        ranking.append(
-            RankedEntity(entity=entity, score=scores.scores[entity], provenance=provenance)
-        )
+    # The universe in name order; each stage maps into it by rank. R_c covers
+    # E_u, since the query's own concepts are always retained, so it is R_c.
+    rank = taxonomy.entity_rank
+    universe = expansion.ids[np.argsort(rank[expansion.ids])]
+    keys = rank[universe]
+    r_b, r_c = (np.searchsorted(keys, rank[ids]) for ids in (ranking_b.ids, expansion.ids))
+    tiers = [np.searchsorted(keys, rank[tier]) for tier in expansion.tiers]
+    names = [taxonomy.entity_names[e] for e in universe.tolist()]
+    scores, order = optimize(names, r_b, r_c, list(zip(tiers, tiers[1:])), config.weights())
+
+    provenance = np.full(len(names), PROVENANCE_EXPANDED, dtype=object)
+    provenance[r_b] = PROVENANCE_BASELINE
+    provenance[tiers[0]] = PROVENANCE_SEED
+    values, provenance = list(scores.scores.values()), provenance.tolist()
+    ranking = [RankedEntity(names[i], values[i], provenance[i]) for i in order.tolist()]
 
     return QueryResult(
         query=query,

@@ -71,11 +71,6 @@ class Membership:
     matrix: np.ndarray
     patterns: list[MembershipPattern]
 
-    @property
-    def entity_union(self) -> frozenset[str]:
-        """E_u by name."""
-        return frozenset().union(*(p.entities for p in self.patterns))
-
     def seed_runs(self) -> list[MembershipPattern]:
         """The patterns of largest size: the full intersection when it is not
         empty, else the intersections of the largest subsets whose

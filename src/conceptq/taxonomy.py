@@ -148,8 +148,6 @@ class Taxonomy:
         self.entity_names = entity_names
         self._concept_ids = concept_ids
         self._entity_ids = entity_ids
-        self.concept_ids = MappingProxyType(concept_ids)
-        self.entity_ids = MappingProxyType(entity_ids)
         self.by_concept = by_concept
         self.by_entity = by_entity
         self.n_c = n_c
@@ -189,14 +187,6 @@ class Taxonomy:
         return _name_ranks(self.entity_names)
 
     # -- lookups ----------------------------------------------------------
-
-    @property
-    def concepts(self):
-        return self._concept_ids.keys()
-
-    @property
-    def entities(self):
-        return self._entity_ids.keys()
 
     @property
     def n_edges(self) -> int:

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
+import numpy as np
+
 from conceptq.errors import QueryParseError
 from conceptq.expansion import ExpansionModel, relevance
 from conceptq.query import Membership
@@ -71,7 +73,7 @@ def oracle_rel_noisy_or(t: Taxonomy, concept, seeds, short_concepts, leak, delta
 
 def oracle_rel_naive_bayes(t: Taxonomy, concept, seeds, short_concepts, gamma, delta):
     e_union = oracle_e_union(t, short_concepts)
-    grand = sum(sum(t.entities_of(c).values()) for c in t.concepts)
+    grand = sum(sum(t.entities_of(c).values()) for c in t.concept_names)
     n_c = sum(t.entities_of(concept).values())
     score = n_c / grand
     for e in seeds:
@@ -198,6 +200,17 @@ def oracle_seed_runs(subsets: Sequence[SubsetIntersection], n: int) -> list[froz
         return [full[0].entities]
     best = max(si.size for si in subsets)
     return [si.entities for si in subsets if si.size == best]
+
+
+def tier_rows(t: Taxonomy, members: Membership, tiers) -> list[tuple[int, list[str]]]:
+    """(pattern size, entity names) of each of ``expand``'s id tiers; the
+    size is the popcount of the tier's membership columns, which must agree."""
+    rows = []
+    for tier in tiers:
+        sizes = set(members.matrix[:, np.searchsorted(members.ids, tier)].sum(axis=0).tolist())
+        assert len(sizes) == 1
+        rows.append((int(sizes.pop()), [t.entity_names[e] for e in tier.tolist()]))
+    return rows
 
 
 def oracle_tiers(subsets: Sequence[SubsetIntersection]) -> list[tuple[int, frozenset[str]]]:

@@ -61,10 +61,10 @@ def test_criterion_1_taxonomy_invariants():
         assert t.grand_total == sum(count for _, _, count in rows)
 
         # entity/concept round trip
-        for c in t.concepts:
+        for c in t.concept_names:
             for e in t.entities_of(c):
                 assert c in t.concepts_of(e)
-        for e in t.entities:
+        for e in t.entity_names:
             for c in t.concepts_of(e):
                 assert e in t.entities_of(c)
 
@@ -93,7 +93,7 @@ def test_criterion_2_baseline_matches_eigen_oracle():
             for _ in range(rng.randint(1, n_entities))
         ]
         t = ingest(rows)
-        concepts = sorted(t.concepts)
+        concepts = sorted(t.concept_names)
         candidates = sorted({e for c in concepts for e in t.entities_of(c)})
         if len(candidates) < 2:
             continue
@@ -153,7 +153,7 @@ def test_criterion_3_expansion_formula_oracle():
     checked = 0
     while checked < 100:
         t = random_taxonomy(rng, max_concepts=5, max_entities=8, max_edges=20)
-        concepts = sorted(t.concepts)
+        concepts = sorted(t.concept_names)
         short = concepts[: rng.randint(1, min(3, len(concepts)))]
         pool = sorted({e for c in short for e in t.entities_of(c)})
         if not pool:

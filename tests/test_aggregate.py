@@ -293,8 +293,16 @@ def aggregation_instances(draw, max_n=20):
 
 
 def terms_of(r_b, r_c, r_p, weights):
+    """_Terms over the name-ordered universe, each name at its position
+    there and each constraint side in name order, as ``optimize`` builds it."""
     names = sorted(set(r_b) | set(r_c) | {e for c in r_p for e in c.higher | c.lower})
-    return names, _Terms({e: i for i, e in enumerate(names)}, r_b, r_c, r_p, weights)
+    index = {e: i for i, e in enumerate(names)}
+
+    def at(entities):
+        return np.array([index[e] for e in entities], dtype=np.intp)
+
+    cons = [(at(sorted(c.higher)), at(sorted(c.lower))) for c in r_p]
+    return names, _Terms(len(names), at(r_b), at(r_c), cons, weights)
 
 
 @contextmanager

@@ -149,7 +149,7 @@ class TestEigenOracle:
         checked = 0
         while checked < 30:
             t = random_taxonomy(rng, max_concepts=4, max_entities=8, max_edges=16)
-            concepts = sorted(t.concepts)
+            concepts = sorted(t.concept_names)
             candidates, oracle, eigvals = eigen_oracle(t, concepts)
             if len(candidates) < 2:
                 continue

@@ -102,7 +102,7 @@ class TestIntPro:
         rng = random.Random(13)
         for _ in range(25):
             t = random_taxonomy(rng, max_concepts=4, max_entities=6, max_edges=15)
-            concepts = sorted(t.concepts)[:3]
+            concepts = sorted(t.concept_names)[:3]
             if not concepts:
                 continue
             for e in intpro_baseline(t, concepts, 10):

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -9,18 +10,21 @@ from conceptq.expansion import (
     ConceptRelevance,
     ExpansionModel,
     PairwiseConstraint,
-    SeedTier,
-    build_pairwise_constraints,
     entity_relevance,
     expand,
     g_penalty,
-    generate_seed_tiers,
     relevance,
 )
 from conceptq.query import MembershipPattern, membership
 from conceptq.taxonomy import ingest
 
-from helpers import oracle_expand, oracle_rel_naive_bayes, oracle_rel_noisy_or, random_taxonomy
+from helpers import (
+    oracle_expand,
+    oracle_rel_naive_bayes,
+    oracle_rel_noisy_or,
+    random_taxonomy,
+    tier_rows,
+)
 
 
 def full_intersection_cases(rng, count):
@@ -28,7 +32,7 @@ def full_intersection_cases(rng, count):
     cases = []
     while len(cases) < count:
         t = random_taxonomy(rng, max_concepts=6, max_entities=8, max_edges=24)
-        concepts = sorted(t.concepts)
+        concepts = sorted(t.concept_names)
         short = concepts[: rng.randint(1, min(3, len(concepts)))]
         members = membership(t, short)
         if members.patterns[0].size == len(short):
@@ -123,7 +127,7 @@ class TestRelevanceScores:
 
     def test_noisy_or_single_relation_is_positive(self, f1):
         model = ExpansionModel(kind="noisy_or", leak=0.0, delta=0.5)
-        for concept in f1.concepts:
+        for concept in f1.concept_names:
             rel = relevance(f1, concept, ["a"], F1_PAIR, model)
             assert rel > 0.0
 
@@ -169,7 +173,7 @@ class TestRelevanceScores:
         checked = 0
         while checked < 40:
             t = random_taxonomy(rng, max_concepts=5, max_entities=7, max_edges=18)
-            concepts = sorted(t.concepts)
+            concepts = sorted(t.concept_names)
             short = concepts[: rng.randint(1, min(3, len(concepts)))]
             seed_pool = sorted({e for c in short for e in t.entities_of(c)})
             if not seed_pool:
@@ -251,11 +255,10 @@ class TestRankEntities:
 
 class TestSeedTiers:
     def test_f1_tiers(self, f1):
-        tiers = generate_seed_tiers(membership(f1, F1_PAIR).patterns)
-        assert [(t.size, set(t.entities)) for t in tiers] == [
-            (2, {"a", "b"}),
-            (1, {"c", "d"}),
-        ]
+        members = membership(f1, F1_PAIR)
+        result = expand(f1, members, ExpansionModel())
+        assert tier_rows(f1, members, result.tiers) == [(2, ["a", "b"]), (1, ["c", "d"])]
+        assert result.seed_entities == frozenset({"a", "b"})
 
     def test_three_level_structure(self):
         # entities of the triple intersection go to tier 3 even though they
@@ -267,45 +270,45 @@ class TestSeedTiers:
                 ("c3", "harvard", 1), ("c3", "solo", 1),
             ]
         )
-        tiers = generate_seed_tiers(membership(t, ["c1", "c2", "c3"]).patterns)
-        assert [(tier.size, set(tier.entities)) for tier in tiers] == [
-            (3, {"harvard"}),
-            (2, {"berkley"}),
-            (1, {"solo"}),
+        members = membership(t, ["c1", "c2", "c3"])
+        tiers = expand(t, members, ExpansionModel()).tiers
+        assert tier_rows(t, members, tiers) == [
+            (3, ["harvard"]),
+            (2, ["berkley"]),
+            (1, ["solo"]),
         ]
 
     def test_identical_concepts_give_single_tier(self):
         t = ingest([("c1", "a", 1), ("c1", "b", 1), ("c2", "a", 1), ("c2", "b", 1)])
-        tiers = generate_seed_tiers(membership(t, ["c1", "c2"]).patterns)
-        assert len(tiers) == 1
-        assert tiers[0].entities == frozenset({"a", "b"})
+        members = membership(t, ["c1", "c2"])
+        result = expand(t, members, ExpansionModel())
+        assert tier_rows(t, members, result.tiers) == [(2, ["a", "b"])]
+        assert result.seed_entities == frozenset({"a", "b"})
 
     def test_tiers_partition_seed_universe(self, f1):
         members = membership(f1, F1_PAIR)
-        tiers = generate_seed_tiers(members.patterns)
-        seen: set[str] = set()
-        for tier in tiers:
-            assert not (tier.entities & seen)
-            seen |= tier.entities
-        assert seen == members.entity_union
+        tiers = expand(f1, members, ExpansionModel()).tiers
+        # every E_u id in exactly one tier
+        assert sorted(np.concatenate(tiers).tolist()) == members.ids.tolist()
 
 
 class TestPairwiseConstraints:
     def test_consecutive_pairs_only(self):
-        tiers = [
-            SeedTier(size=3, entities=frozenset({"harvard", "princeton"})),
-            SeedTier(size=2, entities=frozenset({"berkley", "virginia"})),
-            SeedTier(size=1, entities=frozenset({"solo"})),
-        ]
-        constraints = build_pairwise_constraints(tiers)
+        t = ingest(
+            [(c, e, 1) for c in ("c1", "c2", "c3") for e in ("harvard", "princeton")]
+            + [(c, e, 1) for c in ("c1", "c2") for e in ("berkley", "virginia")]
+            + [("c3", "solo", 1)]
+        )
+        constraints = expand(t, membership(t, ["c1", "c2", "c3"]), ExpansionModel()).r_p
         assert len(constraints) == 2
         assert constraints[0].higher == frozenset({"harvard", "princeton"})
         assert constraints[0].lower == frozenset({"berkley", "virginia"})
         assert constraints[1].higher == frozenset({"berkley", "virginia"})
+        assert constraints[1].lower == frozenset({"solo"})
 
     def test_single_tier_no_constraints(self):
-        tiers = [SeedTier(size=2, entities=frozenset({"a"}))]
-        assert build_pairwise_constraints(tiers) == []
+        t = ingest([("c1", "a", 1), ("c2", "a", 1)])
+        assert expand(t, membership(t, ["c1", "c2"]), ExpansionModel()).r_p == []
 
     def test_sides_must_be_disjoint_and_non_empty(self):
         with pytest.raises(ValueError):
@@ -321,7 +324,7 @@ class TestExpandOrchestration:
         assert result.seed_entities == frozenset({"a", "b"})
         names = [c.concept for c in result.concepts]
         assert names[0] == "ivy league"
-        assert set(names) == set(f1.concepts)
+        assert set(names) == set(f1.concept_names)
         assert result.r_c[:2] == ["a", "b"]
         assert set(result.r_c) == {"a", "b", "c", "d", "x"}
         assert [(set(c.higher), set(c.lower)) for c in result.r_p] == [
@@ -376,7 +379,7 @@ class TestExpandOrchestration:
         model = ExpansionModel()
         members = membership(f1, F1_PAIR)
         result = expand(f1, members, model)
-        tier_entities = {e for tier in generate_seed_tiers(members.patterns) for e in tier.entities}
+        tier_entities = {f1.entity_names[e] for tier in result.tiers for e in tier.tolist()}
         assert tier_entities <= set(result.r_c)
 
 
@@ -429,7 +432,7 @@ class TestTopKSelection:
     def test_selection_matches_full_sort_oracle(self, model, seed, top_k):
         rng = random.Random(seed)
         t = random_taxonomy(rng, max_concepts=10, max_entities=8, max_edges=30, max_count=3)
-        concepts = sorted(t.concepts)
+        concepts = sorted(t.concept_names)
         members = membership(t, rng.sample(concepts, rng.randint(1, min(3, len(concepts)))))
         runs = members.seed_runs()
         assume(top_k < max(len({c for e in p.entities for c in t.concepts_of(e)}) for p in runs))

@@ -10,12 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conceptq.aggregate import optimize
 from conceptq.baseline import baseline_rank
 from conceptq.errors import UnanswerableQueryError
 from conceptq.evaluation import planted_instance
 from conceptq.pipeline import PipelineConfig, run_query
 from conceptq.query import membership
-from conceptq.taxonomy import ingest
+from conceptq.taxonomy import entity_union, ingest
+
+from helpers import random_rows
 
 
 def test_a_query_and_a_holdout_run_import_no_scipy():
@@ -142,6 +145,61 @@ class TestEmptyIntersectionQueries:
         assert result.baseline.ordering == ["a", "b", "c", "d"]
 
 
+@st.composite
+def random_queries(draw):
+    """A random taxonomy whose concepts are "<c> kind", a query over one to
+    four of its modifiers, and a config under either relevance model."""
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    t = ingest([(f"{c} kind", e, n) for c, e, n in random_rows(rng)])
+    modifiers = sorted(c.split()[0] for c in t.concept_names)
+    chosen = draw(st.lists(st.sampled_from(modifiers), min_size=1, max_size=4, unique=True))
+    alpha = draw(st.sampled_from([0.0, 0.2, 1.0 / 3.0, 0.6]))
+    beta = draw(st.sampled_from([0.0, 0.3, 1.0 - alpha]))
+    kind = draw(st.sampled_from(["noisy_or", "naive_bayes"]))
+    config = PipelineConfig(model_kind=kind, alpha=alpha, beta=beta)
+    return t, " ".join([*chosen, "kind"]), config
+
+
+class TestIdPath:
+    """run_query solves over id and position arrays; its results must be
+    those of the name-keyed API read through the stages' name views."""
+
+    @given(random_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_run_query_equals_optimize_over_the_name_views(self, case):
+        t, query, config = case
+        result = run_query(t, query, config)
+        scores, ordering = optimize(
+            result.baseline.ordering, result.expansion.r_c, result.expansion.r_p, config.weights()
+        )
+        # bit for bit: float.hex tells -0.0 from 0.0
+        assert [(e, s.hex()) for e, s in result.scores.scores.items()] == [
+            (e, s.hex()) for e, s in scores.scores.items()
+        ]
+        assert result.scores.universe == scores.universe
+        assert (result.scores.iterations, result.scores.converged) == (
+            scores.iterations, scores.converged
+        )
+        assert [(r.entity, r.score.hex()) for r in result.ranking] == [
+            (e, scores.scores[e].hex()) for e in ordering
+        ]
+
+    @given(random_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_provenance_follows_the_name_level_definition(self, case):
+        t, query, config = case
+        result = run_query(t, query, config)
+        union = entity_union(t, result.decomposition.short_concepts)
+        for r in result.ranking:
+            if r.entity in result.expansion.seed_entities:
+                expected = "seed"
+            elif r.entity not in union:
+                expected = "expanded"
+            else:
+                expected = "baseline-only"
+            assert r.provenance == expected
+
+
 class TestRowOrderInvariance:
     @given(
         instance_seed=st.integers(0, 20),
@@ -207,6 +265,6 @@ class TestModifierOrderInvariance:
     def test_symmetric_fixture_baseline_ignores_concept_order(self):
         t = symmetric_taxonomy()
         concepts = [f"m{i} h" for i in range(6)]
-        answers_first = sorted(t.entities, key=lambda e: (not e.startswith("answer"), e))
+        answers_first = sorted(t.entity_names, key=lambda e: (not e.startswith("answer"), e))
         for perm in itertools.permutations(concepts):
             assert baseline_rank(t, membership(t, perm)).ordering == answers_first

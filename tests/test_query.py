@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conceptq.errors import QueryParseError, UnanswerableQueryError
-from conceptq.expansion import generate_seed_tiers
+from conceptq.expansion import ExpansionModel, expand
 from conceptq.pipeline import run_query
 from conceptq.query import decompose, membership, parse
 from conceptq.taxonomy import entity_intersection, ingest
@@ -17,6 +17,7 @@ from helpers import (
     oracle_seed_runs,
     oracle_tiers,
     random_taxonomy,
+    tier_rows,
 )
 
 
@@ -114,7 +115,7 @@ class TestEnumerateSubsets:
         ]
         assert [f1.entity_names[e] for e in members.ids.tolist()] == ["a", "b", "d", "c"]
         assert members.matrix.tolist() == [[1, 1, 1, 0], [1, 1, 0, 1]]
-        assert members.entity_union == {"a", "b", "c", "d"}
+        assert frozenset().union(*(p.entities for p in members.patterns)) == {"a", "b", "c", "d"}
 
     def test_full_set_comes_first(self, f1):
         members = membership(f1, ["top university", "american university"])
@@ -176,20 +177,21 @@ class TestEnumerateSubsets:
         rng = random.Random(11)
         for _ in range(25):
             t = random_taxonomy(rng, max_concepts=4, max_entities=6, max_edges=14)
-            concepts = sorted(t.concepts)[:4]
+            concepts = sorted(t.concept_names)[:4]
             members = membership(t, concepts)
             for si in enumerate_subsets(t, concepts):
                 covering = [p.entities for p in members.patterns if si.subset <= p.subset]
                 assert si.entities == frozenset().union(*covering)
             sizes = [len(p.entities) for p in members.patterns]
-            assert sum(sizes) == len(members.entity_union) == len(members.ids)
+            union = frozenset().union(*(p.entities for p in members.patterns))
+            assert sum(sizes) == len(union) == len(members.ids)
 
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6))
     @settings(max_examples=200, deadline=None)
     def test_patterns_match_lattice_oracle(self, seed, k):
         rng = random.Random(seed)
         t = random_taxonomy(rng, max_concepts=8, max_entities=10, max_edges=30)
-        concepts = sorted(t.concepts)
+        concepts = sorted(t.concept_names)
         short = rng.sample(concepts, min(k, len(concepts)))
         members = membership(t, short)
         lattice = enumerate_subsets(t, short)
@@ -198,9 +200,10 @@ class TestEnumerateSubsets:
         at = [position[p.subset] for p in members.patterns]
         assert at == sorted(at)
         assert [p.entities for p in members.seed_runs()] == oracle_seed_runs(lattice, len(short))
-        tiers = [(tier.size, tier.entities) for tier in generate_seed_tiers(members.patterns)]
-        assert tiers == oracle_tiers(lattice)
-        assert members.entity_union == oracle_e_union(t, short)
+        tiers = tier_rows(t, members, expand(t, members, ExpansionModel()).tiers)
+        assert [(size, frozenset(names)) for size, names in tiers] == oracle_tiers(lattice)
+        assert [names for _, names in tiers] == [sorted(names) for _, names in tiers]
+        assert {t.entity_names[e] for e in members.ids.tolist()} == oracle_e_union(t, short)
         top = members.patterns[0]
         full = top.entities if top.size == len(short) else frozenset()
         assert full == entity_intersection(t, short)

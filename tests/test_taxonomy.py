@@ -23,6 +23,12 @@ from conceptq.taxonomy import (
 from helpers import random_rows
 
 
+def id_maps(t):
+    """The name -> id maps that ``concept_id`` and ``entity_id`` read."""
+    return ({c: t.concept_id(c) for c in t.concept_names},
+            {e: t.entity_id(e) for e in t.entity_names})
+
+
 class TestIngest:
     def test_single_row_sums(self):
         t = ingest([("ivy league", "harvard", 3)])
@@ -45,12 +51,13 @@ class TestIngest:
     def test_normalization_merges_variants(self):
         t = ingest([("Ivy  League", "Harvard", 1), ("ivy league", "  harvard ", 2)])
         assert t.count("ivy league", "harvard") == 3
-        assert set(t.concepts) == {"ivy league"}
+        assert set(t.concept_names) == {"ivy league"}
 
     def test_first_seen_dense_ids(self):
         t = ingest([("c2", "y", 1), ("c1", "x", 1), ("c2", "x", 1)])
-        assert t.concept_ids == {"c2": 0, "c1": 1}
-        assert t.entity_ids == {"y": 0, "x": 1}
+        assert t.concept_names == ["c2", "c1"]
+        assert t.entity_names == ["y", "x"]
+        assert id_maps(t) == ({"c2": 0, "c1": 1}, {"y": 0, "x": 1})
 
     @pytest.mark.parametrize(
         "rows,bad_row",
@@ -79,7 +86,7 @@ class TestIngest:
 
 
 def t_stats(t):
-    return (len(t.concepts), len(t.entities), t.n_edges, t.grand_total)
+    return (len(t.concept_names), len(t.entity_names), t.n_edges, t.grand_total)
 
 
 class TestLookups:
@@ -103,10 +110,10 @@ class TestLookups:
         assert f1.count("Top University", " A ") == 2
 
     def test_round_trip(self, f1):
-        for c in f1.concepts:
+        for c in f1.concept_names:
             for e in f1.entities_of(c):
                 assert c in f1.concepts_of(e)
-        for e in f1.entities:
+        for e in f1.entity_names:
             for c in f1.concepts_of(e):
                 assert e in f1.entities_of(c)
 
@@ -133,14 +140,14 @@ class TestProbabilities:
 
     def test_priors_sum_to_one(self, f1):
         n = f1.grand_total
-        assert sum(f1.n_c[f1.concept_id(c)] / n for c in f1.concepts) == pytest.approx(1.0)
-        assert sum(f1.n_e[f1.entity_id(e)] / n for e in f1.entities) == pytest.approx(1.0)
+        assert sum(f1.n_c[f1.concept_id(c)] / n for c in f1.concept_names) == pytest.approx(1.0)
+        assert sum(f1.n_e[f1.entity_id(e)] / n for e in f1.entity_names) == pytest.approx(1.0)
 
     def test_conditionals_sum_to_one(self, f1):
-        for e in f1.entities:
+        for e in f1.entity_names:
             total = sum(f1.count(c, e) / f1.n_e[f1.entity_id(e)] for c in f1.concepts_of(e))
             assert abs(total - 1.0) < 1e-12
-        for c in f1.concepts:
+        for c in f1.concept_names:
             total = sum(f1.count(c, e) / f1.n_c[f1.concept_id(c)] for e in f1.entities_of(c))
             assert abs(total - 1.0) < 1e-12
 
@@ -174,8 +181,8 @@ class TestNameKeyedReads:
     def test_a_respelled_name_reads_as_its_normalized_form(self, seed, data):
         # two-word names, so that inner whitespace can be doubled too
         t = ingest([(f"{c} kind", f"{e} one", n) for c, e, n in random_rows(random.Random(seed))])
-        concepts = [*t.concepts, "no such kind"]
-        entities = [*t.entities, "no such one"]
+        concepts = [*t.concept_names, "no such kind"]
+        entities = [*t.entity_names, "no such one"]
         for c in concepts:
             spelled = data.draw(respellings(c))
             assert t.concept_id(spelled) == t.concept_id(c)
@@ -214,7 +221,7 @@ class TestInvariants:
             assert t.grand_total == sum(t.n_e.tolist())
 
     def test_check_marginals_detects_corruption(self, f1):
-        ivy = f1.concept_ids["ivy league"]
+        ivy = f1.concept_id("ivy league")
         with pytest.raises(ValueError):  # the stored vectors are read-only
             f1.n_c[ivy] += 1
         corrupted = f1.n_c.copy()
@@ -286,7 +293,7 @@ class TestLoad:
         marked.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
         t = load(marked)
         assert t == load(plain)
-        assert list(t.concepts) == ["top university"]
+        assert list(t.concept_names) == ["top university"]
         assert dict(t.entities_of("top university")) == {"a": 2, "b": 1}
 
     @pytest.mark.parametrize("first_line", ["c\te\t1", "# header"])
@@ -352,8 +359,8 @@ class TestArrays:
             assert list(t.deg_c) == [len(t.entities_of(c)) for c in t.concept_names]
 
     def test_name_ranks_follow_name_order(self, f1):
-        assert [f1.entity_names[i] for i in f1.entity_rank.argsort()] == sorted(f1.entities)
-        assert [f1.concept_names[i] for i in f1.concept_rank.argsort()] == sorted(f1.concepts)
+        assert [f1.entity_names[i] for i in f1.entity_rank.argsort()] == sorted(f1.entity_names)
+        assert [f1.concept_names[i] for i in f1.concept_rank.argsort()] == sorted(f1.concept_names)
 
 
 class TestWithoutEdges:
@@ -365,12 +372,12 @@ class TestWithoutEdges:
             r for r in t.records() if not (r.concept in concepts and r.entity in entities)
         )
         assert got == want
-        assert got.concepts == want.concepts
-        assert got.entities == want.entities
+        assert set(got.concept_names) == set(want.concept_names)
+        assert set(got.entity_names) == set(want.entity_names)
         got.check_marginals()
         # the entity orientation and the marginals are those of a rebuild
         # that sorts the kept pairs by entity
-        rebuilt = Taxonomy.from_pairs(dict(got.concept_ids), dict(got.entity_ids),
+        rebuilt = Taxonomy.from_pairs(*id_maps(got),
                                       *got.by_concept.pairs(), got.by_concept.counts)
         for a, b in ((got.by_entity.ptr, rebuilt.by_entity.ptr),
                      (got.by_entity.ids, rebuilt.by_entity.ids),
@@ -378,8 +385,8 @@ class TestWithoutEdges:
                      (got.n_c, rebuilt.n_c), (got.n_e, rebuilt.n_e), (got.deg_c, rebuilt.deg_c)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         # name ranks are inherited from the parent and still sort by name
-        assert [got.entity_names[i] for i in got.entity_rank.argsort()] == sorted(got.entities)
-        assert [got.concept_names[i] for i in got.concept_rank.argsort()] == sorted(got.concepts)
+        assert [got.entity_names[i] for i in got.entity_rank.argsort()] == sorted(got.entity_names)
+        assert [got.concept_names[i] for i in got.concept_rank.argsort()] == sorted(got.concept_names)
         assert not got.entity_rank.flags.writeable
         return got
 
@@ -387,8 +394,8 @@ class TestWithoutEdges:
         rng = random.Random(17)
         for _ in range(200):
             t = ingest(random_rows(rng))
-            concepts = rng.sample(sorted(t.concepts), rng.randint(0, len(t.concepts)))
-            entities = rng.sample(sorted(t.entities), rng.randint(0, len(t.entities)))
+            concepts = rng.sample(sorted(t.concept_names), rng.randint(0, len(t.concept_names)))
+            entities = rng.sample(sorted(t.entity_names), rng.randint(0, len(t.entity_names)))
             self.check(t, concepts, entities)
 
     @given(
@@ -419,7 +426,7 @@ class TestWithoutEdges:
         got = self.check(t, ["short a"], ["x", "y"])
         assert got.has_concept("short a") is False
         assert got.has_entity("x") is False
-        assert set(got.concepts) == {"other"}
+        assert set(got.concept_names) == {"other"}
         assert got.n_c[got.concept_id("other")] == 1
 
     def test_unknown_names_are_ignored(self, f1):
@@ -447,9 +454,9 @@ class TestWithoutEdges:
         rng = random.Random(23)
         for _ in range(200):
             t = ingest(random_rows(rng))
-            concepts = rng.sample(sorted(t.concepts), rng.randint(0, len(t.concepts)))
-            first = rng.sample(sorted(t.entities), rng.randint(0, len(t.entities)))
-            second = rng.sample(sorted(t.entities), rng.randint(0, len(t.entities)))
+            concepts = rng.sample(sorted(t.concept_names), rng.randint(0, len(t.concept_names)))
+            first = rng.sample(sorted(t.entity_names), rng.randint(0, len(t.entity_names)))
+            second = rng.sample(sorted(t.entity_names), rng.randint(0, len(t.entity_names)))
             # the child, which shares arrays with t, is itself a valid parent
             child = self.check(t, concepts, first)
             got = self.check(child, concepts, second)
@@ -466,12 +473,12 @@ class TestWithoutEdges:
             t = ingest(random_rows(rng))
             records = list(t.records())
             before = [a.copy() for a in arrays(t)]
-            names = list(t.concept_names), list(t.entity_names), dict(t.concept_ids), dict(t.entity_ids)
-            concepts = rng.sample(sorted(t.concepts), rng.randint(0, len(t.concepts)))
-            entities = rng.sample(sorted(t.entities), rng.randint(0, len(t.entities)))
+            names = list(t.concept_names), list(t.entity_names), id_maps(t)
+            concepts = rng.sample(sorted(t.concept_names), rng.randint(0, len(t.concept_names)))
+            entities = rng.sample(sorted(t.entity_names), rng.randint(0, len(t.entity_names)))
             got = t.without_edges(concepts, entities)
             assert list(t.records()) == records
-            assert (t.concept_names, t.entity_names, dict(t.concept_ids), dict(t.entity_ids)) == names
+            assert (t.concept_names, t.entity_names, id_maps(t)) == names
             for a, b in zip(arrays(t), before):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
             for a in arrays(t) + arrays(got):
