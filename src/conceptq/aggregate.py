@@ -1,12 +1,15 @@
 """Rank aggregation by maximum a posteriori Bradley-Terry scores.
 
 Each entity gets a real score s; a pairwise win is modeled as
-P(x beats y) = e^{s_x} / (e^{s_x} + e^{s_y}). A total ordering
-Z = [z_1, ..., z_n] then has the sequential (Plackett-Luce) log-likelihood
+P(x beats y) = e^{s_x} / (e^{s_x} + e^{s_y}). An ordering is a bucket order
+Z = [B_1, ..., B_K], groups of tied entities from best to worst, with
+Breslow's (1974) sequential log-likelihood, one stage per bucket but the last:
 
-    L(Z) = sum_{i=1}^{n-1} log( e^{s_{z_i}} / sum_{j >= i} e^{s_{z_j}} )
+    L(Z) = sum_{k=1}^{K-1} ( sum_{e in B_k} s_e - |B_k| log Z_k ),
+    Z_k = sum_{j in B_k u ... u B_K} e^{s_j}
 
-and a set-level constraint X > Y has
+With one entity per bucket this is the Plackett-Luce likelihood of a total
+ordering. A set-level constraint X > Y has
 
     L(X, Y) = log( sum_{x in X} e^{s_x} / (sum_X e^{s_x} + sum_Y e^{s_y}) ).
 
@@ -15,10 +18,14 @@ ordering R_c, and the constraint list R_p:
 
     objective(s) = (1 - alpha - beta) L(R_b) + alpha L(R_c) + beta L(R_p)
 
-It depends only on score differences, and it has no finite maximizer
-whenever agreeing orderings push scores apart (Ford 1957; Hunter 2004). The
-optimizer therefore maximizes the posterior under a weak Gamma(a, b) prior
-on every strength e^{s} (Caron & Doucet 2012):
+The pipeline passes R_b and R_c as their runs of equal baseline weight and
+equal rel(e), so no tie is read as a preference: renaming the entities
+renames their scores and changes nothing else.
+
+The objective depends only on score differences, and it has no finite
+maximizer whenever agreeing orderings push scores apart (Ford 1957; Hunter
+2004). The optimizer therefore maximizes the posterior under a weak
+Gamma(a, b) prior on every strength e^{s} (Caron & Doucet 2012):
 
     F(s) = objective(s) + sum_i (a s_i - b e^{s_i}),    a = b = 0.01
 
@@ -27,48 +34,63 @@ goes to +-inf, so F has a finite maximizer. Orderings and singleton
 constraints are concave, so without set-vs-set constraints F is strictly
 concave and the maximizer is unique.
 
+Entities that share their R_b bucket, their R_c bucket and their side of
+every constraint are interchangeable in F, so a unique maximizer gives them
+one score. The solve therefore runs over these classes: a class of m
+entities is one variable whose e^s enters every sum m times (a log m offset
+in each log-sum-exp), whose linear terms count m times, and whose prior term
+is m (a s - b e^s). Tied entities get bit-equal scores. With set-vs-set
+constraints F may have several maxima, and the solve reaches one whose tied
+entities score alike.
+
 The solver is damped Newton from MM_STEPS of Hunter's (2004) closed-form
 O(n) minorization-maximization update for the orderings' MAP, which leaves
-out the constraints. It has one way to get a direction per size:
+out the constraints. Below, n counts classes, and each universe size has one
+way to get a direction:
 
-- Universes of at most DENSE_NEWTON_MAX_N entities write the likelihood
-  as lin . s + sum_r sigma_r L_r, L_r the log-sum-exp of s over a row r of
-  entities: an ordering of weight w has a row per stage k, its members at
-  positions >= k (sigma = -w, and w s_{z_k} in lin); a constraint has X
-  (+beta) and X u Y (-beta). With p_r the softmax of s over row r, one pass
-  gives F, grad F = lin + p^T sigma + prior' and -Hessian F =
-  (p * sigma)^T p - diag(p^T sigma) + diag(b e^s), and numpy.linalg.solve
-  the exact Newton step; there an O(n^3) solve costs less than the ~20
-  numpy-bound CG products it replaces. Only set-vs-set constraints make F
-  non-concave. For one, X > Y with P(Y wins) = q, rho the softmax over
-  X u Y and pi over X, Var_rho(v) >= (1 - q) Var_pi(v) by the law of total
-  variance, so v^T (-Hessian L_c) v / beta = Var_rho(v) - Var_pi(v) >=
+- Universes of at most DENSE_NEWTON_MAX_N classes write the likelihood
+  as lin . s + sum_r sigma_r L_r, L_r the log-sum-exp of s + log m over a
+  row r of classes: an ordering of weight w has a row per stage k, the
+  classes of buckets k..K (sigma = -w |B_k|, and w m_j s_j in lin for each
+  class j of B_k); a constraint has X (+beta) and X u Y (-beta). With p_r
+  the softmax of s + log m over row r, one pass gives F, grad F =
+  lin + p^T sigma + prior' and -Hessian F = (p * sigma)^T p -
+  diag(p^T sigma) + diag(m b e^s), and numpy.linalg.solve the exact Newton
+  step; there an O(n^3) solve costs less than the ~20 numpy-bound CG
+  products it replaces. Only set-vs-set constraints make F non-concave.
+  For one, X > Y with P(Y wins) = q, rho the softmax over X u Y and pi over
+  X, Var_rho(v) >= (1 - q) Var_pi(v) by the law of total variance, so
+  v^T (-Hessian L_c) v / beta = Var_rho(v) - Var_pi(v) >=
   -q v^T diag(pi) v (the softmax curvature of Bohning 1992). -Hessian F is
-  thus positive definite where d = b e^s - beta sum_c q_c pi_c > 0
+  thus positive definite where d = m b e^s - beta sum_c q_c pi_c > 0
   everywhere; otherwise a Cholesky factorization decides, and an indefinite
   matrix gives the gradient over its diagonal floored at the prior's
   curvature, which is CG's first iterate.
 - Larger universes use conjugate gradients on exact Hessian-vector
   products, preconditioned by the Hessian's diagonal and stopped early on
   negative curvature. A product costs O(n): an ordering's curvature is a
-  suffix sum and a prefix sum, a constraint's is a diagonal plus per-side
-  rank-one terms, and the prior's is diagonal. No n x n array is formed on
-  this path, so a universe of 10^4 entities stays within a few MB where
-  its dense Hessian would take a GB.
+  suffix sum over its classes and a prefix sum over its stages, a
+  constraint's is a diagonal plus per-side rank-one terms, and the prior's
+  is diagonal. No n x n array is formed on this path, so a universe of 10^4
+  classes stays within a few MB where its dense Hessian would take a GB.
 
-Both paths read each point once: above, one O(n) pass over the terms
-(_Terms.evaluate) gives F, its gradient, the Hessian's diagonal and the
-product. A direction that moves a score by more than _MAX_MOVE is scaled
-down to that move, and Armijo backtracking accepts only finite steps that
-raise F; a gain too small to survive rounding in F is measured by the
+Both paths read each point once: one pass over the terms gives F and its
+gradient, and the curvature (above, the dense matrix; below, the Hessian's
+diagonal and the product, from _Terms.evaluate's intermediates) is built
+from that pass only at the points a step is taken from, not at rejected
+line-search trials. A direction that moves a score by more than _MAX_MOVE is
+scaled down to that move, and Armijo backtracking accepts only finite steps
+that raise F; a gain too small to survive rounding in F is measured by the
 trapezoid rule on the directional derivatives instead. The solve stops when
-max |grad F| < GRAD_TOL and every |d F / d s_e| over e's curvature (the
-Hessian's diagonal, floored at the prior's b e^{s_e}) is below
+max |grad F| < GRAD_TOL and every |d F / d s_j| over j's curvature (the
+Hessian's diagonal, floored at the prior's m b e^{s_j}) is below
 GRAD_TOL / PRIOR_RATE: a score whose curvature is under b, one far below
 zero with few terms, is otherwise still short of its maximum by up to
-GRAD_TOL over that curvature. It reports ``converged=False`` when it hits
-MAX_NEWTON_STEPS or cannot raise F any further first. The reported scores
-are re-centered to mean zero.
+GRAD_TOL over that curvature. A class's gradient is the sum of its
+entities', so the rule is stricter than the same rule over entities. It
+reports ``converged=False`` when it hits MAX_NEWTON_STEPS or cannot raise F
+any further first. The reported scores are re-centered to mean zero over
+the entities.
 
 All log-sum-exp reductions are max-shifted; gradients are assembled from
 exponent differences that are bounded above by zero, so no intermediate can
@@ -91,9 +113,10 @@ GRAD_TOL = 1e-8  # the solve stops once max |grad F| is below it (see _converged
 PRIOR_SHAPE = 0.01  # a: the prior's pull towards larger scores
 PRIOR_RATE = 0.01  # b: the prior's pull towards smaller scores
 MAX_NEWTON_STEPS = 100
-# MM updates of the Newton start. On the first 600 interactive seed-1 queries
-# 0, 3, 5, 8, 12 and 20 updates took 5,984, 4,576, 4,449, 4,069, 4,036 and
-# 3,855 Newton steps; the time per solve was lowest at 5 to 8.
+# MM updates of the Newton start. Over the classes of the first 600
+# interactive seed-1 queries 0, 3, 5, 8, 12 and 20 updates took 5,466, 4,146,
+# 4,072, 3,596, 3,574 and 3,541 Newton steps; the time per solve was lowest
+# at 8 to 12.
 MM_STEPS = 8
 # Largest universe whose Newton directions come from the dense Hessian, not
 # CG. Measured on synthetic queries (orderings of n/2 and 0.9 n entities, one
@@ -139,8 +162,8 @@ class ScoreVector:
 
     ``iterations`` counts Newton steps; ``converged`` is False when the solve
     stopped before _converged's rule held: max |grad F| < GRAD_TOL, and for
-    every entity |d F / d s_e| * PRIOR_RATE < GRAD_TOL * max(d_e, b e^{s_e}),
-    d_e the diagonal of -Hessian F at e.
+    every class j of m_j entities |d F / d s_j| * PRIOR_RATE < GRAD_TOL *
+    max(d_j, m_j b e^{s_j}), d_j the diagonal of -Hessian F at j.
     """
 
     scores: dict[str, float]
@@ -152,42 +175,74 @@ class ScoreVector:
 # -- the likelihood as index arrays ------------------------------------------
 
 
-class _Terms:
-    """The weighted likelihood over entities ``0..n-1``: the orderings
-    ``r_b`` and ``r_c`` as position arrays that repeat no entity, and each
-    constraint of ``r_p`` as a (higher, lower) pair of position arrays."""
+class _Ordering:
+    """One weighted bucket order of _Terms, with at least two buckets: the
+    units ``idx`` bucket by bucket, bucket k being idx[bounds[k]:bounds[k+1]].
+    Stage k < K - 1 chooses bucket k from the risk set of buckets k..K-1."""
 
-    def __init__(self, n: int, r_b: np.ndarray, r_c: np.ndarray, r_p, weights: ObjectiveWeights):
-        self.n = n
+    def __init__(self, idx: np.ndarray, bounds: np.ndarray, weight: float, mult: np.ndarray):
+        self.idx, self.weight = idx, weight
+        self.starts = bounds[:-2]  # each stage's first position
+        self.cut = int(bounds[-2])  # the positions before it are chosen at a stage
+        self.chosen = mult[idx[: self.cut]]
+        self.d = np.add.reduceat(self.chosen, self.starts)  # entities chosen per stage
+        self.log_d = np.log(self.d)
+        # the last stage whose risk set holds each position
+        last = len(bounds) - 3
+        self.stage = np.minimum(np.repeat(np.arange(last + 2), np.diff(bounds)), last)
+
+    def running(self, terms: np.ndarray) -> np.ndarray:
+        """Running log-sum-exp of per-stage terms, at every position over the
+        stages whose risk set holds it."""
+        return np.logaddexp.accumulate(terms)[self.stage]
+
+
+class _Terms:
+    """The weighted likelihood over units ``0..n-1``: classes of ``mult``
+    entities each, or entities when every multiplicity is 1. The orderings
+    ``r_b`` and ``r_c`` are (units, bounds) bucket orders that repeat no unit,
+    bucket k holding units[bounds[k]:bounds[k+1]], and each constraint of
+    ``r_p`` is a (higher, lower) pair of unit arrays."""
+
+    def __init__(self, mult: np.ndarray, r_b, r_c, r_p, weights: ObjectiveWeights):
+        self.n, self.mult = len(mult), mult
+        self.log_mult = np.log(mult)
+        # the prior's a m and b m
+        self.shape, self.rate = PRIOR_SHAPE * mult, PRIOR_RATE * mult
         orderings = ((r_b, weights.baseline), (r_c, weights.alpha))
-        self.lists = [(idx, weight) for idx, weight in orderings if len(idx) >= 2 and weight > 0]
+        self.lists = [
+            _Ordering(idx, bounds, weight, mult)
+            for (idx, bounds), weight in orderings
+            if len(bounds) >= 3 and weight > 0
+        ]
         self.beta = weights.beta
         self.cons = [] if self.beta == 0 else list(r_p)
         # Gradient and curvature produce one value per (term, member) slot,
-        # in this order; _scatter sums them per entity.
-        groups = [idx for idx, _ in self.lists] + [side for con in self.cons for side in con]
+        # in this order; _scatter sums them per unit.
+        groups = [o.idx for o in self.lists] + [side for con in self.cons for side in con]
         self.slots = np.concatenate([np.empty(0, dtype=np.intp), *groups])
-        # Dense-path universes keep the module docstring's rows as a 0/-inf
-        # mask and a 1/0 member array, their weights sigma (signed) and lin;
-        # set_rows: X rows, |X| >= 2.
+        # Dense-path universes keep the module docstring's rows as a
+        # log m/-inf mask and a 1/0 member array, their weights sigma
+        # (signed) and lin; set_rows: X rows of at least two classes.
         self.mask = None
         if self.n <= DENSE_NEWTON_MAX_N:
             rows, signed, self.lin = [], [], np.zeros(self.n)
-            for idx, weight in self.lists:
-                stage = np.arange(idx.size - 1)[:, None] <= np.arange(idx.size)
-                rows.append(np.full((idx.size - 1, self.n), -np.inf))
-                rows[-1][:, idx] = np.where(stage, 0.0, -np.inf)
-                signed += [-weight] * (idx.size - 1)
-                self.lin[idx[:-1]] += weight
+            for o in self.lists:
+                in_row = np.arange(o.starts.size)[:, None] <= o.stage
+                rows.append(np.full((o.starts.size, self.n), -np.inf))
+                rows[-1][:, o.idx] = np.where(in_row, self.log_mult[o.idx], -np.inf)
+                signed += (-o.weight * o.d).tolist()
+                self.lin[o.idx[: o.cut]] += o.weight * o.chosen
             set_rows = []
             for hi, lo in self.cons:
                 if hi.size >= 2:
                     set_rows.append(len(signed))
                 rows.append(np.full((2, self.n), -np.inf))
-                rows[-1][:, hi] = rows[-1][1, lo] = 0.0
+                rows[-1][:, hi] = self.log_mult[hi]
+                rows[-1][1, lo] = self.log_mult[lo]
                 signed += [self.beta, -self.beta]
             self.mask = np.concatenate([np.empty((0, self.n)), *rows])
-            self.member = (self.mask == 0.0).astype(float)
+            self.member = np.isfinite(self.mask).astype(float)
             self.signed, self.set_rows = np.array(signed), np.array(set_rows, dtype=np.intp)
 
     def _scatter(self, parts: list[np.ndarray]) -> np.ndarray:
@@ -197,70 +252,88 @@ class _Terms:
         return np.bincount(self.slots, weights, minlength=self.n).astype(float, copy=False)
 
     def evaluate(self, s: np.ndarray):
-        """The likelihood, its gradient and its curvature (the diagonal of
-        -Hessian, a function applying -Hessian) at ``s``, from one pass.
+        """The likelihood and its gradient at ``s`` from one pass, and a
+        function that builds the curvature there (the diagonal of -Hessian
+        and a function applying -Hessian) from that pass's intermediates.
 
-        An ordering's entity at position p has the derivative [p <= n-2] minus
-        sum_{k <= min(p, n-2)} pi_k(p) = exp(s_p + M_p), pi_k being the k-th
-        choice over the suffix k..n-1 and M_p the running log-sum-exp of
-        -log Z_k, so every exponent stays bounded.
+        With t = s + log m, an ordering's unit at position p has the
+        derivative m_p [p chosen at a stage] minus sum_k d_k pi_k(p) over the
+        stages k whose risk set holds p, pi_k(p) = e^{t_p} / Z_k; that sum is
+        exp(t_p + M_p), M_p the running log-sum-exp of log d_k - log Z_k, so
+        every exponent stays bounded.
         """
-        total, parts, diag, lists, cons = 0.0, [], [], [], []
-        for idx, weight in self.lists:
-            so = s[idx]
-            logz = _log_suffix_sums(so)
-            total += weight * float(np.sum(so[:-1] - logz[:-1]))
-            c = np.exp(so + _stage_lse(-logz[:-1]))  # sum_k pi_k(j)
-            part = -weight * c
-            part[:-1] += weight
+        t, ms = s + self.log_mult, self.mult * s
+        total, parts, lists, cons = 0.0, [], [], []
+        for o in self.lists:
+            so = t[o.idx]
+            suffix = _log_suffix_sums(so)
+            logz = suffix[o.starts]
+            chosen = np.add.reduceat(ms[o.idx[: o.cut]], o.starts)
+            total += o.weight * float(np.sum(chosen - o.d * logz))
+            c = np.exp(so + o.running(o.log_d - logz))  # sum_k d_k pi_k(p)
+            part = -o.weight * c
+            part[: o.cut] += o.weight * o.chosen
             parts.append(part)
-            diag.append(weight * (c - np.exp(2.0 * so + _stage_lse(-2.0 * logz[:-1]))))
-            # pi_k(j) = e^{s_j - mid} e^{mid - log Z_k}, split at the middle of
-            # log Z's range so that both factors stay finite
-            mid = 0.5 * (logz[0] + logz[-1])
-            e = np.exp(np.minimum(so - mid, _EXP_CAP))
-            inv_z = np.zeros(so.size)  # no stage starts at the last position
-            inv_z[:-1] = np.exp(np.minimum(mid - logz[:-1], _EXP_CAP))
-            lists.append((idx, weight * c, weight * e, e, inv_z))
+            lists.append((o, so, suffix, logz, c))
         for hi, lo in self.cons:
-            lx, ly = _lse(s[hi]), _lse(s[lo])
+            th, tl = t[hi], t[lo]
+            lx, ly = _lse(th), _lse(tl)
             la = np.logaddexp(lx, ly)
             total += self.beta * float(lx - la)
             # beta P(lower side wins) times the softmax over each side
-            bx, by = self.beta * np.exp(s[hi] + ly - lx - la), self.beta * np.exp(s[lo] - la)
+            bx, by = self.beta * np.exp(th + ly - lx - la), self.beta * np.exp(tl - la)
             parts += [bx, -by]
-            q = math.exp(lx - la)  # P(higher side wins)
-            p = math.exp(ly - la)  # 1 - q, without cancellation
-            pi_x, pi_y = np.exp(s[hi] - lx), np.exp(s[lo] - ly)
-            diag += [bx * ((1.0 + q) * pi_x - 1.0), by * (1.0 - p * pi_y)]
-            cons.append((hi, lo, q, p, pi_x, pi_y, bx, by))
+            cons.append((hi, lo, th, tl, lx, ly, la, bx, by))
 
-        def apply(v: np.ndarray) -> np.ndarray:
-            parts = []
-            for idx, wc, we, e, inv_z in lists:
-                vo = v[idx]
-                mu = (e * vo)[::-1].cumsum()[::-1] * inv_z  # pi_k . v per stage
-                parts.append(wc * vo - we * (mu * inv_z).cumsum())
-            for hi, lo, q, p, pi_x, pi_y, bx, by in cons:
-                vx, vy = v[hi], v[lo]
-                mx, my = _dot(pi_x, vx), _dot(pi_y, vy)
-                parts += [bx * ((1.0 + q) * mx - q * my - vx), by * (vy - q * mx - p * my)]
-            return self._scatter(parts)
+        def curvature():
+            diag, products = [], []
+            for o, so, suffix, logz, c in lists:
+                diag.append(o.weight * (c - np.exp(2.0 * so + o.running(o.log_d - 2.0 * logz))))
+                # pi_k(p) = e^{t_p - mid} e^{mid - log Z_k}, split at the middle
+                # of log Z's range so that both factors stay finite
+                mid = 0.5 * (suffix[0] + suffix[-1])
+                e = np.exp(np.minimum(so - mid, _EXP_CAP))
+                inv_z = np.exp(np.minimum(mid - logz, _EXP_CAP))
+                products.append((o, o.weight * c, o.weight * e, e, inv_z))
+            sides = []
+            for hi, lo, th, tl, lx, ly, la, bx, by in cons:
+                q = math.exp(lx - la)  # P(higher side wins)
+                p = math.exp(ly - la)  # 1 - q, without cancellation
+                pi_x, pi_y = np.exp(th - lx), np.exp(tl - ly)
+                diag += [bx * ((1.0 + q) * pi_x - 1.0), by * (1.0 - p * pi_y)]
+                sides.append((hi, lo, q, p, pi_x, pi_y, bx, by))
 
-        return total, self._scatter(parts), (self._scatter(diag), apply)
+            def apply(v: np.ndarray) -> np.ndarray:
+                parts = []
+                for o, wc, we, e, inv_z in products:
+                    vo = v[o.idx]
+                    mu = (e * vo)[::-1].cumsum()[::-1][o.starts] * inv_z  # pi_k . v per stage
+                    parts.append(wc * vo - we * (o.d * mu * inv_z).cumsum()[o.stage])
+                for hi, lo, q, p, pi_x, pi_y, bx, by in sides:
+                    vx, vy = v[hi], v[lo]
+                    mx, my = _dot(pi_x, vx), _dot(pi_y, vy)
+                    parts += [bx * ((1.0 + q) * mx - q * my - vx), by * (vy - q * mx - p * my)]
+                return self._scatter(parts)
+
+            return self._scatter(diag), apply
+
+        return total, self._scatter(parts), curvature
 
     def posterior(self, s: np.ndarray):
-        """F(s), its gradient and its curvature, from one pass. The curvature
-        is a triple whose last item is the prior's b e^s: up to
-        DENSE_NEWTON_MAX_N entities -Hessian F and whether the bound d > 0
-        certifies it positive definite, from one softmax over the rows of
-        ``mask``; above, evaluate's diagonal and product."""
+        """F(s) and its gradient from one pass, and a function that builds
+        the curvature there from that pass. The curvature is a triple whose
+        last item is the prior's m b e^s: up to DENSE_NEWTON_MAX_N units
+        -Hessian F and whether the bound d > 0 certifies it positive
+        definite, from one softmax over the rows of ``mask``; above,
+        evaluate's diagonal and product."""
         with np.errstate(over="ignore"):
-            strength = PRIOR_RATE * np.exp(s)
-        prior = float(np.sum(PRIOR_SHAPE * s - strength))
+            strength = self.rate * np.exp(s)
+        prior = float(np.sum(self.shape * s - strength))
         if self.mask is None:
-            value, grad, (diag, apply) = self.evaluate(s)
-            return value + prior, grad + PRIOR_SHAPE - strength, (diag, apply, strength)
+            value, grad, likelihood_curvature = self.evaluate(s)
+            return value + prior, grad + self.shape - strength, lambda: (
+                *likelihood_curvature(), strength
+            )
         z = s + self.mask
         top = z.max(axis=1)
         z -= top[:, None]
@@ -275,12 +348,16 @@ class _Terms:
         weighted = p * self.signed[:, None]
         pull = weighted.sum(axis=0)
         value = _dot(self.lin, s) + _dot(self.signed, lse) + prior
-        hessian = weighted.T @ p
-        hessian.flat[:: self.n + 1] += strength - pull
-        rows = self.set_rows
-        p_lower = -np.expm1(lse[rows] - lse[rows + 1])  # P(Y wins) per set-vs-set constraint
-        certified = bool(np.all(strength > self.beta * (p_lower @ p[rows])))
-        return value, self.lin + pull + PRIOR_SHAPE - strength, (hessian, certified, strength)
+
+        def curvature():
+            hessian = weighted.T @ p
+            hessian.flat[:: self.n + 1] += strength - pull
+            rows = self.set_rows
+            p_lower = -np.expm1(lse[rows] - lse[rows + 1])  # P(Y wins) per set-vs-set constraint
+            certified = bool(np.all(strength > self.beta * (p_lower @ p[rows])))
+            return hessian, certified, strength
+
+        return value, self.lin + pull + self.shape - strength, curvature
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -294,14 +371,78 @@ def _lse(values: np.ndarray) -> float:
     return float(m + np.log(np.exp(values - m).sum()))
 
 
+def _log_suffix_sums(so: np.ndarray) -> np.ndarray:
+    """log sum_{j >= k} e^{so_j} for every suffix of ``so``, accumulated
+    stably from the end."""
+    return np.logaddexp.accumulate(so[::-1])[::-1]
+
+
+def bucket_bounds(values: np.ndarray) -> np.ndarray:
+    """The bucket bounds of an ordering whose items have the sorted
+    ``values``: each run of equal values is one bucket of tied items."""
+    change = np.flatnonzero(values[1:] != values[:-1]) + 1
+    return np.concatenate(([0], change, [len(values)]))
+
+
+def _classes(n: int, r_b, r_c, r_p, weights: ObjectiveWeights) -> tuple[_Terms, np.ndarray]:
+    """The likelihood over the classes of ``n`` entities, and the class of
+    each entity; the orderings and constraints come as _Terms would take
+    them over the entities.
+
+    An entity's key is its R_b bucket and its R_c bucket (one past the last
+    for an entity outside the ordering) and its side of each constraint (0
+    none, 1 higher, 2 lower); the classes are the distinct keys, in
+    ascending key order, so they do not depend on the entities' names.
+    """
+    keys = np.zeros((2 + len(r_p), n), dtype=np.intp)
+    for row, (idx, bounds) in zip(keys, (r_b, r_c)):
+        row[:] = len(bounds) - 1
+        row[idx] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    for row, (hi, lo) in zip(keys[2:], r_p):
+        row[hi], row[lo] = 1, 2
+    order = np.lexsort(keys[::-1])
+    keys = keys[:, order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    class_of = np.empty(n, dtype=np.intp)
+    class_of[order] = np.cumsum(first) - 1
+    mult = np.diff(np.append(np.flatnonzero(first), n)).astype(float)
+    keys = keys[:, first]
+    orderings = []
+    for row, (_, bounds) in zip(keys, (r_b, r_c)):
+        idx = np.argsort(row, kind="stable")[: np.count_nonzero(row < len(bounds) - 1)]
+        orderings.append((idx, bucket_bounds(row[idx])))
+    cons = [(np.flatnonzero(row == 1), np.flatnonzero(row == 2)) for row in keys[2:]]
+    return _Terms(mult, *orderings, cons, weights), class_of
+
+
+def _buckets(ordering) -> tuple[list[str], np.ndarray]:
+    """An ordering's names bucket by bucket, each group of tied names in name
+    order, and its bucket bounds; an item is a name or a group."""
+    names, sizes = [], [0]
+    for item in ordering:
+        if isinstance(item, str):
+            names.append(item)
+            sizes.append(1)
+        else:
+            group = sorted(item)
+            if not group:
+                raise ValueError("ordering contains an empty group")
+            names += group
+            sizes.append(len(group))
+    return names, np.cumsum(sizes)
+
+
 def _positions(universe: Sequence[str], r_b, r_c, r_p):
-    """Name-keyed orderings and constraints as _Terms' position arrays in
-    ``universe``; raises ValueError when an ordering repeats an entity or an
-    entity is outside ``universe``."""
-    if len(set(r_b)) != len(r_b) or len(set(r_c)) != len(r_c):
+    """The (names, bounds) bucket orders ``r_b`` and ``r_c`` and the
+    constraints ``r_p`` as position arrays in ``universe``: each ordering a
+    (positions, bounds) pair and each constraint a (higher, lower) pair,
+    each side in name order. Raises ValueError when an ordering repeats an
+    entity or an entity is outside ``universe``."""
+    if len(set(r_b[0])) != len(r_b[0]) or len(set(r_c[0])) != len(r_c[0]):
         raise ValueError("ordering contains duplicate entities")
     index = {e: i for i, e in enumerate(universe)}
-    mentioned = [*r_b, *r_c, *(e for con in r_p for e in con.higher | con.lower)]
+    mentioned = [*r_b[0], *r_c[0], *(e for con in r_p for e in con.higher | con.lower)]
     missing = [e for e in mentioned if e not in index]
     if missing:
         raise ValueError(f"entities outside the score universe: {missing}")
@@ -309,40 +450,29 @@ def _positions(universe: Sequence[str], r_b, r_c, r_p):
     def at(entities) -> np.ndarray:
         return np.array([index[e] for e in entities], dtype=np.intp)
 
-    return at(r_b), at(r_c), [(at(sorted(con.higher)), at(sorted(con.lower))) for con in r_p]
-
-
-def _log_suffix_sums(so: np.ndarray) -> np.ndarray:
-    """log Z_k = log sum_{j >= k} e^{s_j} for every suffix of the ordered
-    scores ``so``, accumulated stably from the end."""
-    return np.logaddexp.accumulate(so[::-1])[::-1]
-
-
-def _stage_lse(terms: np.ndarray) -> np.ndarray:
-    """Running log-sum-exp of per-stage terms (stages 0..n-2), at every
-    position j over the stages k <= min(j, n-2) whose choice includes j."""
-    out = np.empty(terms.size + 1)
-    np.logaddexp.accumulate(terms, out=out[:-1])
-    out[-1] = out[-2]
-    return out
+    return (
+        *((at(names), bounds) for names, bounds in (r_b, r_c)),
+        [(at(sorted(con.higher)), at(sorted(con.lower))) for con in r_p],
+    )
 
 
 def _evaluate_at(scores: Mapping[str, float], r_b, r_c, r_p, weights):
     universe = list(scores)
-    positions = _positions(universe, r_b, r_c, r_p)
-    terms = _Terms(len(universe), *positions, weights or ObjectiveWeights())
+    positions = _positions(universe, _buckets(r_b), _buckets(r_c), r_p)
+    terms = _Terms(np.ones(len(universe)), *positions, weights or ObjectiveWeights())
     return terms.evaluate(np.array([scores[e] for e in universe], dtype=float))
 
 
 # -- the public likelihood ----------------------------------------------------
+#
+# An ordering is a sequence whose items are a name or a group (any iterable
+# but a string) of names tied with each other.
 
 
-def listwise_log_likelihood(
-    ordering: Sequence[str], scores: Mapping[str, float]
-) -> float:
-    """Sequential log-likelihood of a total ordering under the scores.
+def listwise_log_likelihood(ordering: Sequence, scores: Mapping[str, float]) -> float:
+    """Sequential log-likelihood of an ordering under the scores.
 
-    Orderings of length 0 or 1 have an empty product and contribute 0.
+    Orderings of fewer than two items have an empty product and contribute 0.
     """
     return objective(scores, ordering, [], [], ObjectiveWeights(alpha=0.0, beta=0.0))
 
@@ -356,8 +486,8 @@ def pairwise_log_likelihood(
 
 def objective(
     scores: Mapping[str, float],
-    r_b: Sequence[str],
-    r_c: Sequence[str],
+    r_b: Sequence,
+    r_c: Sequence,
     r_p: Sequence[PairwiseConstraint],
     weights: ObjectiveWeights | None = None,
 ) -> float:
@@ -367,8 +497,8 @@ def objective(
 
 def gradient(
     scores: Mapping[str, float],
-    r_b: Sequence[str],
-    r_c: Sequence[str],
+    r_b: Sequence,
+    r_c: Sequence,
     r_p: Sequence[PairwiseConstraint],
     weights: ObjectiveWeights | None = None,
 ) -> dict[str, float]:
@@ -382,19 +512,24 @@ def gradient(
 def _start(terms: _Terms) -> np.ndarray:
     """MM_STEPS of Hunter's MM update for the orderings' MAP, from s = 0.
 
-    Each sets e^{s_e} = (a + sum_i w_i [e not last in ordering i]) /
-    (b + sum_i w_i H_i(e)), H_i(e) the sum of 1/Z_k over the stages of ordering
-    i that include e, summed in log space. Entities in no ordering stay at 0.
+    Each sets e^{s_j} = (a + sum_i w_i [j chosen at a stage of ordering i]) /
+    (b + sum_i w_i H_i(j)), H_i(j) the sum of d_k / Z_k over the stages k of
+    ordering i whose risk set holds j, d_k the entities chosen there, summed
+    in log space. A class's multiplicity m scales both sides and cancels.
+    Units in no ordering stay at 0.
     """
     wins = np.full(terms.n, PRIOR_SHAPE)
-    for idx, weight in terms.lists:
-        wins[idx[:-1]] += weight
+    for o in terms.lists:
+        wins[o.idx[: o.cut]] += o.weight
     s, log_wins = np.zeros(terms.n), np.log(wins)
     for _ in range(MM_STEPS):
         log_rate = np.full(terms.n, math.log(PRIOR_RATE))
-        for idx, weight in terms.lists:  # an ordering has no repeated index
-            stages = _stage_lse(-_log_suffix_sums(s[idx])[:-1])
-            log_rate[idx] = np.logaddexp(log_rate[idx], math.log(weight) + stages)
+        t = s + terms.log_mult
+        for o in terms.lists:  # an ordering has no repeated index
+            logz = _log_suffix_sums(t[o.idx])[o.starts]
+            log_rate[o.idx] = np.logaddexp(
+                log_rate[o.idx], math.log(o.weight) + o.running(o.log_d - logz)
+            )
         s = log_wins - log_rate
     return s
 
@@ -403,7 +538,7 @@ def _newton_direction(g: np.ndarray, curvature) -> np.ndarray:
     """An ascent direction from (-Hessian F) d = g, by posterior's curvature
     at the point of g.
 
-    Up to DENSE_NEWTON_MAX_N entities it is the dense matrix: the exact
+    Up to DENSE_NEWTON_MAX_N units it is the dense matrix: the exact
     solution when the bound, or else a Cholesky factorization, shows the
     matrix positive definite; else g over its diagonal floored at the
     prior's curvature. An indefinite matrix's step, even with g . d > 0, can
@@ -448,8 +583,8 @@ def _newton_direction(g: np.ndarray, curvature) -> np.ndarray:
 
 def _line_search(terms: _Terms, s, f, g, d):
     """Armijo backtracking along ``d``; returns the accepted point with its
-    posterior (F, gradient and curvature), or None when no finite step of at
-    least _MIN_STEP raises F.
+    posterior (F, gradient and the curvature's builder), or None when no
+    finite step of at least _MIN_STEP raises F.
 
     A gain below F's rounding error cannot be read off two F values. For
     such short steps, as long as F does not drop by more than that error,
@@ -474,7 +609,7 @@ def _line_search(terms: _Terms, s, f, g, d):
 
 
 def _converged(g: np.ndarray, curvature) -> bool:
-    """Whether max |g| < GRAD_TOL and each |g_e| over e's curvature, by
+    """Whether max |g| < GRAD_TOL and each |g_j| over j's curvature, by
     posterior's curvature at the point of g, is below GRAD_TOL / PRIOR_RATE."""
     if not np.max(np.abs(g)) < GRAD_TOL:
         return False
@@ -484,57 +619,63 @@ def _converged(g: np.ndarray, curvature) -> bool:
 
 
 def _maximize(terms: _Terms) -> tuple[np.ndarray, int, bool]:
-    """Damped Newton ascent on F from _start; returns (s, steps, converged)."""
+    """Damped Newton ascent on F from _start; returns (s, steps, converged).
+    The curvature is built once per point a step is taken from."""
     s = _start(terms)
-    f, g, curvature = terms.posterior(s)
+    f, g, build = terms.posterior(s)
     steps = 0
-    while not _converged(g, curvature):
+    while True:
+        curvature = build()
+        if _converged(g, curvature):
+            return s, steps, True
         if steps == MAX_NEWTON_STEPS:
             return s, steps, False
         accepted = _line_search(terms, s, f, g, _newton_direction(g, curvature))
         if accepted is None:
             return s, steps, False
-        s, f, g, curvature = accepted
+        s, f, g, build = accepted
         steps += 1
-    return s, steps, True
 
 
-def solve(universe: Sequence[str], r_b: np.ndarray, r_c: np.ndarray, r_p,
+def solve(universe: Sequence[str], r_b, r_c, r_p,
           weights: ObjectiveWeights) -> tuple[ScoreVector, np.ndarray]:
     """:func:`optimize` over positions: the entities are ``universe``, in name
-    order, and the orderings and constraints are position arrays into it, as
-    _Terms takes them (nothing is checked). Returns the scores and the
-    positions by descending score, ties by name."""
-    s, steps, converged = _maximize(_Terms(len(universe), r_b, r_c, r_p, weights))
+    order; ``r_b`` and ``r_c`` are (positions, bounds) bucket orders, bucket
+    k holding positions[bounds[k]:bounds[k+1]], and each constraint of
+    ``r_p`` is a (higher, lower) pair of position arrays (nothing is
+    checked). Solves over the entities' classes and returns the scores and
+    the positions by descending score, ties by name."""
+    terms, class_of = _classes(len(universe), r_b, r_c, r_p, weights)
+    s, steps, converged = _maximize(terms)
+    s = s[class_of]
     s -= s.mean()
     scores = ScoreVector(dict(zip(universe, s.tolist())), frozenset(universe), steps, converged)
     return scores, np.argsort(-s, kind="stable")
 
 
 def optimize(
-    r_b: Sequence[str],
-    r_c: Sequence[str],
+    r_b: Sequence,
+    r_c: Sequence,
     r_p: Sequence[PairwiseConstraint],
     weights: ObjectiveWeights | None = None,
 ) -> tuple[ScoreVector, list[str]]:
     """Fit scores to the orderings and constraints; return them and the
-    induced final ordering by descending score.
+    induced final ordering by descending score, ties by name.
 
-    Checks the names and solves over their positions (:func:`solve`, which
-    the pipeline calls with the positions it already holds). Only bit-equal
-    scores are ordered by name: entities that tie at the MAP point get
-    scores apart by the solve's round-off (up to ~1e-6), in any order.
+    An ordering's items are names or groups of tied names; a list of names
+    is a total ordering. Checks the names and solves over their positions
+    (:func:`solve`, which the pipeline calls with the positions it already
+    holds). Entities with the same bucket in each ordering and the same side
+    of each constraint get bit-equal scores.
 
-    Maximizes the posterior F of the module docstring until
-    max |grad F| < GRAD_TOL and, for every entity, |d F / d s_e| * PRIOR_RATE
-    < GRAD_TOL * max(d_e, b e^{s_e}), d_e the diagonal of -Hessian F at e
-    (_converged); the scores are re-centered to mean zero.
+    Maximizes the posterior F of the module docstring until _converged's
+    rule holds (see :class:`ScoreVector`); the scores are re-centered to
+    mean zero.
     """
     if not r_b and not r_c:
         raise ValueError("need at least one non-empty ordering")
-    universe = sorted(
-        set(r_b) | set(r_c) | {e for con in r_p for e in con.higher | con.lower}
-    )
+    r_b, r_c = _buckets(r_b), _buckets(r_c)
+    universe = sorted({*r_b[0], *r_c[0], *(e for con in r_p for e in con.higher | con.lower)})
     positions = _positions(universe, r_b, r_c, r_p)
     scores, order = solve(universe, *positions, weights or ObjectiveWeights())
     return scores, [universe[i] for i in order.tolist()]

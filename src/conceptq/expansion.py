@@ -338,7 +338,7 @@ def expand(
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     query_ids = np.array([_known_concept(taxonomy, c) for c in members.concepts], dtype=np.int64)
-    run_seeds = [_seed_ids(taxonomy, pattern.entities) for pattern in members.seed_runs()]
+    run_seeds = [pattern.ids for pattern in members.seed_runs()]
 
     pooled: dict[int, float] = {}
     for seed_ids in run_seeds:

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .aggregate import DEFAULT_ALPHA, DEFAULT_BETA, ObjectiveWeights, ScoreVector
+from .aggregate import DEFAULT_ALPHA, DEFAULT_BETA, ObjectiveWeights, ScoreVector, bucket_bounds
 # The position-level solve is called through this module's name ``optimize``:
 # perfbench times the aggregation stage by wrapping ``pipeline.optimize`` at
 # call time, like ``baseline_rank`` and ``expand``.
@@ -124,13 +124,21 @@ def run_query(
 
     # The universe in name order; each stage maps into it by rank. R_c covers
     # E_u, since the query's own concepts are always retained, so it is R_c.
+    # R_b and R_c are bucket orders: the runs of equal weight and of equal
+    # rel(e) are ties.
     rank = taxonomy.entity_rank
     universe = expansion.ids[np.argsort(rank[expansion.ids])]
     keys = rank[universe]
     r_b, r_c = (np.searchsorted(keys, rank[ids]) for ids in (ranking_b.ids, expansion.ids))
     tiers = [np.searchsorted(keys, rank[tier]) for tier in expansion.tiers]
     names = [taxonomy.entity_names[e] for e in universe.tolist()]
-    scores, order = optimize(names, r_b, r_c, list(zip(tiers, tiers[1:])), config.weights())
+    scores, order = optimize(
+        names,
+        (r_b, bucket_bounds(ranking_b.weights)),
+        (r_c, bucket_bounds(expansion.scores)),
+        list(zip(tiers, tiers[1:])),
+        config.weights(),
+    )
 
     provenance = np.full(len(names), PROVENANCE_EXPANDED, dtype=object)
     provenance[r_b] = PROVENANCE_BASELINE

@@ -19,7 +19,7 @@ one pass over E_u instead of all 2^k subsets.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -48,11 +48,13 @@ class Decomposition:
 @dataclass(frozen=True)
 class MembershipPattern:
     """A subset of the query's short concepts and the entities of E_u whose
-    membership pattern is exactly that subset; ``size`` is its popcount."""
+    membership pattern is exactly that subset; ``size`` is its popcount and
+    ``ids`` holds the entities' ids in name order."""
 
     subset: frozenset[str]
     entities: frozenset[str]
     size: int
+    ids: np.ndarray = field(compare=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,19 +150,19 @@ def membership(taxonomy: Taxonomy, short_concepts: Iterable[str]) -> Membership:
     matrix = np.zeros((len(concepts), len(ids)))
     matrix[known[owner], column] = 1.0
 
-    # Sorting the columns makes equal patterns adjacent; each run of equal
-    # columns is one pattern.
+    # Sorting the columns, then names, makes equal patterns adjacent; each
+    # run of equal columns is one pattern, its entities in name order.
     bits = matrix.astype(bool)
-    order = np.lexsort(bits)
-    bits = bits[:, order]
+    order = np.lexsort((taxonomy.entity_rank[ids], *bits))
+    bits, ordered = bits[:, order], ids[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
     starts = np.flatnonzero(first).tolist()
-    names = [taxonomy.entity_names[e] for e in ids[order].tolist()]
+    names = [taxonomy.entity_names[e] for e in ordered.tolist()]
     runs = []
     for lo, hi in zip(starts, starts[1:] + [len(order)]):
         members = tuple(sorted(concepts[i] for i in np.flatnonzero(bits[:, lo]).tolist()))
-        runs.append((members, frozenset(names[lo:hi])))
+        runs.append((members, frozenset(names[lo:hi]), ordered[lo:hi]))
     runs.sort(key=lambda run: (-len(run[0]), run[0]))
-    patterns = [MembershipPattern(frozenset(m), entities, len(m)) for m, entities in runs]
+    patterns = [MembershipPattern(frozenset(m), entities, len(m), run) for m, entities, run in runs]
     return Membership(concepts, ids, matrix, patterns)

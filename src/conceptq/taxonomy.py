@@ -103,11 +103,19 @@ class Csr:
         hit, _ = find_sorted(cols, self.ids[pos])
         return pos[hit], rows[owner[hit]]
 
-    def without(self, positions: np.ndarray) -> Csr:
-        """These rows without the pairs at the ascending storage ``positions``."""
-        return Csr(_frozen(self.ptr - np.searchsorted(positions, self.ptr)),
-                   _frozen(np.delete(self.ids, positions)),
-                   _frozen(np.delete(self.counts, positions)))
+    def without(self, positions: np.ndarray, rows: np.ndarray) -> Csr:
+        """These rows without the pairs at the ascending storage ``positions``,
+        which lie in the rows ``rows``. The few cut pairs split the storage
+        into slices that are copied as they are, and each row start moves
+        down by the pairs cut from the rows before it."""
+        starts = [0, *(positions + 1).tolist()]
+        ends = [*positions.tolist(), len(self.ids)]
+
+        def kept(values: np.ndarray) -> np.ndarray:
+            return _frozen(np.concatenate([values[a:b] for a, b in zip(starts, ends)]))
+
+        cut_before = np.cumsum(np.bincount(rows + 1, minlength=len(self.ptr)))
+        return Csr(_frozen(self.ptr - cut_before), kept(self.ids), kept(self.counts))
 
     def drop(self, rows: np.ndarray, cols: np.ndarray) -> Csr:
         """Without the empty ``rows`` and with the ids after each dropped
@@ -241,7 +249,8 @@ class Taxonomy:
         n_c, n_e = self.n_c.copy(), self.n_e.copy()
         np.subtract.at(n_c, of_c, removed)
         np.subtract.at(n_e, of_e, self.by_entity.counts[at_e])
-        by_concept, by_entity = self.by_concept.without(at_c), self.by_entity.without(at_e)
+        by_concept = self.by_concept.without(at_c, of_c)
+        by_entity = self.by_entity.without(at_e, of_e)
         c_names, c_ids, c_rank = self.concept_names, self._concept_ids, self.concept_rank
         e_names, e_ids, e_rank = self.entity_names, self._entity_ids, self.entity_rank
         # Counts are positive, so a zero total is an emptied row.

@@ -13,7 +13,10 @@ from conceptq import aggregate
 from conceptq.aggregate import (
     GRAD_TOL,
     ObjectiveWeights,
+    _buckets,
+    _classes,
     _maximize,
+    _positions,
     _Terms,
     gradient,
     listwise_log_likelihood,
@@ -22,6 +25,8 @@ from conceptq.aggregate import (
     pairwise_log_likelihood,
 )
 from conceptq.expansion import PairwiseConstraint
+
+from helpers import oracle_map_scores
 
 
 def make_constraint(higher, lower):
@@ -292,17 +297,25 @@ def aggregation_instances(draw, max_n=20):
     return r_b, r_c, r_p, ObjectiveWeights(alpha=alpha, beta=beta)
 
 
+def positions_of(r_b, r_c, r_p):
+    """The name-ordered universe and the orderings and constraints as
+    position arrays there, as ``optimize`` builds them."""
+    r_b, r_c = _buckets(r_b), _buckets(r_c)
+    names = sorted({*r_b[0], *r_c[0], *(e for c in r_p for e in c.higher | c.lower)})
+    return names, _positions(names, r_b, r_c, r_p)
+
+
 def terms_of(r_b, r_c, r_p, weights):
-    """_Terms over the name-ordered universe, each name at its position
-    there and each constraint side in name order, as ``optimize`` builds it."""
-    names = sorted(set(r_b) | set(r_c) | {e for c in r_p for e in c.higher | c.lower})
-    index = {e: i for i, e in enumerate(names)}
+    """_Terms over the entities of the name-ordered universe."""
+    names, positions = positions_of(r_b, r_c, r_p)
+    return names, _Terms(np.ones(len(names)), *positions, weights)
 
-    def at(entities):
-        return np.array([index[e] for e in entities], dtype=np.intp)
 
-    cons = [(at(sorted(c.higher)), at(sorted(c.lower))) for c in r_p]
-    return names, _Terms(len(names), at(r_b), at(r_c), cons, weights)
+def class_terms_of(r_b, r_c, r_p, weights):
+    """_Terms over the classes that ``optimize`` solves over, and the class
+    of each entity of the name-ordered universe."""
+    names, positions = positions_of(r_b, r_c, r_p)
+    return names, *_classes(len(names), *positions, weights)
 
 
 @contextmanager
@@ -348,10 +361,10 @@ class TestHessian:
         names, terms = terms_of(*instance)
         n = len(names)
         s, v = np.array(values[:n]), np.array(values[10 : 10 + n])
-        hessian, _, _ = terms.posterior(s)[2]
+        hessian, _, _ = terms.posterior(s)[2]()
         assert hessian.shape == (n, n)
         np.testing.assert_allclose(hessian, hessian.T, rtol=0, atol=1e-13)
-        diag, apply = terms.evaluate(s)[2]
+        diag, apply = terms.evaluate(s)[2]()
         prior = aggregate.PRIOR_RATE * np.exp(s)
         np.testing.assert_allclose(np.diag(hessian), diag + prior, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(hessian @ v, apply(v) + prior * v, rtol=1e-9, atol=1e-11)
@@ -377,7 +390,7 @@ class TestHessian:
             r_p.append(make_constraint(members[:size_x], members[size_x:]))
         _, terms = terms_of(r_b, r_c, r_p, ObjectiveWeights())
         s = rng.normal(0.0, 2.0, n)
-        diag, apply, _ = terms.posterior(s)[2]
+        diag, apply, _ = terms.posterior(s)[2]()
         assert diag.shape == (n,)
         h = 1e-4
         for _ in range(3):
@@ -412,7 +425,7 @@ class TestDenseKernel:
     @settings(max_examples=200, deadline=None)
     def test_a_certified_matrix_is_positive_definite(self, instance, values):
         names, terms = terms_of(*instance)
-        hessian, certified, _ = terms.posterior(np.array(values[: len(names)]))[2]
+        hessian, certified, _ = terms.posterior(np.array(values[: len(names)]))[2]()
         if certified:
             np.linalg.cholesky(hessian)
 
@@ -441,12 +454,14 @@ class TestNewtonSolve:
         r_b, r_c, r_p, weights = instance
         with direction_path(path):
             sv, _ = optimize(r_b, r_c, r_p, weights)
-            names, terms = terms_of(r_b, r_c, r_p, weights)
+            names, terms, class_of = class_terms_of(r_b, r_c, r_p, weights)
             s, steps, converged = _maximize(terms)
         assert sv.converged
-        # the reported scores are the MAP point re-centred to mean zero
+        # the reported scores are the classes' MAP point, given to each
+        # class's entities and re-centred to mean zero over the entities
         assert converged and steps == sv.iterations
         assert np.max(np.abs(terms.posterior(s)[1])) < GRAD_TOL
+        s = s[class_of]
         for e, value in zip(names, s - s.mean()):
             assert sv.scores[e] == value
 
@@ -469,8 +484,10 @@ class TestNewtonSolve:
 
     def test_the_matrix_free_pass_reads_each_point_once(self):
         # one pass per line-search trial plus one at the start: the accepted
-        # point's curvature comes with its F and gradient, and no ordering's
-        # suffix sums are taken a second time at that point
+        # point's curvature comes from the pass that gave its F and gradient,
+        # and no ordering's suffix sums are taken a second time at that
+        # point; the curvature is built at the accepted points only, and a
+        # public gradient builds none
         rng = np.random.default_rng(3)
         names = [f"e{i:04d}" for i in range(1000)]
         r_b = [names[i] for i in rng.permutation(1000)]
@@ -478,8 +495,8 @@ class TestNewtonSolve:
         r_p = [
             make_constraint(names[:6], names[6:20]), make_constraint(names[20:30], names[30:45])
         ]
-        _, terms = terms_of(r_b, r_c, r_p, ObjectiveWeights())
-        points, trials, suffix_sums = [], [], []
+        names, terms = terms_of(r_b, r_c, r_p, ObjectiveWeights())
+        points, trials, suffix_sums, built = [], [], [], []
         original_evaluate, original_search = _Terms.evaluate, aggregate._line_search
         original_sums = aggregate._log_suffix_sums
 
@@ -489,7 +506,13 @@ class TestNewtonSolve:
 
         def evaluate(self, s):
             points.append(s.tobytes())
-            return original_evaluate(self, s)
+            value, grad, build = original_evaluate(self, s)
+
+            def counted_build():
+                built.append(s.tobytes())
+                return build()
+
+            return value, grad, counted_build
 
         def line_search(terms, s, f, g, d):
             before = len(points)
@@ -502,12 +525,19 @@ class TestNewtonSolve:
             mp.setattr(aggregate, "_line_search", line_search)
             mp.setattr(aggregate, "_log_suffix_sums", log_suffix_sums)
             s, steps, converged = _maximize(terms)
+            builds = len(built)
+            gradient(dict.fromkeys(names, 0.0), r_b, r_c, r_p)
+        assert len(built) == builds
+        points = points[:-1]  # the gradient's
         assert converged and steps == len(trials) > 0
         assert all(n >= 1 for n in trials)
         assert len(points) == 1 + sum(trials)
         assert len(set(points)) == len(points)
         # the MM start's updates, then one per ordering per pass
-        assert len(suffix_sums) == len(terms.lists) * (aggregate.MM_STEPS + len(points))
+        assert len(suffix_sums) == len(terms.lists) * (aggregate.MM_STEPS + len(points) + 1)
+        # the start and each accepted point
+        assert len(built) == 1 + steps
+        assert built[-1] == s.tobytes()
 
     @both_direction_paths
     @given(instance=aggregation_instances(), rnd=st.randoms(use_true_random=False))
@@ -691,3 +721,186 @@ class TestNewtonSolve:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@st.composite
+def bucket_instances(draw, max_n=12, set_constraints=True):
+    """Random bucket orders, constraints and weights over entities
+    e0..e{n-1}: an ordering's items are groups of tied names, a group of one
+    given as a list or as the bare name. Without ``set_constraints`` every
+    constraint's higher side is one entity, so F is strictly concave."""
+    n = draw(st.integers(2, max_n))
+    names = [f"e{i}" for i in range(n)]
+
+    def bucket_order(size):
+        members = draw(st.permutations(names))[:size]
+        cuts = sorted(draw(st.sets(st.integers(1, max(1, size - 1))))) if size >= 2 else []
+        groups = [members[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, size]) if lo < hi]
+        return [g[0] if len(g) == 1 and draw(st.booleans()) else g for g in groups]
+
+    r_b = bucket_order(draw(st.integers(2, n)))
+    r_c = bucket_order(draw(st.integers(0, n)))
+    r_p = []
+    for _ in range(draw(st.integers(0, 3))):
+        members = draw(st.permutations(names))[: draw(st.integers(2, n))]
+        cut = 1 if not set_constraints else draw(st.integers(1, len(members) - 1))
+        r_p.append(make_constraint(members[:cut], members[cut:]))
+    alpha = draw(st.floats(0.0, 0.6))
+    beta = draw(st.floats(0.0, 1.0 - alpha))
+    return r_b, r_c, r_p, ObjectiveWeights(alpha=alpha, beta=beta)
+
+
+def groups_of(ordering):
+    return [[item] if isinstance(item, str) else list(item) for item in ordering]
+
+
+class TestBucketOrders:
+    def test_single_names_give_the_plackett_luce_likelihood_bit_for_bit(self):
+        # recorded before an ordering could hold groups of tied names
+        scores = {"a": 0.5, "b": -1.25, "c": 2.0, "d": 0.0, "e": -0.75}
+        r_b, r_c = ["c", "a", "d", "b", "e"], ["b", "e", "a", "c"]
+        r_p = [make_constraint("ab", "cd"), make_constraint("e", "a")]
+        w = ObjectiveWeights(alpha=0.3, beta=0.2)
+        recorded = {
+            "a": "0x1.3adfcf4f62526p-2", "b": "0x1.f584458dd3ea2p-2",
+            "c": "-0x1.61434abf4fb1dp-1", "d": "0x1.b24358e485260p-9",
+            "e": "-0x1.c50818417f8c8p-4",
+        }
+        for orderings in ((r_b, r_c), (groups_of(r_b), groups_of(r_c))):
+            assert objective(scores, *orderings, r_p, w).hex() == "-0x1.1b6406913e4d0p+2"
+            assert {e: g.hex() for e, g in gradient(scores, *orderings, r_p, w).items()} == recorded
+
+    def test_a_tied_bucket_gets_breslows_term(self):
+        scores = {"a": 0.4, "b": -0.3, "c": 1.1, "d": 0.2}
+        z = sum(math.exp(v) for v in scores.values())
+        z_cd = math.exp(1.1) + math.exp(0.2)
+        # {a, b} chosen together from all four, then c from {c, d}
+        expected = 0.4 - 0.3 - 2 * math.log(z) + 1.1 - math.log(z_cd)
+        got = listwise_log_likelihood([{"a", "b"}, "c", "d"], scores)
+        assert got == pytest.approx(expected, rel=1e-12)
+        # a tied last bucket is no stage; one bucket is no ordering at all
+        assert listwise_log_likelihood([{"a", "b"}, {"c", "d"}], scores) == pytest.approx(
+            0.4 - 0.3 - 2 * math.log(z), rel=1e-12
+        )
+        assert listwise_log_likelihood([{"a", "b", "c", "d"}], scores) == 0.0
+
+    def test_malformed_bucket_orders_are_rejected(self):
+        with pytest.raises(ValueError):
+            optimize(["a", set(), "b"], [], [])
+        with pytest.raises(ValueError):
+            optimize([{"a", "b"}, "a"], [], [])
+
+    @given(
+        bucket_instances(),
+        st.lists(st.floats(-5.0, 5.0), min_size=12, max_size=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_class_posterior_is_the_entity_posterior_at_tied_scores(self, instance, values):
+        # each class is its entities' one shared score: F and its gradient
+        # summed over each class's entities, on both direction paths
+        for path in ("dense", "cg"):
+            with direction_path(path):
+                names, terms, class_of = class_terms_of(*instance)
+                _, entity_terms = terms_of(*instance)
+            s = np.array(values[: terms.n])
+            f, g, _ = terms.posterior(s)
+            f_entities, g_entities, _ = entity_terms.posterior(s[class_of])
+            assert abs(f - f_entities) <= 1e-12 * (1.0 + abs(f))
+            np.testing.assert_allclose(
+                g, np.bincount(class_of, g_entities, minlength=terms.n), rtol=1e-12, atol=1e-12
+            )
+
+    @given(
+        bucket_instances(max_n=10),
+        st.lists(st.floats(-5.0, 5.0), min_size=20, max_size=20),
+        st.lists(st.integers(1, 5), min_size=10, max_size=10),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_gradient_and_curvature_with_multiplicities_match_finite_differences(
+        self, instance, values, mult
+    ):
+        r_b, r_c, r_p, weights = instance
+        names, positions = positions_of(r_b, r_c, r_p)
+        n = len(names)
+        s, v = np.array(values[:n]), np.array(values[10 : 10 + n])
+        mult = np.array(mult[:n], dtype=float)
+        for path in ("dense", "cg"):
+            with direction_path(path):
+                terms = _Terms(mult, *positions, weights)
+            grad = terms.posterior(s)[1]
+            h = 1e-3
+            for i in range(n):
+                step = np.zeros(n)
+                step[i] = h
+
+                def diff(k):
+                    return terms.posterior(s + k * step)[0] - terms.posterior(s - k * step)[0]
+
+                fd = (8 * diff(1) - diff(2)) / (12 * h)
+                assert abs(grad[i] - fd) / max(1e-6, abs(fd), abs(grad[i])) < 1e-4
+        dense = _Terms(mult, *positions, weights)
+        with direction_path("cg"):
+            matrix_free = _Terms(mult, *positions, weights)
+        hessian, _, prior = dense.posterior(s)[2]()
+        diag, apply, _ = matrix_free.posterior(s)[2]()
+        np.testing.assert_allclose(np.diag(hessian), diag + prior, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(hessian @ v, apply(v) + prior * v, rtol=1e-9, atol=1e-11)
+        h = 1e-5
+        for i in range(n):
+            step = np.zeros(n)
+            step[i] = h
+            fd = (dense.posterior(s + step)[1] - dense.posterior(s - step)[1]) / (2 * h)
+            np.testing.assert_allclose(hessian[:, i], -fd, rtol=1e-4, atol=1e-7)
+
+    @both_direction_paths
+    @given(instance=bucket_instances(set_constraints=False))
+    @settings(max_examples=60, deadline=None)
+    def test_class_solve_matches_the_entity_level_oracle(self, path, instance):
+        with direction_path(path):
+            sv, _ = optimize(*instance)
+        assert sv.converged
+        expected = oracle_map_scores(*instance)
+        assert sv.scores.keys() == expected.keys()
+        for e, score in expected.items():
+            assert abs(sv.scores[e] - score) < 1e-6
+
+    @given(instance=bucket_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_tied_entities_get_bit_equal_scores(self, instance):
+        r_b, r_c, r_p, weights = instance
+        sv, ordering = optimize(*instance)
+        b_bucket, c_bucket = (
+            {e: k for k, group in enumerate(groups_of(r)) for e in group} for r in (r_b, r_c)
+        )
+        classes = {}
+        for e, score in sv.scores.items():
+            sides = tuple((e in c.higher, e in c.lower) for c in r_p)
+            classes.setdefault((b_bucket.get(e), c_bucket.get(e), sides), set()).add(score.hex())
+        assert all(len(scores) == 1 for scores in classes.values())
+        # ties are listed by name
+        for x, y in zip(ordering, ordering[1:]):
+            assert sv.scores[x] > sv.scores[y] or (sv.scores[x] == sv.scores[y] and x < y)
+
+    @both_direction_paths
+    @given(instance=bucket_instances(), rnd=st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_renaming_entities_renames_scores(self, path, instance, rnd):
+        r_b, r_c, r_p, weights = instance
+        names, _ = positions_of(r_b, r_c, r_p)
+        targets = [f"x{i}" for i in range(len(names))]
+        rnd.shuffle(targets)
+        rename = dict(zip(names, targets))
+        renamed = (
+            [[rename[e] for e in group] for group in groups_of(r_b)],
+            [[rename[e] for e in group] for group in groups_of(r_c)],
+            [
+                make_constraint({rename[e] for e in c.higher}, {rename[e] for e in c.lower})
+                for c in r_p
+            ],
+        )
+        with direction_path(path):
+            sv, _ = optimize(r_b, r_c, r_p, weights)
+            sv_renamed, _ = optimize(*renamed, weights)
+        assert sv.iterations == sv_renamed.iterations
+        for e in names:
+            assert abs(sv_renamed.scores[rename[e]] - sv.scores[e]) < 1e-9

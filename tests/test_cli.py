@@ -152,10 +152,10 @@ class TestQuery:
     def test_readme_example_rows(self, f1_path, capsys):
         # the rows README.md shows for this query on the f1 fixture
         expected = [
-            "1\ta\t6.330140\tseed",
-            "2\tb\t3.440394\tseed",
-            "3\tc\t0.269682\tbaseline-only",
-            "4\td\t-3.266628\tbaseline-only",
+            "1\ta\t3.123417\tseed",
+            "2\tb\t3.123417\tseed",
+            "3\tc\t-0.912112\tbaseline-only",
+            "4\td\t-0.912112\tbaseline-only",
         ]
         assert main(["query", str(f1_path), "top american university", "--k", "4"]) == 0
         rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]

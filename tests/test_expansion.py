@@ -208,14 +208,14 @@ class TestExpandConcepts:
 
     def test_single_shared_concept_is_rank_one(self, f1):
         model = ExpansionModel()
-        seeded_by_x = [MembershipPattern(frozenset(F1_PAIR), frozenset({"x"}), size=2)]
+        seeded_by_x = [MembershipPattern(frozenset(F1_PAIR), frozenset({"x"}), 2, np.array([f1.entity_id("x")]))]
         members = replace(membership(f1, F1_PAIR), patterns=seeded_by_x)
         result = expand(f1, members, model, top_k=5)
         assert result.concepts[0].concept == "famous university"
 
     def test_top_k_larger_than_candidates(self, f1):
         model = ExpansionModel()
-        seeded_by_a = [MembershipPattern(frozenset(F1_PAIR), frozenset({"a"}), size=2)]
+        seeded_by_a = [MembershipPattern(frozenset(F1_PAIR), frozenset({"a"}), 2, np.array([f1.entity_id("a")]))]
         members = replace(membership(f1, F1_PAIR), patterns=seeded_by_a)
         result = expand(f1, members, model, top_k=50)
         assert len(result.concepts) == 4

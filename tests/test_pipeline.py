@@ -181,6 +181,48 @@ def random_queries(draw):
     return t, " ".join([*chosen, "kind"]), config
 
 
+def tied(names, values):
+    """The names, ordered by descending ``values``, as groups of tied names:
+    one group per run of equal values."""
+    runs = itertools.groupby(zip(names, values), key=lambda pair: pair[1])
+    return [[name for name, _ in run] for _, run in runs]
+
+
+class TestNameIndependence:
+    """Name order is no evidence: an entity's score depends on its rows,
+    not on what it is called."""
+
+    @given(random_queries(), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_renaming_entities_leaves_every_score_unchanged(self, case, rnd):
+        t, query, config = case
+        targets = [f"x{i}" for i in range(len(t.entity_names))]
+        rnd.shuffle(targets)
+        rename = dict(zip(t.entity_names, targets))
+        renamed = ingest([(r.concept, rename[r.entity], r.count) for r in t.records()])
+        before, after = run_query(t, query, config), run_query(renamed, query, config)
+        assert after.scores.universe == {rename[e] for e in before.scores.universe}
+        for e, score in before.scores.scores.items():
+            assert abs(after.scores.scores[rename[e]] - score) < 1e-9
+
+    @given(random_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_tied_entities_get_bit_equal_scores(self, case):
+        # same baseline weight, same rel(e) and same tier: one score
+        t, query, config = case
+        result = run_query(t, query, config)
+        weight = result.baseline.entity_weights
+        tier = {
+            t.entity_names[e]: k
+            for k, ids in enumerate(result.expansion.tiers) for e in ids.tolist()
+        }
+        classes = {}
+        for e, score in result.scores.scores.items():
+            key = (weight.get(e), result.expansion.entity_scores[e], tier.get(e))
+            classes.setdefault(key, set()).add(score.hex())
+        assert all(len(scores) == 1 for scores in classes.values())
+
+
 class TestIdPath:
     """run_query solves over id and position arrays; its results must be
     those of the name-keyed API read through the stages' name views."""
@@ -190,8 +232,12 @@ class TestIdPath:
     def test_run_query_equals_optimize_over_the_name_views(self, case):
         t, query, config = case
         result = run_query(t, query, config)
+        # R_b and R_c are bucket orders: a run of equal weights or rel(e) is a tie
         scores, ordering = optimize(
-            result.baseline.ordering, result.expansion.r_c, result.expansion.r_p, config.weights()
+            tied(result.baseline.ordering, result.baseline.weights.tolist()),
+            tied(result.expansion.r_c, result.expansion.scores.tolist()),
+            result.expansion.r_p,
+            config.weights(),
         )
         # bit for bit: float.hex tells -0.0 from 0.0
         assert [(e, s.hex()) for e, s in result.scores.scores.items()] == [

@@ -186,6 +186,14 @@ class TestEnumerateSubsets:
             union = frozenset().union(*(p.entities for p in members.patterns))
             assert sum(sizes) == len(union) == len(members.ids)
 
+    def test_pattern_ids_are_its_entities_in_name_order(self):
+        # expansion reads a seed run's ids, in name order, with no name lookup
+        rng = random.Random(12)
+        for _ in range(25):
+            t = random_taxonomy(rng, max_concepts=4, max_entities=8, max_edges=20)
+            for p in membership(t, sorted(t.concept_names)[:3]).patterns:
+                assert [t.entity_names[e] for e in p.ids.tolist()] == sorted(p.entities)
+
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6))
     @settings(max_examples=200, deadline=None)
     def test_patterns_match_lattice_oracle(self, seed, k):
