@@ -84,9 +84,12 @@ that raise F; a gain too small to survive rounding in F is measured by the
 trapezoid rule on the directional derivatives instead. The solve stops when
 max |grad F| < GRAD_TOL and every |d F / d s_j| over j's curvature (the
 Hessian's diagonal, floored at the prior's m b e^{s_j}) is below
-GRAD_TOL / PRIOR_RATE: a score whose curvature is under b, one far below
-zero with few terms, is otherwise still short of its maximum by up to
-GRAD_TOL over that curvature. A class's gradient is the sum of its
+SCORE_TOL: a score whose curvature is under b, one far below zero with few
+terms, is otherwise still short of its maximum by up to GRAD_TOL over that
+curvature. That diagonal estimate of a score's distance to the maximum can
+be short of the full Newton step's by the coupling between scores (2.1x at
+1.3e-6 on one CG-path input), so SCORE_TOL is a tenth of the 1e-6 the
+scores are meant to be good to. A class's gradient is the sum of its
 entities', so the rule is stricter than the same rule over entities. It
 reports ``converged=False`` when it hits MAX_NEWTON_STEPS or cannot raise F
 any further first. The reported scores are re-centered to mean zero over
@@ -110,6 +113,10 @@ from .expansion import PairwiseConstraint
 DEFAULT_ALPHA = 1.0 / 3.0
 DEFAULT_BETA = 1.0 / 3.0
 GRAD_TOL = 1e-8  # the solve stops once max |grad F| is below it (see _converged)
+# ... and once each |d F / d s_j| over j's curvature is below this. On the
+# first 600 interactive and 300 large_kb seed-1 queries it took as many
+# Newton steps as the looser 1e-6 (3,596 and 1,731).
+SCORE_TOL = 1e-7
 PRIOR_SHAPE = 0.01  # a: the prior's pull towards larger scores
 PRIOR_RATE = 0.01  # b: the prior's pull towards smaller scores
 MAX_NEWTON_STEPS = 100
@@ -162,7 +169,7 @@ class ScoreVector:
 
     ``iterations`` counts Newton steps; ``converged`` is False when the solve
     stopped before _converged's rule held: max |grad F| < GRAD_TOL, and for
-    every class j of m_j entities |d F / d s_j| * PRIOR_RATE < GRAD_TOL *
+    every class j of m_j entities |d F / d s_j| < SCORE_TOL *
     max(d_j, m_j b e^{s_j}), d_j the diagonal of -Hessian F at j.
     """
 
@@ -610,12 +617,12 @@ def _line_search(terms: _Terms, s, f, g, d):
 
 def _converged(g: np.ndarray, curvature) -> bool:
     """Whether max |g| < GRAD_TOL and each |g_j| over j's curvature, by
-    posterior's curvature at the point of g, is below GRAD_TOL / PRIOR_RATE."""
+    posterior's curvature at the point of g, is below SCORE_TOL."""
     if not np.max(np.abs(g)) < GRAD_TOL:
         return False
     first, _, prior = curvature
     diag = first.diagonal() if first.ndim == 2 else first + prior
-    return bool(np.all(np.abs(g) * PRIOR_RATE < GRAD_TOL * np.maximum(diag, prior)))
+    return bool(np.all(np.abs(g) < SCORE_TOL * np.maximum(diag, prior)))
 
 
 def _maximize(terms: _Terms) -> tuple[np.ndarray, int, bool]:

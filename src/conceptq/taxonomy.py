@@ -27,10 +27,12 @@ list, id map and name rank that the cut leaves as it was.
 
 from __future__ import annotations
 
+import codecs
 from array import array
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import filterfalse, repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -39,6 +41,11 @@ from .errors import DataFormatError, EngineError
 
 # Counts are summed in int64; the total of all rows must stay below this.
 _COUNT_LIMIT = 2**63
+
+# Characters that load reads per block. A block is parsed with a few C-level
+# calls, so it must hold many lines; its strings are short-lived heap memory
+# beside the growing row arrays, so it must stay small.
+_BLOCK_CHARS = 1 << 14
 
 
 def normalize(text: str) -> str:
@@ -71,7 +78,9 @@ class Csr:
 
     @classmethod
     def from_pairs(cls, n_rows: int, rows: np.ndarray, cols: np.ndarray, counts: np.ndarray) -> Csr:
-        """Rows of merged pairs; ``rows`` must be sorted, ``cols`` ascending within a row."""
+        """Rows of merged pairs: ``cols`` and ``counts`` in row order, ``cols``
+        ascending within a row. ``rows`` holds the row of each pair and is
+        only counted, so it may be in any order."""
         ptr = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n_rows), out=ptr[1:])
         return cls(_frozen(ptr), _frozen(cols.astype(np.int32, copy=False)), _frozen(counts))
@@ -170,8 +179,10 @@ class Taxonomy:
         list every name once, in id order, and every name must have a pair."""
         counts = counts.astype(np.int64, copy=False)
         by_concept = Csr.from_pairs(len(concept_ids), rows, cols, counts)
+        # The entity rows are counted from the unsorted ``cols``: one gather
+        # less where load's memory peaks.
         by_col = np.argsort(cols, kind="stable")
-        by_entity = Csr.from_pairs(len(entity_ids), cols[by_col], rows[by_col], counts[by_col])
+        by_entity = Csr.from_pairs(len(entity_ids), cols, rows[by_col], counts[by_col])
         n_c = _frozen(by_concept.row_sums())
         return cls(list(concept_ids), list(entity_ids), concept_ids, entity_ids,
                    by_concept, by_entity, n_c, _frozen(by_entity.row_sums()), int(n_c.sum()))
@@ -364,20 +375,20 @@ def entity_intersection(taxonomy: Taxonomy, concepts: Iterable[str]) -> frozense
 
 
 class _Builder:
-    """The one validating ingestion path: checks each row, interns its names
+    """The one validating ingestion path: checks rows, interns their names
     and collects ``(concept id, entity id, count)`` triples for a Taxonomy.
 
-    Each distinct raw name is normalized once. ``unit`` ("row" or "line")
-    names the 1-based position in error messages.
+    :meth:`add` checks one row. :meth:`add_block` takes a block of file
+    lines with a few C-level calls when every line is a clean row, and
+    otherwise adds nothing, so that the block can be replayed through
+    :meth:`add`. ``unit`` ("row" or "line") names the 1-based position in
+    error messages.
     """
 
     def __init__(self, unit: str):
         self.unit = unit
-        self.concepts: dict[str, int] = {}
-        self.entities: dict[str, int] = {}
-        # Raw spellings that are not already normalized, mapped to their id.
-        self._raw_concepts: dict[str, int] = {}
-        self._raw_entities: dict[str, int] = {}
+        self.concepts = _Names()
+        self.entities = _Names()
         self._c = array("i")
         self._e = array("i")
         self._n = array("q")
@@ -392,24 +403,48 @@ class _Builder:
             self._fail(num, f"count must be >= 1, got {count}")
         if count >= _COUNT_LIMIT:
             self._fail(num, f"count must be < 2**63, got {count}")
-        cid = self.concepts.get(concept)
-        if cid is None:
-            cid = _intern(concept, self.concepts, self._raw_concepts)
-        eid = self.entities.get(entity)
-        if eid is None:
-            eid = _intern(entity, self.entities, self._raw_entities)
+        cid = self.concepts.intern(concept)
+        eid = self.entities.intern(entity)
         if cid < 0 or eid < 0:
             self._fail(num, "empty concept or entity name")
         self._c.append(cid)
         self._e.append(eid)
         self._n.append(count)
 
+    def add_block(self, block: str) -> bool:
+        """Add the rows of ``block``, lines joined by newlines, if it is
+        clean: no ``#``, two tabs on every line, every count an integer in
+        [1, 2**63) and no name that normalizes to empty. Return whether it
+        was; a block that is not clean adds no row."""
+        lines = block.split("\n")
+        if "#" in block or set(map(str.count, lines, repeat("\t"))) != {2}:
+            return False
+        fields = "\t".join(lines).split("\t")
+        try:
+            counts = np.fromiter(map(int, fields[2::3]), np.int64, len(lines))
+        except (ValueError, OverflowError):
+            return False
+        if counts.min() < 1:
+            return False
+        # Names are interned before the block is known to be clean. Only a
+        # line with an empty name can still fail it; its count makes it
+        # neither blank nor a comment, so the line-by-line replay raises on
+        # it and the names interned here are never used.
+        concepts = self.concepts.intern_all(fields[0::3])
+        entities = self.entities.intern_all(fields[1::3])
+        if concepts is None or entities is None:
+            return False
+        self._c.extend(concepts)
+        self._e.extend(entities)
+        self._n.frombytes(counts.tobytes())
+        return True
+
     def build(self) -> Taxonomy:
         if sum(self._n) >= _COUNT_LIMIT:
             raise DataFormatError("counts total 2**63 or more; totals must fit in 64 bits")
         # Intermediate arrays are dropped as soon as possible: load's peak
         # memory is set here.
-        n_e = max(1, len(self.entities))
+        n_e = max(1, len(self.entities.ids))
         keys = np.frombuffer(self._c, dtype=np.int32).astype(np.int64) * n_e
         keys += np.frombuffer(self._e, dtype=np.int32)
         self._c = self._e = None
@@ -424,20 +459,49 @@ class _Builder:
         rows = (keys // n_e).astype(np.int32)
         cols = (keys % n_e).astype(np.int32)
         keys = first = None
-        return Taxonomy.from_pairs(self.concepts, self.entities, rows, cols, counts)
+        return Taxonomy.from_pairs(self.concepts.ids, self.entities.ids, rows, cols, counts)
 
 
-def _intern(raw: str, ids: dict[str, int], raw_ids: dict[str, int]) -> int:
-    """Id of ``raw``'s normalized form, added if new; -1 for an empty name."""
-    i = raw_ids.get(raw)
-    if i is None:
-        name = normalize(raw)
-        if not name:
-            return -1
-        i = ids.setdefault(name, len(ids))
+class _Names:
+    """One column's names, interned to dense ids in first-seen order of
+    their normalized form. Each distinct raw spelling is normalized once."""
+
+    def __init__(self):
+        self.ids: dict[str, int] = {}
+        # Raw spellings that are not already normalized, mapped to their id.
+        self._raw: dict[str, int] = {}
+
+    def intern(self, raw: str) -> int:
+        """Id of ``raw``'s normalized form, added if new; -1 for an empty name."""
+        i = self.ids.get(raw)
+        if i is None:
+            i = self._raw.get(raw)
+            if i is None:
+                name = normalize(raw)
+                if not name:
+                    return -1
+                i = self._add(raw, name)
+        return i
+
+    def intern_all(self, raws: list[str]) -> Iterator[int] | None:
+        """The ids of ``raws``, interning new names in first-seen order;
+        None if a new name normalizes to empty."""
+        new = list(dict.fromkeys(filterfalse(self._raw.__contains__,
+                                             filterfalse(self.ids.__contains__, raws))))
+        names = list(map(normalize, new))
+        if "" in names:
+            return None
+        for raw, name in zip(new, names):
+            self._add(raw, name)
+        if self._raw:
+            return map(self.ids.get, raws, map(self._raw.get, raws))
+        return map(self.ids.__getitem__, raws)
+
+    def _add(self, raw: str, name: str) -> int:
+        i = self.ids.setdefault(name, len(self.ids))
         if name != raw:
-            raw_ids[raw] = i
-    return i
+            self._raw[raw] = i
+        return i
 
 
 def ingest(records: Iterable) -> Taxonomy:
@@ -467,15 +531,65 @@ def ingest(records: Iterable) -> Taxonomy:
     return builder.build()
 
 
+def _line_blocks(path) -> Iterator[tuple[int, str]]:
+    """The lines of a UTF-8 text file, a block of whole lines at a time:
+    the 1-based number of a block's first line, and its lines joined by
+    newlines. Lines end where universal newlines end them, and a leading
+    byte-order mark is not part of the first line. A file that does not
+    decode raises :class:`DataFormatError` naming the first such line."""
+    first, pending = 1, []
+    with open(path, encoding="utf-8-sig") as fh:
+        while True:
+            try:
+                text = fh.read(_BLOCK_CHARS)
+            except UnicodeDecodeError:
+                _raise_undecodable(path)
+                raise
+            if not text:
+                break
+            cut = text.rfind("\n")
+            if cut < 0:
+                pending.append(text)
+                continue
+            pending.append(text[:cut])
+            block = "".join(pending)
+            pending = [text[cut + 1:]]
+            yield first, block
+            first += block.count("\n") + 1
+    tail = "".join(pending)
+    if tail:
+        yield first, tail
+
+
+def _raise_undecodable(path) -> None:
+    """Raise :class:`DataFormatError` for the first line of ``path`` that
+    is not valid UTF-8; return if every line decodes."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    if lines:
+        lines[0] = lines[0].removeprefix(codecs.BOM_UTF8)
+    for line_num, line in enumerate(lines, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataFormatError(f"line {line_num}: not valid UTF-8", row=line_num) from None
+
+
+def _data_lines(first: int, block: str) -> Iterator[tuple[int, str]]:
+    """:func:`data_lines` of one block whose first line is line ``first``."""
+    for line_num, line in enumerate(block.split("\n"), start=first):
+        stripped = line.strip()
+        if stripped and stripped[0] != "#":
+            yield line_num, line
+
+
 def data_lines(path) -> Iterator[tuple[int, str]]:
     """Each line of a UTF-8 text file that is neither blank nor a ``#``
     comment, without its newline and with its 1-based line number. A leading
-    byte-order mark is not part of the first line."""
-    with open(path, encoding="utf-8-sig") as fh:
-        for line_num, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if stripped and stripped[0] != "#":
-                yield line_num, line.rstrip("\n")
+    byte-order mark is not part of the first line, and a line that is not
+    valid UTF-8 raises :class:`DataFormatError` with its number."""
+    for first, block in _line_blocks(path):
+        yield from _data_lines(first, block)
 
 
 def load(path) -> Taxonomy:
@@ -483,24 +597,31 @@ def load(path) -> Taxonomy:
 
     Lines starting with ``#`` and blank lines are skipped. There is no
     quoting; a TAB inside a name is unsupported. Malformed lines raise
-    :class:`DataFormatError` naming the 1-based physical line number. The
-    file is streamed: no per-line record objects are kept.
+    :class:`DataFormatError` naming the 1-based physical line number.
+
+    The file is read in blocks of whole lines. A block of clean rows is
+    parsed a column at a time; any other block, with a comment, a blank
+    line or a bad line, is read line by line, so the ids, counts and
+    errors are those of a line-by-line read.
     """
     builder = _Builder("line")
-    for line_num, line in data_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise DataFormatError(
-                f"line {line_num}: expected 3 tab-separated fields, got {len(fields)}",
-                row=line_num,
-            )
-        concept, entity, raw_count = fields
-        try:
-            count = int(raw_count.strip())
-        except ValueError:
-            raise DataFormatError(
-                f"line {line_num}: count must be an integer, got {raw_count!r}",
-                row=line_num,
-            ) from None
-        builder.add(line_num, concept, entity, count)
+    for first, block in _line_blocks(path):
+        if builder.add_block(block):
+            continue
+        for line_num, line in _data_lines(first, block):
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise DataFormatError(
+                    f"line {line_num}: expected 3 tab-separated fields, got {len(fields)}",
+                    row=line_num,
+                )
+            concept, entity, raw_count = fields
+            try:
+                count = int(raw_count.strip())
+            except ValueError:
+                raise DataFormatError(
+                    f"line {line_num}: count must be an integer, got {raw_count!r}",
+                    row=line_num,
+                ) from None
+            builder.add(line_num, concept, entity, count)
     return builder.build()

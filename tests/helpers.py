@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from conceptq.errors import QueryParseError
+from conceptq import taxonomy
+from conceptq.errors import DataFormatError, QueryParseError
 from conceptq.expansion import ExpansionModel, relevance
 from conceptq.query import Membership
 from conceptq.taxonomy import Taxonomy, ingest
@@ -54,6 +55,37 @@ def disjoint_concept_taxonomy() -> Taxonomy:
             ("small car", "mini", 1), ("small car", "smart", 3), ("small car", "kei", 2),
         ]
     )
+
+
+# -- line-by-line loader oracle ----------------------------------------------
+
+
+def reference_load(path) -> Taxonomy:
+    """``load`` as a plain loop over the file's lines: each line that is
+    neither blank nor a ``#`` comment is split, checked and added on its own.
+    """
+    builder = taxonomy._Builder("line")
+    with open(path, encoding="utf-8-sig") as fh:
+        for line_num, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped or stripped[0] == "#":
+                continue
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 3:
+                raise DataFormatError(
+                    f"line {line_num}: expected 3 tab-separated fields, got {len(fields)}",
+                    row=line_num,
+                )
+            concept, entity, raw_count = fields
+            try:
+                count = int(raw_count.strip())
+            except ValueError:
+                raise DataFormatError(
+                    f"line {line_num}: count must be an integer, got {raw_count!r}",
+                    row=line_num,
+                ) from None
+            builder.add(line_num, concept, entity, count)
+    return builder.build()
 
 
 # -- brute-force relevance oracles -------------------------------------------

@@ -49,6 +49,12 @@ class TestValidate:
         assert main(["validate", str(path)]) == 3
         assert "line 3" in capsys.readouterr().err
 
+    def test_invalid_utf8_is_a_data_error_with_its_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"c\te\t1\nc\t\xff\xfe\t2\n")
+        assert main(["validate", str(path)]) == 3
+        assert capsys.readouterr().err == "error: line 2: not valid UTF-8\n"
+
     def test_json_format(self, f1_path, capsys):
         assert main(["validate", str(f1_path), "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -335,6 +341,19 @@ class TestEval:
         truth.write_text("top american university\ta\nbroken-line\n", encoding="utf-8")
         assert main(["eval", str(f1_path), str(queries), str(truth)]) == 3
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["holdout", "truth"])
+    def test_invalid_utf8_is_a_data_error_with_its_line(self, f1_path, tmp_path, capsys, mode):
+        # the query file in a hold-out eval, the truth file in a truth-file eval
+        queries = tmp_path / "queries.txt"
+        truth = tmp_path / "truth.tsv"
+        good = {"queries": b"top american university\n", "truth": b"top american university\ta\n"}
+        bad = b"\xef\xbb\xbf# note\r\ntop \xc3 university\ta\r\n"
+        queries.write_bytes(bad if mode == "holdout" else good["queries"])
+        truth.write_bytes(bad if mode == "truth" else good["truth"])
+        files = ["--holdout", "0.5"] if mode == "holdout" else [str(truth)]
+        assert main(["eval", str(f1_path), str(queries), *files]) == 3
+        assert capsys.readouterr().err == "error: line 2: not valid UTF-8\n"
 
     def test_empty_query_file(self, f1_path, tmp_path, capsys):
         queries = tmp_path / "queries.txt"

@@ -1,9 +1,10 @@
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conceptq import taxonomy
@@ -13,6 +14,7 @@ from conceptq.taxonomy import (
     CooccurrenceRecord,
     Csr,
     Taxonomy,
+    data_lines,
     entity_intersection,
     entity_union,
     ingest,
@@ -20,7 +22,7 @@ from conceptq.taxonomy import (
     normalize,
 )
 
-from helpers import random_rows
+from helpers import random_rows, reference_load
 
 
 def id_maps(t):
@@ -251,6 +253,46 @@ class TestNormalize:
         assert normalize("   ") == ""
 
 
+# Names, counts and lines for taxonomy files: clean rows, and lines that are
+# skipped or make the file fail, in spellings that the block parse and the
+# per-line reader must read alike.
+NAMES = ["a", "A", "b c", " B \u3000C ", "x#y", "é", "É", "d\x1ce", "d\u2028e", "Straße"]
+COUNTS = ["1", "2", " 7 ", "+3", "1_000", "\x1c4", "\u0663"]
+SKIPPED_LINES = ["# note", "  # indented", "# c\te\t1", " #\tc\t2", "", "   ", " \t \t ", "\t\t",
+                 "\u3000"]
+BAD_LINES = [
+    "a\tb\t0", "a\tb\t-1", "a\tb\tx", "a\tb\t9223372036854775808", "a\tb\t9223372036854775807",
+    "\xa0\tb\t1", "a\t\t1",
+]
+
+
+def taxonomy_texts():
+    row = st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES),
+                    st.sampled_from(COUNTS)).map("\t".join)
+    # 2 and 4 fields: a block holding one of each has two tabs a line on average
+    cell = st.sampled_from(NAMES + COUNTS)
+    wrong_fields = st.one_of(st.tuples(cell, cell), st.tuples(cell, cell, cell, cell)).map("\t".join)
+    line = st.one_of(*[row] * 7, *[st.sampled_from(SKIPPED_LINES)] * 2,
+                     st.sampled_from(BAD_LINES), wrong_fields)
+    ending = st.sampled_from(["\n", "\r\n", "\r"])
+    body = st.lists(st.tuples(line, ending).map("".join), max_size=30).map("".join)
+    return st.tuples(st.sampled_from(["", "\ufeff"]), body,
+                     st.sampled_from(["", "c\te\t1"])).map("".join)
+
+
+def load_outcome(read, path):
+    """Everything ``read(path)`` builds -- names in id order, id maps, both
+    CSR orientations and the marginals -- or the row and message it fails with."""
+    try:
+        t = read(path)
+    except DataFormatError as exc:
+        return "error", exc.row, str(exc)
+    arrays = [getattr(csr, part) for csr in (t.by_concept, t.by_entity)
+              for part in ("ptr", "ids", "counts")] + [t.n_c, t.n_e, t.deg_c]
+    return (t.concept_names, t.entity_names, t._concept_ids, t._entity_ids,
+            [(a.dtype.str, a.tolist()) for a in arrays], t.grand_total)
+
+
 class TestLoad:
     def test_load_f1_file(self, f1_path, f1):
         assert load(f1_path) == f1
@@ -306,9 +348,10 @@ class TestLoad:
         assert err.value.row == 2
 
     def test_load_peak_memory_is_bounded_by_retained_size(self, tmp_path):
-        # ~10^5 edges over 5,000 concepts and 20,000 entities. Streaming load
-        # peaks at 1.40x the retained taxonomy (a per-line record list made
-        # it 2.04x); the bound sits between the two.
+        # ~10^5 edges over 5,000 concepts and 20,000 entities. Load peaks at
+        # 1.40x the retained taxonomy, in _Builder.build, with blocks of 16 Ki
+        # characters (1.41x with 256 Ki); a per-line record list made it
+        # 2.04x. The bound sits between the two.
         rng = random.Random(3)
         path = tmp_path / "big.tsv"
         with open(path, "w", encoding="utf-8") as fh:
@@ -325,6 +368,43 @@ class TestLoad:
             tracemalloc.stop()
         assert t.n_edges == 99_947
         assert peak < 1.7 * retained, (peak, retained)
+
+    @pytest.mark.parametrize(
+        "head, bad_line",
+        [
+            (b"c\te\t1\n", 2),
+            (b"\xef\xbb\xbfc\te\t1\r\n# note\r\n", 3),
+            (b"c\te\t1\rc\te\t2\r", 3),
+            (b"c\te\t1\n" * 20_000, 20_001),
+        ],
+        ids=["plain", "bom-crlf-comment", "lone-cr", "past-many-blocks"],
+    )
+    def test_invalid_utf8_names_its_line(self, tmp_path, head, bad_line):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(head + b"c\t\xff\xfe\t2\nc\te\t3\n")
+        for read in (load, lambda p: list(data_lines(p))):
+            with pytest.raises(DataFormatError) as err:
+                read(path)
+            assert err.value.row == bad_line
+            assert str(err.value) == f"line {bad_line}: not valid UTF-8"
+
+    def test_clean_rows_skip_the_line_by_line_path(self, f1_path, f1):
+        with mock.patch.object(taxonomy._Builder, "add", side_effect=AssertionError):
+            assert load(f1_path) == f1
+
+    @given(text=taxonomy_texts(), block_chars=st.integers(1, 24))
+    # a whitespace-only line whose two tabs look like a clean row
+    @example(text="c\te\t1\n \t \t \nd\tf\t2\n", block_chars=64)
+    # a malformed line that starts the second block
+    @example(text="c\te\t1\nd\tf\n", block_chars=8)
+    # lines of 2 and 4 fields whose fields line up as two rows
+    @example(text="a\tb\n3\tc\td\t1\n", block_chars=64)
+    @settings(max_examples=300, deadline=None)
+    def test_load_matches_the_line_by_line_reader(self, tmp_path_factory, text, block_chars):
+        path = tmp_path_factory.mktemp("load") / "t.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(taxonomy, "_BLOCK_CHARS", block_chars):
+            assert load_outcome(load, path) == load_outcome(reference_load, path)
 
 
 class TestArrays:
