@@ -57,15 +57,10 @@ way to get a direction:
   lin + p^T sigma + prior' and -Hessian F = (p * sigma)^T p -
   diag(p^T sigma) + diag(m b e^s), and numpy.linalg.solve the exact Newton
   step; there an O(n^3) solve costs less than the ~20 numpy-bound CG
-  products it replaces. Only set-vs-set constraints make F non-concave.
-  For one, X > Y with P(Y wins) = q, rho the softmax over X u Y and pi over
-  X, Var_rho(v) >= (1 - q) Var_pi(v) by the law of total variance, so
-  v^T (-Hessian L_c) v / beta = Var_rho(v) - Var_pi(v) >=
-  -q v^T diag(pi) v (the softmax curvature of Bohning 1992). -Hessian F is
-  thus positive definite where d = m b e^s - beta sum_c q_c pi_c > 0
-  everywhere; otherwise a Cholesky factorization decides, and an indefinite
-  matrix gives the gradient over its diagonal floored at the prior's
-  curvature, which is CG's first iterate.
+  products it replaces. Only set-vs-set constraints make F non-concave; a
+  Cholesky factorization decides whether -Hessian F is positive definite,
+  and an indefinite matrix gives the gradient over its diagonal floored at
+  the prior's curvature, which is CG's first iterate.
 - Larger universes use conjugate gradients on exact Hessian-vector
   products, preconditioned by the Hessian's diagonal and stopped early on
   negative curvature. A product costs O(n): an ordering's curvature is a
@@ -74,11 +69,9 @@ way to get a direction:
   is diagonal. No n x n array is formed on this path, so a universe of 10^4
   classes stays within a few MB where its dense Hessian would take a GB.
 
-Both paths read each point once: one pass over the terms gives F and its
-gradient, and the curvature (above, the dense matrix; below, the Hessian's
-diagonal and the product, from _Terms.evaluate's intermediates) is built
-from that pass only at the points a step is taken from, not at rejected
-line-search trials. A direction that moves a score by more than _MAX_MOVE is
+Both paths read each point once: one pass over the terms gives F, its
+gradient and the curvature (the dense matrix above, the Hessian's diagonal
+and product below). A direction that moves a score by more than _MAX_MOVE is
 scaled down to that move, and Armijo backtracking accepts only finite steps
 that raise F; a gain too small to survive rounding in F is measured by the
 trapezoid rule on the directional derivatives instead. The solve stops when
@@ -153,9 +146,10 @@ class ObjectiveWeights:
     beta: float = DEFAULT_BETA
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
+        # written so that NaN fails them
+        if not (self.alpha >= 0 and self.beta >= 0):
             raise ValueError("alpha and beta must be non-negative")
-        if self.alpha + self.beta > 1.0 + 1e-12:
+        if not self.alpha + self.beta <= 1.0 + 1e-12:
             raise ValueError("alpha + beta must not exceed 1")
 
     @property
@@ -230,7 +224,7 @@ class _Terms:
         self.slots = np.concatenate([np.empty(0, dtype=np.intp), *groups])
         # Dense-path universes keep the module docstring's rows as a
         # log m/-inf mask and a 1/0 member array, their weights sigma
-        # (signed) and lin; set_rows: X rows of at least two classes.
+        # (signed) and lin.
         self.mask = None
         if self.n <= DENSE_NEWTON_MAX_N:
             rows, signed, self.lin = [], [], np.zeros(self.n)
@@ -240,17 +234,14 @@ class _Terms:
                 rows[-1][:, o.idx] = np.where(in_row, self.log_mult[o.idx], -np.inf)
                 signed += (-o.weight * o.d).tolist()
                 self.lin[o.idx[: o.cut]] += o.weight * o.chosen
-            set_rows = []
             for hi, lo in self.cons:
-                if hi.size >= 2:
-                    set_rows.append(len(signed))
                 rows.append(np.full((2, self.n), -np.inf))
                 rows[-1][:, hi] = self.log_mult[hi]
                 rows[-1][1, lo] = self.log_mult[lo]
                 signed += [self.beta, -self.beta]
             self.mask = np.concatenate([np.empty((0, self.n)), *rows])
             self.member = np.isfinite(self.mask).astype(float)
-            self.signed, self.set_rows = np.array(signed), np.array(set_rows, dtype=np.intp)
+            self.signed = np.array(signed)
 
     def _scatter(self, parts: list[np.ndarray]) -> np.ndarray:
         # bincount returns integers when there are no slots at all (every
@@ -259,9 +250,8 @@ class _Terms:
         return np.bincount(self.slots, weights, minlength=self.n).astype(float, copy=False)
 
     def evaluate(self, s: np.ndarray):
-        """The likelihood and its gradient at ``s`` from one pass, and a
-        function that builds the curvature there (the diagonal of -Hessian
-        and a function applying -Hessian) from that pass's intermediates.
+        """The likelihood at ``s``, its gradient, the diagonal of its
+        -Hessian and a function applying that -Hessian, from one pass.
 
         With t = s + log m, an ordering's unit at position p has the
         derivative m_p [p chosen at a stage] minus sum_k d_k pi_k(p) over the
@@ -270,7 +260,7 @@ class _Terms:
         every exponent stays bounded.
         """
         t, ms = s + self.log_mult, self.mult * s
-        total, parts, lists, cons = 0.0, [], [], []
+        total, parts, diag, products, sides = 0.0, [], [], [], []
         for o in self.lists:
             so = t[o.idx]
             suffix = _log_suffix_sums(so)
@@ -281,7 +271,13 @@ class _Terms:
             part = -o.weight * c
             part[: o.cut] += o.weight * o.chosen
             parts.append(part)
-            lists.append((o, so, suffix, logz, c))
+            diag.append(o.weight * (c - np.exp(2.0 * so + o.running(o.log_d - 2.0 * logz))))
+            # pi_k(p) = e^{t_p - mid} e^{mid - log Z_k}, split at the middle
+            # of log Z's range so that both factors stay finite
+            mid = 0.5 * (suffix[0] + suffix[-1])
+            e = np.exp(np.minimum(so - mid, _EXP_CAP))
+            inv_z = np.exp(np.minimum(mid - logz, _EXP_CAP))
+            products.append((o, o.weight * c, o.weight * e, e, inv_z))
         for hi, lo in self.cons:
             th, tl = t[hi], t[lo]
             lx, ly = _lse(th), _lse(tl)
@@ -290,57 +286,38 @@ class _Terms:
             # beta P(lower side wins) times the softmax over each side
             bx, by = self.beta * np.exp(th + ly - lx - la), self.beta * np.exp(tl - la)
             parts += [bx, -by]
-            cons.append((hi, lo, th, tl, lx, ly, la, bx, by))
+            q = math.exp(lx - la)  # P(higher side wins)
+            p = math.exp(ly - la)  # 1 - q, without cancellation
+            pi_x, pi_y = np.exp(th - lx), np.exp(tl - ly)
+            diag += [bx * ((1.0 + q) * pi_x - 1.0), by * (1.0 - p * pi_y)]
+            sides.append((hi, lo, q, p, pi_x, pi_y, bx, by))
 
-        def curvature():
-            diag, products = [], []
-            for o, so, suffix, logz, c in lists:
-                diag.append(o.weight * (c - np.exp(2.0 * so + o.running(o.log_d - 2.0 * logz))))
-                # pi_k(p) = e^{t_p - mid} e^{mid - log Z_k}, split at the middle
-                # of log Z's range so that both factors stay finite
-                mid = 0.5 * (suffix[0] + suffix[-1])
-                e = np.exp(np.minimum(so - mid, _EXP_CAP))
-                inv_z = np.exp(np.minimum(mid - logz, _EXP_CAP))
-                products.append((o, o.weight * c, o.weight * e, e, inv_z))
-            sides = []
-            for hi, lo, th, tl, lx, ly, la, bx, by in cons:
-                q = math.exp(lx - la)  # P(higher side wins)
-                p = math.exp(ly - la)  # 1 - q, without cancellation
-                pi_x, pi_y = np.exp(th - lx), np.exp(tl - ly)
-                diag += [bx * ((1.0 + q) * pi_x - 1.0), by * (1.0 - p * pi_y)]
-                sides.append((hi, lo, q, p, pi_x, pi_y, bx, by))
+        def apply(v: np.ndarray) -> np.ndarray:
+            parts = []
+            for o, wc, we, e, inv_z in products:
+                vo = v[o.idx]
+                mu = (e * vo)[::-1].cumsum()[::-1][o.starts] * inv_z  # pi_k . v per stage
+                parts.append(wc * vo - we * (o.d * mu * inv_z).cumsum()[o.stage])
+            for hi, lo, q, p, pi_x, pi_y, bx, by in sides:
+                vx, vy = v[hi], v[lo]
+                mx, my = _dot(pi_x, vx), _dot(pi_y, vy)
+                parts += [bx * ((1.0 + q) * mx - q * my - vx), by * (vy - q * mx - p * my)]
+            return self._scatter(parts)
 
-            def apply(v: np.ndarray) -> np.ndarray:
-                parts = []
-                for o, wc, we, e, inv_z in products:
-                    vo = v[o.idx]
-                    mu = (e * vo)[::-1].cumsum()[::-1][o.starts] * inv_z  # pi_k . v per stage
-                    parts.append(wc * vo - we * (o.d * mu * inv_z).cumsum()[o.stage])
-                for hi, lo, q, p, pi_x, pi_y, bx, by in sides:
-                    vx, vy = v[hi], v[lo]
-                    mx, my = _dot(pi_x, vx), _dot(pi_y, vy)
-                    parts += [bx * ((1.0 + q) * mx - q * my - vx), by * (vy - q * mx - p * my)]
-                return self._scatter(parts)
-
-            return self._scatter(diag), apply
-
-        return total, self._scatter(parts), curvature
+        return total, self._scatter(parts), self._scatter(diag), apply
 
     def posterior(self, s: np.ndarray):
-        """F(s) and its gradient from one pass, and a function that builds
-        the curvature there from that pass. The curvature is a triple whose
-        last item is the prior's m b e^s: up to DENSE_NEWTON_MAX_N units
-        -Hessian F and whether the bound d > 0 certifies it positive
-        definite, from one softmax over the rows of ``mask``; above,
-        evaluate's diagonal and product."""
+        """F(s), its gradient and its curvature there, from one pass. The
+        curvature is a tuple whose last item is the prior's m b e^s: up to
+        DENSE_NEWTON_MAX_N units (-Hessian F, m b e^s), from one softmax
+        over the rows of ``mask``; above, (diag, apply, m b e^s) with
+        evaluate's diagonal and product of the likelihood's -Hessian."""
         with np.errstate(over="ignore"):
             strength = self.rate * np.exp(s)
         prior = float(np.sum(self.shape * s - strength))
         if self.mask is None:
-            value, grad, likelihood_curvature = self.evaluate(s)
-            return value + prior, grad + self.shape - strength, lambda: (
-                *likelihood_curvature(), strength
-            )
+            value, grad, diag, apply = self.evaluate(s)
+            return value + prior, grad + self.shape - strength, (diag, apply, strength)
         z = s + self.mask
         top = z.max(axis=1)
         z -= top[:, None]
@@ -355,16 +332,9 @@ class _Terms:
         weighted = p * self.signed[:, None]
         pull = weighted.sum(axis=0)
         value = _dot(self.lin, s) + _dot(self.signed, lse) + prior
-
-        def curvature():
-            hessian = weighted.T @ p
-            hessian.flat[:: self.n + 1] += strength - pull
-            rows = self.set_rows
-            p_lower = -np.expm1(lse[rows] - lse[rows + 1])  # P(Y wins) per set-vs-set constraint
-            certified = bool(np.all(strength > self.beta * (p_lower @ p[rows])))
-            return hessian, certified, strength
-
-        return value, self.lin + pull + self.shape - strength, curvature
+        hessian = weighted.T @ p
+        hessian.flat[:: self.n + 1] += strength - pull
+        return value, self.lin + pull + self.shape - strength, (hessian, strength)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -546,23 +516,22 @@ def _newton_direction(g: np.ndarray, curvature) -> np.ndarray:
     at the point of g.
 
     Up to DENSE_NEWTON_MAX_N units it is the dense matrix: the exact
-    solution when the bound, or else a Cholesky factorization, shows the
-    matrix positive definite; else g over its diagonal floored at the
-    prior's curvature. An indefinite matrix's step, even with g . d > 0, can
-    send a score into the prior's linear tail, where no step of at least
-    _MIN_STEP raises F. Above: preconditioned CG, stopped once the residual's
-    preconditioned norm has shrunk by eta = min(0.5, sqrt |g|)
-    (Eisenstat-Walker), which keeps early steps cheap and the final ones
-    superlinearly convergent. On negative curvature it returns the direction
-    built so far, or the preconditioned gradient if it has none.
+    solution when a Cholesky factorization shows the matrix positive
+    definite; else g over its diagonal floored at the prior's curvature. An
+    indefinite matrix's step, even with g . d > 0, can send a score into the
+    prior's linear tail, where no step of at least _MIN_STEP raises F.
+    Above: preconditioned CG, stopped once the residual's preconditioned
+    norm has shrunk by eta = min(0.5, sqrt |g|) (Eisenstat-Walker), which
+    keeps early steps cheap and the final ones superlinearly convergent. On
+    negative curvature it returns the direction built so far, or the
+    preconditioned gradient if it has none.
     """
     if curvature[0].ndim == 2:
-        hessian, certified, prior = curvature
-        if not certified:
-            try:
-                np.linalg.cholesky(hessian)
-            except np.linalg.LinAlgError:
-                return g / np.maximum(hessian.diagonal(), prior)
+        hessian, prior = curvature
+        try:
+            np.linalg.cholesky(hessian)
+        except np.linalg.LinAlgError:
+            return g / np.maximum(hessian.diagonal(), prior)
         return np.linalg.solve(hessian, g)
     diag, apply_likelihood, prior = curvature
     precond = 1.0 / np.maximum(diag + prior, prior)
@@ -590,8 +559,8 @@ def _newton_direction(g: np.ndarray, curvature) -> np.ndarray:
 
 def _line_search(terms: _Terms, s, f, g, d):
     """Armijo backtracking along ``d``; returns the accepted point with its
-    posterior (F, gradient and the curvature's builder), or None when no
-    finite step of at least _MIN_STEP raises F.
+    posterior (F, gradient and curvature), or None when no finite step of at
+    least _MIN_STEP raises F.
 
     A gain below F's rounding error cannot be read off two F values. For
     such short steps, as long as F does not drop by more than that error,
@@ -620,19 +589,17 @@ def _converged(g: np.ndarray, curvature) -> bool:
     posterior's curvature at the point of g, is below SCORE_TOL."""
     if not np.max(np.abs(g)) < GRAD_TOL:
         return False
-    first, _, prior = curvature
+    first, prior = curvature[0], curvature[-1]
     diag = first.diagonal() if first.ndim == 2 else first + prior
     return bool(np.all(np.abs(g) < SCORE_TOL * np.maximum(diag, prior)))
 
 
 def _maximize(terms: _Terms) -> tuple[np.ndarray, int, bool]:
-    """Damped Newton ascent on F from _start; returns (s, steps, converged).
-    The curvature is built once per point a step is taken from."""
+    """Damped Newton ascent on F from _start; returns (s, steps, converged)."""
     s = _start(terms)
-    f, g, build = terms.posterior(s)
+    f, g, curvature = terms.posterior(s)
     steps = 0
     while True:
-        curvature = build()
         if _converged(g, curvature):
             return s, steps, True
         if steps == MAX_NEWTON_STEPS:
@@ -640,7 +607,7 @@ def _maximize(terms: _Terms) -> tuple[np.ndarray, int, bool]:
         accepted = _line_search(terms, s, f, g, _newton_direction(g, curvature))
         if accepted is None:
             return s, steps, False
-        s, f, g, build = accepted
+        s, f, g, curvature = accepted
         steps += 1
 
 

@@ -35,7 +35,8 @@ from .errors import (
     QueryParseError,
     UnanswerableQueryError,
 )
-from .evaluation import GroundTruth, average_metrics, evaluate_queries, holdout_experiment
+from .evaluation import GroundTruth, average_metrics, evaluate_queries
+from .evaluation import check_removal_fraction, holdout_experiment
 from .expansion import NAIVE_BAYES, NOISY_OR
 from .pipeline import PipelineConfig, run_query
 from .taxonomy import data_lines, load, normalize
@@ -192,6 +193,8 @@ def cmd_eval(args) -> int:
     if (args.holdout is None) == (args.truth is None):
         print("error: eval needs a truth file or --holdout, not both", file=sys.stderr)
         return EXIT_USAGE
+    if args.holdout is not None:
+        check_removal_fraction(args.holdout)
 
     taxonomy = load(args.taxonomy)
     queries = [line.strip() for _, line in data_lines(args.queries)]

@@ -148,6 +148,14 @@ def intpro_baseline(
 # -- hold-out experiment -------------------------------------------------------
 
 
+def check_removal_fraction(removal_fraction: float) -> None:
+    """Raise ValueError unless the hold-out fraction is in (0, 1)."""
+    if not 0.0 < removal_fraction < 1.0:
+        raise ValueError(
+            "removal_fraction must be in (0, 1); nothing would be removed otherwise"
+        )
+
+
 def holdout_experiment(
     taxonomy: Taxonomy,
     raw_query: str,
@@ -170,10 +178,7 @@ def holdout_experiment(
     ks = [k] if isinstance(k, int) else list(k)
     if not ks:
         raise ValueError("need at least one cutoff k")
-    if not 0.0 < removal_fraction < 1.0:
-        raise ValueError(
-            "removal_fraction must be in (0, 1); nothing would be removed otherwise"
-        )
+    check_removal_fraction(removal_fraction)
     query = parse(raw_query, config.head)
     decomposition = decompose(query, taxonomy)
     intersection = entity_intersection(taxonomy, decomposition.short_concepts)

@@ -145,6 +145,9 @@ class TestObjective:
             ObjectiveWeights(alpha=-0.1)
         with pytest.raises(ValueError):
             ObjectiveWeights(alpha=0.6, beta=0.6)
+        for weights in ({"alpha": math.nan}, {"beta": math.nan}):
+            with pytest.raises(ValueError):
+                ObjectiveWeights(**weights)
 
 
 def finite_difference(scores, r_b, r_c, r_p, weights, entity, h=1e-5):
@@ -361,10 +364,10 @@ class TestHessian:
         names, terms = terms_of(*instance)
         n = len(names)
         s, v = np.array(values[:n]), np.array(values[10 : 10 + n])
-        hessian, _, _ = terms.posterior(s)[2]()
+        hessian, _ = terms.posterior(s)[2]
         assert hessian.shape == (n, n)
         np.testing.assert_allclose(hessian, hessian.T, rtol=0, atol=1e-13)
-        diag, apply = terms.evaluate(s)[2]()
+        _, _, diag, apply = terms.evaluate(s)
         prior = aggregate.PRIOR_RATE * np.exp(s)
         np.testing.assert_allclose(np.diag(hessian), diag + prior, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(hessian @ v, apply(v) + prior * v, rtol=1e-9, atol=1e-11)
@@ -390,7 +393,7 @@ class TestHessian:
             r_p.append(make_constraint(members[:size_x], members[size_x:]))
         _, terms = terms_of(r_b, r_c, r_p, ObjectiveWeights())
         s = rng.normal(0.0, 2.0, n)
-        diag, apply, _ = terms.posterior(s)[2]()
+        diag, apply, _ = terms.posterior(s)[2]
         assert diag.shape == (n,)
         h = 1e-4
         for _ in range(3):
@@ -410,7 +413,7 @@ class TestDenseKernel:
     def test_softmax_rows_give_the_likelihood_plus_the_prior(self, instance, values):
         names, terms = terms_of(*instance)
         s = np.array(values[: len(names)])
-        value, grad, _ = terms.evaluate(s)
+        value, grad, _, _ = terms.evaluate(s)
         strength = aggregate.PRIOR_RATE * np.exp(s)
         value += float(np.sum(aggregate.PRIOR_SHAPE * s - strength))
         grad += aggregate.PRIOR_SHAPE - strength
@@ -423,27 +426,21 @@ class TestDenseKernel:
         st.lists(st.floats(-5.0, 5.0), min_size=20, max_size=20),
     )
     @settings(max_examples=200, deadline=None)
-    def test_a_certified_matrix_is_positive_definite(self, instance, values):
+    def test_the_direction_is_the_newton_step_where_the_matrix_is_definite(
+        self, instance, values
+    ):
+        # exact solve on a positive definite -Hessian F, and g over its
+        # diagonal floored at the prior's curvature on an indefinite one
         names, terms = terms_of(*instance)
-        hessian, certified, _ = terms.posterior(np.array(values[: len(names)]))[2]()
-        if certified:
-            np.linalg.cholesky(hessian)
-
-    @given(instance=aggregation_instances())
-    @settings(max_examples=60, deadline=None)
-    def test_without_set_constraints_no_cholesky_runs(self, instance):
-        # orderings and singleton constraints are concave, so the prior's
-        # curvature alone certifies every matrix
-        r_b, r_c, r_p, weights = instance
-        r_p = [c for c in r_p if len(c.higher) == 1]
-
-        def cholesky(a):
-            raise AssertionError("cholesky() called without a set-vs-set constraint")
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np.linalg, "cholesky", cholesky)
-            sv, _ = optimize(r_b, r_c, r_p, weights)
-        assert sv.converged
+        _, g, curvature = terms.posterior(np.array(values[: len(names)]))
+        hessian, prior = curvature
+        margin = 1e-8 * np.abs(hessian).max()
+        smallest = np.linalg.eigvalsh(hessian).min()
+        d = aggregate._newton_direction(g, curvature)
+        if smallest > margin:
+            np.testing.assert_array_equal(d, np.linalg.solve(hessian, g))
+        elif smallest < -margin:
+            np.testing.assert_array_equal(d, g / np.maximum(np.diag(hessian), prior))
 
 
 class TestNewtonSolve:
@@ -483,11 +480,10 @@ class TestNewtonSolve:
         assert sv.converged
 
     def test_the_matrix_free_pass_reads_each_point_once(self):
-        # one pass per line-search trial plus one at the start: the accepted
-        # point's curvature comes from the pass that gave its F and gradient,
-        # and no ordering's suffix sums are taken a second time at that
-        # point; the curvature is built at the accepted points only, and a
-        # public gradient builds none
+        # one pass per line-search trial plus one at the start: each step's
+        # curvature comes from the pass that gave its point's F and
+        # gradient, and no ordering's suffix sums are taken a second time at
+        # that point
         rng = np.random.default_rng(3)
         names = [f"e{i:04d}" for i in range(1000)]
         r_b = [names[i] for i in rng.permutation(1000)]
@@ -496,9 +492,10 @@ class TestNewtonSolve:
             make_constraint(names[:6], names[6:20]), make_constraint(names[20:30], names[30:45])
         ]
         names, terms = terms_of(r_b, r_c, r_p, ObjectiveWeights())
-        points, trials, suffix_sums, built = [], [], [], []
+        points, trials, suffix_sums, directions = [], [], [], []
+        point_of = {}
         original_evaluate, original_search = _Terms.evaluate, aggregate._line_search
-        original_sums = aggregate._log_suffix_sums
+        original_sums, original_direction = aggregate._log_suffix_sums, aggregate._newton_direction
 
         def log_suffix_sums(so):
             suffix_sums.append(so.size)
@@ -506,13 +503,9 @@ class TestNewtonSolve:
 
         def evaluate(self, s):
             points.append(s.tobytes())
-            value, grad, build = original_evaluate(self, s)
-
-            def counted_build():
-                built.append(s.tobytes())
-                return build()
-
-            return value, grad, counted_build
+            value, grad, diag, apply = original_evaluate(self, s)
+            point_of[apply] = s.tobytes()
+            return value, grad, diag, apply
 
         def line_search(terms, s, f, g, d):
             before = len(points)
@@ -520,24 +513,26 @@ class TestNewtonSolve:
             trials.append(len(points) - before)
             return accepted
 
+        def newton_direction(g, curvature):
+            directions.append(point_of[curvature[1]])
+            return original_direction(g, curvature)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_Terms, "evaluate", evaluate)
             mp.setattr(aggregate, "_line_search", line_search)
             mp.setattr(aggregate, "_log_suffix_sums", log_suffix_sums)
+            mp.setattr(aggregate, "_newton_direction", newton_direction)
             s, steps, converged = _maximize(terms)
-            builds = len(built)
-            gradient(dict.fromkeys(names, 0.0), r_b, r_c, r_p)
-        assert len(built) == builds
-        points = points[:-1]  # the gradient's
         assert converged and steps == len(trials) > 0
         assert all(n >= 1 for n in trials)
         assert len(points) == 1 + sum(trials)
         assert len(set(points)) == len(points)
         # the MM start's updates, then one per ordering per pass
-        assert len(suffix_sums) == len(terms.lists) * (aggregate.MM_STEPS + len(points) + 1)
-        # the start and each accepted point
-        assert len(built) == 1 + steps
-        assert built[-1] == s.tobytes()
+        assert len(suffix_sums) == len(terms.lists) * (aggregate.MM_STEPS + len(points))
+        # a step from the start and from each accepted point but the last
+        assert len(directions) == steps
+        assert directions[0] == points[0]
+        assert len(set(directions)) == steps and s.tobytes() not in directions
 
     @both_direction_paths
     @given(instance=aggregation_instances(), rnd=st.randoms(use_true_random=False))
@@ -842,8 +837,8 @@ class TestBucketOrders:
         dense = _Terms(mult, *positions, weights)
         with direction_path("cg"):
             matrix_free = _Terms(mult, *positions, weights)
-        hessian, _, prior = dense.posterior(s)[2]()
-        diag, apply, _ = matrix_free.posterior(s)[2]()
+        hessian, prior = dense.posterior(s)[2]
+        diag, apply, _ = matrix_free.posterior(s)[2]
         np.testing.assert_allclose(np.diag(hessian), diag + prior, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(hessian @ v, apply(v) + prior * v, rtol=1e-9, atol=1e-11)
         h = 1e-5

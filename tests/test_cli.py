@@ -364,6 +364,20 @@ class TestEval:
         out = capsys.readouterr().out
         assert out.startswith("# conceptq ")
 
+    @pytest.mark.parametrize("fraction", ["0", "1", "1.5", "nan"])
+    def test_holdout_fraction_is_checked_before_any_query_runs(
+        self, f1_path, tmp_path, capsys, fraction
+    ):
+        # no query reaches holdout_experiment's own check here: the query
+        # file is empty, or the taxonomy is missing
+        queries = tmp_path / "queries.txt"
+        queries.write_text("", encoding="utf-8")
+        for taxonomy in (f1_path, tmp_path / "missing.tsv"):
+            assert main(["eval", str(taxonomy), str(queries), "--holdout", fraction]) == 2
+            captured = capsys.readouterr()
+            assert "removal_fraction must be in (0, 1)" in captured.err
+            assert captured.out == ""
+
     def test_holdout_dispatch(self, planted_path, tmp_path, capsys):
         taxonomy_path, inst = planted_path
         queries = tmp_path / "queries.txt"
@@ -465,6 +479,8 @@ class TestUsageValidation:
             ["--lambda", "1.0"],
             ["--delta", "0.0"],
             ["--alpha", "0.8", "--beta", "0.5"],
+            ["--alpha", "nan"],
+            ["--beta", "nan"],
             ["--concepts-top-k", "0"],
         ],
     )
