@@ -9,9 +9,10 @@ Breslow's (1974) sequential log-likelihood, one stage per bucket but the last:
     Z_k = sum_{j in B_k u ... u B_K} e^{s_j}
 
 With one entity per bucket this is the Plackett-Luce likelihood of a total
-ordering. A set-level constraint X > Y has
+ordering. A constraint X > Y, every entity of X above every entity of Y, is
+the two-bucket order [X, Y], whose one stage is
 
-    L(X, Y) = log( sum_{x in X} e^{s_x} / (sum_X e^{s_x} + sum_Y e^{s_y}) ).
+    L(X, Y) = sum_{x in X} s_x - |X| log( sum_X e^{s_x} + sum_Y e^{s_y} ).
 
 The aggregation likelihood combines the baseline ordering R_b, the expansion
 ordering R_c, and the constraint list R_p:
@@ -30,44 +31,36 @@ Gamma(a, b) prior on every strength e^{s} (Caron & Doucet 2012):
     F(s) = objective(s) + sum_i (a s_i - b e^{s_i}),    a = b = 0.01
 
 The likelihood is at most 0 and every prior term tends to -inf as its score
-goes to +-inf, so F has a finite maximizer. Orderings and singleton
-constraints are concave, so without set-vs-set constraints F is strictly
-concave and the maximizer is unique.
+goes to +-inf, so F has a finite maximizer. Every stage is a linear term
+minus a log-sum-exp, so concave, and every prior term is strictly concave:
+F is strictly concave and the maximizer is unique.
 
-Entities that share their R_b bucket, their R_c bucket and their side of
-every constraint are interchangeable in F, so a unique maximizer gives them
-one score. The solve therefore runs over these classes: a class of m
-entities is one variable whose e^s enters every sum m times (a log m offset
-in each log-sum-exp), whose linear terms count m times, and whose prior term
-is m (a s - b e^s). Tied entities get bit-equal scores. With set-vs-set
-constraints F may have several maxima, and the solve reaches one whose tied
-entities score alike.
+Entities that share their bucket in every ordering and constraint are
+interchangeable in F, so the maximizer gives them one score. The solve
+therefore runs over these classes: a class of m entities is one variable
+whose e^s enters every sum m times (a log m offset in each log-sum-exp),
+whose linear terms count m times, and whose prior term is m (a s - b e^s).
+Tied entities get bit-equal scores.
 
 The solver is damped Newton from MM_STEPS of Hunter's (2004) closed-form
-O(n) minorization-maximization update for the orderings' MAP, which leaves
-out the constraints. Below, n counts classes, and each universe size has one
-way to get a direction:
+O(n) minorization-maximization update for the MAP. Below, n counts classes,
+and each universe size has one way to get a direction:
 
 - Universes of at most DENSE_NEWTON_MAX_N classes write the likelihood
   as lin . s + sum_r sigma_r L_r, L_r the log-sum-exp of s + log m over a
   row r of classes: an ordering of weight w has a row per stage k, the
   classes of buckets k..K (sigma = -w |B_k|, and w m_j s_j in lin for each
-  class j of B_k); a constraint has X (+beta) and X u Y (-beta). With p_r
-  the softmax of s + log m over row r, one pass gives F, grad F =
-  lin + p^T sigma + prior' and -Hessian F = (p * sigma)^T p -
-  diag(p^T sigma) + diag(m b e^s), and numpy.linalg.solve the exact Newton
-  step; there an O(n^3) solve costs less than the ~20 numpy-bound CG
-  products it replaces. Only set-vs-set constraints make F non-concave; a
-  Cholesky factorization decides whether -Hessian F is positive definite,
-  and an indefinite matrix gives the gradient over its diagonal floored at
-  the prior's curvature, which is CG's first iterate.
+  class j of B_k). With p_r the softmax of s + log m over row r, one pass
+  gives F, grad F = lin + p^T sigma + prior' and -Hessian F = (p * sigma)^T
+  p - diag(p^T sigma) + diag(m b e^s), and numpy.linalg.solve the exact
+  Newton step; there an O(n^3) solve costs less than the ~20 numpy-bound CG
+  products it replaces.
 - Larger universes use conjugate gradients on exact Hessian-vector
-  products, preconditioned by the Hessian's diagonal and stopped early on
-  negative curvature. A product costs O(n): an ordering's curvature is a
-  suffix sum over its classes and a prefix sum over its stages, a
-  constraint's is a diagonal plus per-side rank-one terms, and the prior's
-  is diagonal. No n x n array is formed on this path, so a universe of 10^4
-  classes stays within a few MB where its dense Hessian would take a GB.
+  products, preconditioned by the Hessian's diagonal. A product costs
+  O(n): an ordering's curvature is a suffix sum over its classes and a
+  prefix sum over its stages, and the prior's is diagonal. No n x n array
+  is formed on this path, so a universe of 10^4 classes stays within a few
+  MB where its dense Hessian would take a GB.
 
 Both paths read each point once: one pass over the terms gives F, its
 gradient and the curvature (the dense matrix above, the Hessian's diagonal
@@ -129,8 +122,9 @@ _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-30
 _RESOLUTION = 1e-10  # relative size of an F gain lost in rounding
 # Largest move of any score in one step (seed-1 steps move one by <= 165); a
-# longer direction, e.g. one into the prior's linear tail (4e70 long on a
-# 9-entity input), is scaled down to it so a step of >= _MIN_STEP can raise F.
+# longer direction, e.g. one into the prior's linear tail (~2e17 long after
+# five steps on a 10,000-entity ordering), is scaled down to it so a step of
+# >= _MIN_STEP can raise F.
 _MAX_MOVE = 700.0
 # Cap on the exponents of the curvature's coupling factors. It binds only
 # once an ordering's log-normalizers span more than 2 * 650, and it keeps
@@ -200,31 +194,25 @@ class _Ordering:
 
 class _Terms:
     """The weighted likelihood over units ``0..n-1``: classes of ``mult``
-    entities each, or entities when every multiplicity is 1. The orderings
-    ``r_b`` and ``r_c`` are (units, bounds) bucket orders that repeat no unit,
-    bucket k holding units[bounds[k]:bounds[k+1]], and each constraint of
-    ``r_p`` is a (higher, lower) pair of unit arrays."""
+    entities each, or entities when every multiplicity is 1. Each of
+    ``orderings`` is a ((units, bounds), weight) bucket order that repeats no
+    unit, bucket k holding units[bounds[k]:bounds[k+1]]."""
 
-    def __init__(self, mult: np.ndarray, r_b, r_c, r_p, weights: ObjectiveWeights):
+    def __init__(self, mult: np.ndarray, orderings):
         self.n, self.mult = len(mult), mult
         self.log_mult = np.log(mult)
         # the prior's a m and b m
         self.shape, self.rate = PRIOR_SHAPE * mult, PRIOR_RATE * mult
-        orderings = ((r_b, weights.baseline), (r_c, weights.alpha))
         self.lists = [
             _Ordering(idx, bounds, weight, mult)
             for (idx, bounds), weight in orderings
             if len(bounds) >= 3 and weight > 0
         ]
-        self.beta = weights.beta
-        self.cons = [] if self.beta == 0 else list(r_p)
-        # Gradient and curvature produce one value per (term, member) slot,
-        # in this order; _scatter sums them per unit.
-        groups = [o.idx for o in self.lists] + [side for con in self.cons for side in con]
-        self.slots = np.concatenate([np.empty(0, dtype=np.intp), *groups])
+        # Gradient and curvature produce one value per (ordering, position)
+        # slot, in this order; _scatter sums them per unit.
+        self.slots = np.concatenate([np.empty(0, dtype=np.intp), *(o.idx for o in self.lists)])
         # Dense-path universes keep the module docstring's rows as a
-        # log m/-inf mask and a 1/0 member array, their weights sigma
-        # (signed) and lin.
+        # log m/-inf mask and a 1/0 member array, their weights sigma and lin.
         self.mask = None
         if self.n <= DENSE_NEWTON_MAX_N:
             rows, signed, self.lin = [], [], np.zeros(self.n)
@@ -234,11 +222,6 @@ class _Terms:
                 rows[-1][:, o.idx] = np.where(in_row, self.log_mult[o.idx], -np.inf)
                 signed += (-o.weight * o.d).tolist()
                 self.lin[o.idx[: o.cut]] += o.weight * o.chosen
-            for hi, lo in self.cons:
-                rows.append(np.full((2, self.n), -np.inf))
-                rows[-1][:, hi] = self.log_mult[hi]
-                rows[-1][1, lo] = self.log_mult[lo]
-                signed += [self.beta, -self.beta]
             self.mask = np.concatenate([np.empty((0, self.n)), *rows])
             self.member = np.isfinite(self.mask).astype(float)
             self.signed = np.array(signed)
@@ -260,7 +243,7 @@ class _Terms:
         every exponent stays bounded.
         """
         t, ms = s + self.log_mult, self.mult * s
-        total, parts, diag, products, sides = 0.0, [], [], [], []
+        total, parts, diag, products = 0.0, [], [], []
         for o in self.lists:
             so = t[o.idx]
             suffix = _log_suffix_sums(so)
@@ -278,19 +261,6 @@ class _Terms:
             e = np.exp(np.minimum(so - mid, _EXP_CAP))
             inv_z = np.exp(np.minimum(mid - logz, _EXP_CAP))
             products.append((o, o.weight * c, o.weight * e, e, inv_z))
-        for hi, lo in self.cons:
-            th, tl = t[hi], t[lo]
-            lx, ly = _lse(th), _lse(tl)
-            la = np.logaddexp(lx, ly)
-            total += self.beta * float(lx - la)
-            # beta P(lower side wins) times the softmax over each side
-            bx, by = self.beta * np.exp(th + ly - lx - la), self.beta * np.exp(tl - la)
-            parts += [bx, -by]
-            q = math.exp(lx - la)  # P(higher side wins)
-            p = math.exp(ly - la)  # 1 - q, without cancellation
-            pi_x, pi_y = np.exp(th - lx), np.exp(tl - ly)
-            diag += [bx * ((1.0 + q) * pi_x - 1.0), by * (1.0 - p * pi_y)]
-            sides.append((hi, lo, q, p, pi_x, pi_y, bx, by))
 
         def apply(v: np.ndarray) -> np.ndarray:
             parts = []
@@ -298,10 +268,6 @@ class _Terms:
                 vo = v[o.idx]
                 mu = (e * vo)[::-1].cumsum()[::-1][o.starts] * inv_z  # pi_k . v per stage
                 parts.append(wc * vo - we * (o.d * mu * inv_z).cumsum()[o.stage])
-            for hi, lo, q, p, pi_x, pi_y, bx, by in sides:
-                vx, vy = v[hi], v[lo]
-                mx, my = _dot(pi_x, vx), _dot(pi_y, vy)
-                parts += [bx * ((1.0 + q) * mx - q * my - vx), by * (vy - q * mx - p * my)]
             return self._scatter(parts)
 
         return total, self._scatter(parts), self._scatter(diag), apply
@@ -343,11 +309,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.add.reduce(a * b))
 
 
-def _lse(values: np.ndarray) -> float:
-    m = values.max()
-    return float(m + np.log(np.exp(values - m).sum()))
-
-
 def _log_suffix_sums(so: np.ndarray) -> np.ndarray:
     """log sum_{j >= k} e^{so_j} for every suffix of ``so``, accumulated
     stably from the end."""
@@ -361,22 +322,30 @@ def bucket_bounds(values: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], change, [len(values)]))
 
 
-def _classes(n: int, r_b, r_c, r_p, weights: ObjectiveWeights) -> tuple[_Terms, np.ndarray]:
-    """The likelihood over the classes of ``n`` entities, and the class of
-    each entity; the orderings and constraints come as _Terms would take
-    them over the entities.
+def _weighted(r_b, r_c, r_p, weights: ObjectiveWeights) -> list:
+    """The bucket orders ``r_b`` and ``r_c`` and each (higher, lower)
+    constraint of ``r_p`` as its two-bucket order [higher, lower], with
+    their weights, as _Terms takes them."""
+    stages = [
+        ((np.concatenate((hi, lo)), np.array([0, len(hi), len(hi) + len(lo)])), weights.beta)
+        for hi, lo in r_p
+    ]
+    return [(r_b, weights.baseline), (r_c, weights.alpha), *stages]
 
-    An entity's key is its R_b bucket and its R_c bucket (one past the last
-    for an entity outside the ordering) and its side of each constraint (0
-    none, 1 higher, 2 lower); the classes are the distinct keys, in
-    ascending key order, so they do not depend on the entities' names.
+
+def _classes(n: int, orderings) -> tuple[_Terms, np.ndarray]:
+    """The likelihood over the classes of ``n`` entities, and the class of
+    each entity; the weighted orderings come as _Terms would take them over
+    the entities.
+
+    An entity's key is its bucket in each ordering, one past the last for an
+    entity outside it; the classes are the distinct keys, in ascending key
+    order, so they do not depend on the entities' names.
     """
-    keys = np.zeros((2 + len(r_p), n), dtype=np.intp)
-    for row, (idx, bounds) in zip(keys, (r_b, r_c)):
+    keys = np.empty((len(orderings), n), dtype=np.intp)
+    for row, ((idx, bounds), _) in zip(keys, orderings):
         row[:] = len(bounds) - 1
         row[idx] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    for row, (hi, lo) in zip(keys[2:], r_p):
-        row[hi], row[lo] = 1, 2
     order = np.lexsort(keys[::-1])
     keys = keys[:, order]
     first = np.ones(n, dtype=bool)
@@ -385,12 +354,11 @@ def _classes(n: int, r_b, r_c, r_p, weights: ObjectiveWeights) -> tuple[_Terms, 
     class_of[order] = np.cumsum(first) - 1
     mult = np.diff(np.append(np.flatnonzero(first), n)).astype(float)
     keys = keys[:, first]
-    orderings = []
-    for row, (_, bounds) in zip(keys, (r_b, r_c)):
+    classes = []
+    for row, ((_, bounds), weight) in zip(keys, orderings):
         idx = np.argsort(row, kind="stable")[: np.count_nonzero(row < len(bounds) - 1)]
-        orderings.append((idx, bucket_bounds(row[idx])))
-    cons = [(np.flatnonzero(row == 1), np.flatnonzero(row == 2)) for row in keys[2:]]
-    return _Terms(mult, *orderings, cons, weights), class_of
+        classes.append(((idx, bucket_bounds(row[idx])), weight))
+    return _Terms(mult, classes), class_of
 
 
 def _buckets(ordering) -> tuple[list[str], np.ndarray]:
@@ -436,7 +404,7 @@ def _positions(universe: Sequence[str], r_b, r_c, r_p):
 def _evaluate_at(scores: Mapping[str, float], r_b, r_c, r_p, weights):
     universe = list(scores)
     positions = _positions(universe, _buckets(r_b), _buckets(r_c), r_p)
-    terms = _Terms(np.ones(len(universe)), *positions, weights or ObjectiveWeights())
+    terms = _Terms(np.ones(len(universe)), _weighted(*positions, weights or ObjectiveWeights()))
     return terms.evaluate(np.array([scores[e] for e in universe], dtype=float))
 
 
@@ -457,7 +425,9 @@ def listwise_log_likelihood(ordering: Sequence, scores: Mapping[str, float]) -> 
 def pairwise_log_likelihood(
     constraints: Sequence[PairwiseConstraint], scores: Mapping[str, float]
 ) -> float:
-    """Sum of log P(higher set beats lower set) over all constraints."""
+    """Sum over the constraints of Breslow's stage for the two-bucket order
+    [higher, lower]: the sum of higher's scores minus |higher| times the
+    log-sum-exp of both sides' scores."""
     return objective(scores, [], [], constraints, ObjectiveWeights(alpha=0.0, beta=1.0))
 
 
@@ -487,7 +457,7 @@ def gradient(
 
 
 def _start(terms: _Terms) -> np.ndarray:
-    """MM_STEPS of Hunter's MM update for the orderings' MAP, from s = 0.
+    """MM_STEPS of Hunter's MM update for the MAP, from s = 0.
 
     Each sets e^{s_j} = (a + sum_i w_i [j chosen at a stage of ordering i]) /
     (b + sum_i w_i H_i(j)), H_i(j) the sum of d_k / Z_k over the stages k of
@@ -512,27 +482,17 @@ def _start(terms: _Terms) -> np.ndarray:
 
 
 def _newton_direction(g: np.ndarray, curvature) -> np.ndarray:
-    """An ascent direction from (-Hessian F) d = g, by posterior's curvature
-    at the point of g.
+    """The Newton direction, (-Hessian F) d = g, by posterior's curvature at
+    the point of g; -Hessian F is positive definite, F being strictly
+    concave.
 
-    Up to DENSE_NEWTON_MAX_N units it is the dense matrix: the exact
-    solution when a Cholesky factorization shows the matrix positive
-    definite; else g over its diagonal floored at the prior's curvature. An
-    indefinite matrix's step, even with g . d > 0, can send a score into the
-    prior's linear tail, where no step of at least _MIN_STEP raises F.
+    Up to DENSE_NEWTON_MAX_N units it is the dense matrix's exact solution.
     Above: preconditioned CG, stopped once the residual's preconditioned
     norm has shrunk by eta = min(0.5, sqrt |g|) (Eisenstat-Walker), which
-    keeps early steps cheap and the final ones superlinearly convergent. On
-    negative curvature it returns the direction built so far, or the
-    preconditioned gradient if it has none.
+    keeps early steps cheap and the final ones superlinearly convergent.
     """
     if curvature[0].ndim == 2:
-        hessian, prior = curvature
-        try:
-            np.linalg.cholesky(hessian)
-        except np.linalg.LinAlgError:
-            return g / np.maximum(hessian.diagonal(), prior)
-        return np.linalg.solve(hessian, g)
+        return np.linalg.solve(curvature[0], g)
     diag, apply_likelihood, prior = curvature
     precond = 1.0 / np.maximum(diag + prior, prior)
     d = np.zeros_like(g)
@@ -543,10 +503,7 @@ def _newton_direction(g: np.ndarray, curvature) -> np.ndarray:
     target = min(0.25, math.sqrt(_dot(g, g))) * rz  # eta^2 times the initial r.z
     for _ in range(g.size):
         hp = apply_likelihood(p) + prior * p
-        curvature = _dot(p, hp)
-        if not curvature > 0:
-            return d if d.any() else z
-        step = rz / curvature
+        step = rz / _dot(p, hp)
         d += step * p
         r -= step * hp
         z = precond * r
@@ -619,7 +576,7 @@ def solve(universe: Sequence[str], r_b, r_c, r_p,
     ``r_p`` is a (higher, lower) pair of position arrays (nothing is
     checked). Solves over the entities' classes and returns the scores and
     the positions by descending score, ties by name."""
-    terms, class_of = _classes(len(universe), r_b, r_c, r_p, weights)
+    terms, class_of = _classes(len(universe), _weighted(r_b, r_c, r_p, weights))
     s, steps, converged = _maximize(terms)
     s = s[class_of]
     s -= s.mean()

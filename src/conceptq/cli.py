@@ -129,6 +129,13 @@ def _print_header(echo: dict[str, object]) -> None:
     print(f"# conceptq {pairs}")
 
 
+def _warn_unconverged(query: str, converged: bool) -> None:
+    """A ``warning:`` line on stderr, naming the query, when its aggregation
+    solve stopped before its stopping rule held; stdout is left as it is."""
+    if not converged:
+        print(f"warning: {query!r}: rank aggregation did not converge", file=sys.stderr)
+
+
 def cmd_query(args) -> int:
     if args.k < 1:
         print(f"error: --k must be >= 1, got {args.k}", file=sys.stderr)
@@ -136,6 +143,7 @@ def cmd_query(args) -> int:
     config = _config_from_args(args)
     taxonomy = load(args.taxonomy)
     result = run_query(taxonomy, args.text, config)
+    _warn_unconverged(args.text, result.scores.converged)
     echo = _config_echo(args, config, query=args.text, k=args.k, head=args.head)
 
     if args.format == "json":
@@ -223,6 +231,8 @@ def cmd_eval(args) -> int:
             print(f"warning: {query!r} skipped: {exc}", file=sys.stderr)
             skipped.append({"query": query, "reason": str(exc)})
             continue
+        for qm in report.per_query:
+            _warn_unconverged(qm.query, qm.converged)
         per_query.extend(report.per_query)
     averages = average_metrics(per_query)
 

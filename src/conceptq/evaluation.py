@@ -62,9 +62,12 @@ class GroundTruth:
 
 @dataclass
 class QueryMetrics:
+    """One query's metrics; ``converged`` is its aggregation solve's flag."""
+
     query: str
     metrics: dict[str, float]
     extras: dict[str, object] = field(default_factory=dict)
+    converged: bool = True
 
 
 @dataclass
@@ -204,6 +207,7 @@ def holdout_experiment(
             "reduced_intersection": sorted(reduced_intersection),
             "top_k": ranked[: max(ks)],
         },
+        converged=result.scores.converged,
     )
     return EvalReport(
         per_query=[per_query],
@@ -233,6 +237,7 @@ def evaluate_queries(
             QueryMetrics(
                 query=truth.query,
                 metrics=_metrics(result.entities(), truth, intersection, ks),
+                converged=result.scores.converged,
             )
         )
     return EvalReport(

@@ -98,7 +98,11 @@ class ConceptRelevance:
 
 @dataclass(frozen=True)
 class PairwiseConstraint:
-    """Every entity of ``higher`` should outrank every entity of ``lower``."""
+    """Every entity of ``higher`` should outrank every entity of ``lower``.
+
+    The aggregation scores it as the two-bucket order [higher, lower]:
+    Breslow's stage that chooses all of ``higher``, tied, before ``lower``.
+    """
 
     higher: frozenset[str]
     lower: frozenset[str]

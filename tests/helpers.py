@@ -282,7 +282,8 @@ def _oracle_terms(r_b, r_c, r_p, weights, names):
     """F(s) = lin . s + sum_t c_t log sum_{e in S_t} e^{s_e} + prior, as
     (lin, [(c_t, positions of S_t)]) over ``names``. An ordering's items are
     names or groups of tied names; each group but the last is one Breslow
-    stage of its ordering."""
+    stage of its ordering, and a constraint is the one stage of the
+    two-bucket order [higher, lower]."""
     index = {e: i for i, e in enumerate(names)}
     lin = np.zeros(len(names))
     terms = []
@@ -295,8 +296,8 @@ def _oracle_terms(r_b, r_c, r_p, weights, names):
             terms.append((-w * len(group), risk))
     for con in r_p:
         higher = [index[e] for e in con.higher]
-        terms.append((weights.beta, higher))
-        terms.append((-weights.beta, higher + [index[e] for e in con.lower]))
+        lin[higher] += weights.beta
+        terms.append((-weights.beta * len(higher), higher + [index[e] for e in con.lower]))
     return lin, terms
 
 
@@ -304,8 +305,8 @@ def oracle_map_scores(r_b, r_c, r_p, weights, a=0.01, b=0.01) -> dict[str, float
     """The maximizer of the aggregation posterior over single entities,
     re-centred to mean zero, with no two entities merged: Newton steps on
     the dense Hessian, summed term by term, halved while they lower F, from
-    s = 0 until a full step moves no score by 1e-10. F must be strictly
-    concave (no set-vs-set constraint), so the maximizer is unique."""
+    s = 0 until a full step moves no score by 1e-10. F is strictly concave,
+    so the maximizer is unique."""
     names = sorted(
         {e for ordering in (r_b, r_c) for item in ordering
          for e in ([item] if isinstance(item, str) else item)}

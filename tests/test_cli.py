@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conceptq import aggregate
 from conceptq.cli import main
 from conceptq.evaluation import planted_instance
 
@@ -158,10 +159,10 @@ class TestQuery:
     def test_readme_example_rows(self, f1_path, capsys):
         # the rows README.md shows for this query on the f1 fixture
         expected = [
-            "1\ta\t3.123417\tseed",
-            "2\tb\t3.123417\tseed",
-            "3\tc\t-0.912112\tbaseline-only",
-            "4\td\t-0.912112\tbaseline-only",
+            "1\ta\t3.230416\tseed",
+            "2\tb\t3.230416\tseed",
+            "3\tc\t-0.984464\tbaseline-only",
+            "4\td\t-0.984464\tbaseline-only",
         ]
         assert main(["query", str(f1_path), "top american university", "--k", "4"]) == 0
         rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
@@ -465,6 +466,52 @@ class TestEval:
         doc = json.loads(capsys.readouterr().out)
         assert doc["per_query"][0]["query"] == "top american university"
         assert "precision@10" in doc["averages"]
+
+
+class TestUnconvergedSolve:
+    """A solve stopped before its rule held (no Newton step allowed) gets one
+    stderr warning per query that names it; stdout keeps its form."""
+
+    QUERY = "top american university"
+
+    def runs(self, capsys, argv):
+        """(stdout, stderr) of ``argv`` as it is and with no Newton step."""
+        outputs = []
+        for steps in (aggregate.MAX_NEWTON_STEPS, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(aggregate, "MAX_NEWTON_STEPS", steps)
+                assert main(argv) == 0
+            captured = capsys.readouterr()
+            outputs.append((captured.out, captured.err))
+        return outputs
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_query_warns_on_stderr(self, f1_path, capsys, fmt):
+        argv = ["query", str(f1_path), self.QUERY, "--format", fmt]
+        (out, err), (out_stopped, err_stopped) = self.runs(capsys, argv)
+        assert err == ""
+        assert err_stopped == f"warning: {self.QUERY!r}: rank aggregation did not converge\n"
+        if fmt == "json":
+            assert json.loads(out_stopped).keys() == json.loads(out).keys()
+        else:
+            assert out_stopped.splitlines()[0] == out.splitlines()[0]
+        assert "converge" not in out_stopped
+
+    @pytest.mark.parametrize("mode", ["truth", "holdout"])
+    def test_eval_warns_on_stderr_per_query(self, f1_path, tmp_path, capsys, mode):
+        queries = tmp_path / "queries.txt"
+        queries.write_text(f"{self.QUERY}\nnope thing\n", encoding="utf-8")
+        truth = tmp_path / "truth.tsv"
+        truth.write_text(f"{self.QUERY}\ta\n", encoding="utf-8")
+        flags = [str(truth)] if mode == "truth" else ["--holdout", "0.5"]
+        (out, err), (out_stopped, err_stopped) = self.runs(
+            capsys, ["eval", str(f1_path), str(queries), *flags]
+        )
+        assert "converge" not in err
+        warnings = [line for line in err_stopped.splitlines() if "converge" in line]
+        assert warnings == [f"warning: {self.QUERY!r}: rank aggregation did not converge"]
+        assert out_stopped.splitlines()[0] == out.splitlines()[0]
+        assert "converge" not in out_stopped
 
 
 class TestUsageValidation:
