@@ -63,23 +63,19 @@ and each universe size has one way to get a direction:
   MB where its dense Hessian would take a GB.
 
 Both paths read each point once: one pass over the terms gives F, its
-gradient and the curvature (the dense matrix above, the Hessian's diagonal
+gradient and the curvature -Hessian F (the dense matrix above, its diagonal
 and product below). A direction that moves a score by more than _MAX_MOVE is
 scaled down to that move, and Armijo backtracking accepts only finite steps
 that raise F; a gain too small to survive rounding in F is measured by the
-trapezoid rule on the directional derivatives instead. The solve stops when
-max |grad F| < GRAD_TOL and every |d F / d s_j| over j's curvature (the
-Hessian's diagonal, floored at the prior's m b e^{s_j}) is below
-SCORE_TOL: a score whose curvature is under b, one far below zero with few
-terms, is otherwise still short of its maximum by up to GRAD_TOL over that
-curvature. That diagonal estimate of a score's distance to the maximum can
-be short of the full Newton step's by the coupling between scores (2.1x at
-1.3e-6 on one CG-path input), so SCORE_TOL is a tenth of the 1e-6 the
-scores are meant to be good to. A class's gradient is the sum of its
-entities', so the rule is stricter than the same rule over entities. It
-reports ``converged=False`` when it hits MAX_NEWTON_STEPS or cannot raise F
-any further first. The reported scores are re-centered to mean zero over
-the entities.
+trapezoid rule on the directional derivatives instead. The solve stops on
+the Newton step d, (-Hessian F) d = grad F, that it computes at every point
+anyway: once max |d| < SCORE_TOL. F being strictly concave, d is the
+quadratic model's estimate of each score's distance to the maximum, the
+coupling between scores included (Boyd & Vandenberghe 2004, section 9.5,
+stop on the Newton decrement, the same step measured in -Hessian F's
+norm). It reports ``converged=False`` when it hits MAX_NEWTON_STEPS or
+cannot raise F any further first. The reported scores are re-centered to
+mean zero over the entities.
 
 All log-sum-exp reductions are max-shifted; gradients are assembled from
 exponent differences that are bounded above by zero, so no intermediate can
@@ -98,11 +94,11 @@ from .expansion import PairwiseConstraint
 
 DEFAULT_ALPHA = 1.0 / 3.0
 DEFAULT_BETA = 1.0 / 3.0
-GRAD_TOL = 1e-8  # the solve stops once max |grad F| is below it (see _converged)
-# ... and once each |d F / d s_j| over j's curvature is below this. On the
-# first 600 interactive and 300 large_kb seed-1 queries it took as many
-# Newton steps as the looser 1e-6 (3,596 and 1,731).
-SCORE_TOL = 1e-7
+# The solve stops once its Newton step moves no score by this much, half the
+# 1e-6 the scores are meant to be good to. On the first 400 interactive, 400
+# large_kb and 200 holdout seed-1 queries it took 2,390 / 2,307 / 1,369
+# Newton steps, and 1e-7 took 2,399 / 2,357 / 1,388.
+SCORE_TOL = 5e-7
 PRIOR_SHAPE = 0.01  # a: the prior's pull towards larger scores
 PRIOR_RATE = 0.01  # b: the prior's pull towards smaller scores
 MAX_NEWTON_STEPS = 100
@@ -156,9 +152,8 @@ class ScoreVector:
     """Optimized per-entity scores over the aggregation universe.
 
     ``iterations`` counts Newton steps; ``converged`` is False when the solve
-    stopped before _converged's rule held: max |grad F| < GRAD_TOL, and for
-    every class j of m_j entities |d F / d s_j| < SCORE_TOL *
-    max(d_j, m_j b e^{s_j}), d_j the diagonal of -Hessian F at j.
+    stopped before the Newton step d over the classes, (-Hessian F) d =
+    grad F, had max |d| < SCORE_TOL.
     """
 
     scores: dict[str, float]
@@ -273,17 +268,18 @@ class _Terms:
         return total, self._scatter(parts), self._scatter(diag), apply
 
     def posterior(self, s: np.ndarray):
-        """F(s), its gradient and its curvature there, from one pass. The
-        curvature is a tuple whose last item is the prior's m b e^s: up to
-        DENSE_NEWTON_MAX_N units (-Hessian F, m b e^s), from one softmax
-        over the rows of ``mask``; above, (diag, apply, m b e^s) with
-        evaluate's diagonal and product of the likelihood's -Hessian."""
+        """F(s), its gradient and its curvature -Hessian F there, from one
+        pass. Up to DENSE_NEWTON_MAX_N units the curvature is the matrix, from
+        one softmax over the rows of ``mask``; above, (diag, apply): its
+        diagonal, the likelihood's part floored at 0, and a function applying
+        it, from evaluate's pass."""
         with np.errstate(over="ignore"):
             strength = self.rate * np.exp(s)
         prior = float(np.sum(self.shape * s - strength))
         if self.mask is None:
             value, grad, diag, apply = self.evaluate(s)
-            return value + prior, grad + self.shape - strength, (diag, apply, strength)
+            curvature = (np.maximum(diag, 0.0) + strength, lambda v: apply(v) + strength * v)
+            return value + prior, grad + self.shape - strength, curvature
         z = s + self.mask
         top = z.max(axis=1)
         z -= top[:, None]
@@ -300,7 +296,7 @@ class _Terms:
         value = _dot(self.lin, s) + _dot(self.signed, lse) + prior
         hessian = weighted.T @ p
         hessian.flat[:: self.n + 1] += strength - pull
-        return value, self.lin + pull + self.shape - strength, (hessian, strength)
+        return value, self.lin + pull + self.shape - strength, hessian
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -482,19 +478,20 @@ def _start(terms: _Terms) -> np.ndarray:
 
 
 def _newton_direction(g: np.ndarray, curvature) -> np.ndarray:
-    """The Newton direction, (-Hessian F) d = g, by posterior's curvature at
-    the point of g; -Hessian F is positive definite, F being strictly
+    """The Newton direction d, (-Hessian F) d = g, by posterior's curvature
+    at the point of g; -Hessian F is positive definite, F being strictly
     concave.
 
     Up to DENSE_NEWTON_MAX_N units it is the dense matrix's exact solution.
-    Above: preconditioned CG, stopped once the residual's preconditioned
-    norm has shrunk by eta = min(0.5, sqrt |g|) (Eisenstat-Walker), which
-    keeps early steps cheap and the final ones superlinearly convergent.
+    Above: CG preconditioned by the diagonal, stopped once the residual's
+    preconditioned norm has shrunk by eta = min(0.5, sqrt |g|)
+    (Eisenstat-Walker), which keeps early steps cheap and the final ones
+    superlinearly convergent; at g = 0 it is 0.
     """
-    if curvature[0].ndim == 2:
-        return np.linalg.solve(curvature[0], g)
-    diag, apply_likelihood, prior = curvature
-    precond = 1.0 / np.maximum(diag + prior, prior)
+    if isinstance(curvature, np.ndarray):
+        return np.linalg.solve(curvature, g)
+    diag, apply = curvature
+    precond = 1.0 / diag
     d = np.zeros_like(g)
     r = g.copy()
     z = precond * r
@@ -502,14 +499,14 @@ def _newton_direction(g: np.ndarray, curvature) -> np.ndarray:
     rz = _dot(r, z)
     target = min(0.25, math.sqrt(_dot(g, g))) * rz  # eta^2 times the initial r.z
     for _ in range(g.size):
-        hp = apply_likelihood(p) + prior * p
+        if rz <= target:
+            break
+        hp = apply(p)
         step = rz / _dot(p, hp)
         d += step * p
         r -= step * hp
         z = precond * r
         rz, rz_prev = _dot(r, z), rz
-        if rz <= target:
-            break
         p = z + (rz / rz_prev) * p
     return d
 
@@ -541,27 +538,18 @@ def _line_search(terms: _Terms, s, f, g, d):
     return None
 
 
-def _converged(g: np.ndarray, curvature) -> bool:
-    """Whether max |g| < GRAD_TOL and each |g_j| over j's curvature, by
-    posterior's curvature at the point of g, is below SCORE_TOL."""
-    if not np.max(np.abs(g)) < GRAD_TOL:
-        return False
-    first, prior = curvature[0], curvature[-1]
-    diag = first.diagonal() if first.ndim == 2 else first + prior
-    return bool(np.all(np.abs(g) < SCORE_TOL * np.maximum(diag, prior)))
-
-
 def _maximize(terms: _Terms) -> tuple[np.ndarray, int, bool]:
     """Damped Newton ascent on F from _start; returns (s, steps, converged)."""
     s = _start(terms)
     f, g, curvature = terms.posterior(s)
     steps = 0
     while True:
-        if _converged(g, curvature):
+        d = _newton_direction(g, curvature)
+        if np.max(np.abs(d)) < SCORE_TOL:
             return s, steps, True
         if steps == MAX_NEWTON_STEPS:
             return s, steps, False
-        accepted = _line_search(terms, s, f, g, _newton_direction(g, curvature))
+        accepted = _line_search(terms, s, f, g, d)
         if accepted is None:
             return s, steps, False
         s, f, g, curvature = accepted
@@ -599,9 +587,9 @@ def optimize(
     holds). Entities with the same bucket in each ordering and the same side
     of each constraint get bit-equal scores.
 
-    Maximizes the posterior F of the module docstring until _converged's
-    rule holds (see :class:`ScoreVector`); the scores are re-centered to
-    mean zero.
+    Maximizes the posterior F of the module docstring until its Newton step
+    moves no score by SCORE_TOL (see :class:`ScoreVector`); the scores are
+    re-centered to mean zero.
     """
     if not r_b and not r_c:
         raise ValueError("need at least one non-empty ordering")

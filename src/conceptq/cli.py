@@ -36,7 +36,7 @@ from .errors import (
     UnanswerableQueryError,
 )
 from .evaluation import GroundTruth, average_metrics, evaluate_queries
-from .evaluation import check_removal_fraction, holdout_experiment
+from .evaluation import check_cutoffs, check_removal_fraction, holdout_experiment
 from .expansion import NAIVE_BAYES, NOISY_OR
 from .pipeline import PipelineConfig, run_query
 from .taxonomy import data_lines, load, normalize
@@ -193,9 +193,8 @@ def cmd_eval(args) -> int:
     config = _config_from_args(args)
     try:
         ks = [int(part) for part in str(args.k).split(",") if part.strip()]
+        check_cutoffs(ks)
     except ValueError:
-        ks = []
-    if not ks or any(k < 1 for k in ks):
         print(f"error: bad --k list {args.k!r}", file=sys.stderr)
         return EXIT_USAGE
     if (args.holdout is None) == (args.truth is None):

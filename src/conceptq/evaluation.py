@@ -151,6 +151,12 @@ def intpro_baseline(
 # -- hold-out experiment -------------------------------------------------------
 
 
+def check_cutoffs(ks: Sequence[int]) -> None:
+    """Raise ValueError unless there is at least one cutoff and each is >= 1."""
+    if not ks or min(ks) < 1:
+        raise ValueError(f"need at least one cutoff k, each >= 1; got {list(ks)}")
+
+
 def check_removal_fraction(removal_fraction: float) -> None:
     """Raise ValueError unless the hold-out fraction is in (0, 1)."""
     if not 0.0 < removal_fraction < 1.0:
@@ -177,11 +183,10 @@ def holdout_experiment(
     ground truth. ratio@k is measured against the reduced intersection, the
     one the pipeline actually saw.
     """
-    config = config or PipelineConfig()
     ks = [k] if isinstance(k, int) else list(k)
-    if not ks:
-        raise ValueError("need at least one cutoff k")
+    check_cutoffs(ks)
     check_removal_fraction(removal_fraction)
+    config = config or PipelineConfig()
     query = parse(raw_query, config.head)
     decomposition = decompose(query, taxonomy)
     intersection = entity_intersection(taxonomy, decomposition.short_concepts)
@@ -226,6 +231,7 @@ def evaluate_queries(
     config: PipelineConfig | None = None,
 ) -> EvalReport:
     """Run each query and score it against its ground truth at every k."""
+    check_cutoffs(ks)
     config = config or PipelineConfig()
     per_query: list[QueryMetrics] = []
     for truth in truths:

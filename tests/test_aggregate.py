@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conceptq import aggregate
 from conceptq.aggregate import (
-    GRAD_TOL,
+    SCORE_TOL,
     ObjectiveWeights,
     _buckets,
     _classes,
@@ -366,7 +366,7 @@ class TestHessian:
         names, terms = terms_of(*instance)
         n = len(names)
         s, v = np.array(values[:n]), np.array(values[10 : 10 + n])
-        hessian, _ = terms.posterior(s)[2]
+        hessian = terms.posterior(s)[2]
         assert hessian.shape == (n, n)
         np.testing.assert_allclose(hessian, hessian.T, rtol=0, atol=1e-13)
         _, _, diag, apply = terms.evaluate(s)
@@ -395,13 +395,27 @@ class TestHessian:
             r_p.append(make_constraint(members[:size_x], members[size_x:]))
         _, terms = terms_of(r_b, r_c, r_p, ObjectiveWeights())
         s = rng.normal(0.0, 2.0, n)
-        diag, apply, _ = terms.posterior(s)[2]
+        diag, apply = terms.posterior(s)[2]
         assert diag.shape == (n,)
         h = 1e-4
         for _ in range(3):
             v = rng.normal(0.0, 1.0, n)
-            fd = (terms.evaluate(s + h * v)[1] - terms.evaluate(s - h * v)[1]) / (2 * h)
+            fd = (terms.posterior(s + h * v)[1] - terms.posterior(s - h * v)[1]) / (2 * h)
             np.testing.assert_allclose(apply(v), -fd, rtol=1e-4, atol=1e-9)
+
+    def test_cg_direction_at_a_zero_gradient_is_zero(self):
+        # CG tests its residual before its first product, which would divide
+        # 0 by 0 here
+        with direction_path("cg"):
+            _, cg_terms = terms_of(["a", "b", "c"], ["c", "a"], [], ObjectiveWeights())
+        curvature = cg_terms.posterior(np.array([0.5, -1.0, 2.0]))[2]
+        d = aggregate._newton_direction(np.zeros(3), curvature)
+        np.testing.assert_array_equal(d, np.zeros(3))
+        # a universe with no term but the prior starts at its maximum, where
+        # the gradient is exactly 0
+        with direction_path("cg"):
+            sv, _ = optimize(["e0", "e1"], [], [], ObjectiveWeights(alpha=0.5, beta=0.5))
+        assert sv.converged and sv.iterations == 0
 
 
 class TestDenseKernel:
@@ -436,7 +450,7 @@ class TestDenseKernel:
         names, terms = terms_of(*instance)
         _, g, curvature = terms.posterior(np.array(values[: len(names)]))
         d = aggregate._newton_direction(g, curvature)
-        np.testing.assert_array_equal(d, np.linalg.solve(curvature[0], g))
+        np.testing.assert_array_equal(d, np.linalg.solve(curvature, g))
 
 
 class TestNewtonSolve:
@@ -453,7 +467,11 @@ class TestNewtonSolve:
         # the reported scores are the classes' MAP point, given to each
         # class's entities and re-centred to mean zero over the entities
         assert converged and steps == sv.iterations
-        assert np.max(np.abs(terms.posterior(s)[1])) < GRAD_TOL
+        # there the exact Newton step, on the dense -Hessian F, moves no
+        # score by SCORE_TOL, on the CG path too
+        _, dense, _ = class_terms_of(r_b, r_c, r_p, weights)
+        _, g, hessian = dense.posterior(s)
+        assert np.max(np.abs(np.linalg.solve(hessian, g))) < SCORE_TOL
         s = s[class_of]
         for e, value in zip(names, s - s.mean()):
             assert sv.scores[e] == value
@@ -490,7 +508,8 @@ class TestNewtonSolve:
         names, terms = terms_of(r_b, r_c, r_p, ObjectiveWeights())
         points, trials, suffix_sums, directions = [], [], [], []
         point_of = {}
-        original_evaluate, original_search = _Terms.evaluate, aggregate._line_search
+        original_evaluate, original_posterior = _Terms.evaluate, _Terms.posterior
+        original_search = aggregate._line_search
         original_sums, original_direction = aggregate._log_suffix_sums, aggregate._newton_direction
 
         def log_suffix_sums(so):
@@ -499,9 +518,12 @@ class TestNewtonSolve:
 
         def evaluate(self, s):
             points.append(s.tobytes())
-            value, grad, diag, apply = original_evaluate(self, s)
-            point_of[apply] = s.tobytes()
-            return value, grad, diag, apply
+            return original_evaluate(self, s)
+
+        def posterior(self, s):
+            f, g, curvature = original_posterior(self, s)
+            point_of[curvature[1]] = s.tobytes()
+            return f, g, curvature
 
         def line_search(terms, s, f, g, d):
             before = len(points)
@@ -515,6 +537,7 @@ class TestNewtonSolve:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_Terms, "evaluate", evaluate)
+            mp.setattr(_Terms, "posterior", posterior)
             mp.setattr(aggregate, "_line_search", line_search)
             mp.setattr(aggregate, "_log_suffix_sums", log_suffix_sums)
             mp.setattr(aggregate, "_newton_direction", newton_direction)
@@ -525,10 +548,11 @@ class TestNewtonSolve:
         assert len(set(points)) == len(points)
         # the MM start's updates, then one per ordering per pass
         assert len(suffix_sums) == len(terms.lists) * (aggregate.MM_STEPS + len(points))
-        # a step from the start and from each accepted point but the last
-        assert len(directions) == steps
-        assert directions[0] == points[0]
-        assert len(set(directions)) == steps and s.tobytes() not in directions
+        # a direction from the start and from each accepted point, the last
+        # one to find the returned point converged
+        assert len(directions) == steps + 1
+        assert directions[0] == points[0] and directions[-1] == s.tobytes()
+        assert len(set(directions)) == steps + 1
 
     @both_direction_paths
     @given(instance=aggregation_instances(), rnd=st.randoms(use_true_random=False))
@@ -563,7 +587,7 @@ class TestNewtonSolve:
     @both_direction_paths
     @given(instance=aggregation_instances())
     # e4's curvature near its maximum is ~2e-6, far below the prior's b: a
-    # solve stopped at |grad F| < GRAD_TOL alone left it 6.4e-5 short
+    # solve stopped at a gradient bound of 1e-8 alone left it 6.4e-5 short
     @example(instance=(
         ["e0", "e1", "e2", "e3", "e5", "e6", "e7"], ["e7", "e4"], [],
         ObjectiveWeights(alpha=0.01, beta=0.0),
@@ -577,10 +601,10 @@ class TestNewtonSolve:
                 mp.setattr(aggregate, "_start", lambda terms: np.zeros(terms.n))
                 cold, cold_order = optimize(r_b, r_c, r_p, weights)
         assert warm.converged and cold.converged
-        # the solve stops once each score's gradient over its curvature is
-        # below SCORE_TOL = 1e-7, which bounds the distance only up to the
-        # coupling between scores
-        tol = 10 * GRAD_TOL / aggregate.PRIOR_RATE
+        # the solve stops once its Newton step, its estimate of each score's
+        # distance to the maximum, is below SCORE_TOL = 5e-7, so both are
+        # within the oracle's 1e-6 of the maximum
+        tol = 1e-6
         for e, score in warm.scores.items():
             assert abs(cold.scores[e] - score) < tol
         # the orderings agree except between scores closer than that
@@ -789,10 +813,10 @@ class TestBucketOrders:
         dense = _Terms(mult, _weighted(*positions, weights))
         with direction_path("cg"):
             matrix_free = _Terms(mult, _weighted(*positions, weights))
-        hessian, prior = dense.posterior(s)[2]
-        diag, apply, _ = matrix_free.posterior(s)[2]
-        np.testing.assert_allclose(np.diag(hessian), diag + prior, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(hessian @ v, apply(v) + prior * v, rtol=1e-9, atol=1e-11)
+        hessian = dense.posterior(s)[2]
+        diag, apply = matrix_free.posterior(s)[2]
+        np.testing.assert_allclose(np.diag(hessian), diag, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(hessian @ v, apply(v), rtol=1e-9, atol=1e-11)
         h = 1e-5
         for i in range(n):
             step = np.zeros(n)
@@ -802,9 +826,9 @@ class TestBucketOrders:
 
     @both_direction_paths
     @given(instance=bucket_instances())
-    # e3's diagonal estimate of its distance to the maximum was 6.1e-7 on the
-    # CG path, its Newton step 1.3e-6: a rule of |grad| over the diagonal
-    # below 1e-6 stopped 1.06e-6 from the oracle
+    # on the CG path, e3's gradient over its diagonal curvature was 6.1e-7
+    # where its Newton step, coupling included, was 1.3e-6: a rule on that
+    # per-score estimate at 1e-6 stopped 1.06e-6 from the oracle
     @example(instance=(
         [["e0", "e1", "e2", "e4"]], [],
         [
@@ -882,13 +906,13 @@ class TestConcavePosterior:
         assume(weights.beta > 0 and any(len(c.higher) > 1 for c in r_p))
         with direction_path(path):
             _, terms, _ = class_terms_of(*instance)
-        curvature = terms.posterior(np.array(values[: terms.n]))[2]
-        prior = curvature[-1]
+        s = np.array(values[: terms.n])
+        curvature = terms.posterior(s)[2]
+        prior = aggregate.PRIOR_RATE * terms.mult * np.exp(s)
         if path == "dense":
-            hessian = curvature[0]
+            hessian = curvature
         else:
             hessian = np.column_stack([curvature[1](e) for e in np.eye(terms.n)])
-            hessian += np.diag(prior)
             np.testing.assert_allclose(hessian, hessian.T, rtol=1e-9, atol=1e-11)
         likelihood = hessian - np.diag(prior)
         assert np.linalg.eigvalsh(likelihood).min() > -1e-12 * max(1.0, np.abs(likelihood).max())

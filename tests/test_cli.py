@@ -447,12 +447,18 @@ class TestEval:
         ]) == 0
         assert "seed" not in json.loads(capsys.readouterr().out)["config"]
 
-    def test_bad_k_list(self, f1_path, tmp_path):
+    def test_bad_k_list(self, f1_path, tmp_path, capsys):
+        # no cutoff, or one below 1, is a usage error in either mode
         queries = tmp_path / "queries.txt"
         queries.write_text("top american university\n", encoding="utf-8")
         truth = tmp_path / "truth.tsv"
         truth.write_text("top american university\ta\n", encoding="utf-8")
-        assert main(["eval", str(f1_path), str(queries), str(truth), "--k", "x"]) == 2
+        for files in ([str(truth)], ["--holdout", "0.5"]):
+            for k in ("x", "0", "5,0", ","):
+                assert main(["eval", str(f1_path), str(queries), *files, "--k", k]) == 2
+                captured = capsys.readouterr()
+                assert captured.err == f"error: bad --k list {k!r}\n"
+                assert captured.out == ""
 
     def test_json_report(self, f1_path, tmp_path, capsys):
         queries = tmp_path / "queries.txt"

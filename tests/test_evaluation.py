@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conceptq import evaluation
 from conceptq.errors import EngineError
 from conceptq.evaluation import (
     GroundTruth,
@@ -160,6 +161,18 @@ class TestHoldout:
         with pytest.raises(ValueError):
             holdout_experiment(inst.build(), inst.query, fraction, rng_seed=0, k=10)
 
+    @pytest.mark.parametrize("k", [0, [5, 0], []])
+    def test_bad_cutoffs_rejected_before_the_pipeline_runs(self, k, monkeypatch):
+        inst = planted_instance(seed=0)
+        t = inst.build()
+
+        def run_query(*args, **kwargs):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr(evaluation, "run_query", run_query)
+        with pytest.raises(ValueError, match="cutoff"):
+            holdout_experiment(t, inst.query, 0.5, rng_seed=0, k=k)
+
     def test_small_intersection_rejected(self):
         t = ingest([("c1 thing", "only", 1), ("c2 thing", "only", 1)])
         with pytest.raises(EngineError):
@@ -261,6 +274,12 @@ class TestEvaluateQueries:
         assert metrics["recall@4"] == 1.0
         assert metrics["ratio@4"] == pytest.approx(2 / 3)  # c, d outside {a, b}
         assert report.averages == metrics
+
+    @pytest.mark.parametrize("ks", [[], [0], [5, 0]])
+    def test_bad_cutoffs_rejected(self, f1, ks):
+        truth = GroundTruth(query="top american university", answers=frozenset({"a"}))
+        with pytest.raises(ValueError, match="cutoff"):
+            evaluate_queries(f1, [truth], ks=ks)
 
     def test_empty_query_set(self, f1):
         report = evaluate_queries(f1, [], ks=[5])
