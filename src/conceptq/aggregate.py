@@ -42,9 +42,8 @@ whose e^s enters every sum m times (a log m offset in each log-sum-exp),
 whose linear terms count m times, and whose prior term is m (a s - b e^s).
 Tied entities get bit-equal scores.
 
-The solver is damped Newton from MM_STEPS of Hunter's (2004) closed-form
-O(n) minorization-maximization update for the MAP. Below, n counts classes,
-and each universe size has one way to get a direction:
+The solver is damped Newton from s = 0. Below, n counts classes, and each
+universe size has one way to get a direction:
 
 - Universes of at most DENSE_NEWTON_MAX_N classes write the likelihood
   as lin . s + sum_r sigma_r L_r, L_r the log-sum-exp of s + log m over a
@@ -96,17 +95,12 @@ DEFAULT_ALPHA = 1.0 / 3.0
 DEFAULT_BETA = 1.0 / 3.0
 # The solve stops once its Newton step moves no score by this much, half the
 # 1e-6 the scores are meant to be good to. On the first 400 interactive, 400
-# large_kb and 200 holdout seed-1 queries it took 2,390 / 2,307 / 1,369
-# Newton steps, and 1e-7 took 2,399 / 2,357 / 1,388.
+# large_kb and 200 holdout seed-1 queries it took 3,606 / 3,228 / 1,801
+# Newton steps, and 1e-7 took 3,606 / 3,248 / 1,804.
 SCORE_TOL = 5e-7
 PRIOR_SHAPE = 0.01  # a: the prior's pull towards larger scores
 PRIOR_RATE = 0.01  # b: the prior's pull towards smaller scores
 MAX_NEWTON_STEPS = 100
-# MM updates of the Newton start. Over the classes of the first 600
-# interactive seed-1 queries 0, 3, 5, 8, 12 and 20 updates took 5,466, 4,146,
-# 4,072, 3,596, 3,574 and 3,541 Newton steps; the time per solve was lowest
-# at 8 to 12.
-MM_STEPS = 8
 # Largest universe whose Newton directions come from the dense Hessian, not
 # CG. Measured on synthetic queries (orderings of n/2 and 0.9 n entities, one
 # or two 6-vs-12..30 constraints), one BLAS thread on a 2-vCPU x86 VM, ms per
@@ -117,10 +111,10 @@ DENSE_NEWTON_MAX_N = 120
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-30
 _RESOLUTION = 1e-10  # relative size of an F gain lost in rounding
-# Largest move of any score in one step (seed-1 steps move one by <= 165); a
-# longer direction, e.g. one into the prior's linear tail (~2e17 long after
-# five steps on a 10,000-entity ordering), is scaled down to it so a step of
-# >= _MIN_STEP can raise F.
+# Largest move of any score in one step (seed-1 steps move one by <= 9.3); a
+# longer direction, e.g. ~3e13 from a score in the prior's tail (the CG-path
+# @example of test_every_start_reaches_the_oracle_maximum), is scaled down to
+# it so a step of >= _MIN_STEP can raise F.
 _MAX_MOVE = 700.0
 # Cap on the exponents of the curvature's coupling factors. It binds only
 # once an ordering's log-normalizers span more than 2 * 650, and it keeps
@@ -452,31 +446,6 @@ def gradient(
 # -- optimization -------------------------------------------------------------
 
 
-def _start(terms: _Terms) -> np.ndarray:
-    """MM_STEPS of Hunter's MM update for the MAP, from s = 0.
-
-    Each sets e^{s_j} = (a + sum_i w_i [j chosen at a stage of ordering i]) /
-    (b + sum_i w_i H_i(j)), H_i(j) the sum of d_k / Z_k over the stages k of
-    ordering i whose risk set holds j, d_k the entities chosen there, summed
-    in log space. A class's multiplicity m scales both sides and cancels.
-    Units in no ordering stay at 0.
-    """
-    wins = np.full(terms.n, PRIOR_SHAPE)
-    for o in terms.lists:
-        wins[o.idx[: o.cut]] += o.weight
-    s, log_wins = np.zeros(terms.n), np.log(wins)
-    for _ in range(MM_STEPS):
-        log_rate = np.full(terms.n, math.log(PRIOR_RATE))
-        t = s + terms.log_mult
-        for o in terms.lists:  # an ordering has no repeated index
-            logz = _log_suffix_sums(t[o.idx])[o.starts]
-            log_rate[o.idx] = np.logaddexp(
-                log_rate[o.idx], math.log(o.weight) + o.running(o.log_d - logz)
-            )
-        s = log_wins - log_rate
-    return s
-
-
 def _newton_direction(g: np.ndarray, curvature) -> np.ndarray:
     """The Newton direction d, (-Hessian F) d = g, by posterior's curvature
     at the point of g; -Hessian F is positive definite, F being strictly
@@ -538,9 +507,8 @@ def _line_search(terms: _Terms, s, f, g, d):
     return None
 
 
-def _maximize(terms: _Terms) -> tuple[np.ndarray, int, bool]:
-    """Damped Newton ascent on F from _start; returns (s, steps, converged)."""
-    s = _start(terms)
+def _maximize(terms: _Terms, s: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """Damped Newton ascent on F from ``s``; returns (s, steps, converged)."""
     f, g, curvature = terms.posterior(s)
     steps = 0
     while True:
@@ -565,7 +533,7 @@ def solve(universe: Sequence[str], r_b, r_c, r_p,
     checked). Solves over the entities' classes and returns the scores and
     the positions by descending score, ties by name."""
     terms, class_of = _classes(len(universe), _weighted(r_b, r_c, r_p, weights))
-    s, steps, converged = _maximize(terms)
+    s, steps, converged = _maximize(terms, np.zeros(terms.n))
     s = s[class_of]
     s -= s.mean()
     scores = ScoreVector(dict(zip(universe, s.tolist())), frozenset(universe), steps, converged)

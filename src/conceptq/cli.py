@@ -192,8 +192,7 @@ def _metric_line(label: str, metrics: dict[str, float]) -> str:
 def cmd_eval(args) -> int:
     config = _config_from_args(args)
     try:
-        ks = [int(part) for part in str(args.k).split(",") if part.strip()]
-        check_cutoffs(ks)
+        ks = check_cutoffs([int(part) for part in str(args.k).split(",") if part.strip()])
     except ValueError:
         print(f"error: bad --k list {args.k!r}", file=sys.stderr)
         return EXIT_USAGE

@@ -21,6 +21,7 @@ to the query concepts, then check whether the pipeline recovers them).
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -151,10 +152,12 @@ def intpro_baseline(
 # -- hold-out experiment -------------------------------------------------------
 
 
-def check_cutoffs(ks: Sequence[int]) -> None:
-    """Raise ValueError unless there is at least one cutoff and each is >= 1."""
-    if not ks or min(ks) < 1:
-        raise ValueError(f"need at least one cutoff k, each >= 1; got {list(ks)}")
+def check_cutoffs(ks: Sequence[int]) -> list[int]:
+    """The cutoffs as ints; raises ValueError unless there is at least one
+    and each is an integer >= 1 (False and True are not)."""
+    if not ks or any(not isinstance(k, numbers.Integral) or k is True or k < 1 for k in ks):
+        raise ValueError(f"need at least one cutoff k, each an integer >= 1; got {list(ks)}")
+    return [int(k) for k in ks]
 
 
 def check_removal_fraction(removal_fraction: float) -> None:
@@ -179,12 +182,11 @@ def holdout_experiment(
     loses its edges to every query concept (edges to all other concepts are
     kept, so recovery through related concepts stays possible). The full
     pipeline then runs once on the reduced taxonomy and is scored at every
-    cutoff in ``k`` (one int or a sequence); the removed entities are the
-    ground truth. ratio@k is measured against the reduced intersection, the
-    one the pipeline actually saw.
+    cutoff in ``k`` (one integer, numpy's too, or a sequence); the removed
+    entities are the ground truth. ratio@k is measured against the reduced
+    intersection, the one the pipeline actually saw.
     """
-    ks = [k] if isinstance(k, int) else list(k)
-    check_cutoffs(ks)
+    ks = check_cutoffs(list(k) if isinstance(k, Iterable) else [k])
     check_removal_fraction(removal_fraction)
     config = config or PipelineConfig()
     query = parse(raw_query, config.head)
@@ -217,7 +219,8 @@ def holdout_experiment(
     return EvalReport(
         per_query=[per_query],
         averages=average_metrics([per_query]),
-        params=config.echo(k=k, removal_fraction=removal_fraction, rng_seed=rng_seed),
+        params=config.echo(k=ks if isinstance(k, Iterable) else ks[0],
+                           removal_fraction=removal_fraction, rng_seed=rng_seed),
     )
 
 
@@ -231,7 +234,7 @@ def evaluate_queries(
     config: PipelineConfig | None = None,
 ) -> EvalReport:
     """Run each query and score it against its ground truth at every k."""
-    check_cutoffs(ks)
+    ks = check_cutoffs(ks)
     config = config or PipelineConfig()
     per_query: list[QueryMetrics] = []
     for truth in truths:
@@ -249,7 +252,7 @@ def evaluate_queries(
     return EvalReport(
         per_query=per_query,
         averages=average_metrics(per_query),
-        params=config.echo(k=list(ks)),
+        params=config.echo(k=ks),
     )
 
 

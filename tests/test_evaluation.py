@@ -1,5 +1,7 @@
+import json
 import random
 
+import numpy as np
 import pytest
 
 from conceptq import evaluation
@@ -161,7 +163,7 @@ class TestHoldout:
         with pytest.raises(ValueError):
             holdout_experiment(inst.build(), inst.query, fraction, rng_seed=0, k=10)
 
-    @pytest.mark.parametrize("k", [0, [5, 0], []])
+    @pytest.mark.parametrize("k", [0, [5, 0], [], True, [5, False], 2.5, [2.5]])
     def test_bad_cutoffs_rejected_before_the_pipeline_runs(self, k, monkeypatch):
         inst = planted_instance(seed=0)
         t = inst.build()
@@ -172,6 +174,14 @@ class TestHoldout:
         monkeypatch.setattr(evaluation, "run_query", run_query)
         with pytest.raises(ValueError, match="cutoff"):
             holdout_experiment(t, inst.query, 0.5, rng_seed=0, k=k)
+
+    def test_a_numpy_integer_is_one_cutoff(self):
+        inst = planted_instance(seed=2)
+        t = inst.build()
+        numpy_k = holdout_experiment(t, inst.query, 0.5, 7, np.int64(5))
+        python_k = holdout_experiment(t, inst.query, 0.5, 7, 5)
+        assert numpy_k.averages == python_k.averages
+        assert json.dumps(numpy_k.params) == json.dumps(python_k.params)
 
     def test_small_intersection_rejected(self):
         t = ingest([("c1 thing", "only", 1), ("c2 thing", "only", 1)])
@@ -275,7 +285,7 @@ class TestEvaluateQueries:
         assert metrics["ratio@4"] == pytest.approx(2 / 3)  # c, d outside {a, b}
         assert report.averages == metrics
 
-    @pytest.mark.parametrize("ks", [[], [0], [5, 0]])
+    @pytest.mark.parametrize("ks", [[], [0], [5, 0], [2.5], [True]])
     def test_bad_cutoffs_rejected(self, f1, ks):
         truth = GroundTruth(query="top american university", answers=frozenset({"a"}))
         with pytest.raises(ValueError, match="cutoff"):
