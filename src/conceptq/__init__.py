@@ -7,18 +7,13 @@ eigen-solve of their mutually recursive relevance, expands the concept set
 probabilistically to recover entities the raw intersection misses, and
 aggregates the resulting orderings and constraints into one ranking by
 maximum a posteriori Bradley-Terry scores under a weak Gamma prior.
+
+The package exports the entry points, the types they take and return, and
+the engine's errors. Each stage's own functions (``parse``, ``membership``,
+``baseline_rank``, ``expand``, ...) are imported from their modules.
 """
 
-from .aggregate import (
-    ObjectiveWeights,
-    ScoreVector,
-    gradient,
-    listwise_log_likelihood,
-    objective,
-    optimize,
-    pairwise_log_likelihood,
-)
-from .baseline import BaselineRanking, baseline_rank
+from .aggregate import ObjectiveWeights, ScoreVector, gradient, objective, optimize
 from .errors import (
     DataFormatError,
     EngineError,
@@ -29,42 +24,13 @@ from .errors import (
 from .evaluation import (
     EvalReport,
     GroundTruth,
-    evaluate_queries,
     fixture_f1,
     holdout_experiment,
-    intpro_baseline,
-    planted_instance,
-    precision_at_k,
     ratio_at_k,
     recall_at_k,
 )
-from .expansion import (
-    ConceptRelevance,
-    ExpansionModel,
-    ExpansionResult,
-    PairwiseConstraint,
-    expand,
-    g_penalty,
-    relevance,
-)
-from .pipeline import PipelineConfig, QueryResult, RankedEntity, run_query
-from .query import (
-    Decomposition,
-    LongConceptQuery,
-    Membership,
-    MembershipPattern,
-    decompose,
-    membership,
-    parse,
-)
-from .taxonomy import (
-    CooccurrenceRecord,
-    Taxonomy,
-    entity_intersection,
-    entity_union,
-    ingest,
-    load,
-    normalize,
-)
+from .expansion import PairwiseConstraint
+from .pipeline import PipelineConfig, QueryResult, run_query
+from .taxonomy import Taxonomy, entity_intersection, entity_union, load
 
 __version__ = "0.1.0"

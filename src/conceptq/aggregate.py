@@ -404,23 +404,6 @@ def _evaluate_at(scores: Mapping[str, float], r_b, r_c, r_p, weights):
 # but a string) of names tied with each other.
 
 
-def listwise_log_likelihood(ordering: Sequence, scores: Mapping[str, float]) -> float:
-    """Sequential log-likelihood of an ordering under the scores.
-
-    Orderings of fewer than two items have an empty product and contribute 0.
-    """
-    return objective(scores, ordering, [], [], ObjectiveWeights(alpha=0.0, beta=0.0))
-
-
-def pairwise_log_likelihood(
-    constraints: Sequence[PairwiseConstraint], scores: Mapping[str, float]
-) -> float:
-    """Sum over the constraints of Breslow's stage for the two-bucket order
-    [higher, lower]: the sum of higher's scores minus |higher| times the
-    log-sum-exp of both sides' scores."""
-    return objective(scores, [], [], constraints, ObjectiveWeights(alpha=0.0, beta=1.0))
-
-
 def objective(
     scores: Mapping[str, float],
     r_b: Sequence,

@@ -21,7 +21,6 @@ to the query concepts, then check whether the pipeline recovers them).
 from __future__ import annotations
 
 import math
-import numbers
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -29,24 +28,7 @@ from typing import Iterable, Sequence
 from .errors import EngineError
 from .pipeline import PipelineConfig, run_query
 from .query import decompose, parse
-from .taxonomy import CooccurrenceRecord, Taxonomy, entity_intersection, ingest
-
-__all__ = [
-    "GroundTruth",
-    "QueryMetrics",
-    "EvalReport",
-    "precision_at_k",
-    "recall_at_k",
-    "ratio_at_k",
-    "intpro_baseline",
-    "holdout_experiment",
-    "evaluate_queries",
-    "average_metrics",
-    "fixture_f1_records",
-    "fixture_f1",
-    "PlantedInstance",
-    "planted_instance",
-]
+from .taxonomy import CooccurrenceRecord, Taxonomy, check_cutoff, entity_intersection, ingest
 
 
 @dataclass(frozen=True)
@@ -85,8 +67,7 @@ class EvalReport:
 
 def precision_at_k(ranked: Sequence[str], truth: GroundTruth, k: int) -> float:
     """Fraction of the top-k (or of the whole list, if shorter) that is correct."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = check_cutoff(k)
     if not ranked:
         return 0.0
     hits = sum(1 for e in ranked[:k] if e in truth.answers)
@@ -95,8 +76,7 @@ def precision_at_k(ranked: Sequence[str], truth: GroundTruth, k: int) -> float:
 
 def recall_at_k(ranked: Sequence[str], truth: GroundTruth, k: int) -> float:
     """Fraction of the ground truth found in the top-k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = check_cutoff(k)
     hits = sum(1 for e in ranked[:k] if e in truth.answers)
     return hits / len(truth.answers)
 
@@ -138,8 +118,7 @@ def intpro_baseline(
     taxonomy: Taxonomy, short_concepts: Sequence[str], k: int
 ) -> list[str]:
     """Rank the full intersection by summed co-occurrence with the short concepts."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = check_cutoff(k)
     concepts = list(dict.fromkeys(short_concepts))
     shared = entity_intersection(taxonomy, concepts)
     totals = {
@@ -154,10 +133,14 @@ def intpro_baseline(
 
 def check_cutoffs(ks: Sequence[int]) -> list[int]:
     """The cutoffs as ints; raises ValueError unless there is at least one
-    and each is an integer >= 1 (False and True are not)."""
-    if not ks or any(not isinstance(k, numbers.Integral) or k is True or k < 1 for k in ks):
+    and each passes :func:`~conceptq.taxonomy.check_cutoff`."""
+    try:
+        cutoffs = [check_cutoff(k) for k in ks]
+    except ValueError:
+        cutoffs = []
+    if not cutoffs:
         raise ValueError(f"need at least one cutoff k, each an integer >= 1; got {list(ks)}")
-    return [int(k) for k in ks]
+    return cutoffs
 
 
 def check_removal_fraction(removal_fraction: float) -> None:

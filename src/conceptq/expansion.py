@@ -52,12 +52,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .query import Membership, membership
-from .taxonomy import Taxonomy, find_sorted, name_order, normalize
+from .taxonomy import Taxonomy, check_cutoff, find_sorted, name_order, normalize
 
 DEFAULT_GAMMA = 0.5
 DEFAULT_LEAK = 0.1
@@ -264,15 +264,6 @@ def _top(rank: np.ndarray, ids: np.ndarray, scores: np.ndarray, k: int) -> np.nd
     return name_order(rank, ids, scores)
 
 
-def g_penalty(
-    taxonomy: Taxonomy, concept: str, short_concepts: Iterable[str], delta: float
-) -> float:
-    """Over-generality penalty of ``concept`` against the query's entity union."""
-    target = np.array([_known_concept(taxonomy, concept)])
-    inside = _inside(taxonomy, membership(taxonomy, short_concepts).ids, target)
-    return float(_penalty(taxonomy, target, inside, delta)[0])
-
-
 def relevance(
     taxonomy: Taxonomy,
     concept: str,
@@ -308,17 +299,6 @@ def _entity_relevance(
     return covered[order], scores[order]
 
 
-def entity_relevance(
-    taxonomy: Taxonomy, concepts: Sequence[ConceptRelevance]
-) -> dict[str, float]:
-    """rel(e) = sum over retained concepts of P(e|c) * rel(c), in ranked order."""
-    known = [(taxonomy.concept_id(cr.concept), cr.score) for cr in concepts]
-    known = [(c, w) for c, w in known if c is not None]  # an unknown concept covers no entity
-    ids = np.array([c for c, _ in known], dtype=np.int64)
-    ids, scores = _entity_relevance(taxonomy, ids, np.array([w for _, w in known]))
-    return dict(zip([taxonomy.entity_names[e] for e in ids.tolist()], scores.tolist()))
-
-
 # -- orchestration ----------------------------------------------------------
 
 
@@ -339,8 +319,7 @@ def expand(
     (they carry the minimal penalty by construction), so the expansion
     ordering covers E_u. The result holds R_c and the tiers as id arrays.
     """
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
+    top_k = check_cutoff(top_k, "top_k")
     query_ids = np.array([_known_concept(taxonomy, c) for c in members.concepts], dtype=np.int64)
     run_seeds = [pattern.ids for pattern in members.seed_runs()]
 

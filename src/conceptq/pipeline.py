@@ -24,7 +24,7 @@ from .expansion import (
     expand,
 )
 from .query import Decomposition, LongConceptQuery, MembershipPattern, decompose, membership, parse
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, check_cutoff
 
 PROVENANCE_SEED = "seed"
 PROVENANCE_EXPANDED = "expanded"
@@ -48,8 +48,8 @@ class PipelineConfig:
         # raise on an out-of-range value here, not midway through a run
         self.expansion_model()
         self.weights()
-        if self.concepts_top_k < 1:
-            raise ValueError("concepts_top_k must be >= 1")
+        top_k = check_cutoff(self.concepts_top_k, "concepts_top_k")
+        object.__setattr__(self, "concepts_top_k", top_k)  # numpy's integers as an int
 
     def expansion_model(self) -> ExpansionModel:
         return ExpansionModel(

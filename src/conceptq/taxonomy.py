@@ -28,6 +28,7 @@ list, id map and name rank that the cut leaves as it was.
 from __future__ import annotations
 
 import codecs
+import numbers
 from array import array
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -214,9 +215,6 @@ class Taxonomy:
     def has_concept(self, concept: str) -> bool:
         return self.concept_id(concept) is not None
 
-    def has_entity(self, entity: str) -> bool:
-        return self.entity_id(entity) is not None
-
     def entities_of(self, concept: str) -> Mapping[str, int]:
         """Entities of ``concept`` with their counts; empty if unknown."""
         return _named_row(self.by_concept, self.concept_id(concept), self.entity_names)
@@ -316,6 +314,16 @@ def name_order(rank: np.ndarray, ids: np.ndarray, scores: np.ndarray) -> np.ndar
     """Positions of ``ids`` by descending score, ties by name ``rank``
     (``Taxonomy.concept_rank`` or ``Taxonomy.entity_rank``)."""
     return np.lexsort((rank[ids], -scores))
+
+
+def check_cutoff(k, name: str = "k") -> int:
+    """``k`` as an int; raises ValueError unless it is an integer >= 1
+    (numpy's too, but neither False nor True)."""
+    if not isinstance(k, numbers.Integral) or isinstance(k, bool):
+        raise ValueError(f"{name} must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return int(k)
 
 
 def find_sorted(targets: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

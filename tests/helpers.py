@@ -14,10 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from conceptq import taxonomy
+from conceptq import expansion, taxonomy
 from conceptq.errors import DataFormatError, QueryParseError
-from conceptq.expansion import ExpansionModel, relevance
-from conceptq.query import Membership
+from conceptq.expansion import ConceptRelevance, ExpansionModel, relevance
+from conceptq.query import Membership, membership
 from conceptq.taxonomy import Taxonomy, ingest
 
 
@@ -86,6 +86,25 @@ def reference_load(path) -> Taxonomy:
                 ) from None
             builder.add(line_num, concept, entity, count)
     return builder.build()
+
+
+# -- name-keyed calls into the expansion's id-level code --------------------
+
+
+def g_penalty(t: Taxonomy, concept: str, short_concepts, delta: float) -> float:
+    """g(c) of one concept against the entity union of ``short_concepts``,
+    by the same ``_inside`` and ``_penalty`` that ``expand`` calls."""
+    target = np.array([expansion._known_concept(t, concept)])
+    inside = expansion._inside(t, membership(t, short_concepts).ids, target)
+    return float(expansion._penalty(t, target, inside, delta)[0])
+
+
+def entity_relevance(t: Taxonomy, concepts: Sequence[ConceptRelevance]) -> dict[str, float]:
+    """rel(e) over the scored ``concepts`` by ``expand``'s own
+    ``_entity_relevance``, keyed by name in its order."""
+    ids = np.array([t.concept_id(cr.concept) for cr in concepts], dtype=np.int64)
+    ids, scores = expansion._entity_relevance(t, ids, np.array([cr.score for cr in concepts]))
+    return dict(zip([t.entity_names[e] for e in ids.tolist()], scores.tolist()))
 
 
 # -- brute-force relevance oracles -------------------------------------------

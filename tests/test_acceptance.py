@@ -33,6 +33,7 @@ from conceptq.query import membership as query_membership
 from conceptq.taxonomy import ingest
 
 from helpers import (
+    g_penalty,
     oracle_rel_naive_bayes,
     oracle_rel_noisy_or,
     random_rows,
@@ -133,8 +134,6 @@ def test_criterion_3_expansion_formula_oracle():
     f1 = fixture_f1()
 
     # frozen fixture values
-    from conceptq.expansion import g_penalty
-
     assert g_penalty(f1, "ivy league", F1_PAIR, 0.5) == pytest.approx(0.0625, rel=1e-12)
     assert g_penalty(f1, "famous university", F1_PAIR, 0.5) == pytest.approx(0.65, rel=1e-12)
     got_no = relevance(

@@ -20,14 +20,22 @@ from conceptq.aggregate import (
     _Terms,
     _weighted,
     gradient,
-    listwise_log_likelihood,
     objective,
     optimize,
-    pairwise_log_likelihood,
 )
 from conceptq.expansion import PairwiseConstraint
 
 from helpers import oracle_map_scores
+
+
+def listwise(ordering, scores):
+    """The ordering's log-likelihood alone: ``objective`` with alpha = beta = 0."""
+    return objective(scores, ordering, [], [], ObjectiveWeights(0, 0))
+
+
+def pairwise(constraints, scores):
+    """The constraints' log-likelihood alone: ``objective`` with beta = 1."""
+    return objective(scores, [], [], constraints, ObjectiveWeights(0, 1))
 
 
 def make_constraint(higher, lower):
@@ -36,7 +44,7 @@ def make_constraint(higher, lower):
 
 def pair_prob(s_x, s_y):
     """P(x beats y), as exp of the two-entity ordering's log-likelihood."""
-    return math.exp(listwise_log_likelihood(["x", "y"], {"x": s_x, "y": s_y}))
+    return math.exp(listwise(["x", "y"], {"x": s_x, "y": s_y}))
 
 
 class TestTwoEntityOrdering:
@@ -49,16 +57,16 @@ class TestTwoEntityOrdering:
     def test_extreme_gap_is_stable(self):
         assert pair_prob(0.0, 1000.0) == pytest.approx(0.0, abs=1e-300)
         assert pair_prob(1000.0, 0.0) == pytest.approx(1.0)
-        assert listwise_log_likelihood(["x", "y"], {"x": 0.0, "y": 1000.0}) == -1000.0
+        assert listwise(["x", "y"], {"x": 0.0, "y": 1000.0}) == -1000.0
 
 
 class TestListwiseLogLikelihood:
     def test_single_element_is_zero(self):
-        assert listwise_log_likelihood(["a"], {"a": 3.0}) == 0.0
-        assert listwise_log_likelihood([], {}) == 0.0
+        assert listwise(["a"], {"a": 3.0}) == 0.0
+        assert listwise([], {}) == 0.0
 
     def test_two_equal_scores(self):
-        ll = listwise_log_likelihood(["a", "b"], {"a": 1.0, "b": 1.0})
+        ll = listwise(["a", "b"], {"a": 1.0, "b": 1.0})
         assert ll == pytest.approx(math.log(0.5))
 
     def test_three_elements_hand_evaluated(self):
@@ -66,50 +74,50 @@ class TestListwiseLogLikelihood:
         # direct term-by-term evaluation, independent of the implementation
         term1 = math.log(math.exp(1) / (math.exp(1) + math.exp(0) + math.exp(-1)))
         term2 = math.log(math.exp(0) / (math.exp(0) + math.exp(-1)))
-        got = listwise_log_likelihood(["a", "b", "c"], scores)
+        got = listwise(["a", "b", "c"], scores)
         assert got == pytest.approx(term1 + term2, rel=1e-12)
 
     def test_shift_invariance(self):
         scores = {"a": 0.7, "b": -0.2, "c": 1.4}
-        base = listwise_log_likelihood(["c", "a", "b"], scores)
+        base = listwise(["c", "a", "b"], scores)
         shifted = {k: v + 123.0 for k, v in scores.items()}
-        assert listwise_log_likelihood(["c", "a", "b"], shifted) == pytest.approx(
+        assert listwise(["c", "a", "b"], shifted) == pytest.approx(
             base, abs=1e-12
         )
 
     def test_extreme_scores_stay_finite(self):
         scores = {"a": 800.0, "b": -800.0, "c": 0.0}
-        ll = listwise_log_likelihood(["b", "a", "c"], scores)
+        ll = listwise(["b", "a", "c"], scores)
         assert math.isfinite(ll)
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
-            listwise_log_likelihood(["a", "a"], {"a": 0.0})
+            listwise(["a", "a"], {"a": 0.0})
 
     def test_unknown_entity_rejected(self):
         with pytest.raises(ValueError):
-            listwise_log_likelihood(["a", "b"], {"a": 0.0})
+            listwise(["a", "b"], {"a": 0.0})
 
 
 class TestPairwiseLogLikelihood:
     def test_singleton_sides_reduce_to_pair_prob(self):
         scores = {"a": 0.0, "b": 0.0}
-        ll = pairwise_log_likelihood([make_constraint({"a"}, {"b"})], scores)
+        ll = pairwise([make_constraint({"a"}, {"b"})], scores)
         assert ll == pytest.approx(math.log(0.5))
 
     def test_counting_case(self):
         scores = {"a": 0.0, "b": 0.0, "c": 0.0}
-        ll = pairwise_log_likelihood([make_constraint({"a", "b"}, {"c"})], scores)
+        ll = pairwise([make_constraint({"a", "b"}, {"c"})], scores)
         # Breslow's stage: a and b, tied, both chosen from the three
         assert ll == pytest.approx(-2.0 * math.log(3.0))
 
     def test_saturation_from_below(self):
         scores = {"a": 1000.0, "b": 0.0}
-        ll = pairwise_log_likelihood([make_constraint({"a"}, {"b"})], scores)
+        ll = pairwise([make_constraint({"a"}, {"b"})], scores)
         assert -1e-300 < ll <= 0.0
 
     def test_no_constraints(self):
-        assert pairwise_log_likelihood([], {"a": 0.0}) == 0.0
+        assert pairwise([], {"a": 0.0}) == 0.0
 
 
 class TestObjective:
@@ -118,7 +126,7 @@ class TestObjective:
         r_b = ["b", "c", "a"]
         w = ObjectiveWeights(alpha=0.0, beta=0.0)
         assert objective(scores, r_b, ["a", "b"], [make_constraint({"a"}, {"b"})], w) == (
-            listwise_log_likelihood(r_b, scores)
+            listwise(r_b, scores)
         )
 
     def test_weighted_sum_matches_direct_evaluation(self):
@@ -128,9 +136,9 @@ class TestObjective:
         r_p = [make_constraint({"a"}, {"c"})]
         w = ObjectiveWeights(alpha=1 / 3, beta=1 / 3)
         expected = (
-            (1 / 3) * listwise_log_likelihood(r_b, scores)
-            + (1 / 3) * listwise_log_likelihood(r_c, scores)
-            + (1 / 3) * pairwise_log_likelihood(r_p, scores)
+            (1 / 3) * listwise(r_b, scores)
+            + (1 / 3) * listwise(r_c, scores)
+            + (1 / 3) * pairwise(r_p, scores)
         )
         assert objective(scores, r_b, r_c, r_p, w) == pytest.approx(expected, rel=1e-12)
 
@@ -736,13 +744,13 @@ class TestBucketOrders:
         z_cd = math.exp(1.1) + math.exp(0.2)
         # {a, b} chosen together from all four, then c from {c, d}
         expected = 0.4 - 0.3 - 2 * math.log(z) + 1.1 - math.log(z_cd)
-        got = listwise_log_likelihood([{"a", "b"}, "c", "d"], scores)
+        got = listwise([{"a", "b"}, "c", "d"], scores)
         assert got == pytest.approx(expected, rel=1e-12)
         # a tied last bucket is no stage; one bucket is no ordering at all
-        assert listwise_log_likelihood([{"a", "b"}, {"c", "d"}], scores) == pytest.approx(
+        assert listwise([{"a", "b"}, {"c", "d"}], scores) == pytest.approx(
             0.4 - 0.3 - 2 * math.log(z), rel=1e-12
         )
-        assert listwise_log_likelihood([{"a", "b", "c", "d"}], scores) == 0.0
+        assert listwise([{"a", "b", "c", "d"}], scores) == 0.0
 
     def test_malformed_bucket_orders_are_rejected(self):
         with pytest.raises(ValueError):

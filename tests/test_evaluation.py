@@ -45,6 +45,13 @@ class TestPrecisionAtK:
             precision_at_k(["a"], TRUTH_AC, 0)
 
 
+@pytest.mark.parametrize("k", [0, True, 2.5])
+@pytest.mark.parametrize("metric", [precision_at_k, recall_at_k])
+def test_a_metric_cutoff_is_an_integer_of_at_least_one(metric, k):
+    with pytest.raises(ValueError):
+        metric(["a", "b", "c"], TRUTH_AC, k)
+
+
 class TestRecallAtK:
     def test_half_found(self):
         assert recall_at_k(["a", "b", "c"], TRUTH_AC, 2) == 0.5
@@ -96,6 +103,11 @@ class TestIntPro:
     def test_truncation(self, f1):
         got = intpro_baseline(f1, ["top university", "american university"], 1)
         assert got == ["a"]
+
+    @pytest.mark.parametrize("k", [0, True, 2.5])
+    def test_k_is_an_integer_of_at_least_one(self, f1, k):
+        with pytest.raises(ValueError):
+            intpro_baseline(f1, ["top university", "american university"], k)
 
     def test_empty_intersection(self):
         t = ingest([("c1", "a", 1), ("c2", "b", 1)])

@@ -11,9 +11,7 @@ from conceptq.expansion import (
     ConceptRelevance,
     ExpansionModel,
     PairwiseConstraint,
-    entity_relevance,
     expand,
-    g_penalty,
     relevance,
 )
 from conceptq.query import MembershipPattern, membership
@@ -21,6 +19,8 @@ from conceptq.taxonomy import Csr, ingest
 
 from helpers import (
     disjoint_concept_taxonomy,
+    entity_relevance,
+    g_penalty,
     oracle_expand,
     oracle_rel_naive_bayes,
     oracle_rel_noisy_or,
@@ -212,6 +212,11 @@ class TestExpandConcepts:
         members = replace(membership(f1, F1_PAIR), patterns=seeded_by_x)
         result = expand(f1, members, model, top_k=5)
         assert result.concepts[0].concept == "famous university"
+
+    @pytest.mark.parametrize("top_k", [0, True, 2.5])
+    def test_top_k_is_an_integer_of_at_least_one(self, f1, top_k):
+        with pytest.raises(ValueError, match="top_k"):
+            expand(f1, membership(f1, F1_PAIR), ExpansionModel(), top_k=top_k)
 
     def test_top_k_larger_than_candidates(self, f1):
         model = ExpansionModel()

@@ -1,15 +1,19 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
+import types
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conceptq
 from conceptq.aggregate import optimize
 from conceptq.baseline import baseline_rank
 from conceptq.errors import UnanswerableQueryError
@@ -43,6 +47,18 @@ def test_a_query_and_a_holdout_run_import_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_the_readme_lists_exactly_the_package_exports():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listing = readme.split("`conceptq` exports these names and no others:\n\n", 1)[1]
+    listed = re.findall(r"`(\w+)`", listing.split("\n\n", 1)[0])
+    exported = {
+        name for name, value in vars(conceptq).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(listed) == len(set(listed))
+    assert set(listed) == exported
+
+
 class TestPipelineConfig:
     @pytest.mark.parametrize(
         "fields",
@@ -51,11 +67,17 @@ class TestPipelineConfig:
             {"concepts_top_k": 0},
             {"alpha": 0.8, "beta": 0.5},
             {"model_kind": "bogus"},
+            {"concepts_top_k": True},
+            {"concepts_top_k": 2.5},
         ],
     )
     def test_out_of_range_settings_raise_on_construction(self, fields):
         with pytest.raises(ValueError):
             PipelineConfig(**fields)
+
+    def test_a_numpy_integer_cutoff_is_kept_as_an_int(self):
+        config = PipelineConfig(concepts_top_k=np.int64(5))
+        assert type(config.concepts_top_k) is int and config.echo()["concepts_top_k"] == 5
 
     def test_fields_cannot_be_assigned_after_validation(self):
         config = PipelineConfig()
