@@ -39,7 +39,7 @@ from .evaluation import GroundTruth, average_metrics, evaluate_queries
 from .evaluation import check_cutoffs, check_removal_fraction, holdout_experiment
 from .expansion import NAIVE_BAYES, NOISY_OR
 from .pipeline import PipelineConfig, run_query
-from .taxonomy import data_lines, load, normalize
+from .taxonomy import check_cutoff, data_lines, load, normalize
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -137,9 +137,7 @@ def _warn_unconverged(query: str, converged: bool) -> None:
 
 
 def cmd_query(args) -> int:
-    if args.k < 1:
-        print(f"error: --k must be >= 1, got {args.k}", file=sys.stderr)
-        return EXIT_USAGE
+    check_cutoff(args.k, "--k")
     config = _config_from_args(args)
     taxonomy = load(args.taxonomy)
     result = run_query(taxonomy, args.text, config)

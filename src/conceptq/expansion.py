@@ -52,12 +52,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
-from .query import Membership, membership
-from .taxonomy import Taxonomy, check_cutoff, find_sorted, name_order, normalize
+from .errors import NoCandidateEntitiesError
+from .query import Membership
+from .taxonomy import Taxonomy, check_cutoff, find_sorted, name_order
 
 DEFAULT_GAMMA = 0.5
 DEFAULT_LEAK = 0.1
@@ -159,24 +159,6 @@ class ExpansionResult:
 # same order however the taxonomy assigned its ids.
 
 
-def _known_concept(taxonomy: Taxonomy, concept: str) -> int:
-    cid = taxonomy.concept_id(concept)
-    if cid is None:
-        raise ValueError(f"concept {normalize(concept)!r} not in taxonomy")
-    return cid
-
-
-def _seed_ids(taxonomy: Taxonomy, seeds: Iterable[str]) -> np.ndarray:
-    """Entity ids of the seed set, in seed-name order."""
-    names = sorted(set(seeds))
-    if not names:
-        raise ValueError("seed set is empty")
-    ids = [taxonomy.entity_id(e) for e in names]
-    if None in ids:
-        raise ValueError(f"seed {names[ids.index(None)]!r} not in taxonomy")
-    return np.array(ids, dtype=np.int64)
-
-
 def _inside(taxonomy: Taxonomy, entities: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Sum of n(c, e) + 1 over the entity ids ``entities``, for each of the
     ascending concept ids ``targets``: I(c) when ``entities`` is E_u."""
@@ -239,17 +221,15 @@ def _candidates(
     and their rel(c).
 
     One sort of the seeds' pairs gives the candidates and each pair's slot
-    among them. I(c) sums the pairs of the seeds in E_u through those slots,
-    and the pairs of the rest of E_u by search.
+    among them. The seeds lie in E_u, so I(c) sums the seeds' pairs through
+    those slots, and the pairs of the rest of E_u by search.
     """
     owner, concepts, counts = taxonomy.by_entity.rows(seeds)
     candidates, slot = np.unique(concepts, return_inverse=True)
-    in_union, at = find_sorted(e_union, seeds)
     rest = np.ones(len(e_union), dtype=bool)
-    rest[at] = False
+    rest[np.searchsorted(e_union, seeds)] = False
     inside = _inside(taxonomy, e_union[rest], candidates)
-    mine = in_union[owner]
-    np.add.at(inside, slot[mine], counts[mine] + 1)
+    np.add.at(inside, slot, counts + 1)
     return candidates, _relevance(taxonomy, seeds, (owner, slot, counts), candidates, inside, model)
 
 
@@ -262,24 +242,6 @@ def _top(rank: np.ndarray, ids: np.ndarray, scores: np.ndarray, k: int) -> np.nd
         keep = np.flatnonzero(scores >= kth)
         return keep[name_order(rank, ids[keep], scores[keep])[:k]]
     return name_order(rank, ids, scores)
-
-
-def relevance(
-    taxonomy: Taxonomy,
-    concept: str,
-    seeds: Iterable[str],
-    short_concepts: Iterable[str],
-    model: ExpansionModel,
-) -> float:
-    """rel(c) of ``concept`` to the seed entities under ``model.kind``,
-    penalized against the entity union of ``short_concepts``."""
-    target = np.array([_known_concept(taxonomy, concept)])
-    seed_ids = _seed_ids(taxonomy, seeds)
-    owner, concepts, counts = taxonomy.by_entity.rows(seed_ids)
-    hit, slot = find_sorted(target, concepts)
-    inside = _inside(taxonomy, membership(taxonomy, short_concepts).ids, target)
-    pairs = owner[hit], slot, counts[hit]
-    return float(_relevance(taxonomy, seed_ids, pairs, target, inside, model)[0])
 
 
 # -- expansion ------------------------------------------------------------
@@ -312,15 +274,20 @@ def expand(
 
     The seed runs are ``members.seed_runs()``: the full intersection when it
     is non-empty, else the intersection of every largest subset whose
-    intersection is non-empty, each expanded independently. The retained
-    concepts are pooled, summing the scores of concepts found by several runs.
+    intersection is non-empty, each expanded independently; every seed lies
+    in E_u. The retained concepts are pooled, summing the scores of concepts
+    found by several runs.
 
-    The query's own short concepts are always added to the retained pool
-    (they carry the minimal penalty by construction), so the expansion
-    ordering covers E_u. The result holds R_c and the tiers as id arrays.
+    The query's own short concepts, read as ``members.concept_ids`` (-1, a
+    concept not in the taxonomy, adds nothing), are always retained, with the
+    minimal penalty by construction, so the expansion ordering covers E_u.
+    The result holds R_c and the tiers as id arrays. An empty E_u raises
+    NoCandidateEntitiesError.
     """
     top_k = check_cutoff(top_k, "top_k")
-    query_ids = np.array([_known_concept(taxonomy, c) for c in members.concepts], dtype=np.int64)
+    if not len(members.ids):
+        raise NoCandidateEntitiesError("no candidate entities")
+    query_ids = members.concept_ids[members.concept_ids >= 0]
     run_seeds = [pattern.ids for pattern in members.seed_runs()]
 
     pooled: dict[int, float] = {}

@@ -24,7 +24,7 @@ from .expansion import (
     expand,
 )
 from .query import Decomposition, LongConceptQuery, MembershipPattern, decompose, membership, parse
-from .taxonomy import Taxonomy, check_cutoff
+from .taxonomy import Taxonomy, check_cutoff, normalize
 
 PROVENANCE_SEED = "seed"
 PROVENANCE_EXPANDED = "expanded"
@@ -50,6 +50,8 @@ class PipelineConfig:
         self.weights()
         top_k = check_cutoff(self.concepts_top_k, "concepts_top_k")
         object.__setattr__(self, "concepts_top_k", top_k)  # numpy's integers as an int
+        if self.head is not None and not (isinstance(self.head, str) and normalize(self.head)):
+            raise ValueError(f"head must be a non-empty string, got {self.head!r}")
 
     def expansion_model(self) -> ExpansionModel:
         return ExpansionModel(

@@ -61,14 +61,16 @@ class MembershipPattern:
 class Membership:
     """The k x |E_u| membership matrix of a query's short concepts.
 
-    ``matrix[i, j]`` is 1.0 when ``concepts[i]`` contains the entity with id
-    ``ids[j]``; the columns are E_u in ascending id order, and a concept
-    missing from the taxonomy has a zero row. ``patterns`` lists each
-    distinct column once, by size descending and then by sorted member
-    names, which is the order of the subset lattice.
+    ``concept_ids[i]`` is the id of ``concepts[i]``, or -1 for a concept
+    missing from the taxonomy, which has a zero row. ``matrix[i, j]`` is 1.0
+    when ``concepts[i]`` contains the entity with id ``ids[j]``; the columns
+    are E_u in ascending id order. ``patterns`` lists each distinct column
+    once, by size descending and then by sorted member names, which is the
+    order of the subset lattice; every pattern's entities lie in E_u.
     """
 
     concepts: tuple[str, ...]
+    concept_ids: np.ndarray
     ids: np.ndarray
     matrix: np.ndarray
     patterns: list[MembershipPattern]
@@ -144,8 +146,9 @@ def membership(taxonomy: Taxonomy, short_concepts: Iterable[str]) -> Membership:
     if not concepts:
         raise ValueError("short concept set is empty")
     cids = [taxonomy.concept_id(c) for c in concepts]
-    known = np.array([i for i, cid in enumerate(cids) if cid is not None], dtype=np.int64)
-    owner, entities, _ = taxonomy.by_concept.rows(np.array([cids[i] for i in known], dtype=np.int64))
+    concept_ids = np.array([-1 if cid is None else cid for cid in cids], dtype=np.int64)
+    known = np.flatnonzero(concept_ids >= 0)
+    owner, entities, _ = taxonomy.by_concept.rows(concept_ids[known])
     ids, column = np.unique(entities, return_inverse=True)
     matrix = np.zeros((len(concepts), len(ids)))
     matrix[known[owner], column] = 1.0
@@ -165,4 +168,4 @@ def membership(taxonomy: Taxonomy, short_concepts: Iterable[str]) -> Membership:
         runs.append((members, frozenset(names[lo:hi]), ordered[lo:hi]))
     runs.sort(key=lambda run: (-len(run[0]), run[0]))
     patterns = [MembershipPattern(frozenset(m), entities, len(m), run) for m, entities, run in runs]
-    return Membership(concepts, ids, matrix, patterns)
+    return Membership(concepts, concept_ids, ids, matrix, patterns)

@@ -322,7 +322,7 @@ def check_cutoff(k, name: str = "k") -> int:
     if not isinstance(k, numbers.Integral) or isinstance(k, bool):
         raise ValueError(f"{name} must be an integer, got {k!r}")
     if k < 1:
-        raise ValueError(f"{name} must be >= 1")
+        raise ValueError(f"{name} must be >= 1, got {k}")
     return int(k)
 
 

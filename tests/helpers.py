@@ -16,9 +16,9 @@ import numpy as np
 
 from conceptq import expansion, taxonomy
 from conceptq.errors import DataFormatError, QueryParseError
-from conceptq.expansion import ConceptRelevance, ExpansionModel, relevance
+from conceptq.expansion import ConceptRelevance, ExpansionModel
 from conceptq.query import Membership, membership
-from conceptq.taxonomy import Taxonomy, ingest
+from conceptq.taxonomy import Taxonomy, find_sorted, ingest, normalize
 
 
 def random_rows(rng: random.Random, max_concepts=6, max_entities=8, max_edges=20,
@@ -91,12 +91,46 @@ def reference_load(path) -> Taxonomy:
 # -- name-keyed calls into the expansion's id-level code --------------------
 
 
+def known_concept(t: Taxonomy, concept: str) -> np.ndarray:
+    """The id of ``concept`` as a one-element target array; ValueError if
+    the taxonomy does not hold it."""
+    cid = t.concept_id(concept)
+    if cid is None:
+        raise ValueError(f"concept {normalize(concept)!r} not in taxonomy")
+    return np.array([cid])
+
+
+def seed_ids(t: Taxonomy, seeds) -> np.ndarray:
+    """Entity ids of the seed set, in seed-name order; ValueError if it is
+    empty or names an entity the taxonomy does not hold."""
+    names = sorted(set(seeds))
+    if not names:
+        raise ValueError("seed set is empty")
+    ids = [t.entity_id(e) for e in names]
+    if None in ids:
+        raise ValueError(f"seed {names[ids.index(None)]!r} not in taxonomy")
+    return np.array(ids, dtype=np.int64)
+
+
 def g_penalty(t: Taxonomy, concept: str, short_concepts, delta: float) -> float:
     """g(c) of one concept against the entity union of ``short_concepts``,
     by the same ``_inside`` and ``_penalty`` that ``expand`` calls."""
-    target = np.array([expansion._known_concept(t, concept)])
+    target = known_concept(t, concept)
     inside = expansion._inside(t, membership(t, short_concepts).ids, target)
     return float(expansion._penalty(t, target, inside, delta)[0])
+
+
+def relevance(t: Taxonomy, concept: str, seeds, short_concepts, model: ExpansionModel) -> float:
+    """rel(c) of one concept to the seed entities under ``model.kind``,
+    penalized against the entity union of ``short_concepts``, by the same
+    ``_inside`` and ``_relevance`` that ``expand`` calls."""
+    target = known_concept(t, concept)
+    seeds = seed_ids(t, seeds)
+    owner, concepts, counts = t.by_entity.rows(seeds)
+    hit, slot = find_sorted(target, concepts)
+    inside = expansion._inside(t, membership(t, short_concepts).ids, target)
+    pairs = owner[hit], slot, counts[hit]
+    return float(expansion._relevance(t, seeds, pairs, target, inside, model)[0])
 
 
 def entity_relevance(t: Taxonomy, concepts: Sequence[ConceptRelevance]) -> dict[str, float]:

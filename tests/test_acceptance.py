@@ -26,7 +26,6 @@ from conceptq.evaluation import (
 from conceptq.expansion import (
     ExpansionModel,
     PairwiseConstraint,
-    relevance,
 )
 from conceptq.pipeline import PipelineConfig
 from conceptq.query import membership as query_membership
@@ -38,6 +37,7 @@ from helpers import (
     oracle_rel_noisy_or,
     random_rows,
     random_taxonomy,
+    relevance,
 )
 
 F1_PAIR = ["top university", "american university"]

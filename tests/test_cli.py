@@ -525,6 +525,13 @@ class TestUsageValidation:
         assert main(["query", str(f1_path), "top american university", "--k", "0"]) == 2
         assert "--k" in capsys.readouterr().err
 
+    def test_an_empty_head_is_found_before_the_taxonomy_is_read(self, tmp_path, capsys):
+        code = main(["query", str(tmp_path / "nope.tsv"), "top american university", "--head", ""])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "head" in captured.err
+
     @pytest.mark.parametrize(
         "flags",
         [

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conceptq.baseline import baseline_rank
+from conceptq.errors import NoCandidateEntitiesError
 from conceptq.expansion import (
     ConceptRelevance,
     ExpansionModel,
     PairwiseConstraint,
     expand,
-    relevance,
 )
 from conceptq.query import MembershipPattern, membership
 from conceptq.taxonomy import Csr, ingest
@@ -25,6 +26,7 @@ from helpers import (
     oracle_rel_naive_bayes,
     oracle_rel_noisy_or,
     random_taxonomy,
+    relevance,
     tier_rows,
 )
 
@@ -208,8 +210,9 @@ class TestExpandConcepts:
 
     def test_single_shared_concept_is_rank_one(self, f1):
         model = ExpansionModel()
-        seeded_by_x = [MembershipPattern(frozenset(F1_PAIR), frozenset({"x"}), 2, np.array([f1.entity_id("x")]))]
-        members = replace(membership(f1, F1_PAIR), patterns=seeded_by_x)
+        short = ["famous university", "top university"]
+        seeded_by_x = [MembershipPattern(frozenset(short), frozenset({"x"}), 2, np.array([f1.entity_id("x")]))]
+        members = replace(membership(f1, short), patterns=seeded_by_x)
         result = expand(f1, members, model, top_k=5)
         assert result.concepts[0].concept == "famous university"
 
@@ -256,7 +259,7 @@ class TestRankEntities:
 
     def test_empty_concepts_rejected(self, f1):
         # no seed set to expand from
-        with pytest.raises(ValueError):
+        with pytest.raises(NoCandidateEntitiesError):
             expand(f1, membership(f1, ["no such concept"]), ExpansionModel())
 
 
@@ -400,6 +403,26 @@ class TestExpandOrchestration:
         result = expand(t, members, ExpansionModel())
         assert "blue car" in {c.concept for c in result.concepts}
         assert reads == {run: 1 for run in runs}
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["noisy_or", "naive_bayes"]))
+    @settings(max_examples=100, deadline=None)
+    def test_unknown_short_concepts_change_nothing(self, seed, kind):
+        # a short concept missing from the taxonomy is a zero row of the
+        # membership matrix, in the baseline and in the expansion alike
+        rng = random.Random(seed)
+        t = random_taxonomy(rng, max_concepts=6, max_entities=8, max_edges=24)
+        short = rng.sample(sorted(t.concept_names), rng.randint(1, min(3, len(t.concept_names))))
+        model = ExpansionModel(kind=kind)
+        known, padded = membership(t, short), membership(t, short + ["no such x"])
+        assert padded.concept_ids[-1] == -1
+        base, base_padded = baseline_rank(t, known), baseline_rank(t, padded)
+        assert base_padded.ids.tolist() == base.ids.tolist()
+        assert base_padded.weights.tolist() == base.weights.tolist()
+        want, got = expand(t, known, model, top_k=2), expand(t, padded, model, top_k=2)
+        assert got.ids.tolist() == want.ids.tolist()
+        assert got.scores.tolist() == want.scores.tolist()
+        assert [tier.tolist() for tier in got.tiers] == [tier.tolist() for tier in want.tiers]
+        assert got.concepts == want.concepts
 
     def test_r_c_covers_all_tier_entities(self, f1):
         model = ExpansionModel()

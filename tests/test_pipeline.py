@@ -18,12 +18,11 @@ from conceptq.aggregate import optimize
 from conceptq.baseline import baseline_rank
 from conceptq.errors import UnanswerableQueryError
 from conceptq.evaluation import planted_instance
-from conceptq.expansion import relevance
 from conceptq.pipeline import PipelineConfig, run_query
 from conceptq.query import membership
 from conceptq.taxonomy import entity_union, ingest
 
-from helpers import disjoint_concept_taxonomy, random_rows
+from helpers import disjoint_concept_taxonomy, random_rows, relevance
 
 
 def test_a_query_and_a_holdout_run_import_no_scipy():
@@ -69,6 +68,9 @@ class TestPipelineConfig:
             {"model_kind": "bogus"},
             {"concepts_top_k": True},
             {"concepts_top_k": 2.5},
+            {"head": ""},
+            {"head": "  "},
+            {"head": 5},
         ],
     )
     def test_out_of_range_settings_raise_on_construction(self, fields):
