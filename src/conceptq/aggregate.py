@@ -151,7 +151,7 @@ class ScoreVector:
     """
 
     scores: dict[str, float]
-    universe: frozenset[str]
+    universe: frozenset[str]  # perfbench reads it
     iterations: int
     converged: bool
 

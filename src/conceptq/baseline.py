@@ -51,30 +51,19 @@ class BaselineRanking:
     """Fixed-point scores over the candidate entities E_u, held as arrays.
 
     ``ids`` holds E_u by descending weight w (max 1.0), ties by entity name,
-    and ``weights`` each one's w. The name views follow that order and are
-    built on first read: ``ordering``, and ``entity_weights`` and
-    ``entity_scores``, which map each name to its w and to sigma = 1 - exp(-w).
-    ``concept_scores`` holds each short concept's sigma.
+    and ``weights`` each one's w. The name view ``ordering`` lists ``ids``'
+    names, built on first read.
     """
 
     taxonomy: Taxonomy
     ids: np.ndarray
     weights: np.ndarray
-    concept_scores: dict[str, float]
-    # The fixed point is one direct solve; kept because traces report it.
+    # The fixed point is one direct solve; perfbench reads it.
     iterations_run: ClassVar[int] = 1
 
     @cached_property
-    def ordering(self) -> list[str]:
+    def ordering(self) -> list[str]:  # perfbench reads it
         return [self.taxonomy.entity_names[e] for e in self.ids.tolist()]
-
-    @cached_property
-    def entity_weights(self) -> dict[str, float]:
-        return dict(zip(self.ordering, self.weights.tolist()))
-
-    @cached_property
-    def entity_scores(self) -> dict[str, float]:
-        return dict(zip(self.ordering, (1.0 - np.exp(-self.weights)).tolist()))
 
 
 def baseline_rank(taxonomy: Taxonomy, members: Membership) -> BaselineRanking:
@@ -96,11 +85,9 @@ def baseline_rank(taxonomy: Taxonomy, members: Membership) -> BaselineRanking:
     w_entities = membership.T @ (top @ top.sum(axis=0))
     # + 0.0 turns the -0.0 of a decayed component into 0.0
     w_entities = np.round(w_entities / w_entities.max(), WEIGHT_DECIMALS) + 0.0
-    sigma_c = 1.0 - np.exp(-(membership @ w_entities))
     order = name_order(taxonomy.entity_rank, candidates, w_entities)
     return BaselineRanking(
         taxonomy=taxonomy,
         ids=candidates[order],
         weights=w_entities[order],
-        concept_scores=dict(zip(members.concepts, sigma_c.tolist())),
     )

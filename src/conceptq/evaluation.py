@@ -28,7 +28,9 @@ from typing import Iterable, Sequence
 from .errors import EngineError
 from .pipeline import PipelineConfig, run_query
 from .query import decompose, parse
-from .taxonomy import CooccurrenceRecord, Taxonomy, check_cutoff, entity_intersection, ingest
+from .taxonomy import (
+    CooccurrenceRecord, Taxonomy, check_cutoff, entity_intersection, ingest, normalize,
+)
 
 
 @dataclass(frozen=True)
@@ -117,9 +119,10 @@ def average_metrics(per_query: Sequence[QueryMetrics]) -> dict[str, float]:
 def intpro_baseline(
     taxonomy: Taxonomy, short_concepts: Sequence[str], k: int
 ) -> list[str]:
-    """Rank the full intersection by summed co-occurrence with the short concepts."""
+    """Rank the full intersection by summed co-occurrence with the short
+    concepts; spellings that normalize alike are one short concept."""
     k = check_cutoff(k)
-    concepts = list(dict.fromkeys(short_concepts))
+    concepts = list(dict.fromkeys(map(normalize, short_concepts)))
     shared = entity_intersection(taxonomy, concepts)
     totals = {
         e: sum(taxonomy.count(c, e) for c in concepts) for e in shared
@@ -131,15 +134,15 @@ def intpro_baseline(
 # -- hold-out experiment -------------------------------------------------------
 
 
-def check_cutoffs(ks: Sequence[int]) -> list[int]:
-    """The cutoffs as ints; raises ValueError unless there is at least one
-    and each passes :func:`~conceptq.taxonomy.check_cutoff`."""
+def check_cutoffs(ks: Iterable[int]) -> list[int]:
+    """The cutoffs as ints; raises ValueError unless ``ks`` is an iterable of
+    at least one and each passes :func:`~conceptq.taxonomy.check_cutoff`."""
     try:
         cutoffs = [check_cutoff(k) for k in ks]
-    except ValueError:
+    except (TypeError, ValueError):  # TypeError: ks is not iterable
         cutoffs = []
     if not cutoffs:
-        raise ValueError(f"need at least one cutoff k, each an integer >= 1; got {list(ks)}")
+        raise ValueError(f"need at least one cutoff k, each an integer >= 1; got {ks!r}")
     return cutoffs
 
 

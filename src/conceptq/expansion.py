@@ -122,12 +122,12 @@ class ExpansionResult:
     ``ids`` and ``scores`` hold R_c, the entities of the retained concepts by
     descending rel(e), ties by name. ``tiers`` groups E_u's ids, in name
     order, by pattern size, largest first; ``tiers[0]`` is the seed set. The
-    name views ``r_c``, ``entity_scores``, ``r_p`` (one constraint per
-    consecutive pair of tiers) and ``seed_entities`` are built on first read.
+    name views ``r_c``, ``r_p`` (one constraint per consecutive pair of
+    tiers) and ``seed_entities`` are built on first read.
     """
 
     taxonomy: Taxonomy
-    concepts: list[ConceptRelevance]
+    concepts: list[ConceptRelevance]  # perfbench reads it
     ids: np.ndarray
     scores: np.ndarray
     tiers: list[np.ndarray]
@@ -136,20 +136,16 @@ class ExpansionResult:
         return [self.taxonomy.entity_names[e] for e in ids.tolist()]
 
     @cached_property
-    def r_c(self) -> list[str]:
+    def r_c(self) -> list[str]:  # perfbench reads it
         return self._names(self.ids)
 
     @cached_property
-    def entity_scores(self) -> dict[str, float]:
-        return dict(zip(self.r_c, self.scores.tolist()))
-
-    @cached_property
-    def r_p(self) -> list[PairwiseConstraint]:
+    def r_p(self) -> list[PairwiseConstraint]:  # perfbench reads it
         sides = [frozenset(self._names(tier)) for tier in self.tiers]
         return [PairwiseConstraint(higher=hi, lower=lo) for hi, lo in zip(sides, sides[1:])]
 
     @cached_property
-    def seed_entities(self) -> frozenset[str]:
+    def seed_entities(self) -> frozenset[str]:  # perfbench reads it
         return frozenset(self._names(self.tiers[0]))
 
 

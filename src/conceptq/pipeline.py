@@ -89,7 +89,7 @@ class QueryResult:
 
     query: LongConceptQuery
     decomposition: Decomposition
-    subsets: list[MembershipPattern]
+    subsets: list[MembershipPattern]  # perfbench reads it
     baseline: BaselineRanking
     expansion: ExpansionResult
     scores: ScoreVector

@@ -47,12 +47,11 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class MembershipPattern:
-    """A subset of the query's short concepts and the entities of E_u whose
-    membership pattern is exactly that subset; ``size`` is its popcount and
-    ``ids`` holds the entities' ids in name order."""
+    """A subset of the query's short concepts and the ids, in name order, of
+    the entities of E_u whose membership pattern is exactly that subset;
+    ``size`` is its popcount."""
 
     subset: frozenset[str]
-    entities: frozenset[str]
     size: int
     ids: np.ndarray = field(compare=False)
 
@@ -61,12 +60,13 @@ class MembershipPattern:
 class Membership:
     """The k x |E_u| membership matrix of a query's short concepts.
 
+    ``concepts`` holds the short concepts' normalized names, each once.
     ``concept_ids[i]`` is the id of ``concepts[i]``, or -1 for a concept
     missing from the taxonomy, which has a zero row. ``matrix[i, j]`` is 1.0
     when ``concepts[i]`` contains the entity with id ``ids[j]``; the columns
     are E_u in ascending id order. ``patterns`` lists each distinct column
     once, by size descending and then by sorted member names, which is the
-    order of the subset lattice; every pattern's entities lie in E_u.
+    order of the subset lattice; every pattern's ids lie in E_u.
     """
 
     concepts: tuple[str, ...]
@@ -121,7 +121,7 @@ def decompose(query: LongConceptQuery, taxonomy: Taxonomy) -> Decomposition:
     unresolved: list[str] = []
     for modifier in query.modifiers:
         short = f"{modifier} {query.head}"
-        if taxonomy.has_concept(short):
+        if taxonomy.concept_id(short) is not None:
             resolved.setdefault(short, None)
         else:
             unresolved.append(modifier)
@@ -141,8 +141,9 @@ def decompose(query: LongConceptQuery, taxonomy: Taxonomy) -> Decomposition:
 
 def membership(taxonomy: Taxonomy, short_concepts: Iterable[str]) -> Membership:
     """Read the short concepts' rows once into their membership matrix and
-    group E_u by membership pattern."""
-    concepts = tuple(dict.fromkeys(short_concepts))
+    group E_u by membership pattern. Spellings that normalize alike are one
+    short concept."""
+    concepts = tuple(dict.fromkeys(map(normalize, short_concepts)))
     if not concepts:
         raise ValueError("short concept set is empty")
     cids = [taxonomy.concept_id(c) for c in concepts]
@@ -161,11 +162,10 @@ def membership(taxonomy: Taxonomy, short_concepts: Iterable[str]) -> Membership:
     first = np.ones(len(order), dtype=bool)
     first[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
     starts = np.flatnonzero(first).tolist()
-    names = [taxonomy.entity_names[e] for e in ordered.tolist()]
     runs = []
     for lo, hi in zip(starts, starts[1:] + [len(order)]):
         members = tuple(sorted(concepts[i] for i in np.flatnonzero(bits[:, lo]).tolist()))
-        runs.append((members, frozenset(names[lo:hi]), ordered[lo:hi]))
+        runs.append((members, ordered[lo:hi]))
     runs.sort(key=lambda run: (-len(run[0]), run[0]))
-    patterns = [MembershipPattern(frozenset(m), entities, len(m), run) for m, entities, run in runs]
+    patterns = [MembershipPattern(frozenset(m), len(m), run) for m, run in runs]
     return Membership(concepts, concept_ids, ids, matrix, patterns)

@@ -212,9 +212,6 @@ class Taxonomy:
     def n_edges(self) -> int:
         return len(self.by_concept.ids)
 
-    def has_concept(self, concept: str) -> bool:
-        return self.concept_id(concept) is not None
-
     def entities_of(self, concept: str) -> Mapping[str, int]:
         """Entities of ``concept`` with their counts; empty if unknown."""
         return _named_row(self.by_concept, self.concept_id(concept), self.entity_names)

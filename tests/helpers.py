@@ -16,8 +16,8 @@ import numpy as np
 
 from conceptq import expansion, taxonomy
 from conceptq.errors import DataFormatError, QueryParseError
-from conceptq.expansion import ConceptRelevance, ExpansionModel
-from conceptq.query import Membership, membership
+from conceptq.expansion import ConceptRelevance, ExpansionModel, PairwiseConstraint
+from conceptq.query import Membership
 from conceptq.taxonomy import Taxonomy, find_sorted, ingest, normalize
 
 
@@ -91,6 +91,16 @@ def reference_load(path) -> Taxonomy:
 # -- name-keyed calls into the expansion's id-level code --------------------
 
 
+def names_of(t: Taxonomy, ids) -> list[str]:
+    """The entity names of the id array ``ids``, in its order."""
+    return [t.entity_names[e] for e in ids.tolist()]
+
+
+def e_union_ids(t: Taxonomy, short_concepts) -> np.ndarray:
+    """The ascending entity ids of the entity union of ``short_concepts``."""
+    return np.array(sorted(map(t.entity_id, oracle_e_union(t, short_concepts))), dtype=np.int64)
+
+
 def known_concept(t: Taxonomy, concept: str) -> np.ndarray:
     """The id of ``concept`` as a one-element target array; ValueError if
     the taxonomy does not hold it."""
@@ -116,7 +126,7 @@ def g_penalty(t: Taxonomy, concept: str, short_concepts, delta: float) -> float:
     """g(c) of one concept against the entity union of ``short_concepts``,
     by the same ``_inside`` and ``_penalty`` that ``expand`` calls."""
     target = known_concept(t, concept)
-    inside = expansion._inside(t, membership(t, short_concepts).ids, target)
+    inside = expansion._inside(t, e_union_ids(t, short_concepts), target)
     return float(expansion._penalty(t, target, inside, delta)[0])
 
 
@@ -128,7 +138,7 @@ def relevance(t: Taxonomy, concept: str, seeds, short_concepts, model: Expansion
     seeds = seed_ids(t, seeds)
     owner, concepts, counts = t.by_entity.rows(seeds)
     hit, slot = find_sorted(target, concepts)
-    inside = expansion._inside(t, membership(t, short_concepts).ids, target)
+    inside = expansion._inside(t, e_union_ids(t, short_concepts), target)
     pairs = owner[hit], slot, counts[hit]
     return float(expansion._relevance(t, seeds, pairs, target, inside, model)[0])
 
@@ -185,27 +195,45 @@ def oracle_rel_naive_bayes(t: Taxonomy, concept, seeds, short_concepts, gamma, d
     return score / oracle_g(t, concept, e_union, delta)
 
 
+def checked_relevance(
+    t: Taxonomy, concept: str, seeds, short_concepts, model: ExpansionModel
+) -> float:
+    """``relevance``, whose float operations and so whose ties are the
+    engine's, checked against the brute-force formula to 1e-12."""
+    got = relevance(t, concept, seeds, short_concepts, model)
+    if model.kind == "noisy_or":
+        want = oracle_rel_noisy_or(t, concept, seeds, short_concepts, model.leak, model.delta)
+    else:
+        want = oracle_rel_naive_bayes(t, concept, seeds, short_concepts, model.gamma, model.delta)
+    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-300), (concept, got, want)
+    return got
+
+
 # -- expansion selection oracle -----------------------------------------------
 
 
 def oracle_expand(
-    t: Taxonomy, members: Membership, model: ExpansionModel, top_k: int
+    t: Taxonomy, short_concepts: Sequence[str], model: ExpansionModel, top_k: int
 ) -> tuple[list[tuple[str, float]], dict[str, float], list[tuple[frozenset, frozenset]]]:
     """``expand``'s retained (concept, score) pairs, entity scores and
-    (higher, lower) constraints, by full sorts.
+    (higher, lower) constraints for the short concepts, named as the
+    taxonomy names them, by full sorts.
 
-    Each run's candidates are every concept of its seeds, scored one at a
-    time by ``relevance``; all of them are sorted by (-score, name), the
+    The seed runs come from the subset lattice. Each run's candidates are
+    every concept of its seeds, scored one at a time by
+    ``checked_relevance``; all of them are sorted by (-score, name), the
     first ``top_k`` and the query's own concepts are kept, and the runs are
-    pooled by summing. Entity scores add
-    n(c, e) / n(c) * rel(c) over the ranked concepts in plain floats, and the
-    constraints come from the subset lattice's tiers.
+    pooled by summing. Entity scores add n(c, e) / n(c) * rel(c) over the
+    ranked concepts in plain floats, and the constraints come from the
+    lattice's tiers.
     """
-    short = list(members.concepts)
-    runs = [p.entities for p in members.seed_runs()]
+    short = list(dict.fromkeys(short_concepts))
+    lattice = enumerate_subsets(t, short)
+    runs = oracle_seed_runs(lattice, len(short))
     pooled: dict[str, float] = {}
     for seeds in runs:
-        scores = {c: relevance(t, c, seeds, short, model) for e in seeds for c in t.concepts_of(e)}
+        candidates = {c for e in seeds for c in t.concepts_of(e)}
+        scores = {c: checked_relevance(t, c, seeds, short, model) for c in candidates}
         ranked = sorted(scores, key=lambda c: (-scores[c], c))
         for c in dict.fromkeys(ranked[:top_k] + [c for c in short if c in scores]):
             pooled[c] = pooled.get(c, 0.0) + scores[c]
@@ -213,7 +241,7 @@ def oracle_expand(
         if c not in pooled:
             total = 0.0
             for seeds in runs:
-                total += relevance(t, c, seeds, short, model)
+                total += checked_relevance(t, c, seeds, short, model)
             pooled[c] = total
     concepts = sorted(pooled.items(), key=lambda item: (-item[1], item[0]))
 
@@ -225,7 +253,7 @@ def oracle_expand(
             entity_scores[e] = entity_scores.get(e, 0.0) + n / n_c * score
     ranked_entities = sorted(entity_scores, key=lambda e: (-entity_scores[e], e))
 
-    tiers = [entities for _, entities in oracle_tiers(enumerate_subsets(t, short))]
+    tiers = [entities for _, entities in oracle_tiers(lattice)]
     return (
         concepts,
         {e: entity_scores[e] for e in ranked_entities},
@@ -393,3 +421,75 @@ def oracle_map_scores(r_b, r_c, r_p, weights, a=0.01, b=0.01) -> dict[str, float
         if t == 1.0 and np.max(np.abs(d)) < 1e-10:
             return dict(zip(names, (s - s.mean()).tolist()))
     raise AssertionError("oracle did not converge")
+
+
+# -- whole-query oracle -----------------------------------------------------------
+
+
+def oracle_parse(t: Taxonomy, raw_query: str, head: str | None = None) -> list[str]:
+    """The query's short concepts that the taxonomy holds, in modifier
+    order, each once: "modifier head" for each modifier, the head being
+    the last word unless ``head`` names a multi-word one."""
+    words = normalize(raw_query).split()
+    head_words = normalize(head).split() if head else words[-1:]
+    assert 0 < len(head_words) < len(words) and words[-len(head_words):] == head_words
+    head = " ".join(head_words)
+    known = set(t.concept_names)
+    short = [f"{m} {head}" for m in words[: -len(head_words)]]
+    return list(dict.fromkeys(c for c in short if c in known))
+
+
+def oracle_baseline(t: Taxonomy, short_concepts: Sequence[str]) -> dict[str, float]:
+    """Baseline weights of E_u, by descending weight then name: A^T times the
+    projection of the all-ones vector onto the top eigenspace of A A^T, from
+    a dense eigen-solve over a name-indexed A, max-normalized and rounded to
+    12 decimals as the baseline module does."""
+    entities = sorted(oracle_e_union(t, short_concepts))
+    a = np.array([[float(e in t.entities_of(c)) for e in entities] for c in short_concepts])
+    eigvals, eigvecs = np.linalg.eigh(a @ a.T)
+    top = eigvecs[:, eigvals >= eigvals[-1] * (1.0 - 1e-9)]
+    w = a.T @ (top @ top.sum(axis=0))
+    w = np.round(w / w.max(), 12) + 0.0
+    weights = dict(zip(entities, w.tolist()))
+    return {e: weights[e] for e in sorted(entities, key=lambda e: (-weights[e], e))}
+
+
+def tied(names: Sequence[str], values: Sequence[float], tol: float = 0.0) -> list[list[str]]:
+    """The names, ordered by descending ``values``, as groups of tied names:
+    a run of values each within ``tol`` of the previous one is one group."""
+    groups: list[list[str]] = []
+    for i, (name, value) in enumerate(zip(names, values)):
+        if i and abs(values[i - 1] - value) <= tol:
+            groups[-1].append(name)
+        else:
+            groups.append([name])
+    return groups
+
+
+def oracle_run_query(
+    t: Taxonomy, raw_query: str, config
+) -> tuple[dict[str, float], dict[str, str], list[tuple[str, float]]]:
+    """``run_query``'s scores and provenance by entity name, and its retained
+    (concept, score) pairs, from the stage oracles over names and plain
+    dicts; it calls none of the engine's stages.
+
+    R_b groups baseline weights that agree within 1e-9, since the dense
+    eigen-solve may differ from the engine's in the last bits. R_c groups
+    equal rel(e), which ``oracle_expand`` sums in the engine's concept order
+    from rel(c) with the engine's float ties (``checked_relevance``)."""
+    short = oracle_parse(t, raw_query, config.head)
+    model, top_k = config.expansion_model(), config.concepts_top_k
+    concepts, rel_e, tier_pairs = oracle_expand(t, short, model, top_k)
+    r_p = [PairwiseConstraint(hi, lo) for hi, lo in tier_pairs]
+    weights = oracle_baseline(t, short)
+    r_b = tied(list(weights), list(weights.values()), 1e-9)
+    r_c = tied(list(rel_e), list(rel_e.values()))
+    scores = oracle_map_scores(r_b, r_c, r_p, config.weights())
+
+    union = oracle_e_union(t, short)
+    seeds = frozenset().union(*oracle_seed_runs(enumerate_subsets(t, short), len(short)))
+    provenance = {
+        e: "seed" if e in seeds else "baseline-only" if e in union else "expanded"
+        for e in scores
+    }
+    return scores, provenance, concepts

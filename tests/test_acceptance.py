@@ -33,6 +33,7 @@ from conceptq.taxonomy import ingest
 
 from helpers import (
     g_penalty,
+    names_of,
     oracle_rel_naive_bayes,
     oracle_rel_noisy_or,
     random_rows,
@@ -120,8 +121,9 @@ def test_criterion_2_baseline_matches_eigen_oracle():
             candidates, key=lambda e: (-principal[candidates.index(e)], e)
         )
         assert rb.ordering == oracle_order
+        weights = dict(zip(names_of(t, rb.ids), rb.weights.tolist()))
         for e in candidates:
-            assert rb.entity_weights[e] == pytest.approx(
+            assert weights[e] == pytest.approx(
                 principal[candidates.index(e)], abs=1e-6
             )
         checked += 1

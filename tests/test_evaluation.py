@@ -109,6 +109,12 @@ class TestIntPro:
         with pytest.raises(ValueError):
             intpro_baseline(f1, ["top university", "american university"], k)
 
+    def test_a_respelled_concept_counts_once(self):
+        # b: 1 + 4 = 5 beats a: 3 + 1 = 4; counting "top u" twice gives a 7, b 6
+        t = ingest([("top u", "a", 3), ("top u", "b", 1), ("am u", "a", 1), ("am u", "b", 4)])
+        assert intpro_baseline(t, ["top u", "am u"], 5) == ["b", "a"]
+        assert intpro_baseline(t, ["top u", "Top  U", "am u"], 5) == ["b", "a"]
+
     def test_empty_intersection(self):
         t = ingest([("c1", "a", 1), ("c2", "b", 1)])
         assert intpro_baseline(t, ["c1", "c2"], 5) == []
@@ -297,7 +303,7 @@ class TestEvaluateQueries:
         assert metrics["ratio@4"] == pytest.approx(2 / 3)  # c, d outside {a, b}
         assert report.averages == metrics
 
-    @pytest.mark.parametrize("ks", [[], [0], [5, 0], [2.5], [True]])
+    @pytest.mark.parametrize("ks", [[], [0], [5, 0], [2.5], [True], 10, None])
     def test_bad_cutoffs_rejected(self, f1, ks):
         truth = GroundTruth(query="top american university", answers=frozenset({"a"}))
         with pytest.raises(ValueError, match="cutoff"):

@@ -22,6 +22,7 @@ from helpers import (
     disjoint_concept_taxonomy,
     entity_relevance,
     g_penalty,
+    names_of,
     oracle_expand,
     oracle_rel_naive_bayes,
     oracle_rel_noisy_or,
@@ -40,7 +41,7 @@ def full_intersection_cases(rng, count):
         short = concepts[: rng.randint(1, min(3, len(concepts)))]
         members = membership(t, short)
         if members.patterns[0].size == len(short):
-            cases.append((t, short, members, sorted(members.patterns[0].entities)))
+            cases.append((t, short, members, sorted(names_of(t, members.patterns[0].ids))))
     return cases
 
 F1_PAIR = ["top university", "american university"]
@@ -211,7 +212,7 @@ class TestExpandConcepts:
     def test_single_shared_concept_is_rank_one(self, f1):
         model = ExpansionModel()
         short = ["famous university", "top university"]
-        seeded_by_x = [MembershipPattern(frozenset(short), frozenset({"x"}), 2, np.array([f1.entity_id("x")]))]
+        seeded_by_x = [MembershipPattern(frozenset(short), 2, np.array([f1.entity_id("x")]))]
         members = replace(membership(f1, short), patterns=seeded_by_x)
         result = expand(f1, members, model, top_k=5)
         assert result.concepts[0].concept == "famous university"
@@ -223,7 +224,7 @@ class TestExpandConcepts:
 
     def test_top_k_larger_than_candidates(self, f1):
         model = ExpansionModel()
-        seeded_by_a = [MembershipPattern(frozenset(F1_PAIR), frozenset({"a"}), 2, np.array([f1.entity_id("a")]))]
+        seeded_by_a = [MembershipPattern(frozenset(F1_PAIR), 2, np.array([f1.entity_id("a")]))]
         members = replace(membership(f1, F1_PAIR), patterns=seeded_by_a)
         result = expand(f1, members, model, top_k=50)
         assert len(result.concepts) == 4
@@ -389,7 +390,7 @@ class TestExpandOrchestration:
         # blue car is a candidate in no run, and scoring it reads no row again
         t = disjoint_concept_taxonomy()
         members = membership(t, ["red car", "fast car", "cult car", "blue car"])
-        runs = {frozenset(map(t.entity_id, p.entities)) for p in members.seed_runs()}
+        runs = {frozenset(p.ids.tolist()) for p in members.seed_runs()}
         assert len(runs) == 2
         reads = Counter()
         rows = Csr.rows
@@ -408,12 +409,15 @@ class TestExpandOrchestration:
     @settings(max_examples=100, deadline=None)
     def test_unknown_short_concepts_change_nothing(self, seed, kind):
         # a short concept missing from the taxonomy is a zero row of the
-        # membership matrix, in the baseline and in the expansion alike
+        # membership matrix, in the baseline and in the expansion alike, and
+        # a respelling of a known one is that concept again
         rng = random.Random(seed)
         t = random_taxonomy(rng, max_concepts=6, max_entities=8, max_edges=24)
         short = rng.sample(sorted(t.concept_names), rng.randint(1, min(3, len(t.concept_names))))
         model = ExpansionModel(kind=kind)
-        known, padded = membership(t, short), membership(t, short + ["no such x"])
+        respelled = f" {short[0].upper()}  "
+        known, padded = membership(t, short), membership(t, short + [respelled, "no such x"])
+        assert padded.concepts == (*short, "no such x")
         assert padded.concept_ids[-1] == -1
         base, base_padded = baseline_rank(t, known), baseline_rank(t, padded)
         assert base_padded.ids.tolist() == base.ids.tolist()
@@ -482,11 +486,12 @@ class TestTopKSelection:
         rng = random.Random(seed)
         t = random_taxonomy(rng, max_concepts=10, max_entities=8, max_edges=30, max_count=3)
         concepts = sorted(t.concept_names)
-        members = membership(t, rng.sample(concepts, rng.randint(1, min(3, len(concepts)))))
+        short = rng.sample(concepts, rng.randint(1, min(3, len(concepts))))
+        members = membership(t, short)
         runs = members.seed_runs()
-        assume(top_k < max(len({c for e in p.entities for c in t.concepts_of(e)}) for p in runs))
+        assume(top_k < max(len({c for e in names_of(t, p.ids) for c in t.concepts_of(e)}) for p in runs))
         result = expand(t, members, model, top_k=top_k)
-        want, _, _ = oracle_expand(t, members, model, top_k)
+        want, _, _ = oracle_expand(t, short, model, top_k)
         assert [(c.concept, c.score) for c in result.concepts] == want
 
     @pytest.mark.parametrize("model", SELECTION_MODELS, ids=["noisy_or", "naive_bayes_gamma1"])
@@ -509,13 +514,12 @@ class TestTopKSelection:
                 rows.append((concept, "outside", 2))
         t = ingest(rows)
         assert all(len(t.concepts_of(s)) >= 200 for s in ("s1", "s2"))
-        members = membership(t, ["q1 x", "q2 x"])
-        result = expand(t, members, model, top_k=top_k)
-        concepts, entity_scores, r_p = oracle_expand(t, members, model, top_k)
+        result = expand(t, membership(t, ["q1 x", "q2 x"]), model, top_k=top_k)
+        concepts, entity_scores, r_p = oracle_expand(t, ["q1 x", "q2 x"], model, top_k)
         # the kept k-concepts come from one profile that 25 concepts share
         kept = [score for name, score in concepts if name.startswith("k")]
         assert len(kept) == top_k and len(set(kept)) == 1
         assert [(c.concept, c.score) for c in result.concepts] == concepts
-        assert result.entity_scores == entity_scores
+        assert dict(zip(names_of(t, result.ids), result.scores.tolist())) == entity_scores
         assert result.r_c == list(entity_scores)
         assert [(c.higher, c.lower) for c in result.r_p] == r_p

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import random
@@ -5,7 +6,7 @@ import re
 import subprocess
 import sys
 import types
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,14 +16,17 @@ from hypothesis import strategies as st
 
 import conceptq
 from conceptq.aggregate import optimize
-from conceptq.baseline import baseline_rank
+from conceptq.baseline import BaselineRanking, baseline_rank
 from conceptq.errors import UnanswerableQueryError
+from conceptq.expansion import ExpansionResult
 from conceptq.evaluation import planted_instance
 from conceptq.pipeline import PipelineConfig, run_query
 from conceptq.query import membership
 from conceptq.taxonomy import entity_union, ingest
 
-from helpers import disjoint_concept_taxonomy, random_rows, relevance
+from helpers import (
+    disjoint_concept_taxonomy, names_of, oracle_run_query, random_rows, relevance, tied,
+)
 
 
 def test_a_query_and_a_holdout_run_import_no_scipy():
@@ -56,6 +60,25 @@ def test_the_readme_lists_exactly_the_package_exports():
     }
     assert len(listed) == len(set(listed))
     assert set(listed) == exported
+
+
+def test_the_readme_lists_exactly_the_stage_name_views():
+    # "(`baseline.ordering`; `expansion.r_c`, ...)": one group per stage,
+    # whose first view carries the stage's name
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listing = re.search(r"The name views\s+\((.*?)\)", readme, re.S).group(1)
+    listed = []
+    for group in listing.split(";"):
+        names = re.findall(r"`([\w.]+)`", group)
+        stage = names[0].split(".")[0]
+        listed += [(stage, name.split(".")[-1]) for name in names]
+    views = {
+        (stage, name)
+        for stage, cls in (("baseline", BaselineRanking), ("expansion", ExpansionResult))
+        for name, value in vars(cls).items() if isinstance(value, functools.cached_property)
+    }
+    assert len(listed) == len(set(listed))
+    assert set(listed) == views
 
 
 class TestPipelineConfig:
@@ -178,7 +201,7 @@ class TestEmptyIntersectionQueries:
         assert not any("blue car" in p.subset for p in runs)
         short = result.decomposition.short_concepts
         expected = sum(
-            relevance(t, "blue car", p.entities, short, config.expansion_model()) for p in runs
+            relevance(t, "blue car", names_of(t, p.ids), short, config.expansion_model()) for p in runs
         )
         pooled = {c.concept: c.score for c in result.expansion.concepts}
         assert expected > 0
@@ -186,7 +209,7 @@ class TestEmptyIntersectionQueries:
 
     def test_subsets_recorded_in_result(self, f1):
         result = run_query(f1, "top american university")
-        assert result.subsets[0].entities == frozenset({"a", "b"})
+        assert names_of(f1, result.subsets[0].ids) == ["a", "b"]
         assert result.baseline.ordering == ["a", "b", "c", "d"]
 
 
@@ -203,13 +226,6 @@ def random_queries(draw):
     kind = draw(st.sampled_from(["noisy_or", "naive_bayes"]))
     config = PipelineConfig(model_kind=kind, alpha=alpha, beta=beta)
     return t, " ".join([*chosen, "kind"]), config
-
-
-def tied(names, values):
-    """The names, ordered by descending ``values``, as groups of tied names:
-    one group per run of equal values."""
-    runs = itertools.groupby(zip(names, values), key=lambda pair: pair[1])
-    return [[name for name, _ in run] for _, run in runs]
 
 
 class TestNameIndependence:
@@ -235,14 +251,15 @@ class TestNameIndependence:
         # same baseline weight, same rel(e) and same tier: one score
         t, query, config = case
         result = run_query(t, query, config)
-        weight = result.baseline.entity_weights
+        weight = dict(zip(names_of(t, result.baseline.ids), result.baseline.weights.tolist()))
+        rel = dict(zip(names_of(t, result.expansion.ids), result.expansion.scores.tolist()))
         tier = {
             t.entity_names[e]: k
             for k, ids in enumerate(result.expansion.tiers) for e in ids.tolist()
         }
         classes = {}
         for e, score in result.scores.scores.items():
-            key = (weight.get(e), result.expansion.entity_scores[e], tier.get(e))
+            key = (weight.get(e), rel[e], tier.get(e))
             classes.setdefault(key, set()).add(score.hex())
         assert all(len(scores) == 1 for scores in classes.values())
 
@@ -289,6 +306,33 @@ class TestIdPath:
             else:
                 expected = "baseline-only"
             assert r.provenance == expected
+
+
+class TestWholeQueryOracle:
+    """run_query against ``helpers.oracle_run_query``, which composes the
+    stage oracles over names and calls none of the engine's stages."""
+
+    @pytest.mark.parametrize("kind", ["noisy_or", "naive_bayes"])
+    @given(case=random_queries())
+    @settings(max_examples=200, deadline=None)
+    def test_run_query_matches_the_names_only_oracle(self, kind, case):
+        t, query, config = case
+        config = replace(config, model_kind=kind)
+        result = run_query(t, query, config)
+        scores, provenance, concepts = oracle_run_query(t, query, config)
+        assert [(c.concept, c.score) for c in result.expansion.concepts] == concepts
+        assert result.scores.universe == scores.keys()
+        assert {r.entity: r.provenance for r in result.ranking} == provenance
+        for r in result.ranking:
+            assert abs(r.score - scores[r.entity]) < 1e-6
+        # The same ranking up to groups of bit-equal scores. An ordering whose
+        # weight is 0 still splits the engine's classes, so scores equal in
+        # exact arithmetic may differ in their last bits; the oracle ties them
+        # within 1e-9, and either order is right.
+        ranked = [(r.entity, r.score) for r in result.ranking]
+        for (x, score_x), (y, score_y) in itertools.combinations(ranked, 2):
+            if score_x != score_y:
+                assert scores[x] > scores[y] - 1e-9
 
 
 class TestRowOrderInvariance:
