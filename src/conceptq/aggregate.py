@@ -35,11 +35,12 @@ goes to +-inf, so F has a finite maximizer. Every stage is a linear term
 minus a log-sum-exp, so concave, and every prior term is strictly concave:
 F is strictly concave and the maximizer is unique.
 
-Entities that share their bucket in every ordering and constraint are
-interchangeable in F, so the maximizer gives them one score. The solve
-therefore runs over these classes: a class of m entities is one variable
-whose e^s enters every sum m times (a log m offset in each log-sum-exp),
-whose linear terms count m times, and whose prior term is m (a s - b e^s).
+Entities that share their bucket in every ordering and constraint with a
+term in F (a weight above 0 and two buckets or more) are interchangeable in
+F, so the maximizer gives them one score. The solve runs over these
+classes: a class of m entities is one variable whose e^s enters every sum m
+times (a log m offset in each log-sum-exp), whose linear terms count m
+times, and whose prior term is m (a s - b e^s).
 Tied entities get bit-equal scores.
 
 The solver is damped Newton from s = 0. Below, n counts classes, and each
@@ -185,18 +186,14 @@ class _Terms:
     """The weighted likelihood over units ``0..n-1``: classes of ``mult``
     entities each, or entities when every multiplicity is 1. Each of
     ``orderings`` is a ((units, bounds), weight) bucket order that repeats no
-    unit, bucket k holding units[bounds[k]:bounds[k+1]]."""
+    unit, bucket k holding units[bounds[k]:bounds[k+1]], from _weighted."""
 
     def __init__(self, mult: np.ndarray, orderings):
         self.n, self.mult = len(mult), mult
         self.log_mult = np.log(mult)
         # the prior's a m and b m
         self.shape, self.rate = PRIOR_SHAPE * mult, PRIOR_RATE * mult
-        self.lists = [
-            _Ordering(idx, bounds, weight, mult)
-            for (idx, bounds), weight in orderings
-            if len(bounds) >= 3 and weight > 0
-        ]
+        self.lists = [_Ordering(idx, bounds, weight, mult) for (idx, bounds), weight in orderings]
         # Gradient and curvature produce one value per (ordering, position)
         # slot, in this order; _scatter sums them per unit.
         self.slots = np.concatenate([np.empty(0, dtype=np.intp), *(o.idx for o in self.lists)])
@@ -216,8 +213,8 @@ class _Terms:
             self.signed = np.array(signed)
 
     def _scatter(self, parts: list[np.ndarray]) -> np.ndarray:
-        # bincount returns integers when there are no slots at all (every
-        # weight zero), so the result is cast to float
+        # bincount returns integers when there are no slots at all (no
+        # ordering counts), so the result is cast to float
         weights = np.concatenate([np.empty(0), *parts])
         return np.bincount(self.slots, weights, minlength=self.n).astype(float, copy=False)
 
@@ -314,13 +311,14 @@ def bucket_bounds(values: np.ndarray) -> np.ndarray:
 
 def _weighted(r_b, r_c, r_p, weights: ObjectiveWeights) -> list:
     """The bucket orders ``r_b`` and ``r_c`` and each (higher, lower)
-    constraint of ``r_p`` as its two-bucket order [higher, lower], with
-    their weights, as _Terms takes them."""
+    constraint of ``r_p`` as its two-bucket order [higher, lower], with their
+    weights, as _Terms takes them: those of weight > 0 and >= 2 buckets."""
     stages = [
         ((np.concatenate((hi, lo)), np.array([0, len(hi), len(hi) + len(lo)])), weights.beta)
         for hi, lo in r_p
     ]
-    return [(r_b, weights.baseline), (r_c, weights.alpha), *stages]
+    orderings = [(r_b, weights.baseline), (r_c, weights.alpha), *stages]
+    return [(o, weight) for o, weight in orderings if weight > 0 and len(o[1]) >= 3]
 
 
 def _classes(n: int, orderings) -> tuple[_Terms, np.ndarray]:
@@ -329,14 +327,14 @@ def _classes(n: int, orderings) -> tuple[_Terms, np.ndarray]:
     the entities.
 
     An entity's key is its bucket in each ordering, one past the last for an
-    entity outside it; the classes are the distinct keys, in ascending key
-    order, so they do not depend on the entities' names.
+    entity outside it; the classes are the distinct keys (one class with no
+    ordering), in ascending key order, so they do not depend on names.
     """
     keys = np.empty((len(orderings), n), dtype=np.intp)
     for row, ((idx, bounds), _) in zip(keys, orderings):
         row[:] = len(bounds) - 1
         row[idx] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    order = np.lexsort(keys[::-1])
+    order = np.lexsort(keys[::-1]) if len(keys) else np.arange(n)
     keys = keys[:, order]
     first = np.ones(n, dtype=bool)
     first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)

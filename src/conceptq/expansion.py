@@ -32,15 +32,16 @@ concepts is built:
 * g(c) = (delta + T(c) - I(c)) / T(c), with T(c) = n(c) + deg(c) and
   I(c) = sum_{e in E_u} (n(e,c)+1), which adds the seeds' pairs through their
   slots and the rest of E_u's pairs by binary search;
-* the top_k candidates are the ones scoring at least the k-th best score,
-  which a partition finds in O(candidates); only those are sorted;
+* a run retains the candidates scoring above 0 and at least the k-th best
+  score (k = top_k), found by a partition in O(candidates): a tie at the
+  k-th score is kept whole, so no name decides what is retained;
 * a short concept that covers no seed of any run is always retained, and
   its score needs no row: leak / g(c) under noisy-or, and
   P(c) * prod_{e in seeds} (1-g_) P(e) / g(c) under naive bayes;
 * rel(e) is one accumulation over the retained concepts' rows.
 
-Ties are broken by name, through the taxonomy's precomputed name ranks, so
-a tie across the top_k boundary keeps the first names.
+The pooled concepts are listed by descending score, ties by name, but no
+name decides what is retained or the float sum of any rel(e).
 
 Separately, E_u is grouped into tiers by membership pattern size (the size
 of the largest subset supporting an entity); each tier should outrank the
@@ -229,15 +230,11 @@ def _candidates(
     return candidates, _relevance(taxonomy, seeds, (owner, slot, counts), candidates, inside, model)
 
 
-def _top(rank: np.ndarray, ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the ``k`` best of ``ids`` by descending score, ties by
-    name ``rank``. A partition finds the k-th best score, and only the ids
-    scoring at least that are sorted, so ties across it are kept by name."""
-    if len(scores) > k:
-        kth = np.partition(scores, len(scores) - k)[len(scores) - k]
-        keep = np.flatnonzero(scores >= kth)
-        return keep[name_order(rank, ids[keep], scores[keep])[:k]]
-    return name_order(rank, ids, scores)
+def _top(scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the scores above 0 that are at least the k-th best, so
+    a tie at the k-th best score is kept whole; a partition finds it."""
+    at = max(len(scores) - k, 0)
+    return np.flatnonzero((scores >= np.partition(scores, at)[at]) & (scores > 0))
 
 
 # -- expansion ------------------------------------------------------------
@@ -246,13 +243,16 @@ def _top(rank: np.ndarray, ids: np.ndarray, scores: np.ndarray, k: int) -> np.nd
 def _entity_relevance(
     taxonomy: Taxonomy, concepts: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """rel(e) = sum of P(e|c) * rel(c) over the concept ids ``concepts``, in
-    that order, with rel(c) in ``weights``: the covered entity ids by
-    descending rel(e), ties by name, and their rel(e)."""
+    """rel(e) = sum of P(e|c) * rel(c) over the concept ids ``concepts``, with
+    rel(c) in ``weights``, each entity's terms added by descending rel(c) and
+    then ascending value, so that no concept order changes the float sum: the
+    covered entity ids by descending rel(e), ties by name, and their rel(e)."""
     owner, entities, counts = taxonomy.by_concept.rows(concepts)
+    terms = counts / taxonomy.n_c[concepts][owner] * weights[owner]
+    added = np.lexsort((terms, -weights[owner]))
     covered, slot = np.unique(entities, return_inverse=True)
     scores = np.zeros(len(covered))
-    np.add.at(scores, slot, counts / taxonomy.n_c[concepts][owner] * weights[owner])
+    np.add.at(scores, slot[added], terms[added])
     order = name_order(taxonomy.entity_rank, covered, scores)
     return covered[order], scores[order]
 
@@ -271,8 +271,9 @@ def expand(
     The seed runs are ``members.seed_runs()``: the full intersection when it
     is non-empty, else the intersection of every largest subset whose
     intersection is non-empty, each expanded independently; every seed lies
-    in E_u. The retained concepts are pooled, summing the scores of concepts
-    found by several runs.
+    in E_u. Each run retains its candidates scoring above 0 and at least its
+    ``top_k``-th best; they are pooled, summing the scores of concepts found
+    by several runs, and listed by descending score, ties by name.
 
     The query's own short concepts, read as ``members.concept_ids`` (-1, a
     concept not in the taxonomy, adds nothing), are always retained, with the
@@ -289,7 +290,7 @@ def expand(
     pooled: dict[int, float] = {}
     for seed_ids in run_seeds:
         candidates, scores = _candidates(taxonomy, seed_ids, members.ids, model)
-        retained = _top(taxonomy.concept_rank, candidates, scores, top_k).tolist()
+        retained = _top(scores, top_k).tolist()
         retained += find_sorted(candidates, query_ids)[1].tolist()
         for i in dict.fromkeys(retained):
             c = int(candidates[i])
@@ -308,7 +309,7 @@ def expand(
             total += _relevance(taxonomy, seed_ids, no_pairs, targets, inside, model)
         pooled.update(zip(unseen, total.tolist()))
 
-    ranked = sorted(pooled, key=lambda c: (-pooled[c], taxonomy.concept_rank[c]))
+    ranked = sorted(pooled, key=lambda c: (-pooled[c], taxonomy.concept_names[c]))
     ids, scores = _entity_relevance(
         taxonomy, np.array(ranked, dtype=np.int64), np.array([pooled[c] for c in ranked])
     )

@@ -22,7 +22,7 @@ arguments and return None, zero counts or empty mappings for unknown names.
 
 A taxonomy is never mutated, so the hold-out cut (``without_edges``) reads
 only the cut rows and shares with its parent every read-only array, name
-list, id map and name rank that the cut leaves as it was.
+list, id map and entity name rank that the cut leaves as it was.
 """
 
 from __future__ import annotations
@@ -149,9 +149,9 @@ class Taxonomy:
     Instances are built by :func:`ingest`, :func:`load` or
     :meth:`without_edges` and never mutated afterwards, so all lookups are
     safe for unrestricted concurrent use. That is also why a cut shares its
-    parent's read-only arrays, name lists and id maps wherever they did not
-    change. Dense ids follow first-seen stream order; they are an indexing
-    convenience -- equality between taxonomies compares counts by name only.
+    parent's read-only arrays, name lists, id maps and entity name ranks
+    wherever they did not change. Dense ids follow first-seen stream order;
+    they are an indexing convenience -- equality compares counts by name.
     """
 
     def __init__(self, concept_names: list[str], entity_names: list[str],
@@ -197,14 +197,12 @@ class Taxonomy:
         return self._entity_ids.get(normalize(entity))
 
     @cached_property
-    def concept_rank(self) -> np.ndarray:
-        """Sort key of each concept id that follows name order, for tie-breaks."""
-        return _name_ranks(self.concept_names)
-
-    @cached_property
     def entity_rank(self) -> np.ndarray:
         """Sort key of each entity id that follows name order, for tie-breaks."""
-        return _name_ranks(self.entity_names)
+        names = self.entity_names
+        ranks = np.empty(len(names), dtype=np.int64)
+        ranks[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+        return _frozen(ranks)
 
     # -- lookups ----------------------------------------------------------
 
@@ -241,8 +239,8 @@ class Taxonomy:
 
         Only the cut rows are read: the cut pairs are deleted from both
         orientations and subtracted from the marginals. The name lists, id
-        maps and name ranks are shared with this taxonomy unless a name loses
-        its last pair; a cut that removes nothing returns this taxonomy."""
+        maps and entity name ranks are shared unless a name loses its last
+        pair; a cut that removes nothing returns this taxonomy."""
         cut_c = _known_ids(map(self.concept_id, concepts))
         cut_e = _known_ids(map(self.entity_id, entities))
         if not (len(cut_c) and len(cut_e)):
@@ -257,18 +255,20 @@ class Taxonomy:
         np.subtract.at(n_e, of_e, self.by_entity.counts[at_e])
         by_concept = self.by_concept.without(at_c, of_c)
         by_entity = self.by_entity.without(at_e, of_e)
-        c_names, c_ids, c_rank = self.concept_names, self._concept_ids, self.concept_rank
+        c_names, c_ids = self.concept_names, self._concept_ids
         e_names, e_ids, e_rank = self.entity_names, self._entity_ids, self.entity_rank
         # Counts are positive, so a zero total is an emptied row.
         gone_c, gone_e = cut_c[n_c[cut_c] == 0], cut_e[n_e[cut_e] == 0]
         if len(gone_c) or len(gone_e):
             by_concept, by_entity = by_concept.drop(gone_c, gone_e), by_entity.drop(gone_e, gone_c)
             n_c, n_e = np.delete(n_c, gone_c), np.delete(n_e, gone_e)
-            c_names, c_ids, c_rank = _compact(c_names, c_ids, c_rank, gone_c)
-            e_names, e_ids, e_rank = _compact(e_names, e_ids, e_rank, gone_e)
+            c_names, c_ids = _compact(c_names, c_ids, gone_c)
+            e_names, e_ids = _compact(e_names, e_ids, gone_e)
+            if len(gone_e):  # a subset of the name ranks still sorts by name
+                e_rank = _frozen(np.delete(e_rank, gone_e))
         reduced = Taxonomy(c_names, e_names, c_ids, e_ids, by_concept, by_entity,
                            _frozen(n_c), _frozen(n_e), self.grand_total - int(removed.sum()))
-        reduced.concept_rank, reduced.entity_rank = c_rank, e_rank
+        reduced.entity_rank = e_rank
         return reduced
 
     # -- integrity ---------------------------------------------------------
@@ -301,15 +301,9 @@ class Taxonomy:
         )
 
 
-def _name_ranks(names: list[str]) -> np.ndarray:
-    ranks = np.empty(len(names), dtype=np.int64)
-    ranks[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
-    return _frozen(ranks)
-
-
 def name_order(rank: np.ndarray, ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Positions of ``ids`` by descending score, ties by name ``rank``
-    (``Taxonomy.concept_rank`` or ``Taxonomy.entity_rank``)."""
+    """Positions of the entity ``ids`` by descending score, ties by name
+    ``rank`` (``Taxonomy.entity_rank``)."""
     return np.lexsort((rank[ids], -scores))
 
 
@@ -344,18 +338,13 @@ def _known_ids(ids: Iterable[int | None]) -> np.ndarray:
     return np.array(sorted({i for i in ids if i is not None}), dtype=np.int64)
 
 
-def _compact(
-    names: list[str], ids: dict[str, int], rank: np.ndarray, dropped: np.ndarray
-) -> tuple[list[str], dict[str, int], np.ndarray]:
-    """The names, ``name -> id`` map and name ranks without the ascending
-    ids ``dropped``, renumbered in the same order. When nothing is dropped
-    all three are shared, not copied."""
+def _compact(names: list[str], ids: dict[str, int], dropped: np.ndarray) -> tuple[list, dict]:
+    """The names and ``name -> id`` map without the ascending ids ``dropped``,
+    renumbered in the same order; shared, not copied, when none is dropped."""
     if not len(dropped):
-        return names, ids, rank
-    kept = np.delete(np.arange(len(names)), dropped)
-    names = [names[i] for i in kept.tolist()]
-    # A subset of the name ranks still sorts by name.
-    return names, {name: i for i, name in enumerate(names)}, _frozen(rank[kept])
+        return names, ids
+    names = [names[i] for i in np.delete(np.arange(len(names)), dropped).tolist()]
+    return names, {name: i for i, name in enumerate(names)}
 
 
 def entity_union(taxonomy: Taxonomy, concepts: Iterable[str]) -> frozenset[str]:

@@ -221,10 +221,11 @@ def oracle_expand(
 
     The seed runs come from the subset lattice. Each run's candidates are
     every concept of its seeds, scored one at a time by
-    ``checked_relevance``; all of them are sorted by (-score, name), the
-    first ``top_k`` and the query's own concepts are kept, and the runs are
-    pooled by summing. Entity scores add n(c, e) / n(c) * rel(c) over the
-    ranked concepts in plain floats, and the constraints come from the
+    ``checked_relevance``; all of them are sorted by score, those scoring
+    above 0 and at least the ``top_k``-th best are kept with the query's own
+    concepts, and the runs are pooled by summing. Each entity's score adds
+    its terms n(c, e) / n(c) * rel(c) in plain floats by descending rel(c),
+    equal rel(c) by ascending term, and the constraints come from the
     lattice's tiers.
     """
     short = list(dict.fromkeys(short_concepts))
@@ -234,8 +235,10 @@ def oracle_expand(
     for seeds in runs:
         candidates = {c for e in seeds for c in t.concepts_of(e)}
         scores = {c: checked_relevance(t, c, seeds, short, model) for c in candidates}
-        ranked = sorted(scores, key=lambda c: (-scores[c], c))
-        for c in dict.fromkeys(ranked[:top_k] + [c for c in short if c in scores]):
+        best = sorted(scores.values(), reverse=True)
+        kth = best[min(top_k, len(best)) - 1]
+        kept = [c for c in scores if scores[c] > 0 and scores[c] >= kth]
+        for c in dict.fromkeys(kept + [c for c in short if c in scores]):
             pooled[c] = pooled.get(c, 0.0) + scores[c]
     for c in short:
         if c not in pooled:
@@ -245,12 +248,17 @@ def oracle_expand(
             pooled[c] = total
     concepts = sorted(pooled.items(), key=lambda item: (-item[1], item[0]))
 
-    entity_scores: dict[str, float] = {}
+    terms: dict[str, list[tuple[float, float]]] = {}
     for c, score in concepts:
         row = t.entities_of(c)
         n_c = sum(row.values())
         for e, n in row.items():
-            entity_scores[e] = entity_scores.get(e, 0.0) + n / n_c * score
+            terms.setdefault(e, []).append((-score, n / n_c * score))
+    # one addition at a time: sum() compensates its rounding on Python 3.12
+    entity_scores = {e: 0.0 for e in terms}
+    for e, parts in terms.items():
+        for _, term in sorted(parts):
+            entity_scores[e] += term
     ranked_entities = sorted(entity_scores, key=lambda e: (-entity_scores[e], e))
 
     tiers = [entities for _, entities in oracle_tiers(lattice)]
@@ -475,7 +483,7 @@ def oracle_run_query(
 
     R_b groups baseline weights that agree within 1e-9, since the dense
     eigen-solve may differ from the engine's in the last bits. R_c groups
-    equal rel(e), which ``oracle_expand`` sums in the engine's concept order
+    equal rel(e), which ``oracle_expand`` sums in the engine's term order
     from rel(c) with the engine's float ties (``checked_relevance``)."""
     short = oracle_parse(t, raw_query, config.head)
     model, top_k = config.expansion_model(), config.concepts_top_k

@@ -752,6 +752,16 @@ class TestBucketOrders:
         )
         assert listwise([{"a", "b", "c", "d"}], scores) == 0.0
 
+    def test_only_orderings_that_count_key_the_classes(self):
+        # R_c of weight 0 splits no class; with R_b in one bucket as well,
+        # no ordering counts and every entity is one class, listed by name
+        r_b, r_c, w = [{"a", "b", "c"}], ["c", "b", "a"], ObjectiveWeights(alpha=0.0, beta=0.0)
+        _, terms, class_of = class_terms_of(r_b, r_c, [], w)
+        assert terms.n == 1 and class_of.tolist() == [0, 0, 0]
+        sv, ordering = optimize(r_b, r_c, [], w)
+        assert ordering == ["a", "b", "c"] and len(set(sv.scores.values())) == 1
+        assert sv.converged
+
     def test_malformed_bucket_orders_are_rejected(self):
         with pytest.raises(ValueError):
             optimize(["a", set(), "b"], [], [])

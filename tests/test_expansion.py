@@ -455,18 +455,20 @@ class TestSparseScoring:
                 assert relevance(t, cr.concept, seeds, short, model) == want
 
     def test_unsmoothed_naive_bayes_is_zero_for_concepts_missing_a_seed(self):
+        # every candidate is scored; expand retains the ones above 0 and no other
         rng = random.Random(12)
         zeros = 0
+        model = ExpansionModel(kind="naive_bayes", gamma=1.0, delta=0.5)
         for t, short, members, seeds in full_intersection_cases(rng, 60):
-            model = ExpansionModel(kind="naive_bayes", gamma=1.0, delta=0.5)
-            result = expand(t, members, model, top_k=100)
-            for cr in result.concepts:
-                if set(seeds) <= set(t.entities_of(cr.concept)):
-                    want = oracle_rel_naive_bayes(t, cr.concept, seeds, short, 1.0, 0.5)
-                    assert cr.score == pytest.approx(want, rel=1e-12)
-                    assert cr.score > 0.0
+            retained = {cr.concept: cr.score for cr in expand(t, members, model, top_k=100).concepts}
+            for concept in {c for e in seeds for c in t.concepts_of(e)}:
+                score = relevance(t, concept, seeds, short, model)
+                if set(seeds) <= set(t.entities_of(concept)):
+                    want = oracle_rel_naive_bayes(t, concept, seeds, short, 1.0, 0.5)
+                    assert score == pytest.approx(want, rel=1e-12)
+                    assert score > 0.0 and retained[concept] == score
                 else:
-                    assert cr.score == 0.0
+                    assert score == 0.0 and concept not in retained
                     zeros += 1
         assert zeros > 0
 
@@ -476,8 +478,9 @@ class TestSparseScoring:
 
 
 class TestTopKSelection:
-    """The top_k candidates are chosen by a partition threshold; the oracle
-    sorts every candidate by (-score, name)."""
+    """A run retains the candidates scoring above 0 and at least the top_k-th
+    best score, which a partition finds; the oracle sorts every candidate by
+    score."""
 
     @pytest.mark.parametrize("model", SELECTION_MODELS, ids=["noisy_or", "naive_bayes_gamma1"])
     @given(seed=st.integers(0, 2**32 - 1), top_k=st.integers(1, 3))
@@ -516,9 +519,10 @@ class TestTopKSelection:
         assert all(len(t.concepts_of(s)) >= 200 for s in ("s1", "s2"))
         result = expand(t, membership(t, ["q1 x", "q2 x"]), model, top_k=top_k)
         concepts, entity_scores, r_p = oracle_expand(t, ["q1 x", "q2 x"], model, top_k)
-        # the kept k-concepts come from one profile that 25 concepts share
+        # the kept k-concepts are one profile that 25 concepts share, kept
+        # whole as the tie at the top_k-th score
         kept = [score for name, score in concepts if name.startswith("k")]
-        assert len(kept) == top_k and len(set(kept)) == 1
+        assert len(kept) == 25 and len(set(kept)) == 1
         assert [(c.concept, c.score) for c in result.concepts] == concepts
         assert dict(zip(names_of(t, result.ids), result.scores.tolist())) == entity_scores
         assert result.r_c == list(entity_scores)

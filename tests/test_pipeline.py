@@ -214,11 +214,12 @@ class TestEmptyIntersectionQueries:
 
 
 @st.composite
-def random_queries(draw):
-    """A random taxonomy whose concepts are "<c> kind", a query over one to
-    four of its modifiers, and a config under either relevance model."""
+def random_queries(draw, **rows):
+    """A random taxonomy whose concepts are "<c> kind" (``rows`` are
+    ``random_rows``' limits), a query over one to four of its modifiers,
+    and a config under either relevance model."""
     rng = random.Random(draw(st.integers(0, 2**16)))
-    t = ingest([(f"{c} kind", e, n) for c, e, n in random_rows(rng)])
+    t = ingest([(f"{c} kind", e, n) for c, e, n in random_rows(rng, **rows)])
     modifiers = sorted(c.split()[0] for c in t.concept_names)
     chosen = draw(st.lists(st.sampled_from(modifiers), min_size=1, max_size=4, unique=True))
     alpha = draw(st.sampled_from([0.0, 0.2, 1.0 / 3.0, 0.6]))
@@ -232,6 +233,31 @@ class TestNameIndependence:
     """Name order is no evidence: an entity's score depends on its rows,
     not on what it is called."""
 
+    @pytest.mark.parametrize("kind", ["noisy_or", "naive_bayes"])
+    @given(case=random_queries(max_concepts=10, max_edges=30, max_count=3),
+           gamma=st.sampled_from([0.5, 1.0]), top_k=st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_reversing_the_other_concepts_name_order_changes_no_score(self, kind, case, gamma, top_k):
+        # every concept but the query's own is renamed so that their name
+        # order reverses; which concepts a run retains, and so the universe,
+        # must not follow their names
+        t, query, config = case
+        config = replace(config, model_kind=kind, gamma=gamma, concepts_top_k=top_k)
+        before = run_query(t, query, config)
+        others = sorted(set(t.concept_names) - set(before.decomposition.short_concepts))
+        rename = {c: f"other{len(others) - i:03d}" for i, c in enumerate(others)}
+        renamed = ingest([(rename.get(r.concept, r.concept), r.entity, r.count) for r in t.records()])
+        after = run_query(renamed, query, config)
+        assert after.scores.universe == before.scores.universe
+        assert sorted(c.score for c in after.expansion.concepts) == sorted(
+            c.score for c in before.expansion.concepts
+        )
+        rel = [dict(zip(r.expansion.r_c, r.expansion.scores.tolist())) for r in (before, after)]
+        assert rel[0] == rel[1]
+        assert [(r.entity, r.score.hex()) for r in after.ranking] == [
+            (r.entity, r.score.hex()) for r in before.ranking
+        ]
+
     @given(random_queries(), st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
     def test_renaming_entities_leaves_every_score_unchanged(self, case, rnd):
@@ -244,6 +270,19 @@ class TestNameIndependence:
         assert after.scores.universe == {rename[e] for e in before.scores.universe}
         for e, score in before.scores.scores.items():
             assert abs(after.scores.scores[rename[e]] - score) < 1e-9
+
+    @pytest.mark.parametrize(
+        "seed, group", [(9, ["e0", "e1", "e4"]), (12, ["e2", "e3", "e4"]), (21, ["e2", "e3", "e4", "e5"])]
+    )
+    def test_an_ordering_of_weight_zero_splits_no_tie(self, seed, group):
+        # alpha = 0 gives R_c no weight: the group shares its baseline weight
+        # and its tier, so its differing rel(e) must not split it by float noise
+        t = ingest([(f"{c} kind", e, n) for c, e, n in random_rows(random.Random(seed))])
+        ranking = run_query(t, "c0 c1 kind", PipelineConfig(alpha=0.0, beta=0.3)).ranking
+        at = [r.entity for r in ranking].index(group[0])
+        rows = ranking[at: at + len(group)]
+        assert [r.entity for r in rows] == group
+        assert len({r.score.hex() for r in rows}) == 1
 
     @given(random_queries())
     @settings(max_examples=150, deadline=None)
@@ -325,10 +364,9 @@ class TestWholeQueryOracle:
         assert {r.entity: r.provenance for r in result.ranking} == provenance
         for r in result.ranking:
             assert abs(r.score - scores[r.entity]) < 1e-6
-        # The same ranking up to groups of bit-equal scores. An ordering whose
-        # weight is 0 still splits the engine's classes, so scores equal in
-        # exact arithmetic may differ in their last bits; the oracle ties them
-        # within 1e-9, and either order is right.
+        # The same ranking up to groups of bit-equal scores. The oracle solves
+        # over single entities to its own tolerance, so two scores it finds
+        # within 1e-9 of each other may come in either order.
         ranked = [(r.entity, r.score) for r in result.ranking]
         for (x, score_x), (y, score_y) in itertools.combinations(ranked, 2):
             if score_x != score_y:

@@ -409,7 +409,7 @@ class TestLoad:
 
 class TestArrays:
     def test_arrays_are_read_only(self, f1):
-        arrays = [f1.n_c, f1.n_e, f1.deg_c, f1.concept_rank, f1.entity_rank]
+        arrays = [f1.n_c, f1.n_e, f1.deg_c, f1.entity_rank]
         for csr in (f1.by_concept, f1.by_entity):
             arrays += [csr.ptr, csr.ids, csr.counts]
         for values in arrays:
@@ -440,7 +440,8 @@ class TestArrays:
 
     def test_name_ranks_follow_name_order(self, f1):
         assert [f1.entity_names[i] for i in f1.entity_rank.argsort()] == sorted(f1.entity_names)
-        assert [f1.concept_names[i] for i in f1.concept_rank.argsort()] == sorted(f1.concept_names)
+        # no concept tie is decided by name, so concepts have no name ranks
+        assert not hasattr(f1, "concept_rank")
 
 
 class TestWithoutEdges:
@@ -464,9 +465,8 @@ class TestWithoutEdges:
                      (got.by_entity.counts, rebuilt.by_entity.counts),
                      (got.n_c, rebuilt.n_c), (got.n_e, rebuilt.n_e), (got.deg_c, rebuilt.deg_c)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        # name ranks are inherited from the parent and still sort by name
+        # entity name ranks are inherited from the parent and still sort by name
         assert [got.entity_names[i] for i in got.entity_rank.argsort()] == sorted(got.entity_names)
-        assert [got.concept_names[i] for i in got.concept_rank.argsort()] == sorted(got.concept_names)
         assert not got.entity_rank.flags.writeable
         return got
 
@@ -514,7 +514,7 @@ class TestWithoutEdges:
 
     def test_a_cut_that_empties_no_name_shares_names_maps_and_ranks(self, monkeypatch):
         t = ingest([("a", "x", 1), ("a", "y", 2), ("b", "x", 3), ("b", "z", 1), ("c", "x", 4)])
-        ranks = t.concept_rank, t.entity_rank
+        rank = t.entity_rank
 
         def forbidden(*args):
             raise AssertionError("a cut that empties no name read every pair or renumbered")
@@ -527,7 +527,7 @@ class TestWithoutEdges:
         assert got.entity_names is t.entity_names
         assert got._concept_ids is t._concept_ids
         assert got._entity_ids is t._entity_ids
-        assert got.concept_rank is ranks[0] and got.entity_rank is ranks[1]
+        assert got.entity_rank is rank
         self.check(t, ["a", "b"], ["x"])
 
     def test_a_cut_of_a_cut_equals_one_combined_cut(self):
@@ -580,7 +580,7 @@ class TestWithoutEdges:
 
 
 def arrays(t):
-    """Every array a taxonomy holds: both orientations, the marginals and the name ranks."""
+    """Every array a taxonomy holds: both orientations, the marginals and the entity name ranks."""
     return [t.by_concept.ptr, t.by_concept.ids, t.by_concept.counts,
             t.by_entity.ptr, t.by_entity.ids, t.by_entity.counts,
-            t.n_c, t.n_e, t.deg_c, t.concept_rank, t.entity_rank]
+            t.n_c, t.n_e, t.deg_c, t.entity_rank]
