@@ -35,13 +35,16 @@ goes to +-inf, so F has a finite maximizer. Every stage is a linear term
 minus a log-sum-exp, so concave, and every prior term is strictly concave:
 F is strictly concave and the maximizer is unique.
 
-Entities that share their bucket in every ordering and constraint with a
-term in F (a weight above 0 and two buckets or more) are interchangeable in
-F, so the maximizer gives them one score. The solve runs over these
-classes: a class of m entities is one variable whose e^s enters every sum m
-times (a log m offset in each log-sum-exp), whose linear terms count m
-times, and whose prior term is m (a s - b e^s).
-Tied entities get bit-equal scores.
+The solve reads its input as one bucket matrix: a row per ordering or
+constraint with a term in F (a weight above 0 and two buckets or more), and
+in it each entity's bucket, one past the last for an entity outside it.
+Entities with equal columns are interchangeable in F, so the maximizer gives
+them one score, and the solve runs over these classes: a class of m entities
+is one variable whose e^s enters every sum m times (a log m offset in each
+log-sum-exp), whose linear terms count m times, and whose prior term is m (a
+s - b e^s). One class builder finds them: each column read as one
+mixed-radix integer (a lexsort where those overflow int64), and one stable
+argsort. Tied entities get bit-equal scores.
 
 The solver is damped Newton from s = 0. Below, n counts classes, and each
 universe size has one way to get a direction:
@@ -50,7 +53,8 @@ universe size has one way to get a direction:
   as lin . s + sum_r sigma_r L_r, L_r the log-sum-exp of s + log m over a
   row r of classes: an ordering of weight w has a row per stage k, the
   classes of buckets k..K (sigma = -w |B_k|, and w m_j s_j in lin for each
-  class j of B_k). With p_r the softmax of s + log m over row r, one pass
+  class j of B_k), all built from the classes' bucket matrix in one
+  vectorized pass. With p_r the softmax of s + log m over row r, one pass
   gives F, grad F = lin + p^T sigma + prior' and -Hessian F = (p * sigma)^T
   p - diag(p^T sigma) + diag(m b e^s), and numpy.linalg.solve the exact
   Newton step; there an O(n^3) solve costs less than the ~20 numpy-bound CG
@@ -67,15 +71,13 @@ gradient and the curvature -Hessian F (the dense matrix above, its diagonal
 and product below). A direction that moves a score by more than _MAX_MOVE is
 scaled down to that move, and Armijo backtracking accepts only finite steps
 that raise F; a gain too small to survive rounding in F is measured by the
-trapezoid rule on the directional derivatives instead. The solve stops on
-the Newton step d, (-Hessian F) d = grad F, that it computes at every point
-anyway: once max |d| < SCORE_TOL. F being strictly concave, d is the
-quadratic model's estimate of each score's distance to the maximum, the
-coupling between scores included (Boyd & Vandenberghe 2004, section 9.5,
-stop on the Newton decrement, the same step measured in -Hessian F's
-norm). It reports ``converged=False`` when it hits MAX_NEWTON_STEPS or
-cannot raise F any further first. The reported scores are re-centered to
-mean zero over the entities.
+trapezoid rule on the directional derivatives instead. The solve stops once
+the Newton step d, (-Hessian F) d = grad F, which it computes at every point
+anyway, has max |d| < SCORE_TOL: F being strictly concave, d estimates each
+score's distance to the maximum, coupling included (Boyd & Vandenberghe
+2004, section 9.5, stop on the Newton decrement, d in -Hessian F's norm).
+It reports ``converged=False`` when it hits MAX_NEWTON_STEPS or cannot
+raise F any further first. Scores are re-centered to mean zero.
 
 All log-sum-exp reductions are max-shifted; gradients are assembled from
 exponent differences that are bounded above by zero, so no intermediate can
@@ -86,6 +88,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -142,30 +145,49 @@ class ObjectiveWeights:
         return 1.0 - self.alpha - self.beta
 
 
-@dataclass
+@dataclass(eq=False)
 class ScoreVector:
-    """Optimized per-entity scores over the aggregation universe.
+    """Optimized per-entity scores by position in the name-ordered universe,
+    whose entity i is ``entity_names[ids[i]]``; the name views ``scores`` and
+    ``universe`` are built on first read. ``iterations`` counts Newton steps;
+    ``converged`` is False when the solve stopped before the Newton step d
+    over the classes, (-Hessian F) d = grad F, had max |d| < SCORE_TOL."""
 
-    ``iterations`` counts Newton steps; ``converged`` is False when the solve
-    stopped before the Newton step d over the classes, (-Hessian F) d =
-    grad F, had max |d| < SCORE_TOL.
-    """
-
-    scores: dict[str, float]
-    universe: frozenset[str]  # perfbench reads it
+    values: np.ndarray
     iterations: int
     converged: bool
+    entity_names: Sequence[str]
+    ids: np.ndarray
+
+    def names_at(self, positions) -> list[str]:
+        """The names of the universe's entities at ``positions``."""
+        return [self.entity_names[e] for e in self.ids[positions].tolist()]
+
+    @cached_property
+    def scores(self) -> dict[str, float]:
+        return dict(zip(self.names_at(slice(None)), self.values.tolist()))
+
+    @cached_property
+    def universe(self) -> frozenset[str]:  # perfbench reads it
+        return frozenset(self.scores)
+
+    def __eq__(self, other):
+        return isinstance(other, ScoreVector) and all(
+            getattr(self, a) == getattr(other, a) for a in ("scores", "iterations", "converged"))
 
 
 # -- the likelihood as index arrays ------------------------------------------
 
 
 class _Ordering:
-    """One weighted bucket order of _Terms, with at least two buckets: the
-    units ``idx`` bucket by bucket, bucket k being idx[bounds[k]:bounds[k+1]].
+    """One weighted bucket order of _Terms from its row of the bucket matrix,
+    with at least two buckets: the units ``idx`` bucket by bucket, each
+    bucket in ascending order, bucket k being idx[bounds[k]:bounds[k+1]].
     Stage k < K - 1 chooses bucket k from the risk set of buckets k..K-1."""
 
-    def __init__(self, idx: np.ndarray, bounds: np.ndarray, weight: float, mult: np.ndarray):
+    def __init__(self, row: np.ndarray, size: int, weight: float, mult: np.ndarray):
+        idx = np.argsort(row, kind="stable")[: np.count_nonzero(row < size)]
+        bounds = bucket_bounds(row[idx])
         self.idx, self.weight = idx, weight
         self.starts = bounds[:-2]  # each stage's first position
         self.cut = int(bounds[-2])  # the positions before it are chosen at a stage
@@ -184,33 +206,40 @@ class _Ordering:
 
 class _Terms:
     """The weighted likelihood over units ``0..n-1``: classes of ``mult``
-    entities each, or entities when every multiplicity is 1. Each of
-    ``orderings`` is a ((units, bounds), weight) bucket order that repeats no
-    unit, bucket k holding units[bounds[k]:bounds[k+1]], from _weighted."""
+    entities each, or entities when every multiplicity is 1, and the bucket
+    matrix of _weighted over them (``sizes[r]`` marks a unit outside row r)."""
 
-    def __init__(self, mult: np.ndarray, orderings):
+    def __init__(self, mult: np.ndarray, keys: np.ndarray, sizes: np.ndarray, weights: np.ndarray):
         self.n, self.mult = len(mult), mult
         self.log_mult = np.log(mult)
         # the prior's a m and b m
         self.shape, self.rate = PRIOR_SHAPE * mult, PRIOR_RATE * mult
-        self.lists = [_Ordering(idx, bounds, weight, mult) for (idx, bounds), weight in orderings]
-        # Gradient and curvature produce one value per (ordering, position)
-        # slot, in this order; _scatter sums them per unit.
-        self.slots = np.concatenate([np.empty(0, dtype=np.intp), *(o.idx for o in self.lists)])
-        # Dense-path universes keep the module docstring's rows as a
-        # log m/-inf mask and a 1/0 member array, their weights sigma and lin.
+        self.keys, self.sizes, self.weights = keys, sizes, weights
+        # Dense-path universes keep the module docstring's rows (stage k of an
+        # ordering: its buckets k..) as a log m/-inf mask and a 1/0 member
+        # array, their weights sigma and lin.
         self.mask = None
         if self.n <= DENSE_NEWTON_MAX_N:
-            rows, signed, self.lin = [], [], np.zeros(self.n)
-            for o in self.lists:
-                in_row = np.arange(o.starts.size)[:, None] <= o.stage
-                rows.append(np.full((o.starts.size, self.n), -np.inf))
-                rows[-1][:, o.idx] = np.where(in_row, self.log_mult[o.idx], -np.inf)
-                signed += (-o.weight * o.d).tolist()
-                self.lin[o.idx[: o.cut]] += o.weight * o.chosen
-            self.mask = np.concatenate([np.empty((0, self.n)), *rows])
-            self.member = np.isfinite(self.mask).astype(float)
-            self.signed = np.array(signed)
+            stages = sizes - 1
+            row = np.repeat(np.arange(len(sizes)), stages)  # each row's ordering
+            stage = (np.arange(len(row)) - np.repeat(np.cumsum(stages) - stages, stages))[:, None]
+            bucket = keys[row]
+            member = (bucket >= stage) & (bucket < sizes[row][:, None])
+            self.mask = np.where(member, self.log_mult, -np.inf)
+            self.member = member.astype(float)
+            self.signed = -weights[row] * np.where(bucket == stage, mult, 0.0).sum(axis=1)
+            self.lin = np.where(keys < stages[:, None], weights[:, None] * mult, 0.0).sum(axis=0)
+
+    @cached_property
+    def lists(self) -> list[_Ordering]:  # evaluate's orderings
+        rows = zip(self.keys, self.sizes.tolist(), self.weights.tolist())
+        return [_Ordering(row, size, weight, self.mult) for row, size, weight in rows]
+
+    @cached_property
+    def slots(self) -> np.ndarray:
+        # Gradient and curvature produce one value per (ordering, position)
+        # slot, in this order; _scatter sums them per unit.
+        return np.concatenate([np.empty(0, dtype=np.intp), *(o.idx for o in self.lists)])
 
     def _scatter(self, parts: list[np.ndarray]) -> np.ndarray:
         # bincount returns integers when there are no slots at all (no
@@ -309,61 +338,58 @@ def bucket_bounds(values: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], change, [len(values)]))
 
 
-def _weighted(r_b, r_c, r_p, weights: ObjectiveWeights) -> list:
-    """The bucket orders ``r_b`` and ``r_c`` and each (higher, lower)
-    constraint of ``r_p`` as its two-bucket order [higher, lower], with their
-    weights, as _Terms takes them: those of weight > 0 and >= 2 buckets."""
-    stages = [
-        ((np.concatenate((hi, lo)), np.array([0, len(hi), len(hi) + len(lo)])), weights.beta)
-        for hi, lo in r_p
-    ]
-    orderings = [(r_b, weights.baseline), (r_c, weights.alpha), *stages]
-    return [(o, weight) for o, weight in orderings if weight > 0 and len(o[1]) >= 3]
-
-
-def _classes(n: int, orderings) -> tuple[_Terms, np.ndarray]:
-    """The likelihood over the classes of ``n`` entities, and the class of
-    each entity; the weighted orderings come as _Terms would take them over
-    the entities.
-
-    An entity's key is its bucket in each ordering, one past the last for an
-    entity outside it; the classes are the distinct keys (one class with no
-    ordering), in ascending key order, so they do not depend on names.
-    """
-    keys = np.empty((len(orderings), n), dtype=np.intp)
+def _weighted(n: int, r_b, r_c, r_p, weights: ObjectiveWeights):
+    """The bucket matrix of the orderings that count, as _Terms takes it: the
+    bucket orders ``r_b`` and ``r_c`` and each (higher, lower) constraint of
+    ``r_p`` as its two-bucket order [higher, lower], those of weight > 0 and
+    >= 2 buckets. Returns a row per ordering holding the bucket of each of
+    the ``n`` entities, one past the last for an entity outside it, each
+    row's bucket count and each row's weight."""
+    orderings = [(o, w) for o, w in ((r_b, weights.baseline), (r_c, weights.alpha))
+                 if w > 0 and len(o[1]) >= 3]
+    pairs = r_p if weights.beta > 0 else []
+    keys = np.empty((len(orderings) + len(pairs), n), dtype=np.intp)
     for row, ((idx, bounds), _) in zip(keys, orderings):
         row[:] = len(bounds) - 1
         row[idx] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    order = np.lexsort(keys[::-1]) if len(keys) else np.arange(n)
-    keys = keys[:, order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    for row, (higher, lower) in zip(keys[len(orderings):], pairs):
+        row[:], row[higher], row[lower] = 2, 0, 1
+    sizes = np.array([len(o[1]) - 1 for o, _ in orderings] + [2] * len(pairs), dtype=np.intp)
+    return keys, sizes, np.array([w for _, w in orderings] + [weights.beta] * len(pairs))
+
+
+def _classes(keys: np.ndarray, sizes: np.ndarray, weights: np.ndarray) -> tuple[_Terms, np.ndarray]:
+    """The likelihood over the classes of _weighted's bucket matrix, and the
+    class of each entity: the distinct columns (one class with no ordering),
+    in ascending order, so they do not depend on names. A column is read as
+    one mixed-radix integer, digit r in 0..sizes[r], for one stable argsort;
+    where those integers overflow int64, a lexsort over the rows sorts."""
+    n = keys.shape[1]
+    radix = sizes + 1
+    if math.prod(radix.tolist()) <= 2**63:
+        key = np.cumprod(np.append(radix, 1)[:0:-1])[::-1] @ keys
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new = key[1:] != key[:-1]
+    else:
+        order = np.lexsort(keys[::-1])
+        ordered = keys[:, order]
+        new = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    first = np.concatenate(([True], new))
     class_of = np.empty(n, dtype=np.intp)
     class_of[order] = np.cumsum(first) - 1
-    mult = np.diff(np.append(np.flatnonzero(first), n)).astype(float)
-    keys = keys[:, first]
-    classes = []
-    for row, ((_, bounds), weight) in zip(keys, orderings):
-        idx = np.argsort(row, kind="stable")[: np.count_nonzero(row < len(bounds) - 1)]
-        classes.append(((idx, bucket_bounds(row[idx])), weight))
-    return _Terms(mult, classes), class_of
+    starts = np.flatnonzero(first)
+    mult = np.diff(np.append(starts, n)).astype(float)
+    return _Terms(mult, keys[:, order[starts]], sizes, weights), class_of
 
 
 def _buckets(ordering) -> tuple[list[str], np.ndarray]:
     """An ordering's names bucket by bucket, each group of tied names in name
     order, and its bucket bounds; an item is a name or a group."""
-    names, sizes = [], [0]
-    for item in ordering:
-        if isinstance(item, str):
-            names.append(item)
-            sizes.append(1)
-        else:
-            group = sorted(item)
-            if not group:
-                raise ValueError("ordering contains an empty group")
-            names += group
-            sizes.append(len(group))
-    return names, np.cumsum(sizes)
+    groups = [[item] if isinstance(item, str) else sorted(item) for item in ordering]
+    if not all(groups):
+        raise ValueError("ordering contains an empty group")
+    return [e for group in groups for e in group], np.cumsum([0, *map(len, groups)])
 
 
 def _positions(universe: Sequence[str], r_b, r_c, r_p):
@@ -383,17 +409,20 @@ def _positions(universe: Sequence[str], r_b, r_c, r_p):
     def at(entities) -> np.ndarray:
         return np.array([index[e] for e in entities], dtype=np.intp)
 
-    return (
-        *((at(names), bounds) for names, bounds in (r_b, r_c)),
-        [(at(sorted(con.higher)), at(sorted(con.lower))) for con in r_p],
-    )
+    pairs = [(at(sorted(con.higher)), at(sorted(con.lower))) for con in r_p]
+    return *((at(names), bounds) for names, bounds in (r_b, r_c)), pairs
 
 
 def _evaluate_at(scores: Mapping[str, float], r_b, r_c, r_p, weights):
-    universe = list(scores)
+    """The likelihood and its gradient, name to value in the order of
+    ``scores``, by evaluate over the universe in name order."""
+    universe = sorted(scores)
     positions = _positions(universe, _buckets(r_b), _buckets(r_c), r_p)
-    terms = _Terms(np.ones(len(universe)), _weighted(*positions, weights or ObjectiveWeights()))
-    return terms.evaluate(np.array([scores[e] for e in universe], dtype=float))
+    terms = _Terms(np.ones(len(universe)),
+                   *_weighted(len(universe), *positions, weights or ObjectiveWeights()))
+    value, grad, _, _ = terms.evaluate(np.array([scores[e] for e in universe], dtype=float))
+    by_name = dict(zip(universe, grad.tolist()))
+    return value, {e: by_name[e] for e in scores}
 
 
 # -- the public likelihood ----------------------------------------------------
@@ -402,26 +431,17 @@ def _evaluate_at(scores: Mapping[str, float], r_b, r_c, r_p, weights):
 # but a string) of names tied with each other.
 
 
-def objective(
-    scores: Mapping[str, float],
-    r_b: Sequence,
-    r_c: Sequence,
-    r_p: Sequence[PairwiseConstraint],
-    weights: ObjectiveWeights | None = None,
-) -> float:
+def objective(scores: Mapping[str, float], r_b: Sequence, r_c: Sequence,
+              r_p: Sequence[PairwiseConstraint], weights: ObjectiveWeights | None = None) -> float:
     """Weighted combination of the three log-likelihood components."""
     return _evaluate_at(scores, r_b, r_c, r_p, weights)[0]
 
 
-def gradient(
-    scores: Mapping[str, float],
-    r_b: Sequence,
-    r_c: Sequence,
-    r_p: Sequence[PairwiseConstraint],
-    weights: ObjectiveWeights | None = None,
-) -> dict[str, float]:
+def gradient(scores: Mapping[str, float], r_b: Sequence, r_c: Sequence,
+             r_p: Sequence[PairwiseConstraint],
+             weights: ObjectiveWeights | None = None) -> dict[str, float]:
     """Exact gradient of :func:`objective` with respect to every score."""
-    return dict(zip(scores, _evaluate_at(scores, r_b, r_c, r_p, weights)[1].tolist()))
+    return _evaluate_at(scores, r_b, r_c, r_p, weights)[1]
 
 
 # -- optimization -------------------------------------------------------------
@@ -471,7 +491,6 @@ def _line_search(terms: _Terms, s, f, g, d):
     the gain is taken from the trapezoid rule on the directional
     derivatives, which is exact on the quadratic model that holds there.
     """
-    d = d * min(1.0, _MAX_MOVE / np.max(np.abs(d)))
     slope = _dot(g, d)
     noise = _RESOLUTION * (1.0 + abs(f))
     t = 1.0
@@ -494,39 +513,36 @@ def _maximize(terms: _Terms, s: np.ndarray) -> tuple[np.ndarray, int, bool]:
     steps = 0
     while True:
         d = _newton_direction(g, curvature)
-        if np.max(np.abs(d)) < SCORE_TOL:
+        size = np.max(np.abs(d))
+        if size < SCORE_TOL:
             return s, steps, True
         if steps == MAX_NEWTON_STEPS:
             return s, steps, False
-        accepted = _line_search(terms, s, f, g, d)
+        accepted = _line_search(terms, s, f, g, d * min(1.0, _MAX_MOVE / size))
         if accepted is None:
             return s, steps, False
         s, f, g, curvature = accepted
         steps += 1
 
 
-def solve(universe: Sequence[str], r_b, r_c, r_p,
-          weights: ObjectiveWeights) -> tuple[ScoreVector, np.ndarray]:
-    """:func:`optimize` over positions: the entities are ``universe``, in name
-    order; ``r_b`` and ``r_c`` are (positions, bounds) bucket orders, bucket
-    k holding positions[bounds[k]:bounds[k+1]], and each constraint of
-    ``r_p`` is a (higher, lower) pair of position arrays (nothing is
-    checked). Solves over the entities' classes and returns the scores and
-    the positions by descending score, ties by name."""
-    terms, class_of = _classes(len(universe), _weighted(r_b, r_c, r_p, weights))
+def solve(n: int, r_b, r_c, r_p,
+          weights: ObjectiveWeights) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """:func:`optimize` over positions: the entities are positions 0..n-1 of
+    the name-ordered universe; ``r_b`` and ``r_c`` are (positions, bounds)
+    bucket orders, bucket k holding positions[bounds[k]:bounds[k+1]], and each
+    constraint of ``r_p`` is a (higher, lower) pair of position arrays
+    (nothing is checked). Solves over the entities' classes and returns the
+    scores, the positions by descending score, ties by name, the Newton
+    steps and whether the solve converged."""
+    terms, class_of = _classes(*_weighted(n, r_b, r_c, r_p, weights))
     s, steps, converged = _maximize(terms, np.zeros(terms.n))
     s = s[class_of]
     s -= s.mean()
-    scores = ScoreVector(dict(zip(universe, s.tolist())), frozenset(universe), steps, converged)
-    return scores, np.argsort(-s, kind="stable")
+    return s, np.argsort(-s, kind="stable"), steps, converged
 
 
-def optimize(
-    r_b: Sequence,
-    r_c: Sequence,
-    r_p: Sequence[PairwiseConstraint],
-    weights: ObjectiveWeights | None = None,
-) -> tuple[ScoreVector, list[str]]:
+def optimize(r_b: Sequence, r_c: Sequence, r_p: Sequence[PairwiseConstraint],
+             weights: ObjectiveWeights | None = None) -> tuple[ScoreVector, list[str]]:
     """Fit scores to the orderings and constraints; return them and the
     induced final ordering by descending score, ties by name.
 
@@ -545,5 +561,6 @@ def optimize(
     r_b, r_c = _buckets(r_b), _buckets(r_c)
     universe = sorted({*r_b[0], *r_c[0], *(e for con in r_p for e in con.higher | con.lower)})
     positions = _positions(universe, r_b, r_c, r_p)
-    scores, order = solve(universe, *positions, weights or ObjectiveWeights())
+    s, order, steps, converged = solve(len(universe), *positions, weights or ObjectiveWeights())
+    scores = ScoreVector(s, steps, converged, universe, np.arange(len(universe)))
     return scores, [universe[i] for i in order.tolist()]

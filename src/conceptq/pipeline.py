@@ -3,25 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .aggregate import DEFAULT_ALPHA, DEFAULT_BETA, ObjectiveWeights, ScoreVector, bucket_bounds
-# The position-level solve is called through this module's name ``optimize``:
-# perfbench times the aggregation stage by wrapping ``pipeline.optimize`` at
-# call time, like ``baseline_rank`` and ``expand``.
+# perfbench times the aggregation stage by wrapping the position-level solve's
+# name here, ``pipeline.optimize``, at call time, like ``baseline_rank``.
 from .aggregate import solve as optimize
 from .baseline import BaselineRanking, baseline_rank
 from .expansion import (
-    DEFAULT_CONCEPTS_TOP_K,
-    DEFAULT_DELTA,
-    DEFAULT_GAMMA,
-    DEFAULT_LEAK,
-    NOISY_OR,
-    ExpansionModel,
-    ExpansionResult,
-    expand,
+    DEFAULT_CONCEPTS_TOP_K, DEFAULT_DELTA, DEFAULT_GAMMA, DEFAULT_LEAK, NOISY_OR, ExpansionModel,
+    ExpansionResult, expand,
 )
 from .query import Decomposition, LongConceptQuery, MembershipPattern, decompose, membership, parse
 from .taxonomy import Taxonomy, check_cutoff, normalize
@@ -83,9 +77,12 @@ class RankedEntity:
     provenance: str
 
 
-@dataclass
+@dataclass(eq=False)
 class QueryResult:
-    """Full trace of a query run; ``ranking`` is the aggregated ordering."""
+    """Full trace of a query run. ``order`` holds the universe's positions
+    in ``scores`` by descending score, ties by name, and ``provenance`` each
+    position's mark; the aggregated ordering ``ranking`` is built on first
+    read, and ``top(k)`` builds k rows."""
 
     query: LongConceptQuery
     decomposition: Decomposition
@@ -93,14 +90,24 @@ class QueryResult:
     baseline: BaselineRanking
     expansion: ExpansionResult
     scores: ScoreVector
-    ranking: list[RankedEntity]
+    order: np.ndarray
+    provenance: np.ndarray
     config: PipelineConfig = field(default_factory=PipelineConfig)
 
+    def _rows(self, positions: np.ndarray) -> list[RankedEntity]:
+        values, provenance = self.scores.values[positions], self.provenance[positions]
+        rows = zip(self.scores.names_at(positions), values.tolist(), provenance.tolist())
+        return [RankedEntity(*row) for row in rows]
+
+    @cached_property
+    def ranking(self) -> list[RankedEntity]:
+        return self._rows(self.order)
+
     def top(self, k: int) -> list[RankedEntity]:
-        return self.ranking[:k]
+        return self._rows(self.order[: check_cutoff(k)])
 
     def entities(self) -> list[str]:
-        return [r.entity for r in self.ranking]
+        return self.scores.names_at(self.order)
 
 
 def run_query(
@@ -112,8 +119,8 @@ def run_query(
     belonged to an intersection used to seed the expansion, ``expanded``
     entities are new ones surfaced only through expanded concepts, and
     ``baseline-only`` entities sit in the query concepts' entity union
-    without being seeds. The stages exchange id arrays; names are looked up
-    once, for the universe, and the stages' name views only when read.
+    without being seeds. The stages exchange id arrays, and no entity name
+    is read until a name view of the result is.
     """
     config = config or PipelineConfig()
     query = parse(raw_query, config.head)
@@ -133,20 +140,14 @@ def run_query(
     keys = rank[universe]
     r_b, r_c = (np.searchsorted(keys, rank[ids]) for ids in (ranking_b.ids, expansion.ids))
     tiers = [np.searchsorted(keys, rank[tier]) for tier in expansion.tiers]
-    names = [taxonomy.entity_names[e] for e in universe.tolist()]
-    scores, order = optimize(
-        names,
-        (r_b, bucket_bounds(ranking_b.weights)),
-        (r_c, bucket_bounds(expansion.scores)),
-        list(zip(tiers, tiers[1:])),
-        config.weights(),
+    s, order, steps, converged = optimize(
+        len(universe), (r_b, bucket_bounds(ranking_b.weights)),
+        (r_c, bucket_bounds(expansion.scores)), list(zip(tiers, tiers[1:])), config.weights(),
     )
 
-    provenance = np.full(len(names), PROVENANCE_EXPANDED, dtype=object)
+    provenance = np.full(len(universe), PROVENANCE_EXPANDED, dtype=object)
     provenance[r_b] = PROVENANCE_BASELINE
     provenance[tiers[0]] = PROVENANCE_SEED
-    values, provenance = list(scores.scores.values()), provenance.tolist()
-    ranking = [RankedEntity(names[i], values[i], provenance[i]) for i in order.tolist()]
 
     return QueryResult(
         query=query,
@@ -154,7 +155,8 @@ def run_query(
         subsets=members.patterns,
         baseline=ranking_b,
         expansion=expansion,
-        scores=scores,
-        ranking=ranking,
+        scores=ScoreVector(s, steps, converged, taxonomy.entity_names, universe),
+        order=order,
+        provenance=provenance,
         config=config,
     )

@@ -390,6 +390,35 @@ def _oracle_terms(r_b, r_c, r_p, weights, names):
     return lin, terms
 
 
+def oracle_classes(r_b, r_c, r_p, weights):
+    """The aggregation's classes over names, grouped in a dict: an entity's
+    key is its tuple of buckets in the orderings that count (weight > 0 and
+    two buckets or more; a constraint is [higher, lower]), one past the last
+    bucket for an entity outside one. Returns the name-ordered universe, the
+    counted orderings' weights, the distinct keys in ascending order and
+    each entity's class, an index into them."""
+    def groups(ordering):
+        return [{item} if isinstance(item, str) else set(item) for item in ordering]
+
+    orderings = [(groups(r_b), weights.baseline), (groups(r_c), weights.alpha)]
+    orderings += [([con.higher, con.lower], weights.beta) for con in r_p]
+    counted = [(buckets, w) for buckets, w in orderings if w > 0 and len(buckets) >= 2]
+    names = sorted(
+        {e for buckets, _ in orderings[:2] for bucket in buckets for e in bucket}
+        | {e for con in r_p for e in con.higher | con.lower}
+    )
+    members: dict[tuple[int, ...], list[str]] = {}
+    for e in names:
+        key = tuple(
+            next((k for k, bucket in enumerate(buckets) if e in bucket), len(buckets))
+            for buckets, _ in counted
+        )
+        members.setdefault(key, []).append(e)
+    keys = sorted(members)
+    class_of = {e: i for i, key in enumerate(keys) for e in members[key]}
+    return names, [w for _, w in counted], keys, [class_of[e] for e in names]
+
+
 def oracle_map_scores(r_b, r_c, r_p, weights, a=0.01, b=0.01) -> dict[str, float]:
     """The maximizer of the aggregation posterior over single entities,
     re-centred to mean zero, with no two entities merged: Newton steps on

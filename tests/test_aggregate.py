@@ -25,7 +25,7 @@ from conceptq.aggregate import (
 )
 from conceptq.expansion import PairwiseConstraint
 
-from helpers import oracle_map_scores
+from helpers import oracle_classes, oracle_map_scores
 
 
 def listwise(ordering, scores):
@@ -321,14 +321,14 @@ def positions_of(r_b, r_c, r_p):
 def terms_of(r_b, r_c, r_p, weights):
     """_Terms over the entities of the name-ordered universe."""
     names, positions = positions_of(r_b, r_c, r_p)
-    return names, _Terms(np.ones(len(names)), _weighted(*positions, weights))
+    return names, _Terms(np.ones(len(names)), *_weighted(len(names), *positions, weights))
 
 
 def class_terms_of(r_b, r_c, r_p, weights):
     """_Terms over the classes that ``optimize`` solves over, and the class
     of each entity of the name-ordered universe."""
     names, positions = positions_of(r_b, r_c, r_p)
-    return names, *_classes(len(names), _weighted(*positions, weights))
+    return names, *_classes(*_weighted(len(names), *positions, weights))
 
 
 @contextmanager
@@ -804,7 +804,7 @@ class TestBucketOrders:
         mult = np.array(mult[:n], dtype=float)
         for path in ("dense", "cg"):
             with direction_path(path):
-                terms = _Terms(mult, _weighted(*positions, weights))
+                terms = _Terms(mult, *_weighted(n, *positions, weights))
             grad = terms.posterior(s)[1]
             h = 1e-3
             for i in range(n):
@@ -816,9 +816,9 @@ class TestBucketOrders:
 
                 fd = (8 * diff(1) - diff(2)) / (12 * h)
                 assert abs(grad[i] - fd) / max(1e-6, abs(fd), abs(grad[i])) < 1e-4
-        dense = _Terms(mult, _weighted(*positions, weights))
+        dense = _Terms(mult, *_weighted(n, *positions, weights))
         with direction_path("cg"):
-            matrix_free = _Terms(mult, _weighted(*positions, weights))
+            matrix_free = _Terms(mult, *_weighted(n, *positions, weights))
         hessian = dense.posterior(s)[2]
         diag, apply = matrix_free.posterior(s)[2]
         np.testing.assert_allclose(np.diag(hessian), diag, rtol=1e-9, atol=1e-12)
@@ -900,6 +900,52 @@ class TestBucketOrders:
         assert sv.iterations == sv_renamed.iterations
         for e in names:
             assert abs(sv_renamed.scores[rename[e]] - sv.scores[e]) < 1e-9
+
+
+@st.composite
+def class_instances(draw):
+    """bucket_instances with weights of 0 drawn often, so that whole
+    orderings drop out, and half the time 40 to 45 more constraints: with
+    all of them counted, the product of the bucket matrix's radices exceeds
+    3^40 > 2^63."""
+    r_b, r_c, r_p, _ = draw(bucket_instances())
+    names, _ = positions_of(r_b, r_c, r_p)
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(40, 45))):
+            members = draw(st.permutations(names))[: draw(st.integers(2, len(names)))]
+            cut = draw(st.integers(1, len(members) - 1))
+            r_p.append(make_constraint(members[:cut], members[cut:]))
+    alpha, beta = draw(st.sampled_from(
+        [(0.0, 0.0), (0.5, 0.5), (0.0, 0.3), (0.3, 0.0), (0.25, 0.25), (1 / 3, 1 / 3)]
+    ))
+    return r_b, r_c, r_p, ObjectiveWeights(alpha=alpha, beta=beta)
+
+
+class TestClassBuilder:
+    @given(class_instances())
+    # 40 one-vs-two constraints over three entities: the mixed-radix key
+    # would need 3^40 values, so the classes come from the lexsort
+    @example((
+        ["e0", "e1", "e2"], [],
+        [make_constraint({f"e{i % 3}"}, {f"e{(i + 1) % 3}", f"e{(i + 2) % 3}"}) for i in range(40)],
+        ObjectiveWeights(alpha=0.25, beta=0.25),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_classes_match_a_dict_grouping_by_bucket_tuples(self, instance):
+        r_b, r_c, r_p, weights = instance
+        names, positions = positions_of(r_b, r_c, r_p)
+        keys, sizes, row_weights = _weighted(len(names), *positions, weights)
+        terms, class_of = _classes(keys, sizes, row_weights)
+        expected_names, expected_weights, expected_keys, expected_class_of = oracle_classes(
+            *instance
+        )
+        assert names == expected_names
+        assert row_weights.tolist() == expected_weights
+        assert class_of.tolist() == expected_class_of
+        assert [tuple(column) for column in terms.keys.T.tolist()] == expected_keys
+        assert terms.mult.tolist() == [
+            expected_class_of.count(c) for c in range(len(expected_keys))
+        ]
 
 
 class TestConcavePosterior:

@@ -15,12 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conceptq
-from conceptq.aggregate import optimize
+from conceptq import pipeline
+from conceptq.aggregate import ScoreVector, optimize
 from conceptq.baseline import BaselineRanking, baseline_rank
 from conceptq.errors import UnanswerableQueryError
 from conceptq.expansion import ExpansionResult
 from conceptq.evaluation import planted_instance
-from conceptq.pipeline import PipelineConfig, run_query
+from conceptq.pipeline import PipelineConfig, QueryResult, RankedEntity, run_query
 from conceptq.query import membership
 from conceptq.taxonomy import entity_union, ingest
 
@@ -74,7 +75,10 @@ def test_the_readme_lists_exactly_the_stage_name_views():
         listed += [(stage, name.split(".")[-1]) for name in names]
     views = {
         (stage, name)
-        for stage, cls in (("baseline", BaselineRanking), ("expansion", ExpansionResult))
+        for stage, cls in (
+            ("baseline", BaselineRanking), ("expansion", ExpansionResult),
+            ("scores", ScoreVector), ("result", QueryResult),
+        )
         for name, value in vars(cls).items() if isinstance(value, functools.cached_property)
     }
     assert len(listed) == len(set(listed))
@@ -140,6 +144,14 @@ class TestRunQueryOnF1:
         assert len(result.top(100)) == 5
         assert len(result.top(2)) == 2
 
+    @pytest.mark.parametrize("k", [-1, 0, True, 2.5, "2"])
+    def test_top_applies_the_cutoff_rule(self, f1, k):
+        # a cutoff is an integer of at least 1, and a bool is not one
+        result = run_query(f1, "top american university")
+        with pytest.raises(ValueError):
+            result.top(k)
+        assert [r.entity for r in result.top(np.int64(2))] == ["a", "b"]
+
     def test_both_models_run(self, f1):
         for kind in ("noisy_or", "naive_bayes"):
             config = PipelineConfig(model_kind=kind)
@@ -167,6 +179,90 @@ class TestRunQueryOnF1:
         result = run_query(f1, "top american university")
         scores = [r.score for r in result.ranking]
         assert scores == sorted(scores, reverse=True)
+
+
+# run_query's ranking as the parent of the lazy name views returned it, as
+# (entity, float.hex(score), provenance)
+EAGER_RANKINGS = {
+    "f1": [
+        ('a', '0x1.9d7e45e5dcb31p+1', 'seed'),
+        ('b', '0x1.9d7e45e5dcb31p+1', 'seed'),
+        ('c', '-0x1.f80bb1e898cf8p-1', 'baseline-only'),
+        ('d', '-0x1.f80bb1e898cf8p-1', 'baseline-only'),
+        ('x', '-0x1.1f7b596bb67f3p+2', 'expanded'),
+    ],
+    "planted": [
+        ('item00', '0x1.2863a5a2e1889p+2', 'seed'),
+        ('item07', '0x1.2863a5a2e1889p+2', 'seed'),
+        ('item09', '0x1.24a1def214aa9p+2', 'seed'),
+        ('item01', '0x1.1c5e3d7c809e6p+2', 'seed'),
+        ('item05', '0x1.1c5e3d7c809e6p+2', 'seed'),
+        ('item08', '0x1.1684f2e79a7f3p+2', 'seed'),
+        ('item04', '0x1.0f564234475c3p+2', 'seed'),
+        ('item03', '0x1.0608256e21167p+2', 'seed'),
+        ('item02', '0x1.f1a205c137b59p+1', 'seed'),
+        ('item06', '0x1.c3ec9c1856c39p+1', 'seed'),
+        ('noise200', '0x1.a8d920faf05b8p-2', 'baseline-only'),
+        ('noise201', '0x1.a8d920faf05b8p-2', 'baseline-only'),
+        ('noise000', '-0x1.d18c783d22824p+0', 'baseline-only'),
+        ('noise001', '-0x1.d18c783d22824p+0', 'baseline-only'),
+        ('noise100', '-0x1.13ff6d2ecf813p+2', 'baseline-only'),
+        ('noise101', '-0x1.13ff6d2ecf813p+2', 'baseline-only'),
+        ('junk00', '-0x1.f6499792b43bap+2', 'expanded'),
+        ('junk01', '-0x1.f6499792b43bap+2', 'expanded'),
+        ('junk02', '-0x1.f6499792b43bap+2', 'expanded'),
+        ('junk03', '-0x1.f6499792b43bap+2', 'expanded'),
+    ],
+}
+
+
+class TestLazyViews:
+    """run_query returns score and order arrays; names, the name-keyed
+    scores and RankedEntity rows are built only when a view is read."""
+
+    def test_run_query_reads_no_entity_name_and_builds_no_row(self, f1, monkeypatch):
+        f1.entity_rank  # the taxonomy's name ranks, built once before any query
+        reads, rows = [], []
+
+        class CountedNames(list):
+            def __getitem__(self, i):
+                reads.append(i)
+                return super().__getitem__(i)
+
+            def __iter__(self):
+                reads.append("iter")
+                return super().__iter__()
+
+        def ranked_entity(*row):
+            rows.append(row)
+            return RankedEntity(*row)
+
+        monkeypatch.setattr(f1, "entity_names", CountedNames(f1.entity_names))
+        monkeypatch.setattr(pipeline, "RankedEntity", ranked_entity)
+        result = run_query(f1, "top american university")
+        assert (reads, rows) == ([], [])
+        assert len(result.top(3)) == 3
+        assert (len(reads), len(rows)) == (3, 3)
+        assert result.entities() == ["a", "b", "c", "d", "x"]
+        assert len(rows) == 3
+        assert len(result.ranking) == 5 and len(rows) == 8
+        assert result.ranking is result.ranking and len(rows) == 8
+
+    @pytest.mark.parametrize("case", ["f1", "planted"])
+    def test_the_views_equal_the_eagerly_built_ones(self, case, f1):
+        inst = planted_instance(seed=0)
+        t, query = (f1, "top american university") if case == "f1" else (
+            ingest(inst.records), inst.query
+        )
+        expected = EAGER_RANKINGS[case]
+        result = run_query(t, query)
+        assert [(r.entity, r.score.hex(), r.provenance) for r in result.top(3)] == expected[:3]
+        assert result.entities() == [e for e, _, _ in expected]
+        assert [(r.entity, r.score.hex(), r.provenance) for r in result.ranking] == expected
+        assert [(e, s.hex()) for e, s in result.scores.scores.items()] == sorted(
+            (e, s) for e, s, _ in expected
+        )
+        assert result.scores.universe == {e for e, _, _ in expected}
 
 
 class TestEmptyIntersectionQueries:
