@@ -15,10 +15,19 @@ the engine's errors. Each stage's own functions (``parse``, ``membership``,
 
 from .aggregate import ObjectiveWeights, ScoreVector, gradient, objective, optimize
 from .errors import (
-    DataFormatError, EngineError, NoCandidateEntitiesError, QueryParseError, UnanswerableQueryError,
+    DataFormatError,
+    EngineError,
+    NoCandidateEntitiesError,
+    QueryParseError,
+    UnanswerableQueryError,
 )
 from .evaluation import (
-    EvalReport, GroundTruth, fixture_f1, holdout_experiment, ratio_at_k, recall_at_k,
+    EvalReport,
+    GroundTruth,
+    fixture_f1,
+    holdout_experiment,
+    ratio_at_k,
+    recall_at_k,
 )
 from .expansion import PairwiseConstraint
 from .pipeline import PipelineConfig, QueryResult, run_query

@@ -42,9 +42,8 @@ Entities with equal columns are interchangeable in F, so the maximizer gives
 them one score, and the solve runs over these classes: a class of m entities
 is one variable whose e^s enters every sum m times (a log m offset in each
 log-sum-exp), whose linear terms count m times, and whose prior term is m (a
-s - b e^s). One class builder finds them: each column read as one
-mixed-radix integer (a lexsort where those overflow int64), and one stable
-argsort. Tied entities get bit-equal scores.
+s - b e^s). One class builder finds them with one lexsort over the
+matrix's rows. Tied entities get bit-equal scores.
 
 The solver is damped Newton from s = 0. Below, n counts classes, and each
 universe size has one way to get a direction:
@@ -71,13 +70,15 @@ gradient and the curvature -Hessian F (the dense matrix above, its diagonal
 and product below). A direction that moves a score by more than _MAX_MOVE is
 scaled down to that move, and Armijo backtracking accepts only finite steps
 that raise F; a gain too small to survive rounding in F is measured by the
-trapezoid rule on the directional derivatives instead. The solve stops once
-the Newton step d, (-Hessian F) d = grad F, which it computes at every point
-anyway, has max |d| < SCORE_TOL: F being strictly concave, d estimates each
-score's distance to the maximum, coupling included (Boyd & Vandenberghe
-2004, section 9.5, stop on the Newton decrement, d in -Hessian F's norm).
-It reports ``converged=False`` when it hits MAX_NEWTON_STEPS or cannot
-raise F any further first. Scores are re-centered to mean zero.
+trapezoid rule on the directional derivatives instead. The solve stops on
+the Newton step d, (-Hessian F) d = grad F, that it computes at every point
+anyway: once max |d| < SCORE_TOL. F being strictly concave, d is the
+quadratic model's estimate of each score's distance to the maximum, the
+coupling between scores included (Boyd & Vandenberghe 2004, section 9.5,
+stop on the Newton decrement, the same step measured in -Hessian F's
+norm). It reports ``converged=False`` when it hits MAX_NEWTON_STEPS or
+cannot raise F any further first. The reported scores are re-centered to
+mean zero over the entities.
 
 All log-sum-exp reductions are max-shifted; gradients are assembled from
 exponent differences that are bounded above by zero, so no intermediate can
@@ -361,21 +362,13 @@ def _weighted(n: int, r_b, r_c, r_p, weights: ObjectiveWeights):
 def _classes(keys: np.ndarray, sizes: np.ndarray, weights: np.ndarray) -> tuple[_Terms, np.ndarray]:
     """The likelihood over the classes of _weighted's bucket matrix, and the
     class of each entity: the distinct columns (one class with no ordering),
-    in ascending order, so they do not depend on names. A column is read as
-    one mixed-radix integer, digit r in 0..sizes[r], for one stable argsort;
-    where those integers overflow int64, a lexsort over the rows sorts."""
+    in ascending order, so they do not depend on names; one lexsort over
+    the rows sorts them."""
     n = keys.shape[1]
-    radix = sizes + 1
-    if math.prod(radix.tolist()) <= 2**63:
-        key = np.cumprod(np.append(radix, 1)[:0:-1])[::-1] @ keys
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        new = key[1:] != key[:-1]
-    else:
-        order = np.lexsort(keys[::-1])
-        ordered = keys[:, order]
-        new = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
-    first = np.concatenate(([True], new))
+    order = np.lexsort(keys[::-1]) if len(keys) else np.arange(n)
+    ordered = keys[:, order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
     class_of = np.empty(n, dtype=np.intp)
     class_of[order] = np.cumsum(first) - 1
     starts = np.flatnonzero(first)
@@ -386,10 +379,18 @@ def _classes(keys: np.ndarray, sizes: np.ndarray, weights: np.ndarray) -> tuple[
 def _buckets(ordering) -> tuple[list[str], np.ndarray]:
     """An ordering's names bucket by bucket, each group of tied names in name
     order, and its bucket bounds; an item is a name or a group."""
-    groups = [[item] if isinstance(item, str) else sorted(item) for item in ordering]
-    if not all(groups):
-        raise ValueError("ordering contains an empty group")
-    return [e for group in groups for e in group], np.cumsum([0, *map(len, groups)])
+    names, sizes = [], [0]
+    for item in ordering:
+        if isinstance(item, str):
+            names.append(item)
+            sizes.append(1)
+        else:
+            group = sorted(item)
+            if not group:
+                raise ValueError("ordering contains an empty group")
+            names += group
+            sizes.append(len(group))
+    return names, np.cumsum(sizes)
 
 
 def _positions(universe: Sequence[str], r_b, r_c, r_p):
@@ -409,8 +410,10 @@ def _positions(universe: Sequence[str], r_b, r_c, r_p):
     def at(entities) -> np.ndarray:
         return np.array([index[e] for e in entities], dtype=np.intp)
 
-    pairs = [(at(sorted(con.higher)), at(sorted(con.lower))) for con in r_p]
-    return *((at(names), bounds) for names, bounds in (r_b, r_c)), pairs
+    return (
+        *((at(names), bounds) for names, bounds in (r_b, r_c)),
+        [(at(sorted(con.higher)), at(sorted(con.lower))) for con in r_p],
+    )
 
 
 def _evaluate_at(scores: Mapping[str, float], r_b, r_c, r_p, weights):
@@ -431,15 +434,24 @@ def _evaluate_at(scores: Mapping[str, float], r_b, r_c, r_p, weights):
 # but a string) of names tied with each other.
 
 
-def objective(scores: Mapping[str, float], r_b: Sequence, r_c: Sequence,
-              r_p: Sequence[PairwiseConstraint], weights: ObjectiveWeights | None = None) -> float:
+def objective(
+    scores: Mapping[str, float],
+    r_b: Sequence,
+    r_c: Sequence,
+    r_p: Sequence[PairwiseConstraint],
+    weights: ObjectiveWeights | None = None,
+) -> float:
     """Weighted combination of the three log-likelihood components."""
     return _evaluate_at(scores, r_b, r_c, r_p, weights)[0]
 
 
-def gradient(scores: Mapping[str, float], r_b: Sequence, r_c: Sequence,
-             r_p: Sequence[PairwiseConstraint],
-             weights: ObjectiveWeights | None = None) -> dict[str, float]:
+def gradient(
+    scores: Mapping[str, float],
+    r_b: Sequence,
+    r_c: Sequence,
+    r_p: Sequence[PairwiseConstraint],
+    weights: ObjectiveWeights | None = None,
+) -> dict[str, float]:
     """Exact gradient of :func:`objective` with respect to every score."""
     return _evaluate_at(scores, r_b, r_c, r_p, weights)[1]
 
@@ -541,8 +553,12 @@ def solve(n: int, r_b, r_c, r_p,
     return s, np.argsort(-s, kind="stable"), steps, converged
 
 
-def optimize(r_b: Sequence, r_c: Sequence, r_p: Sequence[PairwiseConstraint],
-             weights: ObjectiveWeights | None = None) -> tuple[ScoreVector, list[str]]:
+def optimize(
+    r_b: Sequence,
+    r_c: Sequence,
+    r_p: Sequence[PairwiseConstraint],
+    weights: ObjectiveWeights | None = None,
+) -> tuple[ScoreVector, list[str]]:
     """Fit scores to the orderings and constraints; return them and the
     induced final ordering by descending score, ties by name.
 

@@ -29,7 +29,11 @@ import logging
 import sys
 
 from .errors import (
-    DataFormatError, EngineError, NoCandidateEntitiesError, QueryParseError, UnanswerableQueryError,
+    DataFormatError,
+    EngineError,
+    NoCandidateEntitiesError,
+    QueryParseError,
+    UnanswerableQueryError,
 )
 from .evaluation import GroundTruth, average_metrics, evaluate_queries
 from .evaluation import check_cutoffs, check_removal_fraction, holdout_experiment
@@ -146,7 +150,12 @@ def cmd_query(args) -> int:
             "short_concepts": list(result.decomposition.short_concepts),
             "unresolved_modifiers": list(result.decomposition.unresolved),
             "results": [
-                {"rank": i, "entity": r.entity, "score": r.score, "provenance": r.provenance}
+                {
+                    "rank": i,
+                    "entity": r.entity,
+                    "score": r.score,
+                    "provenance": r.provenance,
+                }
                 for i, r in enumerate(result.top(args.k), start=1)
             ],
         }

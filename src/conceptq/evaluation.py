@@ -116,7 +116,9 @@ def average_metrics(per_query: Sequence[QueryMetrics]) -> dict[str, float]:
 # -- intersection baseline ----------------------------------------------------
 
 
-def intpro_baseline(taxonomy: Taxonomy, short_concepts: Sequence[str], k: int) -> list[str]:
+def intpro_baseline(
+    taxonomy: Taxonomy, short_concepts: Sequence[str], k: int
+) -> list[str]:
     """Rank the full intersection by summed co-occurrence with the short
     concepts; spellings that normalize alike are one short concept."""
     k = check_cutoff(k)

@@ -9,13 +9,20 @@ from typing import Optional
 import numpy as np
 
 from .aggregate import DEFAULT_ALPHA, DEFAULT_BETA, ObjectiveWeights, ScoreVector, bucket_bounds
-# perfbench times the aggregation stage by wrapping the position-level solve's
-# name here, ``pipeline.optimize``, at call time, like ``baseline_rank``.
+# The position-level solve is called through this module's name ``optimize``:
+# perfbench times the aggregation stage by wrapping ``pipeline.optimize`` at
+# call time, like ``baseline_rank`` and ``expand``.
 from .aggregate import solve as optimize
 from .baseline import BaselineRanking, baseline_rank
 from .expansion import (
-    DEFAULT_CONCEPTS_TOP_K, DEFAULT_DELTA, DEFAULT_GAMMA, DEFAULT_LEAK, NOISY_OR, ExpansionModel,
-    ExpansionResult, expand,
+    DEFAULT_CONCEPTS_TOP_K,
+    DEFAULT_DELTA,
+    DEFAULT_GAMMA,
+    DEFAULT_LEAK,
+    NOISY_OR,
+    ExpansionModel,
+    ExpansionResult,
+    expand,
 )
 from .query import Decomposition, LongConceptQuery, MembershipPattern, decompose, membership, parse
 from .taxonomy import Taxonomy, check_cutoff, normalize
@@ -141,8 +148,11 @@ def run_query(
     r_b, r_c = (np.searchsorted(keys, rank[ids]) for ids in (ranking_b.ids, expansion.ids))
     tiers = [np.searchsorted(keys, rank[tier]) for tier in expansion.tiers]
     s, order, steps, converged = optimize(
-        len(universe), (r_b, bucket_bounds(ranking_b.weights)),
-        (r_c, bucket_bounds(expansion.scores)), list(zip(tiers, tiers[1:])), config.weights(),
+        len(universe),
+        (r_b, bucket_bounds(ranking_b.weights)),
+        (r_c, bucket_bounds(expansion.scores)),
+        list(zip(tiers, tiers[1:])),
+        config.weights(),
     )
 
     provenance = np.full(len(universe), PROVENANCE_EXPANDED, dtype=object)

@@ -181,37 +181,37 @@ class TestRunQueryOnF1:
         assert scores == sorted(scores, reverse=True)
 
 
-# run_query's ranking as the parent of the lazy name views returned it, as
-# (entity, float.hex(score), provenance)
+# run_query's ranking as it was when the result's views were built eagerly,
+# as (entity, score to 12 decimals, provenance)
 EAGER_RANKINGS = {
     "f1": [
-        ('a', '0x1.9d7e45e5dcb31p+1', 'seed'),
-        ('b', '0x1.9d7e45e5dcb31p+1', 'seed'),
-        ('c', '-0x1.f80bb1e898cf8p-1', 'baseline-only'),
-        ('d', '-0x1.f80bb1e898cf8p-1', 'baseline-only'),
-        ('x', '-0x1.1f7b596bb67f3p+2', 'expanded'),
+        ("a", 3.230416047323, "seed"),
+        ("b", 3.230416047323, "seed"),
+        ("c", -0.984464225429, "baseline-only"),
+        ("d", -0.984464225429, "baseline-only"),
+        ("x", -4.491903643788, "expanded"),
     ],
     "planted": [
-        ('item00', '0x1.2863a5a2e1889p+2', 'seed'),
-        ('item07', '0x1.2863a5a2e1889p+2', 'seed'),
-        ('item09', '0x1.24a1def214aa9p+2', 'seed'),
-        ('item01', '0x1.1c5e3d7c809e6p+2', 'seed'),
-        ('item05', '0x1.1c5e3d7c809e6p+2', 'seed'),
-        ('item08', '0x1.1684f2e79a7f3p+2', 'seed'),
-        ('item04', '0x1.0f564234475c3p+2', 'seed'),
-        ('item03', '0x1.0608256e21167p+2', 'seed'),
-        ('item02', '0x1.f1a205c137b59p+1', 'seed'),
-        ('item06', '0x1.c3ec9c1856c39p+1', 'seed'),
-        ('noise200', '0x1.a8d920faf05b8p-2', 'baseline-only'),
-        ('noise201', '0x1.a8d920faf05b8p-2', 'baseline-only'),
-        ('noise000', '-0x1.d18c783d22824p+0', 'baseline-only'),
-        ('noise001', '-0x1.d18c783d22824p+0', 'baseline-only'),
-        ('noise100', '-0x1.13ff6d2ecf813p+2', 'baseline-only'),
-        ('noise101', '-0x1.13ff6d2ecf813p+2', 'baseline-only'),
-        ('junk00', '-0x1.f6499792b43bap+2', 'expanded'),
-        ('junk01', '-0x1.f6499792b43bap+2', 'expanded'),
-        ('junk02', '-0x1.f6499792b43bap+2', 'expanded'),
-        ('junk03', '-0x1.f6499792b43bap+2', 'expanded'),
+        ("item00", 4.631081971229, "seed"),
+        ("item07", 4.631081971229, "seed"),
+        ("item09", 4.572379814536, "seed"),
+        ("item01", 4.443251964173, "seed"),
+        ("item05", 4.443251964173, "seed"),
+        ("item08", 4.351864553619, "seed"),
+        ("item04", 4.239639807752, "seed"),
+        ("item03", 4.094247205303, "seed"),
+        ("item02", 3.887757033677, "seed"),
+        ("item06", 3.530658256420, "seed"),
+        ("noise200", 0.414890780750, "baseline-only"),
+        ("noise201", 0.414890780750, "baseline-only"),
+        ("noise000", -1.818549647260, "baseline-only"),
+        ("noise001", -1.818549647260, "baseline-only"),
+        ("noise100", -4.312464996065, "baseline-only"),
+        ("noise101", -4.312464996065, "baseline-only"),
+        ("junk00", -7.848241704240, "expanded"),
+        ("junk01", -7.848241704240, "expanded"),
+        ("junk02", -7.848241704240, "expanded"),
+        ("junk03", -7.848241704240, "expanded"),
     ],
 }
 
@@ -249,20 +249,28 @@ class TestLazyViews:
         assert result.ranking is result.ranking and len(rows) == 8
 
     @pytest.mark.parametrize("case", ["f1", "planted"])
-    def test_the_views_equal_the_eagerly_built_ones(self, case, f1):
+    def test_the_views_agree_and_equal_the_eagerly_built_ones(self, case, f1):
         inst = planted_instance(seed=0)
         t, query = (f1, "top american university") if case == "f1" else (
             ingest(inst.records), inst.query
         )
         expected = EAGER_RANKINGS[case]
         result = run_query(t, query)
-        assert [(r.entity, r.score.hex(), r.provenance) for r in result.top(3)] == expected[:3]
-        assert result.entities() == [e for e, _, _ in expected]
-        assert [(r.entity, r.score.hex(), r.provenance) for r in result.ranking] == expected
-        assert [(e, s.hex()) for e, s in result.scores.scores.items()] == sorted(
-            (e, s) for e, s, _ in expected
-        )
-        assert result.scores.universe == {e for e, _, _ in expected}
+        scores = result.scores
+        rows = [(r.entity, r.score, r.provenance) for r in result.ranking]
+        # the views agree with each other and with the arrays, bit for bit
+        assert rows == [
+            (e, scores.values[i], result.provenance[i])
+            for e, i in zip(result.entities(), result.order.tolist())
+        ]
+        assert all(scores.scores[e] == s for e, s, _ in rows)
+        assert result.top(3) == result.ranking[:3]
+        assert list(scores.scores) == sorted(scores.scores)
+        assert scores.universe == set(scores.scores)
+        # and give the eagerly built ranking's names, provenance and scores
+        assert [(e, p) for e, _, p in rows] == [(e, p) for e, _, p in expected]
+        for (_, score, _), (_, pinned, _) in zip(rows, expected):
+            assert abs(score - pinned) < 1e-9
 
 
 class TestEmptyIntersectionQueries:
