@@ -172,10 +172,6 @@ class ScoreVector:
     def universe(self) -> frozenset[str]:  # perfbench reads it
         return frozenset(self.scores)
 
-    def __eq__(self, other):
-        return isinstance(other, ScoreVector) and all(
-            getattr(self, a) == getattr(other, a) for a in ("scores", "iterations", "converged"))
-
 
 # -- the likelihood as index arrays ------------------------------------------
 

@@ -178,7 +178,7 @@ def _read_truth(path) -> dict[str, set[str]]:
             raise DataFormatError(
                 f"line {line_num}: expected query<TAB>entity", row=line_num
             )
-        truth.setdefault(normalize(fields[0]), set()).add(normalize(fields[1]))
+        truth.setdefault(normalize(fields[0]), set()).add(fields[1])
     return truth
 
 
@@ -195,8 +195,8 @@ def cmd_eval(args) -> int:
         print(f"error: bad --k list {args.k!r}", file=sys.stderr)
         return EXIT_USAGE
     if (args.holdout is None) == (args.truth is None):
-        print("error: eval needs a truth file or --holdout, not both", file=sys.stderr)
-        return EXIT_USAGE
+        both = "" if args.truth is None else ", not both"
+        raise ValueError(f"eval needs a truth file or --holdout{both}")
     if args.holdout is not None:
         check_removal_fraction(args.holdout)
 

@@ -9,7 +9,8 @@ entities and a ground truth of n_g answers:
 
 where I is the entity intersection of the query's short concepts. ratio@k
 measures the ability to surface entities the plain intersection could never
-return.
+return. One scorer, ``_score``, computes all three for a hold-out run and a
+truth-file run alike, from the names of the run's top max(k) entities only.
 
 The module also hosts the deterministic test fixtures: the canonical
 four-concept taxonomy used across the test suite and a planted-structure
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import EngineError
-from .pipeline import PipelineConfig, run_query
+from .pipeline import PipelineConfig, QueryResult, run_query
 from .query import decompose, parse
 from .taxonomy import (
     CooccurrenceRecord, Taxonomy, check_cutoff, entity_intersection, ingest, normalize,
@@ -35,14 +36,15 @@ from .taxonomy import (
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """The accepted answer set for one query."""
+    """The accepted answer set for one query, normalized as taxonomy names are."""
 
     query: str
     answers: frozenset[str]
 
     def __post_init__(self):
-        if not self.answers:
-            raise ValueError("ground truth answers must be non-empty")
+        object.__setattr__(self, "answers", frozenset(map(normalize, self.answers)))
+        if not self.answers or "" in self.answers:
+            raise ValueError(f"ground truth answers must be non-empty names, got {self.answers!r}")
 
 
 @dataclass
@@ -90,19 +92,6 @@ def ratio_at_k(top_k: Sequence[str], intersection: Iterable[str]) -> float:
     return new / (len(intersection) + 1)
 
 
-def _metrics(
-    ranked: Sequence[str], truth: GroundTruth, intersection: Iterable[str], ks: Sequence[int]
-) -> dict[str, float]:
-    """precision, recall and ratio of one ranking at every cutoff."""
-    intersection = set(intersection)
-    metrics: dict[str, float] = {}
-    for k in ks:
-        metrics[f"precision@{k}"] = precision_at_k(ranked, truth, k)
-        metrics[f"recall@{k}"] = recall_at_k(ranked, truth, k)
-        metrics[f"ratio@{k}"] = ratio_at_k(ranked[:k], intersection)
-    return metrics
-
-
 def average_metrics(per_query: Sequence[QueryMetrics]) -> dict[str, float]:
     """Macro average of every metric over the queries; empty for no queries."""
     if not per_query:
@@ -111,6 +100,26 @@ def average_metrics(per_query: Sequence[QueryMetrics]) -> dict[str, float]:
         key: sum(qm.metrics[key] for qm in per_query) / len(per_query)
         for key in per_query[0].metrics
     }
+
+
+def _score(
+    result: QueryResult, truth: GroundTruth, intersection: Iterable[str], ks: Sequence[int]
+) -> tuple[QueryMetrics, list[str]]:
+    """precision, recall and ratio of one run at every cutoff, and the top
+    max(ks) names, all they read: precision@k's min(k, n) is the same for the
+    cut list at every k <= max(ks)."""
+    top = result.scores.names_at(result.order[: max(ks)])
+    metrics: dict[str, float] = {}
+    for k in ks:
+        metrics[f"precision@{k}"] = precision_at_k(top, truth, k)
+        metrics[f"recall@{k}"] = recall_at_k(top, truth, k)
+        metrics[f"ratio@{k}"] = ratio_at_k(top[:k], intersection)
+    return QueryMetrics(truth.query, metrics, converged=result.scores.converged), top
+
+
+def _report(per_query: list[QueryMetrics], config: PipelineConfig, **params) -> EvalReport:
+    """The scored runs with their macro averages and the config's echo."""
+    return EvalReport(per_query, average_metrics(per_query), config.echo(**params))
 
 
 # -- intersection baseline ----------------------------------------------------
@@ -188,26 +197,16 @@ def holdout_experiment(
     removed = frozenset(rng.sample(sorted(intersection), n_remove))
 
     reduced = taxonomy.without_edges(decomposition.short_concepts, removed)
-    result = run_query(reduced, raw_query, config)
-    ranked = result.entities()
     reduced_intersection = intersection - removed
     truth = GroundTruth(query=raw_query, answers=removed)
-    per_query = QueryMetrics(
-        query=raw_query,
-        metrics=_metrics(ranked, truth, reduced_intersection, ks),
-        extras={
-            "removed": sorted(removed),
-            "reduced_intersection": sorted(reduced_intersection),
-            "top_k": ranked[: max(ks)],
-        },
-        converged=result.scores.converged,
-    )
-    return EvalReport(
-        per_query=[per_query],
-        averages=average_metrics([per_query]),
-        params=config.echo(k=ks if isinstance(k, Iterable) else ks[0],
-                           removal_fraction=removal_fraction, rng_seed=rng_seed),
-    )
+    scored, top = _score(run_query(reduced, raw_query, config), truth, reduced_intersection, ks)
+    scored.extras = {
+        "removed": sorted(removed),
+        "reduced_intersection": sorted(reduced_intersection),
+        "top_k": top,
+    }
+    return _report([scored], config, k=ks if isinstance(k, Iterable) else ks[0],
+                   removal_fraction=removal_fraction, rng_seed=rng_seed)
 
 
 # -- batch evaluation ---------------------------------------------------------
@@ -228,18 +227,8 @@ def evaluate_queries(
         intersection = entity_intersection(
             taxonomy, result.decomposition.short_concepts
         )
-        per_query.append(
-            QueryMetrics(
-                query=truth.query,
-                metrics=_metrics(result.entities(), truth, intersection, ks),
-                converged=result.scores.converged,
-            )
-        )
-    return EvalReport(
-        per_query=per_query,
-        averages=average_metrics(per_query),
-        params=config.echo(k=ks),
-    )
+        per_query.append(_score(result, truth, intersection, ks)[0])
+    return _report(per_query, config, k=ks)
 
 
 # -- fixtures ------------------------------------------------------------------

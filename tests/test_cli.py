@@ -422,6 +422,9 @@ class TestEval:
         queries = tmp_path / "queries.txt"
         queries.write_text("top american university\n", encoding="utf-8")
         assert main(["eval", str(f1_path), str(queries)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: eval needs a truth file or --holdout\n"
+        assert captured.out == ""
 
     def test_truth_and_holdout_is_usage_error(self, f1_path, tmp_path, capsys):
         # hold-out never reads the truth file, so the pair is refused
@@ -431,7 +434,7 @@ class TestEval:
         truth.write_text("top american university\ta\n", encoding="utf-8")
         assert main(["eval", str(f1_path), str(queries), str(truth), "--holdout", "0.5"]) == 2
         captured = capsys.readouterr()
-        assert "error:" in captured.err
+        assert captured.err == "error: eval needs a truth file or --holdout, not both\n"
         assert captured.out == ""
 
     def test_truth_scoring_echoes_no_seed(self, f1_path, tmp_path, capsys):

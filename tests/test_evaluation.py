@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conceptq import evaluation
+from conceptq.aggregate import ScoreVector
 from conceptq.errors import EngineError
 from conceptq.evaluation import (
     GroundTruth,
@@ -92,6 +93,15 @@ class TestMetricIntegrality:
     def test_ground_truth_requires_answers(self):
         with pytest.raises(ValueError):
             GroundTruth(query="q", answers=frozenset())
+
+    def test_ground_truth_normalizes_its_answers(self):
+        truth = GroundTruth(query="q", answers=frozenset({"A", " Big  Apple ", "a"}))
+        assert truth.answers == {"a", "big apple"}
+
+    @pytest.mark.parametrize("blank", ["", "  ", "\t"])
+    def test_an_answer_that_normalizes_to_empty_is_rejected(self, blank):
+        with pytest.raises(ValueError, match="non-empty"):
+            GroundTruth(query="q", answers=frozenset({"a", blank}))
 
 
 class TestIntPro:
@@ -258,17 +268,20 @@ class TestHoldout:
             t = inst.build()
             short = {f"{m} {inst.head}" for m in inst.modifiers}
             for fraction in (0.3, 0.5, 0.95):
-                report = holdout_experiment(t, inst.query, fraction, rng_seed=seed, k=[5, 10])
+                # 100 is beyond the universe, so the cut list is the whole ranking
+                report = holdout_experiment(
+                    t, inst.query, fraction, rng_seed=seed, k=[5, 10, 100]
+                )
                 extras = report.per_query[0].extras
                 removed = set(extras["removed"])
                 reduced = ingest(
                     r for r in t.records() if not (r.concept in short and r.entity in removed)
                 )
                 ranked = run_query(reduced, inst.query).entities()
-                assert extras["top_k"] == ranked[:10]
+                assert len(ranked) < 100 and extras["top_k"] == ranked
                 assert extras["reduced_intersection"] == sorted(entity_intersection(reduced, short))
                 truth = GroundTruth(query=inst.query, answers=frozenset(removed))
-                for k in (5, 10):
+                for k in (5, 10, 100):
                     assert report.averages[f"precision@{k}"] == precision_at_k(ranked, truth, k)
                     assert report.averages[f"recall@{k}"] == recall_at_k(ranked, truth, k)
                     assert report.averages[f"ratio@{k}"] == ratio_at_k(
@@ -293,7 +306,7 @@ class TestEvaluateQueries:
         truth = GroundTruth(
             query="top american university", answers=frozenset({"a", "c"})
         )
-        report = evaluate_queries(f1, [truth], ks=[2, 4], config=PipelineConfig())
+        report = evaluate_queries(f1, [truth], ks=[2, 4, 10], config=PipelineConfig())
         metrics = report.per_query[0].metrics
         assert metrics["precision@2"] == 0.5   # {a} of top-2 [a, b]
         assert metrics["recall@2"] == 0.5
@@ -301,7 +314,16 @@ class TestEvaluateQueries:
         assert metrics["precision@4"] == 0.5   # {a, c} of [a, b, c, d]
         assert metrics["recall@4"] == 1.0
         assert metrics["ratio@4"] == pytest.approx(2 / 3)  # c, d outside {a, b}
+        # k beyond the five-entity ranking: precision divides by its length
+        assert metrics["precision@10"] == 0.4
+        assert metrics["recall@10"] == 1.0
+        assert metrics["ratio@10"] == 1.0     # c, d, x outside {a, b}
         assert report.averages == metrics
+
+    def test_answers_are_matched_as_normalized_names(self, f1):
+        truth = GroundTruth("Top American University", frozenset({"A", "B"}))
+        metrics = evaluate_queries(f1, [truth], [2]).per_query[0].metrics
+        assert metrics["precision@2"] == metrics["recall@2"] == 1.0
 
     @pytest.mark.parametrize("ks", [[], [0], [5, 0], [2.5], [True], 10, None])
     def test_bad_cutoffs_rejected(self, f1, ks):
@@ -323,3 +345,42 @@ class TestEvaluateQueries:
         first, second = (qm.metrics for qm in report.per_query)
         for key, value in report.averages.items():
             assert value == pytest.approx((first[key] + second[key]) / 2)
+
+
+class TestNamesRead:
+    """A scored run reads the names of its top max(k) entities only."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Each run's universe size and the names read after it ran."""
+        runs = []
+        names_at = ScoreVector.names_at
+
+        def counted(self, positions):
+            names = names_at(self, positions)
+            runs[-1][1] += len(names)
+            return names
+
+        def run(*args, **kwargs):
+            result = run_query(*args, **kwargs)
+            runs.append([len(result.order), 0])
+            return result
+
+        monkeypatch.setattr(ScoreVector, "names_at", counted)
+        monkeypatch.setattr(evaluation, "run_query", run)
+        return runs
+
+    @pytest.mark.parametrize("ks", [[2], [5, 3], [1, 100]])
+    def test_a_hold_out_run_reads_its_top_names(self, runs, ks):
+        inst = planted_instance(seed=0)
+        holdout_experiment(inst.build(), inst.query, 0.5, rng_seed=0, k=ks)
+        [(n, read)] = runs
+        assert read == min(max(ks), n)
+
+    @pytest.mark.parametrize("ks", [[2], [5, 3], [1, 100]])
+    def test_a_truth_file_run_reads_its_top_names(self, runs, ks, f1):
+        truths = [GroundTruth("top american university", frozenset({"a"})),
+                  GroundTruth("top famous university", frozenset({"x"}))]
+        evaluate_queries(f1, truths, ks)
+        assert len(runs) == 2
+        assert [read for _, read in runs] == [min(max(ks), n) for n, _ in runs]
