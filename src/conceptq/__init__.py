@@ -13,7 +13,7 @@ the engine's errors. Each stage's own functions (``parse``, ``membership``,
 ``baseline_rank``, ``expand``, ...) are imported from their modules.
 """
 
-from .aggregate import ObjectiveWeights, ScoreVector, gradient, objective, optimize
+from .aggregate import ObjectiveWeights, ScoreVector, gradient
 from .errors import (
     DataFormatError,
     EngineError,

@@ -109,7 +109,7 @@ MAX_NEWTON_STEPS = 100
 # Largest universe whose Newton directions come from the dense Hessian, not
 # CG. Measured on synthetic queries (orderings of n/2 and 0.9 n entities, one
 # or two 6-vs-12..30 constraints), one BLAS thread on a 2-vCPU x86 VM, ms per
-# optimize dense vs CG: n = 100 2.7 vs 3.3, 110 3.2 vs 3.9, 120 5.0 vs 5.4,
+# solve dense vs CG: n = 100 2.7 vs 3.3, 110 3.2 vs 3.9, 120 5.0 vs 5.4,
 # 124 5.5 vs 5.8, 128 4.6 vs 3.7, 140 5.4 vs 4.1, 160 6.8 vs 4.0, 250 16 vs
 # 5.8. The dense cost grows as n^3, CG's about as n.
 DENSE_NEWTON_MAX_N = 120
@@ -424,21 +424,7 @@ def _evaluate_at(scores: Mapping[str, float], r_b, r_c, r_p, weights):
     return value, {e: by_name[e] for e in scores}
 
 
-# -- the public likelihood ----------------------------------------------------
-#
-# An ordering is a sequence whose items are a name or a group (any iterable
-# but a string) of names tied with each other.
-
-
-def objective(
-    scores: Mapping[str, float],
-    r_b: Sequence,
-    r_c: Sequence,
-    r_p: Sequence[PairwiseConstraint],
-    weights: ObjectiveWeights | None = None,
-) -> float:
-    """Weighted combination of the three log-likelihood components."""
-    return _evaluate_at(scores, r_b, r_c, r_p, weights)[0]
+# -- the name-keyed gradient --------------------------------------------------
 
 
 def gradient(
@@ -448,7 +434,9 @@ def gradient(
     r_p: Sequence[PairwiseConstraint],
     weights: ObjectiveWeights | None = None,
 ) -> dict[str, float]:
-    """Exact gradient of :func:`objective` with respect to every score."""
+    """Exact gradient of the module docstring's objective at the name-keyed
+    ``scores``. An ordering's items are names or groups (any iterable but a
+    string) of tied names; a list of names is a total ordering."""
     return _evaluate_at(scores, r_b, r_c, r_p, weights)[1]
 
 
@@ -535,44 +523,15 @@ def _maximize(terms: _Terms, s: np.ndarray) -> tuple[np.ndarray, int, bool]:
 
 def solve(n: int, r_b, r_c, r_p,
           weights: ObjectiveWeights) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """:func:`optimize` over positions: the entities are positions 0..n-1 of
-    the name-ordered universe; ``r_b`` and ``r_c`` are (positions, bounds)
-    bucket orders, bucket k holding positions[bounds[k]:bounds[k+1]], and each
-    constraint of ``r_p`` is a (higher, lower) pair of position arrays
-    (nothing is checked). Solves over the entities' classes and returns the
-    scores, the positions by descending score, ties by name, the Newton
-    steps and whether the solve converged."""
+    """The aggregation's one solve, over positions 0..n-1 of the name-ordered
+    universe: ``r_b`` and ``r_c`` are (positions, bounds) bucket orders, bucket
+    k holding positions[bounds[k]:bounds[k+1]], and each constraint of ``r_p``
+    is a (higher, lower) pair of position arrays (nothing is checked). Solves
+    over the entities' classes and returns the scores, the positions by
+    descending score, ties by name, the Newton steps and whether the solve
+    converged."""
     terms, class_of = _classes(*_weighted(n, r_b, r_c, r_p, weights))
     s, steps, converged = _maximize(terms, np.zeros(terms.n))
     s = s[class_of]
     s -= s.mean()
     return s, np.argsort(-s, kind="stable"), steps, converged
-
-
-def optimize(
-    r_b: Sequence,
-    r_c: Sequence,
-    r_p: Sequence[PairwiseConstraint],
-    weights: ObjectiveWeights | None = None,
-) -> tuple[ScoreVector, list[str]]:
-    """Fit scores to the orderings and constraints; return them and the
-    induced final ordering by descending score, ties by name.
-
-    An ordering's items are names or groups of tied names; a list of names
-    is a total ordering. Checks the names and solves over their positions
-    (:func:`solve`, which the pipeline calls with the positions it already
-    holds). Entities with the same bucket in each ordering and the same side
-    of each constraint get bit-equal scores.
-
-    Maximizes the posterior F of the module docstring until its Newton step
-    moves no score by SCORE_TOL (see :class:`ScoreVector`); the scores are
-    re-centered to mean zero.
-    """
-    if not r_b and not r_c:
-        raise ValueError("need at least one non-empty ordering")
-    r_b, r_c = _buckets(r_b), _buckets(r_c)
-    universe = sorted({*r_b[0], *r_c[0], *(e for con in r_p for e in con.higher | con.lower)})
-    positions = _positions(universe, r_b, r_c, r_p)
-    s, order, steps, converged = solve(len(universe), *positions, weights or ObjectiveWeights())
-    scores = ScoreVector(s, steps, converged, universe, np.arange(len(universe)))
-    return scores, [universe[i] for i in order.tolist()]

@@ -12,11 +12,9 @@ measures the ability to surface entities the plain intersection could never
 return. One scorer, ``_score``, computes all three for a hold-out run and a
 truth-file run alike, from the names of the run's top max(k) entities only.
 
-The module also hosts the deterministic test fixtures: the canonical
-four-concept taxonomy used across the test suite and a planted-structure
-generator whose ground truth is known by construction, which powers the
-hold-out experiment (remove a fraction of the intersection entities' edges
-to the query concepts, then check whether the pipeline recovers them).
+The hold-out experiment removes a fraction of the intersection entities'
+edges to the query concepts and checks whether the pipeline recovers them.
+The module also hosts the canonical four-concept test taxonomy, f1.
 """
 
 from __future__ import annotations
@@ -42,6 +40,9 @@ class GroundTruth:
     answers: frozenset[str]
 
     def __post_init__(self):
+        if isinstance(self.answers, str):  # would be split into its characters
+            raise ValueError(f"ground truth answers must be a collection of names, "
+                             f"got {self.answers!r}")
         object.__setattr__(self, "answers", frozenset(map(normalize, self.answers)))
         if not self.answers or "" in self.answers:
             raise ValueError(f"ground truth answers must be non-empty names, got {self.answers!r}")
@@ -181,7 +182,8 @@ def holdout_experiment(
     entities are the ground truth. ratio@k is measured against the reduced
     intersection, the one the pipeline actually saw.
     """
-    ks = check_cutoffs(list(k) if isinstance(k, Iterable) else [k])
+    many = isinstance(k, Iterable) and not isinstance(k, str)
+    ks = check_cutoffs(list(k) if many else [k])
     check_removal_fraction(removal_fraction)
     config = config or PipelineConfig()
     query = parse(raw_query, config.head)
@@ -205,7 +207,7 @@ def holdout_experiment(
         "reduced_intersection": sorted(reduced_intersection),
         "top_k": top,
     }
-    return _report([scored], config, k=ks if isinstance(k, Iterable) else ks[0],
+    return _report([scored], config, k=ks if many else ks[0],
                    removal_fraction=removal_fraction, rng_seed=rng_seed)
 
 
@@ -256,89 +258,3 @@ def fixture_f1_records() -> list[CooccurrenceRecord]:
 def fixture_f1() -> Taxonomy:
     return ingest(fixture_f1_records())
 
-
-@dataclass
-class PlantedInstance:
-    """A generated taxonomy whose correct answers are known by construction."""
-
-    records: tuple[CooccurrenceRecord, ...]
-    query: str
-    head: str
-    modifiers: tuple[str, ...]
-    answers: frozenset[str]
-    equivalent_concept: str
-
-    def build(self) -> Taxonomy:
-        return ingest(self.records)
-
-
-def planted_instance(
-    n_answers: int = 10,
-    n_modifiers: int = 3,
-    noise_per_concept: int = 2,
-    seed: int = 0,
-) -> PlantedInstance:
-    """Build a taxonomy with a designated true answer set.
-
-    Structure: ``n_modifiers`` short concepts each contain every answer
-    (count 10, jittered by the seeded generator) plus their own noise
-    entities (count 1); one equivalent concept contains exactly the answer
-    set with count 1000; two related distractors, "popular" and "premium",
-    mix the answers (count 500) with four junk entities outside the short
-    concepts' union, so they pay the out-of-union penalty; one over-general
-    concept is mostly junk and scores near the penalty floor; a pure-junk
-    concept adds unrelated mass. The parameters and seed fully determine the
-    instance.
-
-    The redundant answer support (equivalent plus related concepts) is what
-    makes hold-out recovery possible: an answer stripped of its short-concept
-    edges is still covered by several high-count concepts, while each noise
-    entity sits in a single short concept.
-    """
-    if n_answers < 2 or n_modifiers < 1:
-        raise ValueError("need at least 2 answers and 1 modifier")
-    rng = random.Random(seed)
-    head = "gadget"
-    all_modifiers = ["sleek", "compact", "rugged", "modular", "wireless", "solar"]
-    if n_modifiers > len(all_modifiers):
-        raise ValueError(f"at most {len(all_modifiers)} modifiers supported")
-    modifiers = tuple(all_modifiers[:n_modifiers])
-    answers = [f"item{i:02d}" for i in range(n_answers)]
-    junk = [f"junk{j:02d}" for j in range(4)]
-
-    records: list[CooccurrenceRecord] = []
-    for m_index, modifier in enumerate(modifiers):
-        concept = f"{modifier} {head}"
-        for entity in answers:
-            records.append(CooccurrenceRecord(concept, entity, 10 + rng.randint(0, 2)))
-        for j in range(noise_per_concept):
-            records.append(CooccurrenceRecord(concept, f"noise{m_index}{j:02d}", 1))
-
-    equivalent = "collector favorite"
-    for entity in answers:
-        records.append(CooccurrenceRecord(equivalent, entity, 1000))
-
-    for related in ("popular", "premium"):
-        concept = f"{related} {head}"
-        for entity in answers:
-            records.append(CooccurrenceRecord(concept, entity, 500))
-        for entity in junk:
-            records.append(CooccurrenceRecord(concept, entity, 1))
-
-    overgeneral = f"common {head}"
-    for entity in answers:
-        records.append(CooccurrenceRecord(overgeneral, entity, 1))
-    for entity in junk:
-        records.append(CooccurrenceRecord(overgeneral, entity, 3))
-
-    for entity in junk:
-        records.append(CooccurrenceRecord("assorted item", entity, 1))
-
-    return PlantedInstance(
-        records=tuple(records),
-        query=" ".join(modifiers + (head,)),
-        head=head,
-        modifiers=modifiers,
-        answers=frozenset(answers),
-        equivalent_concept=equivalent,
-    )

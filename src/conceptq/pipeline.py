@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .aggregate import DEFAULT_ALPHA, DEFAULT_BETA, ObjectiveWeights, ScoreVector, bucket_bounds
-# The position-level solve is called through this module's name ``optimize``:
+# The aggregation's solve is called through this module's name ``optimize``:
 # perfbench times the aggregation stage by wrapping ``pipeline.optimize`` at
 # call time, like ``baseline_rank`` and ``expand``.
 from .aggregate import solve as optimize

@@ -1,7 +1,8 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles re-derive expected values straight from raw counts with plain
-Python arithmetic, deliberately avoiding the library's code paths.
+Python arithmetic, deliberately avoiding the library's code paths; the
+name-keyed ``optimize`` and ``objective`` wrap the engine's own solve.
 """
 
 from __future__ import annotations
@@ -15,10 +16,13 @@ from typing import Sequence
 import numpy as np
 
 from conceptq import expansion, taxonomy
+from conceptq.aggregate import (
+    ObjectiveWeights, ScoreVector, _buckets, _evaluate_at, _positions, solve,
+)
 from conceptq.errors import DataFormatError, QueryParseError
 from conceptq.expansion import ConceptRelevance, ExpansionModel, PairwiseConstraint
 from conceptq.query import Membership
-from conceptq.taxonomy import Taxonomy, find_sorted, ingest, normalize
+from conceptq.taxonomy import CooccurrenceRecord, Taxonomy, find_sorted, ingest, normalize
 
 
 def random_rows(rng: random.Random, max_concepts=6, max_entities=8, max_edges=20,
@@ -54,6 +58,96 @@ def disjoint_concept_taxonomy() -> Taxonomy:
             ("blue car", "smart", 2), ("blue car", "prius", 1),
             ("small car", "mini", 1), ("small car", "smart", 3), ("small car", "kei", 2),
         ]
+    )
+
+
+# -- planted instances -------------------------------------------------------
+
+
+@dataclass
+class PlantedInstance:
+    """A generated taxonomy whose correct answers are known by construction."""
+
+    records: tuple[CooccurrenceRecord, ...]
+    query: str
+    head: str
+    modifiers: tuple[str, ...]
+    answers: frozenset[str]
+    equivalent_concept: str
+
+    def build(self) -> Taxonomy:
+        return ingest(self.records)
+
+
+def planted_instance(
+    n_answers: int = 10,
+    n_modifiers: int = 3,
+    noise_per_concept: int = 2,
+    seed: int = 0,
+) -> PlantedInstance:
+    """Build a taxonomy with a designated true answer set.
+
+    Structure: ``n_modifiers`` short concepts each contain every answer
+    (count 10, jittered by the seeded generator) plus their own noise
+    entities (count 1); one equivalent concept contains exactly the answer
+    set with count 1000; two related distractors, "popular" and "premium",
+    mix the answers (count 500) with four junk entities outside the short
+    concepts' union, so they pay the out-of-union penalty; one over-general
+    concept is mostly junk and scores near the penalty floor; a pure-junk
+    concept adds unrelated mass. The parameters and seed fully determine the
+    instance.
+
+    The redundant answer support (equivalent plus related concepts) is what
+    makes hold-out recovery possible: an answer stripped of its short-concept
+    edges is still covered by several high-count concepts, while each noise
+    entity sits in a single short concept.
+    """
+    if n_answers < 2 or n_modifiers < 1:
+        raise ValueError("need at least 2 answers and 1 modifier")
+    rng = random.Random(seed)
+    head = "gadget"
+    all_modifiers = ["sleek", "compact", "rugged", "modular", "wireless", "solar"]
+    if n_modifiers > len(all_modifiers):
+        raise ValueError(f"at most {len(all_modifiers)} modifiers supported")
+    modifiers = tuple(all_modifiers[:n_modifiers])
+    answers = [f"item{i:02d}" for i in range(n_answers)]
+    junk = [f"junk{j:02d}" for j in range(4)]
+
+    records: list[CooccurrenceRecord] = []
+    for m_index, modifier in enumerate(modifiers):
+        concept = f"{modifier} {head}"
+        for entity in answers:
+            records.append(CooccurrenceRecord(concept, entity, 10 + rng.randint(0, 2)))
+        for j in range(noise_per_concept):
+            records.append(CooccurrenceRecord(concept, f"noise{m_index}{j:02d}", 1))
+
+    equivalent = "collector favorite"
+    for entity in answers:
+        records.append(CooccurrenceRecord(equivalent, entity, 1000))
+
+    for related in ("popular", "premium"):
+        concept = f"{related} {head}"
+        for entity in answers:
+            records.append(CooccurrenceRecord(concept, entity, 500))
+        for entity in junk:
+            records.append(CooccurrenceRecord(concept, entity, 1))
+
+    overgeneral = f"common {head}"
+    for entity in answers:
+        records.append(CooccurrenceRecord(overgeneral, entity, 1))
+    for entity in junk:
+        records.append(CooccurrenceRecord(overgeneral, entity, 3))
+
+    for entity in junk:
+        records.append(CooccurrenceRecord("assorted item", entity, 1))
+
+    return PlantedInstance(
+        records=tuple(records),
+        query=" ".join(modifiers + (head,)),
+        head=head,
+        modifiers=modifiers,
+        answers=frozenset(answers),
+        equivalent_concept=equivalent,
     )
 
 
@@ -362,6 +456,48 @@ def oracle_tiers(subsets: Sequence[SubsetIntersection]) -> list[tuple[int, froze
     return [
         (size, frozenset(e for e, s in best_size.items() if s == size)) for size in sizes
     ]
+
+
+# -- name-keyed calls into the aggregation's position-level code -------------
+#
+# An ordering is a sequence whose items are a name or a group (any iterable
+# but a string) of names tied with each other.
+
+
+def positions_of(r_b, r_c, r_p):
+    """The name-ordered universe and the orderings and constraints as
+    position arrays there, as ``optimize`` builds them."""
+    r_b, r_c = _buckets(r_b), _buckets(r_c)
+    names = sorted({*r_b[0], *r_c[0], *(e for c in r_p for e in c.higher | c.lower)})
+    return names, _positions(names, r_b, r_c, r_p)
+
+
+def optimize(r_b, r_c, r_p, weights: ObjectiveWeights | None = None):
+    """``solve`` over names: the scores of the name-ordered universe and the
+    names by descending score, ties by name."""
+    if not r_b and not r_c:
+        raise ValueError("need at least one non-empty ordering")
+    names, positions = positions_of(r_b, r_c, r_p)
+    s, order, steps, converged = solve(len(names), *positions, weights or ObjectiveWeights())
+    scores = ScoreVector(s, steps, converged, names, np.arange(len(names)))
+    return scores, [names[i] for i in order.tolist()]
+
+
+def objective(scores, r_b, r_c, r_p, weights: ObjectiveWeights | None = None) -> float:
+    """The weighted likelihood at ``scores``, whose gradient is ``gradient``."""
+    return _evaluate_at(scores, r_b, r_c, r_p, weights)[0]
+
+
+def finite_difference(scores, r_b, r_c, r_p, weights, entity, h=1e-5):
+    """The central difference of ``objective`` along ``entity``'s score."""
+    up = dict(scores)
+    down = dict(scores)
+    up[entity] += h
+    down[entity] -= h
+    return (
+        objective(up, r_b, r_c, r_p, weights)
+        - objective(down, r_b, r_c, r_p, weights)
+    ) / (2 * h)
 
 
 # -- entity-level aggregation oracle ----------------------------------------

@@ -11,14 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from conceptq.aggregate import ObjectiveWeights, gradient, objective, optimize
+from conceptq.aggregate import ObjectiveWeights, gradient
 from conceptq.baseline import baseline_rank
 from conceptq.evaluation import (
     GroundTruth,
     fixture_f1,
     holdout_experiment,
     intpro_baseline,
-    planted_instance,
     precision_at_k,
     ratio_at_k,
     recall_at_k,
@@ -32,10 +31,13 @@ from conceptq.query import membership as query_membership
 from conceptq.taxonomy import ingest
 
 from helpers import (
+    finite_difference,
     g_penalty,
     names_of,
+    optimize,
     oracle_rel_naive_bayes,
     oracle_rel_noisy_or,
+    planted_instance,
     random_rows,
     random_taxonomy,
     relevance,
@@ -203,10 +205,7 @@ def test_criterion_4_gradient_matches_finite_differences():
 
         grad = gradient(scores, r_b, r_c, r_p, w)
         for e in names:
-            up, down = dict(scores), dict(scores)
-            up[e] += h
-            down[e] -= h
-            fd = (objective(up, r_b, r_c, r_p, w) - objective(down, r_b, r_c, r_p, w)) / (2 * h)
+            fd = finite_difference(scores, r_b, r_c, r_p, w, e, h)
             rel_err = abs(grad[e] - fd) / max(1e-6, abs(fd), abs(grad[e]))
             assert rel_err < 1e-4, (e, grad[e], fd)
 

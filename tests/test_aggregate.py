@@ -13,19 +13,17 @@ from conceptq import aggregate
 from conceptq.aggregate import (
     SCORE_TOL,
     ObjectiveWeights,
-    _buckets,
     _classes,
     _maximize,
-    _positions,
     _Terms,
     _weighted,
     gradient,
-    objective,
-    optimize,
 )
 from conceptq.expansion import PairwiseConstraint
 
-from helpers import oracle_classes, oracle_map_scores
+from helpers import (
+    finite_difference, objective, optimize, oracle_classes, oracle_map_scores, positions_of,
+)
 
 
 def listwise(ordering, scores):
@@ -158,17 +156,6 @@ class TestObjective:
         for weights in ({"alpha": math.nan}, {"beta": math.nan}):
             with pytest.raises(ValueError):
                 ObjectiveWeights(**weights)
-
-
-def finite_difference(scores, r_b, r_c, r_p, weights, entity, h=1e-5):
-    up = dict(scores)
-    down = dict(scores)
-    up[entity] += h
-    down[entity] -= h
-    return (
-        objective(up, r_b, r_c, r_p, weights)
-        - objective(down, r_b, r_c, r_p, weights)
-    ) / (2 * h)
 
 
 class TestGradient:
@@ -308,14 +295,6 @@ def aggregation_instances(draw, max_n=20):
     alpha = draw(st.floats(0.0, 0.6))
     beta = draw(st.floats(0.0, 1.0 - alpha))
     return r_b, r_c, r_p, ObjectiveWeights(alpha=alpha, beta=beta)
-
-
-def positions_of(r_b, r_c, r_p):
-    """The name-ordered universe and the orderings and constraints as
-    position arrays there, as ``optimize`` builds them."""
-    r_b, r_c = _buckets(r_b), _buckets(r_c)
-    names = sorted({*r_b[0], *r_c[0], *(e for c in r_p for e in c.higher | c.lower)})
-    return names, _positions(names, r_b, r_c, r_p)
 
 
 def terms_of(r_b, r_c, r_p, weights):

@@ -9,7 +9,8 @@ import pytest
 
 from conceptq import aggregate
 from conceptq.cli import main
-from conceptq.evaluation import planted_instance
+
+from helpers import planted_instance
 
 REPO = Path(__file__).resolve().parents[1]
 

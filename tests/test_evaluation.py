@@ -12,7 +12,6 @@ from conceptq.evaluation import (
     evaluate_queries,
     holdout_experiment,
     intpro_baseline,
-    planted_instance,
     precision_at_k,
     ratio_at_k,
     recall_at_k,
@@ -20,7 +19,7 @@ from conceptq.evaluation import (
 from conceptq.pipeline import PipelineConfig, run_query
 from conceptq.taxonomy import entity_intersection, ingest
 
-from helpers import random_taxonomy
+from helpers import planted_instance, random_taxonomy
 
 TRUTH_AC = GroundTruth(query="q", answers=frozenset({"a", "c"}))
 
@@ -93,6 +92,10 @@ class TestMetricIntegrality:
     def test_ground_truth_requires_answers(self):
         with pytest.raises(ValueError):
             GroundTruth(query="q", answers=frozenset())
+
+    def test_a_string_of_answers_is_rejected_not_split_into_characters(self):
+        with pytest.raises(ValueError, match="collection of names"):
+            GroundTruth(query="top american university", answers="ab")
 
     def test_ground_truth_normalizes_its_answers(self):
         truth = GroundTruth(query="q", answers=frozenset({"A", " Big  Apple ", "a"}))
@@ -202,6 +205,10 @@ class TestHoldout:
         monkeypatch.setattr(evaluation, "run_query", run_query)
         with pytest.raises(ValueError, match="cutoff"):
             holdout_experiment(t, inst.query, 0.5, rng_seed=0, k=k)
+
+    def test_a_string_is_one_cutoff_not_one_per_character(self, f1):
+        with pytest.raises(ValueError, match=r"got \['10'\]"):
+            holdout_experiment(f1, "top american university", 0.5, 0, "10")
 
     def test_a_numpy_integer_is_one_cutoff(self):
         inst = planted_instance(seed=2)

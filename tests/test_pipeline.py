@@ -16,17 +16,17 @@ from hypothesis import strategies as st
 
 import conceptq
 from conceptq import pipeline
-from conceptq.aggregate import ScoreVector, optimize
+from conceptq.aggregate import ScoreVector
 from conceptq.baseline import BaselineRanking, baseline_rank
 from conceptq.errors import UnanswerableQueryError
 from conceptq.expansion import ExpansionResult
-from conceptq.evaluation import planted_instance
 from conceptq.pipeline import PipelineConfig, QueryResult, RankedEntity, run_query
 from conceptq.query import membership
 from conceptq.taxonomy import entity_union, ingest
 
 from helpers import (
-    disjoint_concept_taxonomy, names_of, oracle_run_query, random_rows, relevance, tied,
+    disjoint_concept_taxonomy, names_of, optimize, oracle_run_query, planted_instance, random_rows,
+    relevance, tied,
 )
 
 
@@ -477,6 +477,37 @@ class TestWholeQueryOracle:
         for (x, score_x), (y, score_y) in itertools.combinations(ranked, 2):
             if score_x != score_y:
                 assert scores[x] > scores[y] - 1e-9
+
+
+class TestLocality:
+    """Under noisy-or an answer reads the rows of E_u's entities and of the
+    concepts that cover a seed or are the query's own, and no others."""
+
+    @given(case=random_queries(max_concepts=8, max_edges=30, max_count=3), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_edges_far_from_the_query_change_no_answer(self, case, data):
+        # each added edge joins a concept that is not the query's own and
+        # covers no seed (or a new one) to an entity outside E_u (or a new one)
+        t, query, config = case
+        config = replace(config, model_kind="noisy_or")
+        before = run_query(t, query, config)
+        short = before.decomposition.short_concepts
+        seeds = before.expansion.seed_entities
+        concepts = [c for c in t.concept_names
+                    if c not in short and seeds.isdisjoint(t.entities_of(c))]
+        entities = sorted(set(t.entity_names) - entity_union(t, short))
+        extra = data.draw(st.lists(
+            st.tuples(st.sampled_from([*concepts, "new0 kind", "new1 kind"]),
+                      st.sampled_from([*entities, "new0", "new1"]), st.integers(1, 3)),
+            min_size=1, max_size=6,
+        ))
+        after = run_query(ingest([*t.records(), *extra]), query, config)
+        assert [(r.entity, r.score.hex(), r.provenance) for r in after.ranking] == [
+            (r.entity, r.score.hex(), r.provenance) for r in before.ranking
+        ]
+        assert [c.concept for c in after.expansion.concepts] == [
+            c.concept for c in before.expansion.concepts
+        ]
 
 
 class TestRowOrderInvariance:

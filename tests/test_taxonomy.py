@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from conceptq import taxonomy
 from conceptq.errors import DataFormatError, EngineError
-from conceptq.evaluation import planted_instance
 from conceptq.taxonomy import (
     CooccurrenceRecord,
     Csr,
@@ -22,7 +21,7 @@ from conceptq.taxonomy import (
     normalize,
 )
 
-from helpers import random_rows, reference_load
+from helpers import planted_instance, random_rows, reference_load
 
 
 def id_maps(t):
