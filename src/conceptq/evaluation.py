@@ -28,7 +28,7 @@ from .errors import EngineError
 from .pipeline import PipelineConfig, QueryResult, run_query
 from .query import decompose, parse
 from .taxonomy import (
-    CooccurrenceRecord, Taxonomy, check_cutoff, entity_intersection, ingest, normalize,
+    CooccurrenceRecord, Taxonomy, check_cutoff, check_names, entity_intersection, ingest, normalize,
 )
 
 
@@ -40,10 +40,10 @@ class GroundTruth:
     answers: frozenset[str]
 
     def __post_init__(self):
-        if isinstance(self.answers, str):  # would be split into its characters
-            raise ValueError(f"ground truth answers must be a collection of names, "
-                             f"got {self.answers!r}")
-        object.__setattr__(self, "answers", frozenset(map(normalize, self.answers)))
+        answers = list(check_names(self.answers, "ground truth answers"))
+        if not all(isinstance(a, str) for a in answers):
+            raise ValueError(f"ground truth answers must be names, got {answers!r}")
+        object.__setattr__(self, "answers", frozenset(map(normalize, answers)))
         if not self.answers or "" in self.answers:
             raise ValueError(f"ground truth answers must be non-empty names, got {self.answers!r}")
 
@@ -132,7 +132,7 @@ def intpro_baseline(
     """Rank the full intersection by summed co-occurrence with the short
     concepts; spellings that normalize alike are one short concept."""
     k = check_cutoff(k)
-    concepts = list(dict.fromkeys(map(normalize, short_concepts)))
+    concepts = list(dict.fromkeys(map(normalize, check_names(short_concepts, "short concepts"))))
     shared = entity_intersection(taxonomy, concepts)
     totals = {
         e: sum(taxonomy.count(c, e) for c in concepts) for e in shared

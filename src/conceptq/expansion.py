@@ -2,10 +2,10 @@
 
 Given seed entities (an intersection of the query's short concepts, read off
 their membership patterns; see :mod:`conceptq.query`), every concept covering
-at least one seed is scored for how likely it is to be a related concept of
-the whole query. Two relevance models are available, both divided by a
-penalty g(c) that punishes concepts reaching outside the query's entity
-union E_u = union of e(c) over the short concepts:
+at least one seed, and every short concept, is scored for how likely it is
+to be a related concept of the whole query. Two relevance models are
+available, both divided by a penalty g(c) that punishes concepts reaching
+outside the query's entity union E_u = union of e(c) over the short concepts:
 
   naive bayes   rel(c) = P(c) * prod_{e in seeds} (g_ * P(e|c) + (1-g_) * P(e)) / g(c)
   noisy-or      rel(c) = (1 - (1-leak) * prod_{e in seeds} (1 - P(c|e))) / g(c)
@@ -32,12 +32,12 @@ concepts is built:
 * g(c) = (delta + T(c) - I(c)) / T(c), with T(c) = n(c) + deg(c) and
   I(c) = sum_{e in E_u} (n(e,c)+1), which adds the seeds' pairs through their
   slots and the rest of E_u's pairs by binary search;
-* a run retains the candidates scoring above 0 and at least the k-th best
-  score (k = top_k), found by a partition in O(candidates): a tie at the
-  k-th score is kept whole, so no name decides what is retained;
-* a short concept that covers no seed of any run is always retained, and
-  its score needs no row: leak / g(c) under noisy-or, and
-  P(c) * prod_{e in seeds} (1-g_) P(e) / g(c) under naive bayes;
+* a run's candidates are the concepts of its seeds' rows and the short
+  concepts; it retains those scoring above 0 and at least the k-th best
+  score (k = top_k, the short concepts counted too), found by a partition
+  in O(candidates), and always the short concepts: a tie at the k-th score
+  is kept whole, so no name decides what is retained;
+* runs pool by summing, so a short concept's rel(c) is its sum over runs;
 * rel(e) is one accumulation over the retained concepts' rows.
 
 The pooled concepts are listed by descending score, ties by name, but no
@@ -212,17 +212,21 @@ def _relevance(
 
 
 def _candidates(
-    taxonomy: Taxonomy, seeds: np.ndarray, e_union: np.ndarray, model: ExpansionModel
+    taxonomy: Taxonomy, seeds: np.ndarray, query_ids: np.ndarray, e_union: np.ndarray,
+    model: ExpansionModel,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending ids of every concept covering at least one of ``seeds``,
-    and their rel(c).
+    """The ascending ids of the concepts covering at least one of ``seeds``
+    and of the query's own concepts ``query_ids``, and their rel(c): a query
+    concept is scored, and counts toward the k-th best, like any other.
 
-    One sort of the seeds' pairs gives the candidates and each pair's slot
-    among them. The seeds lie in E_u, so I(c) sums the seeds' pairs through
-    those slots, and the pairs of the rest of E_u by search.
+    One sort of the seeds' pairs and ``query_ids`` gives the candidates and
+    each pair's slot among them. The seeds lie in E_u, so I(c) sums the
+    seeds' pairs through those slots, and the pairs of the rest of E_u by
+    search.
     """
     owner, concepts, counts = taxonomy.by_entity.rows(seeds)
-    candidates, slot = np.unique(concepts, return_inverse=True)
+    candidates, slot = np.unique(np.concatenate((concepts, query_ids)), return_inverse=True)
+    slot = slot[: len(concepts)]
     rest = np.ones(len(e_union), dtype=bool)
     rest[np.searchsorted(e_union, seeds)] = False
     inside = _inside(taxonomy, e_union[rest], candidates)
@@ -271,13 +275,13 @@ def expand(
     The seed runs are ``members.seed_runs()``: the full intersection when it
     is non-empty, else the intersection of every largest subset whose
     intersection is non-empty, each expanded independently; every seed lies
-    in E_u. Each run retains its candidates scoring above 0 and at least its
-    ``top_k``-th best; they are pooled, summing the scores of concepts found
-    by several runs, and listed by descending score, ties by name.
+    in E_u. Each run's candidates include the query's own short concepts,
+    read as ``members.concept_ids`` (-1, a concept not in the taxonomy, adds
+    nothing). A run retains its candidates scoring above 0 and at least its
+    ``top_k``-th best, k counting the short concepts too, and always the
+    short concepts, so the expansion ordering covers E_u. The runs are
+    pooled by summing and listed by descending score, ties by name.
 
-    The query's own short concepts, read as ``members.concept_ids`` (-1, a
-    concept not in the taxonomy, adds nothing), are always retained, with the
-    minimal penalty by construction, so the expansion ordering covers E_u.
     The result holds R_c and the tiers as id arrays. An empty E_u raises
     NoCandidateEntitiesError.
     """
@@ -285,29 +289,15 @@ def expand(
     if not len(members.ids):
         raise NoCandidateEntitiesError("no candidate entities")
     query_ids = members.concept_ids[members.concept_ids >= 0]
-    run_seeds = [pattern.ids for pattern in members.seed_runs()]
 
     pooled: dict[int, float] = {}
-    for seed_ids in run_seeds:
-        candidates, scores = _candidates(taxonomy, seed_ids, members.ids, model)
+    for pattern in members.seed_runs():
+        candidates, scores = _candidates(taxonomy, pattern.ids, query_ids, members.ids, model)
         retained = _top(scores, top_k).tolist()
-        retained += find_sorted(candidates, query_ids)[1].tolist()
+        retained += np.searchsorted(candidates, query_ids).tolist()
         for i in dict.fromkeys(retained):
             c = int(candidates[i])
             pooled[c] = pooled.get(c, 0.0) + float(scores[i])
-    # A run's candidates are the concepts in its seeds' rows, and a short
-    # concept that is a candidate is retained, so one still unpooled has no
-    # pair with any run's seed: each run scores it from no pairs, and no row
-    # is read again (the noisy-or leak keeps the score meaningful).
-    unseen = sorted(set(query_ids.tolist()) - pooled.keys())
-    if unseen:
-        targets = np.array(unseen, dtype=np.int64)
-        inside = _inside(taxonomy, members.ids, targets)
-        no_pairs = (np.zeros(0, dtype=np.int64),) * 3
-        total = np.zeros(len(targets))
-        for seed_ids in run_seeds:
-            total += _relevance(taxonomy, seed_ids, no_pairs, targets, inside, model)
-        pooled.update(zip(unseen, total.tolist()))
 
     ranked = sorted(pooled, key=lambda c: (-pooled[c], taxonomy.concept_names[c]))
     ids, scores = _entity_relevance(

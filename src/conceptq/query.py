@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import QueryParseError, UnanswerableQueryError
-from .taxonomy import Taxonomy, normalize
+from .taxonomy import Taxonomy, check_names, normalize
 
 logger = logging.getLogger(__name__)
 
@@ -143,7 +143,7 @@ def membership(taxonomy: Taxonomy, short_concepts: Iterable[str]) -> Membership:
     """Read the short concepts' rows once into their membership matrix and
     group E_u by membership pattern. Spellings that normalize alike are one
     short concept."""
-    concepts = tuple(dict.fromkeys(map(normalize, short_concepts)))
+    concepts = tuple(dict.fromkeys(map(normalize, check_names(short_concepts, "short concepts"))))
     if not concepts:
         raise ValueError("short concept set is empty")
     cids = [taxonomy.concept_id(c) for c in concepts]

@@ -241,8 +241,8 @@ class Taxonomy:
         orientations and subtracted from the marginals. The name lists, id
         maps and entity name ranks are shared unless a name loses its last
         pair; a cut that removes nothing returns this taxonomy."""
-        cut_c = _known_ids(map(self.concept_id, concepts))
-        cut_e = _known_ids(map(self.entity_id, entities))
+        cut_c = _known_ids(map(self.concept_id, check_names(concepts, "concepts")))
+        cut_e = _known_ids(map(self.entity_id, check_names(entities, "entities")))
         if not (len(cut_c) and len(cut_e)):
             return self
         at_c, of_c = self.by_concept.find(cut_c, cut_e)
@@ -307,6 +307,14 @@ def name_order(rank: np.ndarray, ids: np.ndarray, scores: np.ndarray) -> np.ndar
     return np.lexsort((rank[ids], -scores))
 
 
+def check_names(names: Iterable[str], what: str) -> Iterable[str]:
+    """``names``; raises ValueError for a ``str``, which would be read as
+    names of one character each."""
+    if isinstance(names, str):
+        raise ValueError(f"{what} must be a collection of names, got {names!r}")
+    return names
+
+
 def check_cutoff(k, name: str = "k") -> int:
     """``k`` as an int; raises ValueError unless it is an integer >= 1
     (numpy's too, but neither False nor True)."""
@@ -350,14 +358,14 @@ def _compact(names: list[str], ids: dict[str, int], dropped: np.ndarray) -> tupl
 def entity_union(taxonomy: Taxonomy, concepts: Iterable[str]) -> frozenset[str]:
     """Union of the entity sets of ``concepts``."""
     out: set[str] = set()
-    for c in concepts:
+    for c in check_names(concepts, "concepts"):
         out.update(taxonomy.entities_of(c))
     return frozenset(out)
 
 
 def entity_intersection(taxonomy: Taxonomy, concepts: Iterable[str]) -> frozenset[str]:
     """Entities shared by every concept in ``concepts``; empty for no concepts."""
-    concepts = list(concepts)
+    concepts = list(check_names(concepts, "concepts"))
     if not concepts:
         return frozenset()
     out = set(taxonomy.entities_of(concepts[0]))

@@ -49,7 +49,7 @@ def disjoint_concept_taxonomy() -> Taxonomy:
     """The short concepts of "red fast cult blue car": red and fast share mini,
     fast and cult share slingshot, and red and cult share nothing, so the
     seed runs are {mini} and {slingshot}. Blue car shares no entity with the
-    others: it is in no largest subset and a candidate in no run."""
+    others: it is in no largest subset and covers no seed of either run."""
     return ingest(
         [
             ("red car", "mini", 2), ("red car", "beetle", 1),
@@ -314,13 +314,13 @@ def oracle_expand(
     taxonomy names them, by full sorts.
 
     The seed runs come from the subset lattice. Each run's candidates are
-    every concept of its seeds, scored one at a time by
-    ``checked_relevance``; all of them are sorted by score, those scoring
-    above 0 and at least the ``top_k``-th best are kept with the query's own
-    concepts, and the runs are pooled by summing. Each entity's score adds
-    its terms n(c, e) / n(c) * rel(c) in plain floats by descending rel(c),
-    equal rel(c) by ascending term, and the constraints come from the
-    lattice's tiers.
+    every concept of its seeds and the query's own concepts, scored one at a
+    time by ``checked_relevance``; all of them are sorted by score, those
+    scoring above 0 and at least the ``top_k``-th best are kept with the
+    query's own concepts, and the runs are pooled by summing. Each entity's
+    score adds its terms n(c, e) / n(c) * rel(c) in plain floats by
+    descending rel(c), equal rel(c) by ascending term, and the constraints
+    come from the lattice's tiers.
     """
     short = list(dict.fromkeys(short_concepts))
     lattice = enumerate_subsets(t, short)
@@ -328,18 +328,12 @@ def oracle_expand(
     pooled: dict[str, float] = {}
     for seeds in runs:
         candidates = {c for e in seeds for c in t.concepts_of(e)}
-        scores = {c: checked_relevance(t, c, seeds, short, model) for c in candidates}
+        scores = {c: checked_relevance(t, c, seeds, short, model) for c in candidates | set(short)}
         best = sorted(scores.values(), reverse=True)
         kth = best[min(top_k, len(best)) - 1]
         kept = [c for c in scores if scores[c] > 0 and scores[c] >= kth]
-        for c in dict.fromkeys(kept + [c for c in short if c in scores]):
+        for c in dict.fromkeys(kept + short):
             pooled[c] = pooled.get(c, 0.0) + scores[c]
-    for c in short:
-        if c not in pooled:
-            total = 0.0
-            for seeds in runs:
-                total += checked_relevance(t, c, seeds, short, model)
-            pooled[c] = total
     concepts = sorted(pooled.items(), key=lambda item: (-item[1], item[0]))
 
     terms: dict[str, list[tuple[float, float]]] = {}

@@ -97,6 +97,10 @@ class TestMetricIntegrality:
         with pytest.raises(ValueError, match="collection of names"):
             GroundTruth(query="top american university", answers="ab")
 
+    def test_an_answer_that_is_not_a_string_is_rejected(self):
+        with pytest.raises(ValueError, match="must be names"):
+            GroundTruth(query="q", answers=["a", None])
+
     def test_ground_truth_normalizes_its_answers(self):
         truth = GroundTruth(query="q", answers=frozenset({"A", " Big  Apple ", "a"}))
         assert truth.answers == {"a", "big apple"}
@@ -121,6 +125,10 @@ class TestIntPro:
     def test_k_is_an_integer_of_at_least_one(self, f1, k):
         with pytest.raises(ValueError):
             intpro_baseline(f1, ["top university", "american university"], k)
+
+    def test_a_bare_string_is_rejected_not_read_as_one_letter_names(self, f1):
+        with pytest.raises(ValueError, match="collection of names"):
+            intpro_baseline(f1, "top university", 5)
 
     def test_a_respelled_concept_counts_once(self):
         # b: 1 + 4 = 5 beats a: 3 + 1 = 4; counting "top u" twice gives a 7, b 6

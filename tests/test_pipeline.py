@@ -306,12 +306,27 @@ class TestEmptyIntersectionQueries:
         assert [p.size for p in runs] == [2, 2]
         assert not any("blue car" in p.subset for p in runs)
         short = result.decomposition.short_concepts
-        expected = sum(
-            relevance(t, "blue car", names_of(t, p.ids), short, config.expansion_model()) for p in runs
-        )
         pooled = {c.concept: c.score for c in result.expansion.concepts}
-        assert expected > 0
-        assert pooled["blue car"] == expected
+        for concept in short:
+            expected = sum(
+                relevance(t, concept, names_of(t, p.ids), short, config.expansion_model()) for p in runs
+            )
+            assert expected > 0
+            assert pooled[concept] == expected, concept
+
+    def test_covering_a_seed_never_lowers_a_short_concepts_score(self):
+        # The full intersection is empty and the runs are {a} and {b}: c1
+        # covers seed a, c4 covers no seed, and both sum every run's score.
+        rows = [("c1 thing", "a", 1), ("c2 thing", "a", 1), ("c2 thing", "b", 1),
+                ("c3 thing", "b", 1), ("c4 thing", "d", 1)]
+        rows += [(f"c{c} thing", f"e{c}{i}", 1) for c in (1, 4) for i in range(5)]
+        rows += [(f"other {i}", "a", 1) for i in range(30)]
+        t = ingest(rows)
+        result = run_query(t, "c1 c2 c3 c4 thing")
+        assert [names_of(t, p.ids) for p in result.subsets if p.size == 2] == [["a"], ["b"]]
+        pooled = {c.concept: c.score for c in result.expansion.concepts}
+        assert pooled["c1 thing"] == pytest.approx(5.475)
+        assert pooled["c4 thing"] == pytest.approx(4.8)
 
     def test_subsets_recorded_in_result(self, f1):
         result = run_query(f1, "top american university")

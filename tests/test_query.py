@@ -158,6 +158,10 @@ class TestEnumerateSubsets:
         with pytest.raises(ValueError):
             membership(f1, [])
 
+    def test_a_bare_string_is_rejected_not_read_as_one_letter_names(self, f1):
+        with pytest.raises(ValueError, match="collection of names"):
+            membership(f1, "top university")
+
     def test_25_modifier_query_is_answered(self):
         modifiers = [f"m{i:02d}" for i in range(25)]
         rows = [(f"{m} school", "shared", 2) for m in modifiers]

@@ -243,6 +243,11 @@ class TestSetHelpers:
         assert entity_intersection(f1, []) == frozenset()
         assert entity_intersection(f1, ["ivy league", "no such"]) == frozenset()
 
+    @pytest.mark.parametrize("helper", [entity_union, entity_intersection])
+    def test_a_bare_string_is_rejected_not_read_as_one_letter_names(self, f1, helper):
+        with pytest.raises(ValueError, match="collection of names"):
+            helper(f1, "top university")
+
 
 class TestNormalize:
     def test_lowercase_and_collapse(self):
@@ -444,6 +449,14 @@ class TestArrays:
 
 
 class TestWithoutEdges:
+    @pytest.mark.parametrize(
+        "concepts, entities", [("top university", ["a"]), (["top university"], "ab")],
+        ids=["concepts", "entities"],
+    )
+    def test_a_bare_string_is_rejected_not_read_as_one_letter_names(self, f1, concepts, entities):
+        with pytest.raises(ValueError, match="collection of names"):
+            f1.without_edges(concepts, entities)
+
     @staticmethod
     def check(t, concepts, entities):
         concepts, entities = set(concepts), set(entities)
