@@ -40,9 +40,7 @@ class GroundTruth:
     answers: frozenset[str]
 
     def __post_init__(self):
-        answers = list(check_names(self.answers, "ground truth answers"))
-        if not all(isinstance(a, str) for a in answers):
-            raise ValueError(f"ground truth answers must be names, got {answers!r}")
+        answers = check_names(self.answers, "ground truth answers")
         object.__setattr__(self, "answers", frozenset(map(normalize, answers)))
         if not self.answers or "" in self.answers:
             raise ValueError(f"ground truth answers must be non-empty names, got {self.answers!r}")

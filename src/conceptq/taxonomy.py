@@ -23,12 +23,36 @@ arguments and return None, zero counts or empty mappings for unknown names.
 A taxonomy is never mutated, so the hold-out cut (``without_edges``) reads
 only the cut rows and shares with its parent every read-only array, name
 list, id map and entity name rank that the cut leaves as it was.
+
+``load`` keeps a snapshot of a regular file beside it, at
+``<path>.conceptq.npz``: an ``np.savez`` archive of both CSR orientations
+(``ptr``, ``ids``, ``counts``), the entity name ranks, and each column's names
+as one UTF-8 blob, every name ended by a newline, which no normalized name
+holds. It is keyed by the BLAKE2b digest of the bytes that were parsed,
+``_SNAPSHOT_FORMAT`` and ``unicodedata.unidata_version`` (``normalize`` and
+``int`` follow the Unicode version), so any change to what ``load`` returns
+for a given file must bump ``_SNAPSHOT_FORMAT``. A load whose key matches
+builds the taxonomy from the stored arrays after vectorized checks; a
+snapshot that is missing, unreadable, keyed otherwise or fails a check is a
+miss, and the file is parsed and the snapshot rewritten, never an error. The
+write goes through a temporary file in the same directory and is skipped
+when that directory cannot be written; deleting a snapshot is always safe.
+On the benchmark's large_kb taxonomy (6.6e5 edges) a snapshot is about 1.7x
+the size of the file.
 """
 
 from __future__ import annotations
 
 import codecs
+import io
 import numbers
+import os
+import tempfile
+import unicodedata
+import zipfile
+# hashlib.blake2b is this module's; importing hashlib also loads OpenSSL,
+# which adds ~3.5 MB to a process's resident memory
+from _blake2 import blake2b
 from array import array
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -47,6 +71,12 @@ _COUNT_LIMIT = 2**63
 # calls, so it must hold many lines; its strings are short-lived heap memory
 # beside the growing row arrays, so it must stay small.
 _BLOCK_CHARS = 1 << 14
+
+_SNAPSHOT_FORMAT = 1  # the module docstring says when to bump it
+_SNAPSHOT_KEY = f"{_SNAPSHOT_FORMAT} {unicodedata.unidata_version} {{}}"
+_SNAPSHOT_ARRAYS = dict(concept_names=np.uint8, entity_names=np.uint8, entity_rank=np.int64,
+                        by_concept_ptr=np.int64, by_concept_ids=np.int32, by_concept_counts=np.int64,
+                        by_entity_ptr=np.int64, by_entity_ids=np.int32, by_entity_counts=np.int64)
 
 
 def normalize(text: str) -> str:
@@ -191,10 +221,10 @@ class Taxonomy:
     # -- ids and name order ----------------------------------------------
 
     def concept_id(self, concept: str) -> int | None:
-        return self._concept_ids.get(normalize(concept))
+        return self._concept_ids.get(normalize(check_name(concept, "concepts")))
 
     def entity_id(self, entity: str) -> int | None:
-        return self._entity_ids.get(normalize(entity))
+        return self._entity_ids.get(normalize(check_name(entity, "entities")))
 
     @cached_property
     def entity_rank(self) -> np.ndarray:
@@ -307,12 +337,20 @@ def name_order(rank: np.ndarray, ids: np.ndarray, scores: np.ndarray) -> np.ndar
     return np.lexsort((rank[ids], -scores))
 
 
-def check_names(names: Iterable[str], what: str) -> Iterable[str]:
-    """``names``; raises ValueError for a ``str``, which would be read as
-    names of one character each."""
+def check_names(names: Iterable[str], what: str) -> list[str]:
+    """``names`` as a list; raises ValueError for a ``str``, which would be
+    read as names of one character each, and names an element that is not
+    a ``str``."""
     if isinstance(names, str):
         raise ValueError(f"{what} must be a collection of names, got {names!r}")
-    return names
+    return [check_name(name, what) for name in names]
+
+
+def check_name(name: str, what: str) -> str:
+    """``name``; raises ValueError naming it unless it is a ``str``."""
+    if not isinstance(name, str):
+        raise ValueError(f"{what} must be names, got {name!r}")
+    return name
 
 
 def check_cutoff(k, name: str = "k") -> int:
@@ -365,7 +403,7 @@ def entity_union(taxonomy: Taxonomy, concepts: Iterable[str]) -> frozenset[str]:
 
 def entity_intersection(taxonomy: Taxonomy, concepts: Iterable[str]) -> frozenset[str]:
     """Entities shared by every concept in ``concepts``; empty for no concepts."""
-    concepts = list(check_names(concepts, "concepts"))
+    concepts = check_names(concepts, "concepts")
     if not concepts:
         return frozenset()
     out = set(taxonomy.entities_of(concepts[0]))
@@ -533,14 +571,29 @@ def ingest(records: Iterable) -> Taxonomy:
     return builder.build()
 
 
-def _line_blocks(path) -> Iterator[tuple[int, str]]:
+class _DigestingFile(io.FileIO):
+    """A file read as bytes, every one of which is fed to ``digest``."""
+
+    def __init__(self, path, digest):
+        super().__init__(path)
+        self.digest = digest
+
+    def read(self, size=-1) -> bytes:
+        data = super().read(size)
+        self.digest.update(data)
+        return data
+
+
+def _line_blocks(path, digest=None) -> Iterator[tuple[int, str]]:
     """The lines of a UTF-8 text file, a block of whole lines at a time:
     the 1-based number of a block's first line, and its lines joined by
     newlines. Lines end where universal newlines end them, and a leading
     byte-order mark is not part of the first line. A file that does not
-    decode raises :class:`DataFormatError` naming the first such line."""
+    decode raises :class:`DataFormatError` naming the first such line.
+    Every byte read is fed to ``digest``, if given."""
     first, pending = 1, []
-    with open(path, encoding="utf-8-sig") as fh:
+    raw = io.FileIO(path) if digest is None else _DigestingFile(path, digest)
+    with io.TextIOWrapper(raw, encoding="utf-8-sig") as fh:
         while True:
             try:
                 text = fh.read(_BLOCK_CHARS)
@@ -605,9 +658,24 @@ def load(path) -> Taxonomy:
     parsed a column at a time; any other block, with a comment, a blank
     line or a bad line, is read line by line, so the ids, counts and
     errors are those of a line-by-line read.
+
+    An unchanged regular file is not parsed again: the first load writes a
+    snapshot beside it, ``<path>.conceptq.npz``, holding both CSR
+    orientations, the names and the entity name ranks (about 1.7x the size
+    of the file on large_kb), and later loads build the taxonomy from it. Its
+    key is the BLAKE2b digest of the file's bytes, ``_SNAPSHOT_FORMAT`` and the
+    Unicode version; any change to what ``load`` returns for a given file
+    must bump ``_SNAPSHOT_FORMAT``. The write is skipped when the directory
+    cannot be written, and deleting the snapshot is always safe.
     """
+    regular = isinstance(path, (str, bytes, os.PathLike)) and os.path.isfile(path)
+    snapshot = os.fsdecode(path) + ".conceptq.npz" if regular else None
+    taxonomy = _read_snapshot(path, snapshot) if snapshot else None
+    if taxonomy is not None:
+        return taxonomy
+    digest = blake2b()
     builder = _Builder("line")
-    for first, block in _line_blocks(path):
+    for first, block in _line_blocks(path, digest):
         if builder.add_block(block):
             continue
         for line_num, line in _data_lines(first, block):
@@ -626,4 +694,68 @@ def load(path) -> Taxonomy:
                     row=line_num,
                 ) from None
             builder.add(line_num, concept, entity, count)
-    return builder.build()
+    taxonomy = builder.build()
+    if snapshot:
+        _write_snapshot(path, snapshot, _SNAPSHOT_KEY.format(digest.hexdigest()), taxonomy)
+    return taxonomy
+
+
+def _read_snapshot(path, snapshot: str) -> Taxonomy | None:
+    """The taxonomy in ``snapshot`` if it is ``path``'s and passes every check."""
+    try:
+        # np.load leaves a file that it opened open when it is no zip, and
+        # returns what is not an npz as an array, which no `with` takes
+        with open(snapshot, "rb") as fh, np.load(fh, allow_pickle=False) as stored, \
+                _DigestingFile(path, blake2b()) as tsv:
+            while tsv.read(1 << 20):
+                pass
+            if stored["key"].tolist() != _SNAPSHOT_KEY.format(tsv.digest.hexdigest()):
+                return None
+            arrays = {name: _frozen(stored[name]) for name in _SNAPSHOT_ARRAYS}
+        if not all(arrays[name].dtype == dtype and arrays[name].ndim == 1
+                   for name, dtype in _SNAPSHOT_ARRAYS.items()):
+            return None
+        c_names, e_names = (arrays[f"{side}_names"].tobytes().decode().split("\n")[:-1]
+                            for side in ("concept", "entity"))
+        c_ids, e_ids = (dict(zip(names, range(len(names)))) for names in (c_names, e_names))
+        by_concept, by_entity = (Csr(*(arrays[f"{side}_{part}"] for part in ("ptr", "ids", "counts")))
+                                 for side in ("by_concept", "by_entity"))
+        if (len(c_ids), len(e_ids)) != (len(c_names), len(e_names)) or not np.array_equal(
+                np.bincount(arrays["entity_rank"], minlength=len(e_names)), np.ones(len(e_names))):
+            return None
+        # np.bincount raises on a negative id, and one too large lengthens its result
+        for csr, names, other in ((by_concept, c_names, by_entity), (by_entity, e_names, by_concept)):
+            ptr = csr.ptr
+            if not (len(ptr) == len(names) + 1 and ptr[0] == 0
+                    and ptr[-1] == len(csr.ids) == len(csr.counts)
+                    and (np.diff(ptr) > 0).all() and (csr.counts >= 1).all()
+                    and np.array_equal(np.bincount(csr.ids, minlength=len(other.ptr) - 1),
+                                       np.diff(other.ptr))):
+                return None
+    except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    n_c = _frozen(by_concept.row_sums())
+    taxonomy = Taxonomy(c_names, e_names, c_ids, e_ids, by_concept, by_entity,
+                        n_c, _frozen(by_entity.row_sums()), int(n_c.sum()))
+    taxonomy.entity_rank = arrays["entity_rank"]
+    return taxonomy
+
+
+def _write_snapshot(path, snapshot: str, key: str, taxonomy: Taxonomy) -> None:
+    """Store ``taxonomy`` in ``snapshot`` under ``key``; skipped on any OSError."""
+    arrays = {f"{side}_{part}": getattr(getattr(taxonomy, side), part)
+              for side in ("by_concept", "by_entity") for part in ("ptr", "ids", "counts")}
+    for side, names in (("concept", taxonomy.concept_names), ("entity", taxonomy.entity_names)):
+        arrays[f"{side}_names"] = np.frombuffer("".join(f"{n}\n" for n in names).encode(), np.uint8)
+    try:
+        fd, tmp = tempfile.mkstemp(suffix=os.path.basename(snapshot), dir=os.path.dirname(snapshot))
+        try:
+            with open(fd, "wb") as fh:
+                np.savez(fh, key=np.array(key), entity_rank=taxonomy.entity_rank, **arrays)
+            os.chmod(tmp, os.stat(path).st_mode & 0o7777)
+            os.replace(tmp, snapshot)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError:
+        pass

@@ -4,10 +4,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from conceptq import aggregate
+from conceptq import aggregate, taxonomy
 from conceptq.cli import main
 
 from helpers import planted_instance
@@ -213,6 +214,31 @@ class TestQuery:
                 outputs.append(proc.stdout)
             assert outputs[0] == outputs[1]
             assert json.loads(outputs[0])["config"]["command"] == argv[0]
+
+
+class TestSnapshotReuse:
+    @pytest.mark.parametrize("fixture", ["f1", "planted"])
+    def test_a_second_run_reads_the_snapshot_and_prints_the_same(
+        self, f1_path, planted_path, tmp_path, capsys, fixture
+    ):
+        if fixture == "f1":
+            path, query = f1_path, "top american university"
+        else:
+            path, query = planted_path[0], planted_path[1].query
+        queries = tmp_path / "queries.txt"
+        queries.write_text(f"{query}\n", encoding="utf-8")
+        snapshot = Path(f"{path}.conceptq.npz")
+        for argv in (["query", str(path), query, "--k", "25"],
+                     ["eval", str(path), str(queries), "--holdout", "0.5", "--seed", "3",
+                      "--k", "1,2,10"],
+                     ["validate", str(path)]):
+            snapshot.unlink(missing_ok=True)
+            assert main(argv) == 0
+            cold = capsys.readouterr().out
+            assert snapshot.is_file()
+            with mock.patch.object(taxonomy._Builder, "build", side_effect=AssertionError("parsed")):
+                assert main(argv) == 0
+            assert capsys.readouterr().out == cold
 
 
 class TestEval:

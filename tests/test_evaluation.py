@@ -130,6 +130,10 @@ class TestIntPro:
         with pytest.raises(ValueError, match="collection of names"):
             intpro_baseline(f1, "top university", 5)
 
+    def test_an_element_that_is_not_a_string_is_rejected(self, f1):
+        with pytest.raises(ValueError, match="short concepts must be names, got 3"):
+            intpro_baseline(f1, ["top university", 3], 2)
+
     def test_a_respelled_concept_counts_once(self):
         # b: 1 + 4 = 5 beats a: 3 + 1 = 4; counting "top u" twice gives a 7, b 6
         t = ingest([("top u", "a", 3), ("top u", "b", 1), ("am u", "a", 1), ("am u", "b", 4)])

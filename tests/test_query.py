@@ -162,6 +162,10 @@ class TestEnumerateSubsets:
         with pytest.raises(ValueError, match="collection of names"):
             membership(f1, "top university")
 
+    def test_an_element_that_is_not_a_string_is_rejected(self, f1):
+        with pytest.raises(ValueError, match="short concepts must be names, got None"):
+            membership(f1, ["top university", None])
+
     def test_25_modifier_query_is_answered(self):
         modifiers = [f"m{i:02d}" for i in range(25)]
         rows = [(f"{m} school", "shared", 2) for m in modifiers]

@@ -1,5 +1,9 @@
+import io
+import os
 import random
+import stat
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -109,6 +113,11 @@ class TestLookups:
     def test_lookups_normalize_arguments(self, f1):
         assert set(f1.entities_of("  Ivy   LEAGUE ")) == {"a", "b"}
         assert f1.count("Top University", " A ") == 2
+
+    @pytest.mark.parametrize("lookup, what", [("concept_id", "concepts"), ("entity_id", "entities")])
+    def test_a_name_that_is_not_a_string_is_rejected(self, f1, lookup, what):
+        with pytest.raises(ValueError, match=f"{what} must be names, got 3"):
+            getattr(f1, lookup)(3)
 
     def test_round_trip(self, f1):
         for c in f1.concept_names:
@@ -248,6 +257,11 @@ class TestSetHelpers:
         with pytest.raises(ValueError, match="collection of names"):
             helper(f1, "top university")
 
+    @pytest.mark.parametrize("helper", [entity_union, entity_intersection])
+    def test_an_element_that_is_not_a_string_is_rejected(self, f1, helper):
+        with pytest.raises(ValueError, match="concepts must be names, got None"):
+            helper(f1, [None])
+
 
 class TestNormalize:
     def test_lowercase_and_collapse(self):
@@ -286,13 +300,14 @@ def taxonomy_texts():
 
 def load_outcome(read, path):
     """Everything ``read(path)`` builds -- names in id order, id maps, both
-    CSR orientations and the marginals -- or the row and message it fails with."""
+    CSR orientations, the marginals and the entity name ranks -- or the row
+    and message it fails with."""
     try:
         t = read(path)
     except DataFormatError as exc:
         return "error", exc.row, str(exc)
     arrays = [getattr(csr, part) for csr in (t.by_concept, t.by_entity)
-              for part in ("ptr", "ids", "counts")] + [t.n_c, t.n_e, t.deg_c]
+              for part in ("ptr", "ids", "counts")] + [t.n_c, t.n_e, t.deg_c, t.entity_rank]
     return (t.concept_names, t.entity_names, t._concept_ids, t._entity_ids,
             [(a.dtype.str, a.tolist()) for a in arrays], t.grand_total)
 
@@ -411,6 +426,198 @@ class TestLoad:
             assert load_outcome(load, path) == load_outcome(reference_load, path)
 
 
+def snapshot_of(path) -> Path:
+    return Path(f"{path}.conceptq.npz")
+
+
+def parsed_never():
+    """A patch under which a load that parses its file fails."""
+    return mock.patch.object(taxonomy._Builder, "build", side_effect=AssertionError("parsed"))
+
+
+def rewrite_snapshot(path, change):
+    """Rewrite the snapshot of ``path`` with ``change`` applied to its arrays."""
+    with np.load(snapshot_of(path)) as stored:
+        arrays = dict(stored)
+    change(arrays)
+    with open(snapshot_of(path), "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def replace(name, value):
+    def change(arrays):
+        arrays[name] = value(arrays[name]) if callable(value) else value
+    return change
+
+
+def names_blob(*names):
+    return np.frombuffer("".join(f"{n}\n" for n in names).encode(), np.uint8)
+
+
+def shifted_key(field, value):
+    """A change of one space-separated field of the key: format, Unicode
+    version or digest."""
+    def change(arrays):
+        fields = arrays["key"].tolist().split(" ")
+        fields[field] = value
+        arrays["key"] = np.array(" ".join(fields))
+    return change
+
+
+def swap_first_ids(arrays):
+    # the first pair moves to the last pair's entity: every id stays in range
+    # and every ptr well formed, but the columns no longer match the entity rows
+    ids = arrays["by_concept_ids"].copy()
+    ids[0] = ids[-1]
+    arrays["by_concept_ids"] = ids
+
+
+def drop(name):
+    def change(arrays):
+        del arrays[name]
+    return change
+
+
+def npy_bytes() -> bytes:
+    """A ``.npy`` file of one array, which ``np.load`` returns as it is."""
+    out = io.BytesIO()
+    np.save(out, np.arange(3))
+    return out.getvalue()
+
+
+# f1 as loaded: 4 concepts, 5 entities, 11 pairs
+SNAPSHOT_DAMAGE = {
+    "key-format": shifted_key(0, "0"),
+    "key-unicode-version": shifted_key(1, "1.0.0"),
+    "key-digest": shifted_key(2, "0" * 64),
+    "key-missing": drop("key"),
+    "array-missing": drop("by_entity_counts"),
+    "ids-dtype": replace("by_concept_ids", lambda a: a.astype(np.int64)),
+    "counts-dtype": replace("by_entity_counts", lambda a: a.astype(np.float64)),
+    "names-dtype": replace("entity_names", lambda a: a.astype(np.int16)),
+    "rank-dtype": replace("entity_rank", lambda a: a.astype(np.int32)),
+    "counts-2d": replace("by_concept_counts", lambda a: a.reshape(1, -1)),
+    "ptr-start": replace("by_concept_ptr", lambda a: a + 1),
+    "ptr-decreasing": replace("by_entity_ptr", np.array([0, 4, 2, 8, 9, 11])),
+    "ptr-end": replace("by_entity_ptr", lambda a: np.append(a[:-1], 10)),
+    "ptr-empty-row": replace("by_concept_ptr", np.array([0, 0, 5, 8, 11])),
+    "id-too-large": replace("by_entity_ids", lambda a: np.append(a[:-1], np.int32(4))),
+    "id-negative": replace("by_concept_ids", lambda a: np.append(np.int32(-1), a[1:])),
+    "count-zero": replace("by_entity_counts", lambda a: np.append(a[:-1], 0)),
+    "orientations-disagree": swap_first_ids,
+    "names-short": replace("concept_names", lambda a: a[:-1]),
+    "names-count": replace("entity_names", names_blob("a", "b", "c", "d")),
+    "names-repeated": replace("entity_names", names_blob("a", "b", "c", "d", "a")),
+    "names-undecodable": replace("concept_names", lambda a: np.append(np.uint8(0xff), a)),
+    "rank-not-a-permutation": replace("entity_rank", lambda a: np.zeros_like(a)),
+    "rank-length": replace("entity_rank", lambda a: a[:-1]),
+}
+
+
+class TestSnapshot:
+    @given(text=taxonomy_texts())
+    @settings(max_examples=200, deadline=None)
+    def test_a_cold_load_and_then_a_hit_equal_the_line_by_line_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("snapshot") / "t.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = load_outcome(reference_load, path)
+        assert load_outcome(load, path) == expected
+        if expected[0] == "error":
+            assert not snapshot_of(path).exists()
+            return
+        with parsed_never():
+            assert load_outcome(load, path) == expected
+
+    def test_a_hit_equals_the_parse_and_its_arrays_are_read_only(self, f1_path, f1):
+        load(f1_path)
+        with parsed_never():
+            t = load(f1_path)
+        assert t == f1
+        arrays = [t.n_c, t.n_e, t.deg_c, t.entity_rank]
+        for csr in (t.by_concept, t.by_entity):
+            arrays += [csr.ptr, csr.ids, csr.counts]
+        assert not any(values.flags.writeable for values in arrays)
+
+    def test_an_empty_file_loads_twice(self, tmp_path):
+        path = tmp_path / "empty.tsv"
+        path.write_bytes(b"")
+        assert t_stats(load(path)) == (0, 0, 0, 0)
+        assert snapshot_of(path).is_file()
+        with parsed_never():
+            t = load(path)
+        assert t_stats(t) == (0, 0, 0, 0)
+        assert t.concept_names == t.entity_names == [] and len(t.entity_rank) == 0
+
+    def test_a_same_size_rewrite_with_the_old_mtime_is_a_miss(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"c\ta\t2\nc\tb\t3\n")
+        first = load(path)
+        stamp = path.stat()
+        path.write_bytes(b"c\ta\t3\nc\tb\t2\n")
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        assert path.stat().st_size == stamp.st_size
+        second = load(path)
+        assert (first.count("c", "a"), second.count("c", "a")) == (2, 3)
+        with parsed_never():
+            assert load(path) == second
+
+    def test_the_snapshot_gets_the_files_permission_bits(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"c\ta\t2\n")
+        path.chmod(0o640)
+        load(path)
+        assert stat.S_IMODE(snapshot_of(path).stat().st_mode) == 0o640
+
+    @pytest.mark.parametrize("damage", list(SNAPSHOT_DAMAGE), ids=list(SNAPSHOT_DAMAGE))
+    def test_a_damaged_snapshot_is_a_miss_and_is_rewritten(self, f1_path, damage):
+        expected = load_outcome(reference_load, f1_path)
+        load(f1_path)
+        rewrite_snapshot(f1_path, SNAPSHOT_DAMAGE[damage])
+        assert taxonomy._read_snapshot(f1_path, str(snapshot_of(f1_path))) is None
+        assert load_outcome(load, f1_path) == expected
+        with parsed_never():
+            assert load_outcome(load, f1_path) == expected
+
+    @pytest.mark.parametrize("data", [b"", b"PK\x03\x04", b"not a zip file", npy_bytes(), None],
+                             ids=["empty", "zip-header", "text", "one-array", "truncated"])
+    def test_an_unreadable_snapshot_is_a_miss_and_is_rewritten(self, f1_path, data):
+        expected = load_outcome(reference_load, f1_path)
+        load(f1_path)
+        whole = snapshot_of(f1_path).read_bytes()
+        snapshot_of(f1_path).write_bytes(whole[: len(whole) // 2] if data is None else data)
+        assert load_outcome(load, f1_path) == expected
+        with parsed_never():
+            assert load_outcome(load, f1_path) == expected
+
+    def test_a_pickled_snapshot_is_not_unpickled(self, f1_path):
+        load(f1_path)
+        with open(snapshot_of(f1_path), "wb") as fh:
+            np.save(fh, np.array([{"key": 1}], dtype=object), allow_pickle=True)
+        assert load(f1_path) == load(f1_path)
+        with parsed_never():
+            load(f1_path)
+
+    @pytest.mark.parametrize("target", ["tempfile.mkstemp", "os.chmod", "os.replace", "numpy.savez"])
+    def test_a_failed_write_still_loads_and_leaves_no_file(self, f1_path, f1, monkeypatch, target):
+        # tests may run as root, which may write anywhere: the failure is injected
+        module, name = target.rsplit(".", 1)
+        monkeypatch.setattr(f"{module}.{name}", mock.Mock(side_effect=OSError(28, "No space left")))
+        assert load(f1_path) == f1
+        assert sorted(p.name for p in f1_path.parent.iterdir()) == ["f1.tsv"]
+
+    def test_a_file_that_is_not_regular_gets_no_snapshot(self, f1_path, f1):
+        # /dev/fd/N names an open descriptor, here the read end of a pipe
+        read, write = os.pipe()
+        with open(write, "wb") as fh:
+            fh.write(f1_path.read_bytes())
+        try:
+            with mock.patch.object(taxonomy, "_read_snapshot", side_effect=AssertionError), \
+                    mock.patch.object(taxonomy, "_write_snapshot", side_effect=AssertionError):
+                assert load(f"/dev/fd/{read}") == f1
+        finally:
+            os.close(read)
+
+
 class TestArrays:
     def test_arrays_are_read_only(self, f1):
         arrays = [f1.n_c, f1.n_e, f1.deg_c, f1.entity_rank]
@@ -455,6 +662,14 @@ class TestWithoutEdges:
     )
     def test_a_bare_string_is_rejected_not_read_as_one_letter_names(self, f1, concepts, entities):
         with pytest.raises(ValueError, match="collection of names"):
+            f1.without_edges(concepts, entities)
+
+    @pytest.mark.parametrize(
+        "concepts, entities", [([None], ["a"]), (["top university"], ["a", 3])],
+        ids=["concepts", "entities"],
+    )
+    def test_an_element_that_is_not_a_string_is_rejected(self, f1, concepts, entities):
+        with pytest.raises(ValueError, match="must be names, got (None|3)"):
             f1.without_edges(concepts, entities)
 
     @staticmethod
