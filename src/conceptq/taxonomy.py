@@ -25,10 +25,11 @@ only the cut rows and shares with its parent every read-only array, name
 list, id map and entity name rank that the cut leaves as it was.
 
 ``load`` keeps a snapshot of a regular file beside it, at
-``<path>.conceptq.npz``: an ``np.savez`` archive of both CSR orientations
-(``ptr``, ``ids``, ``counts``), the entity name ranks, and each column's names
-as one UTF-8 blob, every name ended by a newline, which no normalized name
-holds. It is keyed by the BLAKE2b digest of the bytes that were parsed,
+``<path>.conceptq.npz`` with symlinks resolved: an ``np.savez`` archive of
+both CSR orientations (``ptr``, ``ids``, ``counts``), the entity name ranks,
+and each column's names as one UTF-8 blob, every name ended by a newline,
+which no normalized name holds. It is keyed by the BLAKE2b digest (SHA-256
+on a Python built without ``_blake2``) of the bytes that were parsed,
 ``_SNAPSHOT_FORMAT`` and ``unicodedata.unidata_version`` (``normalize`` and
 ``int`` follow the Unicode version), so any change to what ``load`` returns
 for a given file must bump ``_SNAPSHOT_FORMAT``. A load whose key matches
@@ -50,9 +51,6 @@ import os
 import tempfile
 import unicodedata
 import zipfile
-# hashlib.blake2b is this module's; importing hashlib also loads OpenSSL,
-# which adds ~3.5 MB to a process's resident memory
-from _blake2 import blake2b
 from array import array
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -63,6 +61,13 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DataFormatError, EngineError
+
+# The snapshot key's digest: hashlib.blake2b is _blake2's, but hashlib also loads
+# OpenSSL (~3.5 MB of RSS), and a Python without _blake2 has no blake2b at all
+try:
+    from _blake2 import blake2b as _hasher
+except ImportError:
+    from hashlib import sha256 as _hasher
 
 # Counts are summed in int64; the total of all rows must stay below this.
 _COUNT_LIMIT = 2**63
@@ -660,20 +665,23 @@ def load(path) -> Taxonomy:
     errors are those of a line-by-line read.
 
     An unchanged regular file is not parsed again: the first load writes a
-    snapshot beside it, ``<path>.conceptq.npz``, holding both CSR
-    orientations, the names and the entity name ranks (about 1.7x the size
-    of the file on large_kb), and later loads build the taxonomy from it. Its
-    key is the BLAKE2b digest of the file's bytes, ``_SNAPSHOT_FORMAT`` and the
-    Unicode version; any change to what ``load`` returns for a given file
-    must bump ``_SNAPSHOT_FORMAT``. The write is skipped when the directory
-    cannot be written, and deleting the snapshot is always safe.
+    snapshot beside it, ``<path>.conceptq.npz`` with symlinks resolved (so
+    ``/dev/stdin`` read from a file keeps it beside that file), holding both
+    CSR orientations, the names and the entity name ranks (about 1.7x the
+    size of the file on large_kb), and later loads build the taxonomy from
+    it. Its key is the BLAKE2b digest of the file's bytes,
+    ``_SNAPSHOT_FORMAT`` and the Unicode version; any change to what
+    ``load`` returns for a given file must bump ``_SNAPSHOT_FORMAT``. The
+    write is skipped when the directory cannot be written, and deleting the
+    snapshot is always safe. It helps a file loaded again in a new process;
+    the first load costs more, since it also digests and writes.
     """
-    regular = isinstance(path, (str, bytes, os.PathLike)) and os.path.isfile(path)
-    snapshot = os.fsdecode(path) + ".conceptq.npz" if regular else None
+    real = os.path.realpath(path) if isinstance(path, (str, bytes, os.PathLike)) else ""
+    snapshot = os.fsdecode(real) + ".conceptq.npz" if os.path.isfile(real) else None
     taxonomy = _read_snapshot(path, snapshot) if snapshot else None
     if taxonomy is not None:
         return taxonomy
-    digest = blake2b()
+    digest = _hasher()
     builder = _Builder("line")
     for first, block in _line_blocks(path, digest):
         if builder.add_block(block):
@@ -703,10 +711,10 @@ def load(path) -> Taxonomy:
 def _read_snapshot(path, snapshot: str) -> Taxonomy | None:
     """The taxonomy in ``snapshot`` if it is ``path``'s and passes every check."""
     try:
-        # np.load leaves a file that it opened open when it is no zip, and
-        # returns what is not an npz as an array, which no `with` takes
-        with open(snapshot, "rb") as fh, np.load(fh, allow_pickle=False) as stored, \
-                _DigestingFile(path, blake2b()) as tsv:
+        # NpzFile, not np.load: that returns a .npy file as an array, which
+        # no `with` takes, and leaves a file that it opened open if no zip
+        with open(snapshot, "rb") as fh, np.lib.npyio.NpzFile(fh, allow_pickle=False) as stored, \
+                _DigestingFile(path, _hasher()) as tsv:
             while tsv.read(1 << 20):
                 pass
             if stored["key"].tolist() != _SNAPSHOT_KEY.format(tsv.digest.hexdigest()):

@@ -2,6 +2,8 @@ import io
 import os
 import random
 import stat
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -616,6 +618,30 @@ class TestSnapshot:
                 assert load(f"/dev/fd/{read}") == f1
         finally:
             os.close(read)
+
+    def test_a_link_keeps_the_snapshot_beside_the_file_it_names(self, f1_path, f1, tmp_path):
+        # /dev/stdin redirected from a file is /dev/fd/0, a link to that file
+        link = tmp_path / "link.tsv"
+        link.symlink_to(f1_path)
+        assert load(link) == f1
+        with open(f1_path, "rb") as fh:
+            with parsed_never():
+                assert load(f"/dev/fd/{fh.fileno()}") == f1
+        assert not snapshot_of(link).exists()
+
+    def test_a_python_without_blake2_still_imports_and_keeps_a_snapshot(self, f1_path):
+        code = (
+            "import sys\n"
+            "sys.modules['_blake2'] = None\n"
+            "from conceptq import taxonomy\n"
+            "first = taxonomy.load(sys.argv[1])\n"
+            "taxonomy._Builder = None\n"
+            "print(taxonomy.load(sys.argv[1]) == first, taxonomy._hasher().name)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run([sys.executable, "-c", code, str(f1_path)], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        assert proc.stdout.split() == ["True", "sha256"]
 
 
 class TestArrays:
