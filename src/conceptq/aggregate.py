@@ -375,6 +375,8 @@ def _classes(keys: np.ndarray, sizes: np.ndarray, weights: np.ndarray) -> tuple[
 def _buckets(ordering) -> tuple[list[str], np.ndarray]:
     """An ordering's names bucket by bucket, each group of tied names in name
     order, and its bucket bounds; an item is a name or a group."""
+    if isinstance(ordering, str):
+        raise ValueError(f"an ordering must be a collection of names or groups, got {ordering!r}")
     names, sizes = [], [0]
     for item in ordering:
         if isinstance(item, str):

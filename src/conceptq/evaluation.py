@@ -71,6 +71,7 @@ class EvalReport:
 def precision_at_k(ranked: Sequence[str], truth: GroundTruth, k: int) -> float:
     """Fraction of the top-k (or of the whole list, if shorter) that is correct."""
     k = check_cutoff(k)
+    ranked = check_names(ranked, "ranked entities")
     if not ranked:
         return 0.0
     hits = sum(1 for e in ranked[:k] if e in truth.answers)
@@ -80,14 +81,14 @@ def precision_at_k(ranked: Sequence[str], truth: GroundTruth, k: int) -> float:
 def recall_at_k(ranked: Sequence[str], truth: GroundTruth, k: int) -> float:
     """Fraction of the ground truth found in the top-k."""
     k = check_cutoff(k)
-    hits = sum(1 for e in ranked[:k] if e in truth.answers)
+    hits = sum(1 for e in check_names(ranked, "ranked entities")[:k] if e in truth.answers)
     return hits / len(truth.answers)
 
 
 def ratio_at_k(top_k: Sequence[str], intersection: Iterable[str]) -> float:
     """New-entity yield: results outside the intersection, per intersection size."""
-    intersection = set(intersection)
-    new = sum(1 for e in top_k if e not in intersection)
+    intersection = set(check_names(intersection, "intersection entities"))
+    new = sum(1 for e in check_names(top_k, "top-k entities") if e not in intersection)
     return new / (len(intersection) + 1)
 
 
@@ -178,7 +179,8 @@ def holdout_experiment(
     pipeline then runs once on the reduced taxonomy and is scored at every
     cutoff in ``k`` (one integer, numpy's too, or a sequence); the removed
     entities are the ground truth. ratio@k is measured against the reduced
-    intersection, the one the pipeline actually saw.
+    intersection, the one the pipeline actually saw. A removal that leaves a
+    query concept with no entity, so that a shorter query would run, raises.
     """
     many = isinstance(k, Iterable) and not isinstance(k, str)
     ks = check_cutoffs(list(k) if many else [k])
@@ -197,6 +199,10 @@ def holdout_experiment(
     removed = frozenset(rng.sample(sorted(intersection), n_remove))
 
     reduced = taxonomy.without_edges(decomposition.short_concepts, removed)
+    emptied = [c for c in decomposition.short_concepts if reduced.concept_id(c) is None]
+    if emptied:
+        raise EngineError(f"removing {removal_fraction} of the {len(intersection)} entities in the "
+                          f"intersection of {raw_query!r} leaves {emptied} with no entity")
     reduced_intersection = intersection - removed
     truth = GroundTruth(query=raw_query, answers=removed)
     scored, top = _score(run_query(reduced, raw_query, config), truth, reduced_intersection, ks)

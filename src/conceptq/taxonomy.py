@@ -44,7 +44,6 @@ the size of the file.
 
 from __future__ import annotations
 
-import codecs
 import io
 import numbers
 import os
@@ -590,23 +589,27 @@ class _DigestingFile(io.FileIO):
 
 
 def _line_blocks(path, digest=None) -> Iterator[tuple[int, str]]:
-    """The lines of a UTF-8 text file, a block of whole lines at a time:
-    the 1-based number of a block's first line, and its lines joined by
-    newlines. Lines end where universal newlines end them, and a leading
-    byte-order mark is not part of the first line. A file that does not
-    decode raises :class:`DataFormatError` naming the first such line.
-    Every byte read is fed to ``digest``, if given."""
+    """The lines of a UTF-8 text file, read once, a block of whole lines at
+    a time: the 1-based number of a block's first line, and its lines joined
+    by newlines. Lines end where universal newlines end them, and a leading
+    byte-order mark is not part of the first line. A byte that is not UTF-8
+    raises :class:`DataFormatError` naming its line before its block is
+    yielded. Every byte read is fed to ``digest``, if given."""
     first, pending = 1, []
     raw = io.FileIO(path) if digest is None else _DigestingFile(path, digest)
-    with io.TextIOWrapper(raw, encoding="utf-8-sig") as fh:
+    # An invalid byte decodes to a lone surrogate, which valid UTF-8 cannot hold
+    # and encode() rejects. ``pending`` has no newline, so a read starts in line ``first``.
+    with io.TextIOWrapper(raw, encoding="utf-8-sig", errors="surrogateescape") as fh:
         while True:
-            try:
-                text = fh.read(_BLOCK_CHARS)
-            except UnicodeDecodeError:
-                _raise_undecodable(path)
-                raise
+            text = fh.read(_BLOCK_CHARS)
             if not text:
                 break
+            if not text.isascii():
+                try:
+                    text.encode()
+                except UnicodeEncodeError as error:
+                    line_num = first + text.count("\n", 0, error.start)
+                    raise DataFormatError(f"line {line_num}: not valid UTF-8", row=line_num) from None
             cut = text.rfind("\n")
             if cut < 0:
                 pending.append(text)
@@ -621,20 +624,6 @@ def _line_blocks(path, digest=None) -> Iterator[tuple[int, str]]:
         yield first, tail
 
 
-def _raise_undecodable(path) -> None:
-    """Raise :class:`DataFormatError` for the first line of ``path`` that
-    is not valid UTF-8; return if every line decodes."""
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    if lines:
-        lines[0] = lines[0].removeprefix(codecs.BOM_UTF8)
-    for line_num, line in enumerate(lines, start=1):
-        try:
-            line.decode("utf-8")
-        except UnicodeDecodeError:
-            raise DataFormatError(f"line {line_num}: not valid UTF-8", row=line_num) from None
-
-
 def _data_lines(first: int, block: str) -> Iterator[tuple[int, str]]:
     """:func:`data_lines` of one block whose first line is line ``first``."""
     for line_num, line in enumerate(block.split("\n"), start=first):
@@ -647,7 +636,8 @@ def data_lines(path) -> Iterator[tuple[int, str]]:
     """Each line of a UTF-8 text file that is neither blank nor a ``#``
     comment, without its newline and with its 1-based line number. A leading
     byte-order mark is not part of the first line, and a line that is not
-    valid UTF-8 raises :class:`DataFormatError` with its number."""
+    valid UTF-8 raises :class:`DataFormatError` with its number before the
+    lines of its block are yielded. The file is read once, so it may be a pipe."""
     for first, block in _line_blocks(path):
         yield from _data_lines(first, block)
 
@@ -659,10 +649,11 @@ def load(path) -> Taxonomy:
     quoting; a TAB inside a name is unsupported. Malformed lines raise
     :class:`DataFormatError` naming the 1-based physical line number.
 
-    The file is read in blocks of whole lines. A block of clean rows is
-    parsed a column at a time; any other block, with a comment, a blank
-    line or a bad line, is read line by line, so the ids, counts and
-    errors are those of a line-by-line read.
+    The file is read once, in blocks of whole lines. A block of clean rows
+    is parsed a column at a time; any other block, with a comment, a blank
+    line or a bad line, is read line by line, so the ids, counts and errors
+    are those of a line-by-line read, but a byte that is not UTF-8 is
+    reported before the rows of its own block are checked.
 
     An unchanged regular file is not parsed again: the first load writes a
     snapshot beside it, ``<path>.conceptq.npz`` with symlinks resolved (so

@@ -8,10 +8,13 @@ name-keyed ``optimize`` and ``objective`` wrap the engine's own solve.
 from __future__ import annotations
 
 import math
+import os
 import random
+import threading
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -23,6 +26,27 @@ from conceptq.errors import DataFormatError, QueryParseError
 from conceptq.expansion import ConceptRelevance, ExpansionModel, PairwiseConstraint
 from conceptq.query import Membership
 from conceptq.taxonomy import CooccurrenceRecord, Taxonomy, find_sorted, ingest, normalize
+
+
+@contextmanager
+def piped(data: bytes) -> Iterator[str]:
+    """The path ``/dev/fd/N`` of a pipe's read end, which a thread fills
+    with ``data``: unlike a regular file, it can be read only once. The
+    thread stops once ``data`` is written or the read end is closed."""
+    read_fd, write_fd = os.pipe()
+
+    def write():
+        with suppress(BrokenPipeError), open(write_fd, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_fd}"
+    finally:
+        os.close(read_fd)
+        writer.join(timeout=60)
+    assert not writer.is_alive()
 
 
 def random_rows(rng: random.Random, max_concepts=6, max_entities=8, max_edges=20,

@@ -166,6 +166,11 @@ class TestGradient:
         assert grad["a"] == pytest.approx(0.9 / 2)
         assert grad["b"] == pytest.approx(-0.9 / 2)
 
+    @pytest.mark.parametrize("r_b, r_c", [("ab", ["b", "a"]), (["b", "a"], "ab")], ids=["r_b", "r_c"])
+    def test_a_string_ordering_is_rejected_not_split_into_characters(self, r_b, r_c):
+        with pytest.raises(ValueError, match="collection of names or groups"):
+            gradient({"a": 0.0, "b": 0.0}, r_b, r_c, [])
+
     def test_matches_finite_differences(self):
         rng = random.Random(0)
         names = [f"e{i}" for i in range(8)]

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +12,7 @@ import pytest
 from conceptq import aggregate, taxonomy
 from conceptq.cli import main
 
-from helpers import planted_instance
+from helpers import piped, planted_instance
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -55,8 +56,11 @@ class TestValidate:
     def test_invalid_utf8_is_a_data_error_with_its_line(self, tmp_path, capsys):
         path = tmp_path / "bad.tsv"
         path.write_bytes(b"c\te\t1\nc\t\xff\xfe\t2\n")
-        assert main(["validate", str(path)]) == 3
-        assert capsys.readouterr().err == "error: line 2: not valid UTF-8\n"
+        # a pipe, which can be read only once, and then the file
+        for source in (piped(path.read_bytes()), nullcontext(path)):
+            with source as readable:
+                assert main(["validate", str(readable)]) == 3
+            assert capsys.readouterr().err == "error: line 2: not valid UTF-8\n"
 
     def test_json_format(self, f1_path, capsys):
         assert main(["validate", str(f1_path), "--format", "json"]) == 0
@@ -305,6 +309,20 @@ class TestEval:
         assert skipped == ["top famous university", "unheard-of gadget"]
         assert len(doc["per_query"]) == 1
 
+    def test_a_holdout_that_empties_a_query_concept_is_skipped_with_its_reason(self, tmp_path, capsys):
+        path = tmp_path / "t.tsv"
+        path.write_text("top university\ta\t2\ntop university\tb\t1\n"
+                        "american university\ta\t1\namerican university\tb\t2\n", encoding="utf-8")
+        queries = tmp_path / "queries.txt"
+        queries.write_text("top american university\n", encoding="utf-8")
+        argv = ["eval", str(path), str(queries), "--holdout", "0.99", "--format", "json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["skipped"] == [{
+            "query": "top american university",
+            "reason": "removing 0.99 of the 2 entities in the intersection of 'top american university' "
+                      "leaves ['top university', 'american university'] with no entity",
+        }]
+
     def test_truth_and_holdout_skip_an_unanswerable_query_alike(self, f1_path, tmp_path, capsys):
         queries = tmp_path / "queries.txt"
         queries.write_text("top american university\nnope thing\n", encoding="utf-8")
@@ -372,16 +390,17 @@ class TestEval:
 
     @pytest.mark.parametrize("mode", ["holdout", "truth"])
     def test_invalid_utf8_is_a_data_error_with_its_line(self, f1_path, tmp_path, capsys, mode):
-        # the query file in a hold-out eval, the truth file in a truth-file eval
+        # the query file in a hold-out eval, the truth file in a truth-file eval,
+        # each read from a pipe and then from a file
         queries = tmp_path / "queries.txt"
-        truth = tmp_path / "truth.tsv"
-        good = {"queries": b"top american university\n", "truth": b"top american university\ta\n"}
-        bad = b"\xef\xbb\xbf# note\r\ntop \xc3 university\ta\r\n"
-        queries.write_bytes(bad if mode == "holdout" else good["queries"])
-        truth.write_bytes(bad if mode == "truth" else good["truth"])
-        files = ["--holdout", "0.5"] if mode == "holdout" else [str(truth)]
-        assert main(["eval", str(f1_path), str(queries), *files]) == 3
-        assert capsys.readouterr().err == "error: line 2: not valid UTF-8\n"
+        queries.write_bytes(b"top american university\n")
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xef\xbb\xbf# note\r\ntop \xc3 university\ta\r\n")
+        for source in (piped(bad.read_bytes()), nullcontext(bad)):
+            with source as readable:
+                files = [readable, "--holdout", "0.5"] if mode == "holdout" else [queries, readable]
+                assert main(["eval", str(f1_path), *map(str, files)]) == 3
+            assert capsys.readouterr().err == "error: line 2: not valid UTF-8\n"
 
     def test_empty_query_file(self, f1_path, tmp_path, capsys):
         queries = tmp_path / "queries.txt"

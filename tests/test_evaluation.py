@@ -97,6 +97,20 @@ class TestMetricIntegrality:
         with pytest.raises(ValueError, match="collection of names"):
             GroundTruth(query="top american university", answers="ab")
 
+    @pytest.mark.parametrize(
+        "score",
+        [
+            lambda: recall_at_k("abc", GroundTruth(query="q", answers=["a"]), 2),
+            lambda: precision_at_k("abc", GroundTruth(query="q", answers=["a"]), 2),
+            lambda: ratio_at_k("ab", ["a"]),
+            lambda: ratio_at_k(["a"], "ab"),
+        ],
+        ids=["recall-ranked", "precision-ranked", "ratio-top-k", "ratio-intersection"],
+    )
+    def test_a_string_of_entities_is_rejected_by_every_metric(self, score):
+        with pytest.raises(ValueError, match="collection of names"):
+            score()
+
     def test_an_answer_that_is_not_a_string_is_rejected(self):
         with pytest.raises(ValueError, match="must be names"):
             GroundTruth(query="q", answers=["a", None])
@@ -234,6 +248,18 @@ class TestHoldout:
         t = ingest([("c1 thing", "only", 1), ("c2 thing", "only", 1)])
         with pytest.raises(EngineError):
             holdout_experiment(t, "c1 c2 thing", 0.5, rng_seed=0, k=5)
+
+    def test_a_removal_that_empties_a_query_concept_is_rejected(self):
+        # ceil(0.99 * 2) removes all of I = {a, b}, which is all "top
+        # university" holds: the run would answer "american university" alone
+        t = ingest([
+            ("top university", "a", 2), ("top university", "b", 1),
+            ("american university", "a", 1), ("american university", "b", 2),
+            ("american university", "c", 3), ("ivy league", "a", 1), ("ivy league", "c", 1),
+        ])
+        with pytest.raises(EngineError, match=r"removing 0\.99 of the 2 entities in the "
+                           r"intersection of 'top american university' leaves \['top university'\]"):
+            holdout_experiment(t, "top american university", 0.99, rng_seed=0, k=10)
 
     def test_removed_entities_keep_their_equivalent_edges(self):
         # the removal must strip only the query-concept edges, leaving the

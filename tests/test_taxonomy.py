@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+from contextlib import nullcontext
 from pathlib import Path
 from unittest import mock
 
@@ -27,7 +28,7 @@ from conceptq.taxonomy import (
     normalize,
 )
 
-from helpers import planted_instance, random_rows, reference_load
+from helpers import piped, planted_instance, random_rows, reference_load
 
 
 def id_maps(t):
@@ -397,17 +398,21 @@ class TestLoad:
             (b"\xef\xbb\xbfc\te\t1\r\n# note\r\n", 3),
             (b"c\te\t1\rc\te\t2\r", 3),
             (b"c\te\t1\n" * 20_000, 20_001),
+            # a malformed line in the same block is not reached
+            (b"c\te\n", 2),
         ],
-        ids=["plain", "bom-crlf-comment", "lone-cr", "past-many-blocks"],
+        ids=["plain", "bom-crlf-comment", "lone-cr", "past-many-blocks", "after-a-malformed-line"],
     )
     def test_invalid_utf8_names_its_line(self, tmp_path, head, bad_line):
         path = tmp_path / "bad.tsv"
         path.write_bytes(head + b"c\t\xff\xfe\t2\nc\te\t3\n")
         for read in (load, lambda p: list(data_lines(p))):
-            with pytest.raises(DataFormatError) as err:
-                read(path)
-            assert err.value.row == bad_line
-            assert str(err.value) == f"line {bad_line}: not valid UTF-8"
+            # a pipe, which can be read only once, and then the file
+            for source in (piped(path.read_bytes()), nullcontext(path)):
+                with pytest.raises(DataFormatError) as err, source as readable:
+                    read(readable)
+                assert err.value.row == bad_line
+                assert str(err.value) == f"line {bad_line}: not valid UTF-8"
 
     def test_clean_rows_skip_the_line_by_line_path(self, f1_path, f1):
         with mock.patch.object(taxonomy._Builder, "add", side_effect=AssertionError):
